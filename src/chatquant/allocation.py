@@ -16,12 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .distortion import (
-    ENTROPY_CONSTRAINED,
-    FIXED_RATE,
-    entropy_coding_tables,
-    fixed_rate_betas,
-)
+from .distortion import FIXED_RATE, entropy_coding_tables, fixed_rate_betas
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chatnet import ChatNetworkSpec
@@ -30,6 +25,7 @@ __all__ = [
     "AllocationResult",
     "InfeasibleBudgetError",
     "NonInteriorAllocationError",
+    "allocate",
     "chat_budget_search",
     "closed_form_allocation",
     "entropy_allocation",
@@ -112,8 +108,8 @@ def waterfill_kkt(
     betas = np.asarray(betas, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
     w = None if weights is None else np.asarray(weights, dtype=float)
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    if not np.isfinite(budget) or budget < 0:
+        raise ValueError(f"budget must be finite and nonnegative, got {budget}")
     if np.any(betas <= 0) or np.any(alphas <= 0):
         raise ValueError("betas and alphas must be positive")
     if w is not None and (np.any(w <= 0) or w.size != betas.size):
@@ -193,6 +189,8 @@ def probabilistic_allocation(
     ratios.  A nonpositive share invalidates the interior assumption and
     the routine falls back to water-filling on the flattened index set.
     """
+    if not np.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
     flat_b: list[float] = []
     flat_a: list[float] = []
     flat_w: list[float] = []
@@ -228,36 +226,41 @@ def probabilistic_allocation(
     )
 
 
+def allocate(spec: "ChatNetworkSpec", budget: float) -> AllocationResult:
+    """Charge the chat links, then split the rest by the regime's rule.
+
+    Every chat edge costs its per-bit price times its message bits; what
+    is left goes to the fusion links, water-filled over the per-sensor
+    betas under fixed-rate coding and split per message under entropy
+    coding.  Raises InfeasibleBudgetError when chatting leaves nothing.
+    """
+    chat_cost = spec.chat_cost()
+    remaining = budget - chat_cost
+    if remaining <= 0:
+        raise InfeasibleBudgetError(
+            f"chatting cost {chat_cost:g} exhausts the budget {budget:g}"
+        )
+    if spec.regime == FIXED_RATE:
+        return waterfill_kkt(fixed_rate_betas(spec), spec.fusion_alphas, remaining)
+    return entropy_allocation(spec, remaining)
+
+
 def chat_budget_search(
-    spec: "ChatNetworkSpec",
-    budget: float,
-    rc_grid: Sequence[int],
-    regime: str = FIXED_RATE,
+    spec: "ChatNetworkSpec", budget: float, rc_grid: Sequence[int]
 ) -> tuple[int, AllocationResult]:
     """Brute-force the chat rate, allocating the leftover budget optimally.
 
-    Each candidate chat rate is charged on every chat edge at that edge's
-    cost per bit; the remainder goes to the fusion links through the
-    regime's allocation rule.  Returns the chat rate with the smallest
-    predicted fMSE and its allocation.  Candidates that consume the whole
-    budget are skipped; if none survives, the budget is infeasible.
+    Each candidate chat rate is allocated by ``allocate`` in the spec's
+    regime.  Returns the chat rate with the smallest predicted fMSE and
+    its allocation.  Candidates that consume the whole budget are
+    skipped; if none survives, the budget is infeasible.
     """
     best: tuple[int, AllocationResult] | None = None
     for rc in rc_grid:
-        trial = spec.with_chat_rate(int(rc))
-        chat_cost = sum(
-            e.alpha * np.log2(e.size) for e in trial.graph.edges
-        )
-        remaining = budget - chat_cost
-        if remaining <= 0:
+        try:
+            res = allocate(spec.with_chat_rate(int(rc)), budget)
+        except InfeasibleBudgetError:
             continue
-        if regime == FIXED_RATE:
-            betas = fixed_rate_betas(trial)
-            res = waterfill_kkt(betas, trial.fusion_alphas, remaining)
-        elif regime == ENTROPY_CONSTRAINED:
-            res = entropy_allocation(trial, remaining)
-        else:
-            raise ValueError(f"unknown regime {regime!r}")
         if best is None or res.predicted_distortion < best[1].predicted_distortion:
             best = (int(rc), res)
     if best is None:

@@ -16,10 +16,11 @@ from __future__ import annotations
 import graphlib
 import hashlib
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .allocation import AllocationResult, allocate
 from .probcore import Pdf
 from .quantizer import Quantizer, build_fixed_rate_quantizer
 from .sensitivity import (
@@ -32,13 +33,13 @@ from .sensitivity import (
 from .distortion import (
     ENTROPY_CONSTRAINED,
     FIXED_RATE,
+    DistortionReport,
+    fixed_rate_message_moments,
+    hr_fmse_entropy_chat,
+    hr_fmse_fixed_rate_chat,
     optimal_density_entropy,
     optimal_density_fixed_rate,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .allocation import AllocationResult
-    from .distortion import DistortionReport
 
 __all__ = [
     "ChatEdge",
@@ -235,6 +236,12 @@ class ChatNetworkSpec:
             raise ValueError("fusion costs must be positive")
         if self.regime not in (FIXED_RATE, ENTROPY_CONSTRAINED):
             raise ValueError(f"unknown regime {self.regime!r}")
+        if (self.source.lo, self.source.hi) != (0.0, 1.0) or not np.allclose(
+            self.source(np.linspace(0.0, 1.0, 9)), 1.0
+        ):
+            # Profiles, message laws and max_sensitivity are closed forms
+            # for uniform(0, 1) sources only.
+            raise ValueError("the source must be uniform on [0, 1]")
         if set(self.graph.nodes) != set(range(1, self.n_sensors + 1)):
             raise ValueError("graph nodes must be sensors 1..N")
         for e in self.graph.edges:
@@ -289,6 +296,10 @@ class ChatNetworkSpec:
 
     def validate(self) -> list[Violation]:
         return validate_identifiable(self.graph, self.schedule)
+
+    def chat_cost(self) -> float:
+        """Cost of one chat round: each edge's per-bit price times its bits."""
+        return sum(e.alpha * np.log2(e.size) for e in self.graph.edges)
 
     def is_serial_chain(self) -> bool:
         want = tuple((i, i + 1) for i in range(1, self.n_sensors))
@@ -414,9 +425,7 @@ def _cell_of(value: float, t: Sequence[float]) -> int:
     return min(max(k, 1), len(t) - 1)
 
 
-def serial_max_chat_round(
-    spec: ChatNetworkSpec, x: Sequence[float], state: ChatState | None = None
-) -> ChatState:
+def serial_max_chat_round(spec: ChatNetworkSpec, x: Sequence[float]) -> ChatState:
     """Run one chat round of the serial max network on raw observations.
 
     Each sensor combines the interval it received with its own value and
@@ -460,7 +469,6 @@ def conditional_quantizer_bank(
     spec: ChatNetworkSpec,
     n: int,
     size: int | Mapping[int, int],
-    placement: str = "midpoint",
 ) -> dict[int, Quantizer]:
     """Build sensor n's codebooks, one per incoming message.
 
@@ -479,7 +487,7 @@ def conditional_quantizer_bank(
         else:
             density = optimal_density_entropy(prof)
         size_k = size[k] if isinstance(size, Mapping) else int(size)
-        q = build_fixed_rate_quantizer(density, size_k, prof.zero_zones, placement)
+        q = build_fixed_rate_quantizer(density, size_k, prof.zero_zones)
         if q.dont_care_cells:
             cw = q.codewords.copy()
             for c in q.dont_care_cells:
@@ -490,15 +498,13 @@ def conditional_quantizer_bank(
 
 
 def build_banks(
-    spec: ChatNetworkSpec,
-    sizes: Sequence[int | Mapping[int, int]],
-    placement: str = "midpoint",
+    spec: ChatNetworkSpec, sizes: Sequence[int | Mapping[int, int]]
 ) -> dict[int, dict[int, Quantizer]]:
     """Codebook banks for every sensor, indexed [sensor][message]."""
     if len(sizes) != spec.n_sensors:
         raise ValueError("need one codebook size per sensor")
     return {
-        n: conditional_quantizer_bank(spec, n, sizes[n - 1], placement)
+        n: conditional_quantizer_bank(spec, n, sizes[n - 1])
         for n in range(1, spec.n_sensors + 1)
     }
 
@@ -544,57 +550,39 @@ class NetworkDesign:
     sizes: tuple
     banks: dict[int, dict[int, Quantizer]]
     rates: np.ndarray
-    allocation: "AllocationResult | None"
-    predicted: "DistortionReport"
+    allocation: AllocationResult | None
+    predicted: DistortionReport
 
 
 def design_network(
     spec: ChatNetworkSpec,
     budget: float | None = None,
     rates: Sequence[float] | None = None,
-    placement: str = "midpoint",
 ) -> NetworkDesign:
     """Turn a network spec into buildable integer-size codebooks.
 
     Exactly one of ``budget`` and ``rates`` must be given.  A budget is
-    first split by the regime's optimal allocation (chat links charged at
-    their cost per bit), then rounded to integer codebook sizes; when
-    rounding overshoots the fixed-rate budget, sizes are walked back
-    greedily, dropping whichever codeword costs the least predicted
-    distortion per cost recovered.  Rates are taken as-is (no repair).
+    first split by ``allocate`` (chat links charged at their cost per
+    bit), then rounded to integer codebook sizes; when rounding overshoots
+    the fixed-rate budget, sizes are walked back greedily, dropping
+    whichever codeword costs the least predicted distortion per cost
+    recovered.  Rates are taken as-is (no repair).
     """
-    from .allocation import waterfill_kkt, entropy_allocation
-    from .distortion import (
-        fixed_rate_betas,
-        fixed_rate_message_moments,
-        hr_fmse_fixed_rate_chat,
-        hr_fmse_entropy_chat,
-    )
-
     if (budget is None) == (rates is None):
         raise ValueError("give either a budget or explicit rates")
-    chat_cost = sum(e.alpha * np.log2(e.size) for e in spec.graph.edges)
-    alphas = np.asarray(spec.fusion_alphas)
+    alloc = None if budget is None else allocate(spec, budget)
 
     if spec.regime == FIXED_RATE:
-        if rates is None:
-            remaining = budget - chat_cost
-            if remaining <= 0:
-                raise ValueError(
-                    f"chatting cost {chat_cost:g} exhausts the budget {budget:g}"
-                )
-            alloc = waterfill_kkt(fixed_rate_betas(spec), alphas, remaining)
-            target = alloc.rates
-        else:
-            alloc = None
-            remaining = None
-            target = np.asarray(rates, dtype=float)
+        target = np.asarray(rates, dtype=float) if alloc is None else alloc.rates
+        alphas = np.asarray(spec.fusion_alphas)
         moments = fixed_rate_message_moments(spec)
         min_sizes = np.array([int(dc.max()) + 1 for _p, _m, dc in moments])
         sizes = np.maximum(np.rint(2.0**target).astype(int), min_sizes)
-        if remaining is not None:
-            sizes = _repair_budget(sizes, min_sizes, alphas, moments, remaining)
-        banks = build_banks(spec, [int(s) for s in sizes], placement)
+        if alloc is not None:
+            sizes = _repair_budget(
+                sizes, min_sizes, alphas, moments, budget - spec.chat_cost()
+            )
+        banks = build_banks(spec, [int(s) for s in sizes])
         predicted = hr_fmse_fixed_rate_chat(spec, None, np.log2(sizes))
         return NetworkDesign(
             spec, tuple(int(s) for s in sizes), banks, target, alloc, predicted
@@ -602,13 +590,7 @@ def design_network(
 
     # Entropy-constrained: rates (and sizes) vary with the incoming message.
     n_msgs = [spec.message_probs(n).size for n in range(1, spec.n_sensors + 1)]
-    if rates is None:
-        remaining = budget - chat_cost
-        if remaining <= 0:
-            raise ValueError(
-                f"chatting cost {chat_cost:g} exhausts the budget {budget:g}"
-            )
-        alloc = entropy_allocation(spec, remaining)
+    if alloc is not None:
         per_message: dict[int, dict[int, float]] = {}
         for (n, k), rate in zip(alloc.labels, alloc.rates):
             per_message.setdefault(n, {})[k] = float(rate)
@@ -617,7 +599,6 @@ def design_network(
             for n in range(1, spec.n_sensors + 1)
         ]
     else:
-        alloc = None
         rate_rows = []
         for n, r in enumerate(rates, start=1):
             row = list(np.atleast_1d(np.asarray(r, dtype=float)))
@@ -635,7 +616,7 @@ def design_network(
             dc = len(spec.conditional_profile(n, k).zero_zones)
             row[k] = max(int(np.rint(2.0**r)), dc + 1)
         sizes_ec.append(row)
-    banks = build_banks(spec, sizes_ec, placement)
+    banks = build_banks(spec, sizes_ec)
     predicted = hr_fmse_entropy_chat(spec, None, rate_rows)
     return NetworkDesign(
         spec,

@@ -16,11 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import (
-    InfeasibleBudgetError,
-    entropy_allocation,
-    waterfill_kkt,
-)
+from .allocation import InfeasibleBudgetError, allocate
 from .chatnet import (
     ChatNetworkSpec,
     SpecFormatError,
@@ -32,7 +28,6 @@ from .distortion import (
     FIXED_RATE,
     InfeasibleRateError,
     UndefinedDistortionError,
-    fixed_rate_betas,
     hr_fmse_entropy_chat,
     hr_fmse_fixed_rate_chat,
 )
@@ -105,23 +100,6 @@ def _require_valid(spec: ChatNetworkSpec) -> None:
         raise SystemExit(1)
 
 
-def _chat_cost(spec: ChatNetworkSpec) -> float:
-    return sum(e.alpha * np.log2(e.size) for e in spec.graph.edges)
-
-
-def _allocate(spec: ChatNetworkSpec, budget: float):
-    remaining = budget - _chat_cost(spec)
-    if remaining <= 0:
-        raise InfeasibleBudgetError(
-            f"chatting cost {_chat_cost(spec):g} exhausts the budget {budget:g}"
-        )
-    if spec.regime == FIXED_RATE:
-        return waterfill_kkt(
-            fixed_rate_betas(spec), np.asarray(spec.fusion_alphas), remaining
-        )
-    return entropy_allocation(spec, remaining)
-
-
 def _parse_rates(raw: str) -> list:
     """Rates as 'r1,r2,...' per sensor; 'a/b/c' splits one sensor by message."""
     rates = []
@@ -147,7 +125,7 @@ def _cmd_validate(args) -> int:
 def _cmd_allocate(args) -> int:
     spec = _build_spec(args)
     _require_valid(spec)
-    alloc = _allocate(spec, args.budget)
+    alloc = allocate(spec, args.budget)
     rows = [
         {"sensor": link, "message": msg, "alpha": alpha, "b": b, "rate": rate}
         for link, msg, alpha, b, rate in alloc.csv_rows()
@@ -171,7 +149,7 @@ def _cmd_predict(args) -> int:
     if (args.budget is None) == (args.rates is None):
         raise SpecFormatError(0, "rates", "give exactly one of --budget, --rates")
     if args.budget is not None:
-        alloc = _allocate(spec, args.budget)
+        alloc = allocate(spec, args.budget)
         print(f"predicted fMSE {alloc.predicted_distortion:.6e}")
         return 0
     rates = _parse_rates(args.rates)
@@ -198,7 +176,7 @@ def _cmd_design(args) -> int:
     spec = _build_spec(args)
     _require_valid(spec)
     rates = None if args.rates is None else _parse_rates(args.rates)
-    design = design_network(spec, args.budget, rates, args.placement)
+    design = design_network(spec, args.budget, rates)
     for n, size in enumerate(design.sizes, start=1):
         print(f"sensor {n}: sizes {size}")
     print(f"predicted fMSE {design.predicted.total:.6e}")
@@ -216,7 +194,7 @@ def _cmd_simulate(args) -> int:
     spec = _build_spec(args)
     _require_valid(spec)
     rates = None if args.rates is None else _parse_rates(args.rates)
-    design = design_network(spec, args.budget, rates, args.placement)
+    design = design_network(spec, args.budget, rates)
     result = run_simulation(
         spec,
         design.banks,
@@ -328,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_flags(p)
     p.add_argument("--budget", type=float)
     p.add_argument("--rates")
-    p.add_argument("--placement", choices=("midpoint", "left-edge"), default="midpoint")
     p.add_argument("--banks-dir", type=Path, help="dump quantizers as text files")
     p.set_defaults(fn=_cmd_design)
 
@@ -336,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_flags(p)
     p.add_argument("--budget", type=float)
     p.add_argument("--rates")
-    p.add_argument("--placement", choices=("midpoint", "left-edge"), default="midpoint")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .allocation import entropy_allocation, waterfill_kkt
+from .allocation import allocate
 from .chatnet import ChatNetworkSpec, design_network
 from .distortion import (
     ENTROPY_CONSTRAINED,
@@ -57,6 +57,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in ("Rc", "p1", "alpha_c", "N"):
             raise ValueError(f"unknown sweep variable {self.variable!r}")
+        if not np.isfinite(self.budget_per_sensor):
+            raise ValueError("the budget must be finite")
         if not self.values:
             raise ValueError("sweep needs at least one value")
         if self.variable == "p1" and not all(0 < v < 1 for v in self.values):
@@ -79,14 +81,6 @@ class SweepSpec:
             "alpha_n": self.fusion_alpha,
             "regime": self.regime,
         }
-
-
-def _allocate(spec: ChatNetworkSpec, remaining: float):
-    if spec.regime == FIXED_RATE:
-        return waterfill_kkt(
-            fixed_rate_betas(spec), np.asarray(spec.fusion_alphas), remaining
-        )
-    return entropy_allocation(spec, remaining)
 
 
 def sweep_chatting_rate(
@@ -116,17 +110,16 @@ def sweep_chatting_rate(
             sweep.fusion_alpha,
             sweep.regime,
         )
-        chat_cost = sum(e.alpha * np.log2(e.size) for e in spec.graph.edges)
-        remaining = sweep.budget - chat_cost
+        feasible = bool(sweep.budget > spec.chat_cost())
         row = {
             "Rc": rc,
-            "feasible": bool(remaining > 0),
+            "feasible": feasible,
             "predicted_fmse": None,
             "empirical_fmse": None,
             "stderr": None,
         }
-        if remaining > 0:
-            alloc = _allocate(spec, remaining)
+        if feasible:
+            alloc = allocate(spec, sweep.budget)
             row["predicted_fmse"] = alloc.predicted_distortion
             if simulate and sweep.regime == FIXED_RATE:
                 design = design_network(spec, budget=sweep.budget)
@@ -162,7 +155,7 @@ def sweep_partition(sweep: SweepSpec) -> list[dict]:
     rows = []
     for p1 in sweep.values:
         spec = base.with_partition((0.0, float(p1), 1.0))
-        alloc = _allocate(spec, sweep.budget)
+        alloc = allocate(spec, sweep.budget)
         rows.append(
             {
                 "p1": float(p1),
@@ -203,7 +196,7 @@ def run_scenarios(
             )
         else:
             d1 = hr_fmse_entropy_chat(spec, None, equal).total
-        d2 = _allocate(spec, budget).predicted_distortion
+        d2 = allocate(spec, budget).predicted_distortion
         best_p1, d3 = optimize_partition(spec, budget, p1_step)
         for label, value in (
             ("no-chat", nochat),
@@ -229,7 +222,7 @@ def optimize_partition(
     """Brute-force the one-bit partition boundary on a fixed grid."""
     best_p1, best = 0.5, np.inf
     for p1 in np.arange(step, 1.0, step):
-        alloc = _allocate(spec.with_partition((0.0, float(p1), 1.0)), budget)
+        alloc = allocate(spec.with_partition((0.0, float(p1), 1.0)), budget)
         if alloc.predicted_distortion < best:
             best_p1, best = float(p1), alloc.predicted_distortion
     return best_p1, best
@@ -250,8 +243,7 @@ def allocation_report(
     rows = []
     for regime in (FIXED_RATE, ENTROPY_CONSTRAINED):
         spec = ChatNetworkSpec.serial_max(n_sensors, 2**rc, alpha_c, 1.0, regime)
-        chat_cost = sum(e.alpha * np.log2(e.size) for e in spec.graph.edges)
-        alloc = _allocate(spec, budget - chat_cost)
+        alloc = allocate(spec, budget)
         for link, msg, alpha, b, rate in alloc.csv_rows():
             rows.append(
                 {

@@ -148,22 +148,17 @@ class Pdf:
         Vectorized density function; nonnegative on the support.
     breakpoints : tuple of float
         Interior seams of piecewise definitions, passed to the quadrature.
-    form : str
-        Either "analytic-piecewise" or "gridded".
     """
 
     lo: float
     hi: float
     density: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple[float, ...] = ()
-    form: str = "analytic-piecewise"
     _cdf_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.hi > self.lo):
             raise ValueError(f"degenerate support [{self.lo}, {self.hi}]")
-        if self.form not in ("analytic-piecewise", "gridded"):
-            raise ValueError(f"unknown pdf form {self.form!r}")
         total = self.integrate(self.lo, self.hi)
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"density integrates to {total!r}, not 1")
@@ -191,15 +186,6 @@ class Pdf:
             base = fn
             fn = lambda x, _b=base, _m=mass: np.asarray(_b(x), dtype=float) / _m
         return Pdf(lo, hi, fn, bps)
-
-    @staticmethod
-    def from_grid(xs: Sequence[float], ys: Sequence[float]) -> "Pdf":
-        g = GriddedFunction(np.asarray(xs, float), np.asarray(ys, float))
-        lo, hi = g.support
-        mass = float(np.trapezoid(g.ys, g.xs))
-        if abs(mass - 1.0) > 1e-6:
-            g = GriddedFunction(g.xs, g.ys / mass)
-        return Pdf(lo, hi, g, form="gridded")
 
     # -- evaluation ---------------------------------------------------
 
@@ -250,22 +236,6 @@ class Pdf:
         """Draw samples via inverse-CDF transform of ``rng`` uniforms."""
         u = rng.random(size)
         return self.ppf(u)
-
-    def restrict(self, a: float, b: float) -> "Pdf":
-        """Conditional density of X given X in [a, b], renormalized."""
-        a = max(a, self.lo)
-        b = min(b, self.hi)
-        mass = self.integrate(a, b)
-        if mass <= 0:
-            raise ValueError(f"restriction [{a}, {b}] carries no probability")
-        base = self.density
-        return Pdf(
-            a,
-            b,
-            lambda x, _f=base, _m=mass: np.asarray(_f(x), dtype=float) / _m,
-            tuple(p for p in self.breakpoints if a < p < b),
-            self.form,
-        )
 
 
 def differential_entropy(pdf: Pdf) -> float:

@@ -22,7 +22,6 @@ __all__ = [
     "PointDensity",
     "Quantizer",
     "build_fixed_rate_quantizer",
-    "compressor_from_density",
     "output_entropy",
     "refine_codewords_conditional_mean",
 ]
@@ -158,11 +157,6 @@ class Compressor:
         return np.interp(u, self._cum[keep], self._xs[keep])
 
 
-def compressor_from_density(density: PointDensity) -> Compressor:
-    """Build the cumulative-mass map of ``density``."""
-    return Compressor(density)
-
-
 @dataclass(frozen=True)
 class Quantizer:
     """Regular scalar quantizer with left-open, right-closed cells.
@@ -236,7 +230,6 @@ def build_fixed_rate_quantizer(
     density: PointDensity,
     size: int,
     dont_care: Sequence[tuple[float, float]] | None = None,
-    placement: str = "midpoint",
 ) -> Quantizer:
     """Build a ``size``-cell companding quantizer from ``density``.
 
@@ -244,16 +237,12 @@ def build_fixed_rate_quantizer(
     one cell with its codeword at the interval midpoint.  The remaining
     granular codewords are spread over the active region by inverting the
     cumulative codeword mass: cell edges at multiples of 1/G of the active
-    mass and, under the default midpoint placement, codewords at odd
-    multiples of 1/(2G).  ``placement="left-edge"`` instead puts codeword
-    k at mass (k-1)/G, parking the first codeword on its cell's open edge.
+    mass and codewords at odd multiples of 1/(2G).
 
     When zero zones split the active region into several intervals, each
     interval receives a granular codeword count proportional to its mass
     (largest-remainder rounding), which keeps every cell an interval.
     """
-    if placement not in ("midpoint", "left-edge"):
-        raise ValueError(f"unknown placement {placement!r}")
     zones = tuple(dont_care) if dont_care is not None else density.zero_zones
     n_zones = len(zones)
     granular = size - n_zones
@@ -267,7 +256,7 @@ def build_fixed_rate_quantizer(
             f"{granular} granular codewords cannot cover {len(active)} active intervals"
         )
 
-    comp = compressor_from_density(density)
+    comp = Compressor(density)
     masses = np.array([comp(b) - comp(a) for a, b in active], dtype=float)
     masses = masses / masses.sum()
     counts = _largest_remainder(masses * granular, granular, minimum=1)
@@ -277,13 +266,8 @@ def build_fixed_rate_quantizer(
         ca, cb = float(comp(a)), float(comp(b))
         edges = comp.inverse(np.linspace(ca, cb, g + 1))
         edges[0], edges[-1] = a, b
-        if placement == "midpoint":
-            levels = ca + (cb - ca) * (2 * np.arange(1, g + 1) - 1) / (2 * g)
-        else:
-            levels = ca + (cb - ca) * np.arange(g) / g
+        levels = ca + (cb - ca) * (2 * np.arange(1, g + 1) - 1) / (2 * g)
         cws = np.asarray(comp.inverse(levels), dtype=float)
-        if placement == "left-edge":
-            cws[0] = a
         pieces.append((a, edges, cws, False))
     for a, b in zones:
         pieces.append((a, np.array([a, b]), np.array([(a + b) / 2.0]), True))

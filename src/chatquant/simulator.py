@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -207,15 +207,13 @@ def decode(
     banks: Mapping[int, Mapping[int, Quantizer]],
     spec: ChatNetworkSpec,
     incoming: np.ndarray | None = None,
-    g: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float | np.ndarray:
-    """Decode fusion indices into an estimate of the computation.
+    """Decode fusion indices into an estimate of the max.
 
     ``indices`` is (N,) for one trial or (trials, N); the incoming chat
     messages are replayed from the indices when not supplied.  The
-    plug-in decoder applies g to the per-cell codewords; the
-    conditional-expectation decoder returns E[g | cells], closed-form for
-    max and by direct numeric integration for a supplied g with N <= 3.
+    plug-in decoder takes the max of the per-cell codewords; the
+    conditional-expectation decoder returns E[max | cells] in closed form.
     """
     idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
     scalar = np.asarray(indices).ndim == 1
@@ -225,47 +223,12 @@ def decode(
         incoming = np.atleast_2d(np.asarray(incoming, dtype=np.int64))
     lo, hi, cw = _cell_bounds(banks, idx, incoming)
     if decoder == PLUG_IN:
-        out = cw.max(axis=1) if g is None else g(cw)
+        out = cw.max(axis=1)
     elif decoder == CONDITIONAL_EXPECTATION:
-        if g is None:
-            out = _ce_max(spec, lo, hi)
-        else:
-            out = _ce_generic(spec, lo, hi, g)
+        out = _ce_max(spec, lo, hi)
     else:
         raise ValueError(f"unknown decoder {decoder!r}")
     return float(out[0]) if scalar else out
-
-
-def _ce_generic(
-    spec: ChatNetworkSpec, lo: np.ndarray, hi: np.ndarray, g
-) -> np.ndarray:
-    """E[g | cells] by tensor-grid integration; sanity-check sizes only."""
-    n_sensors = lo.shape[1]
-    if n_sensors > 3:
-        raise ValueError("generic conditional-expectation decoding is for N <= 3")
-    res = 128
-    out = np.empty(lo.shape[0])
-    for t in range(lo.shape[0]):
-        axes = []
-        wts = []
-        for n in range(n_sensors):
-            edges = np.linspace(lo[t, n], hi[t, n], res + 1)
-            mids = (edges[:-1] + edges[1:]) / 2.0
-            dens = np.asarray(spec.source(mids), dtype=float) * np.diff(edges)
-            total = dens.sum()
-            axes.append(mids)
-            wts.append(dens / total)
-        grids = np.meshgrid(*axes, indexing="ij")
-        weight = np.ones_like(grids[0])
-        for n in range(n_sensors):
-            shape = [1] * n_sensors
-            shape[n] = -1
-            weight = weight * wts[n].reshape(shape)
-        vals = g(np.stack([gr.ravel() for gr in grids], axis=1)).reshape(
-            grids[0].shape
-        )
-        out[t] = float((vals * weight).sum())
-    return out
 
 
 def run_simulation(
@@ -275,24 +238,21 @@ def run_simulation(
     trials: int = 100_000,
     seed: int = 0,
     predicted: float | None = None,
-    g: Callable[[np.ndarray], np.ndarray] | None = None,
     workers: int = 1,
 ) -> SimulationResult:
     """Estimate the network fMSE over ``trials`` Monte Carlo rounds.
 
     Per trial: draw the sources, run the chat protocol, quantize with the
     message-selected codebooks, decode, and accumulate the squared error
-    of the computation.  ``g`` overrides the max computation (vectorized
-    over a (trials, N) matrix); decoding then follows the ``decoder`` tag
-    with the same conditioning.  Fixed ``seed`` gives bit-identical
-    results for any ``workers``.
+    of the max.  Fixed ``seed`` gives bit-identical results for any
+    ``workers``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     proto = _Protocol(spec, banks)
-    compute = (lambda x: x.max(axis=1)) if g is None else g
     n_chunks = (trials + CHUNK - 1) // CHUNK
-    root = np.random.SeedSequence(seed)
     ec_counts = _EcCounts(spec, banks) if spec.regime == ENTROPY_CONSTRAINED else None
 
     def one_chunk(c: int) -> tuple[float, float, int, "_EcCounts | None"]:
@@ -302,8 +262,8 @@ def run_simulation(
         )
         x = spec.source.sample(rng, (size, spec.n_sensors))
         indices, incoming = proto.encode(x)
-        est = decode(decoder, indices, banks, spec, incoming, g)
-        err = (compute(x) - est) ** 2
+        est = decode(decoder, indices, banks, spec, incoming)
+        err = (x.max(axis=1) - est) ** 2
         local = None
         if ec_counts is not None:
             local = _EcCounts(spec, banks)

@@ -4,13 +4,14 @@ import pytest
 from chatquant.allocation import (
     InfeasibleBudgetError,
     NonInteriorAllocationError,
+    allocate,
     chat_budget_search,
     closed_form_allocation,
     entropy_allocation,
     probabilistic_allocation,
     waterfill_kkt,
 )
-from chatquant.chatnet import ChatNetworkSpec
+from chatquant.chatnet import ChatNetworkSpec, design_network
 from chatquant.distortion import fixed_rate_betas
 
 from oracles import dp_allocation_oracle
@@ -234,7 +235,7 @@ def test_chat_budget_search_expensive_chat():
 
 def test_chat_budget_search_entropy_regime():
     spec = ChatNetworkSpec.serial_max(5, 2, chat_alpha=0.0)
-    rc, res = chat_budget_search(spec, 25.0, (0, 1), regime="entropy-constrained")
+    rc, res = chat_budget_search(spec.with_regime("entropy-constrained"), 25.0, (0, 1))
     assert rc == 1
     assert res.predicted_distortion == pytest.approx(1.531615e-6, rel=1e-5)
 
@@ -243,3 +244,42 @@ def test_chat_budget_search_infeasible():
     spec = ChatNetworkSpec.serial_max(4, 2, chat_alpha=2.0)
     with pytest.raises(InfeasibleBudgetError):
         chat_budget_search(spec, 16.0, (4, 5))
+
+
+# -- the one allocation path ---------------------------------------------------
+
+
+@pytest.mark.parametrize("regime", ["fixed-rate", "entropy-constrained"])
+def test_design_and_search_share_allocate(regime):
+    spec = ChatNetworkSpec.serial_max(4, 2, chat_alpha=0.01, regime=regime)
+    design = design_network(spec, budget=16.0)
+    assert np.array_equal(design.allocation.b, allocate(spec, 16.0).b)
+    rc, best = chat_budget_search(spec, 16.0, range(4))
+    again = allocate(spec.with_chat_rate(rc), 16.0)
+    assert np.array_equal(best.b, again.b)
+    assert best.predicted_distortion == again.predicted_distortion
+
+
+def test_allocate_charges_chat_before_fusion():
+    spec = ChatNetworkSpec.serial_max(4, 4, chat_alpha=0.5)
+    assert spec.chat_cost() == pytest.approx(3 * 0.5 * 2.0)
+    res = allocate(spec, 16.0)
+    assert res.budget() == pytest.approx(16.0 - spec.chat_cost(), abs=1e-9)
+    with pytest.raises(InfeasibleBudgetError, match="exhausts the budget"):
+        allocate(spec, spec.chat_cost())
+
+
+@pytest.mark.parametrize("budget", [np.nan, np.inf, -np.inf])
+def test_non_finite_budgets_are_rejected(budget):
+    with pytest.raises(ValueError, match="finite"):
+        waterfill_kkt([1.0, 4.0], [1.0, 1.0], budget)
+    with pytest.raises(ValueError, match="finite"):
+        probabilistic_allocation([[1.0], [4.0]], [[1.0], [1.0]], [[1.0], [1.0]], budget)
+    with pytest.raises(ValueError, match="finite"):
+        closed_form_allocation([1.0, 4.0], [1.0, 1.0], budget)
+    with pytest.raises(ValueError, match="finite"):
+        entropy_allocation(ChatNetworkSpec.serial_max(3, 2), budget)
+    # allocate reports -inf as exhausted by chatting; both are ValueErrors.
+    for regime in ("fixed-rate", "entropy-constrained"):
+        with pytest.raises(ValueError):
+            allocate(ChatNetworkSpec.serial_max(3, 2, regime=regime), budget)

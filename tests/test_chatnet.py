@@ -18,6 +18,7 @@ from chatquant.chatnet import (
     serial_max_chat_round,
     validate_identifiable,
 )
+from chatquant.allocation import InfeasibleBudgetError
 from chatquant.distortion import (
     hr_fmse_entropy_chat,
     hr_fmse_fixed_rate_chat,
@@ -261,6 +262,14 @@ def test_parse_comments_and_defaults():
     assert spec.fusion_alphas == (1.0, 1.0)
 
 
+@pytest.mark.parametrize("source", ["uniform 0 2", "uniform -1 1", "uniform 0.5 1"])
+def test_parse_rejects_sources_other_than_unit_uniform(source):
+    # Profiles and message laws are closed forms for uniform(0, 1) only.
+    with pytest.raises(SpecFormatError, match=r"uniform on \[0, 1\]"):
+        parse_spec_file(f"N = 2\nsource = {source}\nedge = 1 2 2 0\n")
+    assert parse_spec_file("N = 2\nsource = uniform 0 1\n").source.hi == 1.0
+
+
 # -- codebook banks and replayable chat tables ---------------------------------
 
 
@@ -336,7 +345,7 @@ def test_design_explicit_rates_skips_repair():
 def test_design_budget_too_small():
     with pytest.raises(ValueError):
         design_network(chain(5, 2), budget=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InfeasibleBudgetError, match="exhausts the budget"):
         design_network(chain(3, 2, chat_alpha=10.0), budget=16.0)
 
 

@@ -93,6 +93,16 @@ def test_allocate_infeasible_budget(capsys):
     assert "exhausts the budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+@pytest.mark.parametrize("regime", ["fixed-rate", "entropy-constrained"])
+def test_allocate_non_finite_budget(budget, regime, capsys):
+    code = main(["allocate", "-N", "3", "--budget", budget, "--regime", regime])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "rate" not in captured.out
+
+
 def test_allocate_csv_out(tmp_path, capsys):
     out = tmp_path / "alloc.csv"
     assert main(["allocate", "-N", "3", "--budget", "12", "--out", str(out)]) == 0
@@ -191,6 +201,20 @@ def test_simulate_seed_stability(capsys):
     assert main(args + ["--seed", "7", "--workers", "3"]) == 0
     second = last_float(capsys.readouterr().out, "empirical fMSE", token=2)
     assert first == second
+
+
+def test_simulate_rejects_zero_workers(capsys):
+    code = main(["simulate", "-N", "2", "--budget", "8", "--trials", "2000",
+                 "--workers", "0"])
+    assert code == 1
+    assert "worker" in capsys.readouterr().err
+
+
+def test_non_unit_source_is_spec_error(tmp_path, capsys):
+    wide = tmp_path / "wide.txt"
+    wide.write_text("N = 2\nsource = uniform 0 2\nedge = 1 2 2 0\n")
+    assert main(["allocate", "--spec", str(wide), "--budget", "8"]) == 2
+    assert "uniform on [0, 1]" in capsys.readouterr().err
 
 
 def test_sweep_rc_stdout_and_csv(tmp_path, capsys):

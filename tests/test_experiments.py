@@ -27,6 +27,8 @@ def test_sweep_spec_validation():
         SweepSpec("p1", (0.0, 0.5))
     with pytest.raises(ValueError):
         SweepSpec("Rc", (0, 1.5))
+    with pytest.raises(ValueError):
+        SweepSpec("Rc", (0, 1), budget_per_sensor=float("nan"))
     sweep = SweepSpec("Rc", (0, 1), n_sensors=5, budget_per_sensor=3.0)
     assert sweep.budget == 15.0
     assert sweep.params()["C"] == 15.0

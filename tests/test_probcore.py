@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from chatquant.probcore import (
@@ -101,15 +101,6 @@ def test_pdf_sampling_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_pdf_restrict():
-    pdf = Pdf.uniform(0.0, 1.0)
-    cond = pdf.restrict(0.5, 1.0)
-    assert cond(0.75) == pytest.approx(2.0)
-    assert cond.integrate(0.5, 1.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        pdf.restrict(2.0, 3.0)
-
-
 def test_differential_entropy_examples():
     assert differential_entropy(Pdf.uniform(0.0, 1.0)) == pytest.approx(0.0, abs=1e-9)
     # Uniform on width-2 support: log2(2) = 1 bit.
@@ -120,10 +111,3 @@ def test_differential_entropy_examples():
         0.5 / math.log(2.0) - 1.0, abs=1e-7
     )
 
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(min_value=0.1, max_value=4.0))
-def test_pdf_grid_matches_callable(scale):
-    xs = np.linspace(0.0, scale, 512)
-    pdf = Pdf.from_grid(xs, np.full_like(xs, 1.0 / scale))
-    assert pdf.integrate(0.0, scale) == pytest.approx(1.0, rel=1e-5)

@@ -48,6 +48,14 @@ def test_worker_count_is_invisible():
     assert solo.stderr == pooled.stderr
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_is_rejected(workers):
+    spec = chain(2, 2)
+    banks = build_banks(spec, [8, 8])
+    with pytest.raises(ValueError, match="worker"):
+        run_simulation(spec, banks, PLUG_IN, trials=1_000, seed=0, workers=workers)
+
+
 def test_trial_count_extends_the_stream():
     # The first chunk is shared, so short and long runs agree on it.
     spec = chain(2, 2)
@@ -76,32 +84,8 @@ def test_ce_decoder_closed_form_cell():
     # Mixed cells: the max is the high sensor's value unless the low one
     # passes it, E[max | X1 in (1/2,1], X2 in (0,1/2]] = E[X1] = 3/4.
     assert decode(CE, [2, 1], banks, spec) == pytest.approx(0.75, abs=1e-12)
-
-
-def test_ce_generic_matches_max_specialization():
-    spec = parse_spec_file("N = 2\n")
-    banks = build_banks(spec, [4, 4])
-    idx = np.array([[1, 3], [2, 2], [4, 1], [3, 3]])
-    special = decode(CE, idx, banks, spec)
-    generic = decode(CE, idx, banks, spec, g=lambda x: x.max(axis=1))
-    assert np.allclose(special, generic, atol=1e-3)
-
-
-def test_ce_generic_size_guard():
-    spec = parse_spec_file("N = 4\n")
-    banks = build_banks(spec, [2, 2, 2, 2])
     with pytest.raises(ValueError):
-        decode(CE, [1, 1, 1, 1], banks, spec, g=lambda x: x.sum(axis=1))
-    with pytest.raises(ValueError):
-        decode("maximum-likelihood", [1, 1, 1, 1], banks, spec)
-
-
-def test_plug_in_with_custom_computation():
-    spec = parse_spec_file("N = 2\n")
-    q = Quantizer((0.0, 0.5, 1.0), (0.25, 0.75))
-    banks = {1: {1: q}, 2: {1: q}}
-    val = decode(PLUG_IN, [1, 2], banks, spec, g=lambda c: c.sum(axis=1))
-    assert val == pytest.approx(1.0)
+        decode("maximum-likelihood", [1, 1], banks, spec)
 
 
 def test_silent_chat_equals_no_chat():
