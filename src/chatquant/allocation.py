@@ -85,6 +85,11 @@ class AllocationResult:
         ]
 
 
+def _require_finite(budget: float) -> None:
+    if not np.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
+
+
 def _objective(betas, alphas, b, weights) -> float:
     w = 1.0 if weights is None else weights
     return float(np.sum(w * betas * 2.0 ** (-2.0 * b / alphas)))
@@ -189,8 +194,7 @@ def probabilistic_allocation(
     ratios.  A nonpositive share invalidates the interior assumption and
     the routine falls back to water-filling on the flattened index set.
     """
-    if not np.isfinite(budget):
-        raise ValueError(f"budget must be finite, got {budget}")
+    _require_finite(budget)
     flat_b: list[float] = []
     flat_a: list[float] = []
     flat_w: list[float] = []
@@ -234,6 +238,7 @@ def allocate(spec: "ChatNetworkSpec", budget: float) -> AllocationResult:
     betas under fixed-rate coding and split per message under entropy
     coding.  Raises InfeasibleBudgetError when chatting leaves nothing.
     """
+    _require_finite(budget)
     chat_cost = spec.chat_cost()
     remaining = budget - chat_cost
     if remaining <= 0:
@@ -279,6 +284,7 @@ def entropy_allocation(spec: "ChatNetworkSpec", budget: float) -> AllocationResu
     returned rates are actual bit rates b / alpha_n, not the effective
     ones used inside the optimization.
     """
+    _require_finite(budget)
     tables = entropy_coding_tables(spec)
     alphas = np.asarray(spec.fusion_alphas, dtype=float)
     betas_t, alphas_t, probs_t = [], [], []

@@ -168,7 +168,10 @@ class Pdf:
     @staticmethod
     def uniform(lo: float = 0.0, hi: float = 1.0) -> "Pdf":
         width = hi - lo
-        return Pdf(lo, hi, lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / width))
+        pdf = Pdf(lo, hi, lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / width))
+        # The CDF is affine, so interpolating on its endpoints is exact.
+        pdf._cdf_cache["table"] = (np.array([lo, hi], dtype=float), np.array([0.0, 1.0]))
+        return pdf
 
     @staticmethod
     def from_callable(

@@ -170,35 +170,42 @@ def _cell_bounds(
 def _ce_max(spec: ChatNetworkSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """E[max of independent cell-conditioned sources], vectorized.
 
-    The conditional CDF product is piecewise smooth between cell edges, so
-    the tail integral is taken per segment with Gauss-Legendre nodes;
-    for the uniform source the integrand is a polynomial of degree N and
-    the rule is exact.
+    E[max] = left + integral over [left, right] of 1 - prod_n F_n(t),
+    with left the largest lower cell edge, right the largest upper one
+    and F_n sensor n's conditional CDF.  A sensor whose cell ends at or
+    below ``left`` has F_n = 1 there, so each trial keeps only its K
+    overlapping sensors, whose lower edges all lie at or below ``left``.
+    The integrand is then smooth between the sorted upper edges of those
+    K cells and the tail is taken per segment with Gauss-Legendre nodes.
+    Trials are grouped by K; for the uniform source the integrand is a
+    polynomial of degree K of the overlapping sensors and the rule is
+    exact.
     """
-    n_sensors = lo.shape[1]
     left = lo.max(axis=1)
-    right = hi.max(axis=1)
-    pts = np.sort(
-        np.clip(np.concatenate([lo, hi], axis=1), left[:, None], right[:, None]),
-        axis=1,
-    )
-    seg_lo, seg_hi = pts[:, :-1], pts[:, 1:]
-    half = (seg_hi - seg_lo) / 2.0
-    mid = (seg_hi + seg_lo) / 2.0
-    order = max(4, (n_sensors + 2) // 2)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    # t has shape (trials, segments, nodes).
-    t = mid[:, :, None] + half[:, :, None] * nodes
+    overlap = hi > left[:, None]
+    k_of = overlap.sum(axis=1)
     cdf = spec.source.cdf
-    prod = np.ones_like(t)
-    for n in range(n_sensors):
-        a = lo[:, n, None, None]
-        b = hi[:, n, None, None]
-        ca = cdf(a)
-        f = (cdf(t) - ca) / (cdf(b) - ca)
-        prod *= np.clip(f, 0.0, 1.0)
-    tail = ((1.0 - prod) * weights).sum(axis=2) * half
-    return left + tail.sum(axis=1)
+    out = left.copy()
+    for k in np.unique(k_of):
+        rows = k_of == k
+        keep = overlap[rows]
+        # Boolean selection keeps row order, and each row has k hits.
+        a = cdf(lo[rows][keep].reshape(-1, k))
+        b = hi[rows][keep].reshape(-1, k)
+        cb = cdf(b)
+        edges = np.concatenate([left[rows, None], np.sort(b, axis=1)], axis=1)
+        half = (edges[:, 1:] - edges[:, :-1]) / 2.0
+        mid = (edges[:, 1:] + edges[:, :-1]) / 2.0
+        nodes, weights = np.polynomial.legendre.leggauss(max(4, (k + 2) // 2))
+        # ct has shape (trials in the group, segments, nodes).
+        ct = cdf(mid[:, :, None] + half[:, :, None] * nodes)
+        prod = np.ones_like(ct)
+        for n in range(k):
+            ca = a[:, n, None, None]
+            prod *= np.clip((ct - ca) / (cb[:, n, None, None] - ca), 0.0, 1.0)
+        tail = ((1.0 - prod) * weights).sum(axis=2) * half
+        out[rows] += tail.sum(axis=1)
+    return out
 
 
 def decode(

@@ -1,8 +1,10 @@
 """Slow, independent reference implementations used only by tests.
 
 These deliberately avoid the library's own algorithms: the allocation
-oracle does exhaustive dynamic programming on a rate grid, and the
-sensitivity sampler does plain rejection sampling.
+oracle does exhaustive dynamic programming on a rate grid, the
+sensitivity sampler does plain rejection sampling, and the
+conditional-expectation oracle multiplies every sensor's conditional CDF
+instead of only the overlapping ones.
 """
 
 from __future__ import annotations
@@ -62,3 +64,32 @@ def conditional_max_sampler(n: int, n_sensors: int, s_l: float, s_u: float):
 def max_partial(x: np.ndarray, n: int) -> np.ndarray:
     """Derivative of max in its n-th argument: indicator of being the max."""
     return (x[:, n - 1] == x.max(axis=1)).astype(float)
+
+
+def ce_max_all_sensors(cdf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """E[max | cells] from the product of all N conditional CDFs over all
+    2N-1 segments between the clipped cell edges, one Gauss-Legendre rule
+    of order max(4, (N+2)//2) per segment (exact for the uniform source,
+    whose integrand has degree N)."""
+    n_sensors = lo.shape[1]
+    left = lo.max(axis=1)
+    right = hi.max(axis=1)
+    pts = np.sort(
+        np.clip(np.concatenate([lo, hi], axis=1), left[:, None], right[:, None]),
+        axis=1,
+    )
+    seg_lo, seg_hi = pts[:, :-1], pts[:, 1:]
+    half = (seg_hi - seg_lo) / 2.0
+    mid = (seg_hi + seg_lo) / 2.0
+    order = max(4, (n_sensors + 2) // 2)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    t = mid[:, :, None] + half[:, :, None] * nodes
+    prod = np.ones_like(t)
+    for n in range(n_sensors):
+        a = lo[:, n, None, None]
+        b = hi[:, n, None, None]
+        ca = cdf(a)
+        f = (cdf(t) - ca) / (cdf(b) - ca)
+        prod *= np.clip(f, 0.0, 1.0)
+    tail = ((1.0 - prod) * weights).sum(axis=2) * half
+    return left + tail.sum(axis=1)

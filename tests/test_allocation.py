@@ -270,7 +270,12 @@ def test_allocate_charges_chat_before_fusion():
 
 
 @pytest.mark.parametrize("budget", [np.nan, np.inf, -np.inf])
-def test_non_finite_budgets_are_rejected(budget):
+def test_non_finite_budgets_are_rejected(budget, monkeypatch):
+    # A bad budget fails before the coding tables are built.
+    def tables(spec):
+        raise AssertionError("coding tables built for a non-finite budget")
+
+    monkeypatch.setattr("chatquant.allocation.entropy_coding_tables", tables)
     with pytest.raises(ValueError, match="finite"):
         waterfill_kkt([1.0, 4.0], [1.0, 1.0], budget)
     with pytest.raises(ValueError, match="finite"):
@@ -279,7 +284,6 @@ def test_non_finite_budgets_are_rejected(budget):
         closed_form_allocation([1.0, 4.0], [1.0, 1.0], budget)
     with pytest.raises(ValueError, match="finite"):
         entropy_allocation(ChatNetworkSpec.serial_max(3, 2), budget)
-    # allocate reports -inf as exhausted by chatting; both are ValueErrors.
     for regime in ("fixed-rate", "entropy-constrained"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite"):
             allocate(ChatNetworkSpec.serial_max(3, 2, regime=regime), budget)

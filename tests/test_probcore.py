@@ -76,6 +76,15 @@ def test_pdf_uniform_roundtrip():
     assert pdf.ppf(0.25) == pytest.approx(0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, 2.0), (-1.5, 0.25)])
+def test_pdf_uniform_cdf_is_exact(lo, hi):
+    pdf = Pdf.uniform(lo, hi)
+    assert pdf.cdf(lo) == 0.0
+    assert pdf.cdf(hi) == 1.0
+    u = np.linspace(0.0, 1.0, 1001)
+    assert np.allclose(pdf.ppf(u), lo + u * (hi - lo), rtol=0.0, atol=1e-15)
+
+
 def test_pdf_rejects_unnormalized():
     with pytest.raises(ValueError):
         Pdf(0.0, 1.0, lambda x: np.full_like(np.asarray(x, float), 2.0))

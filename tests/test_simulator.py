@@ -18,7 +18,9 @@ from chatquant.simulator import (
     replay_codebooks,
     run_simulation,
 )
-from chatquant.simulator import _Protocol
+from chatquant.simulator import _Protocol, _ce_max
+
+from oracles import ce_max_all_sensors
 
 PLUG_IN = "plug-in"
 CE = "conditional-expectation"
@@ -42,10 +44,11 @@ def test_worker_count_is_invisible():
     spec = chain(2, 2)
     banks = build_banks(spec, [8, 8])
     trials = 2 * CHUNK + 1_000
-    solo = run_simulation(spec, banks, PLUG_IN, trials=trials, seed=9, workers=1)
-    pooled = run_simulation(spec, banks, PLUG_IN, trials=trials, seed=9, workers=4)
-    assert solo.empirical_fmse == pooled.empirical_fmse
-    assert solo.stderr == pooled.stderr
+    for decoder in (PLUG_IN, CE):
+        solo = run_simulation(spec, banks, decoder, trials=trials, seed=9, workers=1)
+        pooled = run_simulation(spec, banks, decoder, trials=trials, seed=9, workers=4)
+        assert solo.empirical_fmse == pooled.empirical_fmse
+        assert solo.stderr == pooled.stderr
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -86,6 +89,45 @@ def test_ce_decoder_closed_form_cell():
     assert decode(CE, [2, 1], banks, spec) == pytest.approx(0.75, abs=1e-12)
     with pytest.raises(ValueError):
         decode("maximum-likelihood", [1, 1], banks, spec)
+
+
+def _cells(rng, trials, n):
+    """Random (lo, hi) cell edges in [0, 1], with rows forced to one
+    overlapping sensor, rows forced to all N overlapping, and rows where
+    some cells end exactly at the largest lower edge."""
+    lo = rng.random((trials, n)) * 0.9
+    hi = lo + (0.05 + 0.95 * rng.random((trials, n))) * (1.0 - lo)
+    third = trials // 3
+    # K = 1: sensor 1 starts at 0.6, every other cell ends at or below it.
+    one = slice(0, third)
+    lo[one, 0] = 0.6
+    hi[one, 0] = 0.6 + 0.4 * (0.05 + 0.95 * rng.random(third))
+    hi[one, 1:] = 0.6 * (0.05 + 0.95 * rng.random((third, n - 1)))
+    hi[one, n - 1] = 0.6
+    lo[one, 1:] = hi[one, 1:] * rng.random((third, n - 1))
+    # K = N: every cell starts at or below 0.5, one exactly, all end above.
+    full = slice(third, 2 * third)
+    lo[full] = 0.5 * rng.random((third, n))
+    lo[full, n - 1] = 0.5
+    hi[full] = 0.5 + 0.5 * (0.05 + 0.95 * rng.random((third, n)))
+    # The rest: the first sensor below the largest lower edge ends on it.
+    rest = np.arange(2 * third, trials)
+    left = lo[rest].max(axis=1)
+    below = lo[rest, 0] < left
+    hi[rest[below], 0] = left[below]
+    return lo, hi
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_ce_max_matches_all_sensor_oracle(n):
+    spec = parse_spec_file(f"N = {n}\n")
+    lo, hi = _cells(np.random.default_rng(n), 3_000, n)
+    k_of = (hi > lo.max(axis=1)[:, None]).sum(axis=1)
+    assert k_of.min() == 1 and k_of.max() == n
+    got = _ce_max(spec, lo, hi)
+    want = ce_max_all_sensors(spec.source.cdf, lo, hi)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.all((got >= lo.max(axis=1)) & (got <= hi.max(axis=1)))
 
 
 def test_silent_chat_equals_no_chat():
