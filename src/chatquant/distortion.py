@@ -19,7 +19,13 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .probcore import Pdf, binary_entropy, integrate_adaptive
+from .probcore import (
+    Pdf,
+    _log2_moment,
+    binary_entropy,
+    integrate_adaptive,
+    quasi_norm_one_third,
+)
 from .quantizer import PointDensity, _active_intervals
 from .sensitivity import SensitivityProfile
 
@@ -45,10 +51,6 @@ __all__ = [
 
 FIXED_RATE = "fixed-rate"
 ENTROPY_CONSTRAINED = "entropy-constrained"
-
-# Floor under gamma^2 inside logarithms; the log singularity at a zero of
-# the profile is integrable, the floor only guards exact-zero evaluations.
-_LOG_FLOOR = 1e-300
 
 
 class UndefinedDistortionError(ValueError):
@@ -98,30 +100,10 @@ def hr_mse(size: int, density: PointDensity, pdf: Pdf) -> float:
     """
     if size < 1:
         raise ValueError("codebook size must be at least 1")
-    for a, b in density.zero_zones:
-        if pdf.integrate(max(a, pdf.lo), min(b, pdf.hi)) > 1e-12:
-            raise UndefinedDistortionError(
-                f"density is zero on ({a}, {b}) where the source has mass"
-            )
-
-    def integrand(x: float) -> float:
-        f = float(pdf.density(np.asarray([x]))[0])
-        if f == 0.0:
-            return 0.0
-        lam = float(density(np.asarray([x]))[0])
-        if lam <= 0.0:
-            return np.inf
-        return f / lam**2
-
-    bps = set(pdf.breakpoints) | set(density.breakpoints)
-    for a, b in density.zero_zones:
-        bps |= {a, b}
-    second_moment = 0.0
-    for a, b in _active_intervals(pdf.lo, pdf.hi, density.zero_zones):
-        second_moment += integrate_adaptive(integrand, a, b, sorted(bps))
-    if not np.isfinite(second_moment):
-        raise UndefinedDistortionError("E[lambda^-2] diverges")
-    return second_moment / (12.0 * size**2)
+    # Under a flat profile, source mass on a zero zone makes the moment diverge.
+    edges = tuple(e for zone in density.zero_zones for e in zone)
+    flat = SensitivityProfile((pdf.lo, pdf.hi), np.ones_like, (), edges)
+    return _density_ratio_moment(flat, density, pdf) / (12.0 * size**2)
 
 
 def optimal_density_fixed_rate(
@@ -182,15 +164,15 @@ def _profile_regions(
 
 
 def _weighted_quasi_norm(profile: SensitivityProfile, pdf: Pdf) -> float:
-    """One-third quasi-norm of gamma^2 * f over the profile's active region."""
-    regions, bps = _profile_regions(profile, pdf)
+    """One-third quasi-norm of gamma^2 * f over the profile's support.
 
-    def root(x: float) -> float:
-        v = float(profile(np.asarray([x]))[0]) * float(pdf(np.asarray([x]))[0])
-        return np.cbrt(max(v, 0.0))
-
-    s = sum(integrate_adaptive(root, a, b, bps) for a, b in regions)
-    return s**3
+    gamma^2 is 0 on the zero zones, so their edges are only breakpoints.
+    """
+    lo = max(profile.support[0], pdf.lo)
+    hi = min(profile.support[1], pdf.hi)
+    bps = {*profile.breakpoints, *pdf.breakpoints}
+    bps.update(edge for zone in profile.zero_zones for edge in zone)
+    return quasi_norm_one_third(lambda x: profile(x) * pdf(x), lo, hi, sorted(bps))
 
 
 def _density_ratio_moment(
@@ -200,15 +182,13 @@ def _density_ratio_moment(
     regions, bps = _profile_regions(profile, pdf)
     bps = sorted(set(bps) | set(density.breakpoints))
 
-    def integrand(x: float) -> float:
-        xa = np.asarray([x])
-        num = float(profile(xa)[0]) * float(pdf(xa)[0])
-        if num <= 0.0:
-            return 0.0
-        lam = float(density(xa)[0])
-        if lam <= 0.0:
-            return np.inf
-        return num / lam**2
+    def integrand(x: np.ndarray) -> np.ndarray:
+        num = profile(x) * pdf(x)
+        lam = density(x)
+        # inf where the density vanishes under positive weight.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = num / np.maximum(lam, 0.0) ** 2
+        return np.where(num > 0.0, ratio, 0.0)
 
     val = sum(integrate_adaptive(integrand, a, b, bps) for a, b in regions)
     if not np.isfinite(val):
@@ -273,41 +253,6 @@ def hr_fmse_fixed_rate_chat(
     )
 
 
-def _conditional_entropy_bits(
-    pdf: Pdf, regions: list[tuple[float, float]], bps: list[float], mass: float
-) -> float:
-    """Differential entropy in bits of X conditioned on X in ``regions``."""
-
-    def f_log_f(x: float) -> float:
-        f = float(pdf(np.asarray([x]))[0])
-        return 0.0 if f <= 0.0 else f * np.log2(f)
-
-    raw = sum(integrate_adaptive(f_log_f, a, b, bps) for a, b in regions)
-    # h(X|A) = -int (f/P) log2 (f/P) = log2 P - (1/P) int f log2 f.
-    return float(np.log2(mass) - raw / mass)
-
-
-def _mean_log_gamma_bits(
-    profile: SensitivityProfile,
-    pdf: Pdf,
-    regions: list[tuple[float, float]],
-    bps: list[float],
-    mass: float,
-) -> float:
-    """E[log2 gamma(X) | X in regions]; the edge singularity is integrable."""
-
-    def integrand(x: float) -> float:
-        xa = np.asarray([x])
-        f = float(pdf(xa)[0])
-        if f <= 0.0:
-            return 0.0
-        g2 = max(float(profile(xa)[0]), _LOG_FLOOR)
-        return f * 0.5 * np.log2(g2)
-
-    raw = sum(integrate_adaptive(integrand, a, b, bps) for a, b in regions)
-    return float(raw / mass)
-
-
 @dataclass(frozen=True)
 class EntropyCodingTable:
     """Per-message entropy-coding data for one sensor.
@@ -331,27 +276,21 @@ def _entropy_message_constant(
 ) -> tuple[float, float, float]:
     """Coefficient, P(A) and gate bits of one (sensor, message) pair."""
     regions, bps = _profile_regions(profile, pdf)
-    mass = sum(pdf.integrate(a, b) for a, b in regions)
+    # Differences of the CDF: exact for the uniform source, so P(A) = 1/2
+    # gates exactly one bit.
+    mass = float(sum(pdf.cdf(b) - pdf.cdf(a) for a, b in regions))
     if mass <= 0.0:
         raise UndefinedDistortionError("no source mass outside don't-care zones")
-    h_bits = _conditional_entropy_bits(pdf, regions, bps, mass)
+    # h(X|A) = -int (f/P) log2 (f/P) = log2 P - (1/P) int f log2 f.
+    h_bits = float(np.log2(mass) - _log2_moment(pdf, pdf, regions, bps) / mass)
     if density is None:
-        shape_bits = 2.0 * _mean_log_gamma_bits(profile, pdf, regions, bps, mass)
+        # 2 E[log2 gamma | A] = E[log2 gamma^2 | A].
+        shape_bits = _log2_moment(pdf, profile, regions, bps) / mass
         ratio = 1.0
     else:
         # Full form: 2^{2 E[log2 lambda | A]} * E[(gamma/lambda)^2 | A].
-        def log_lam(x: float) -> float:
-            xa = np.asarray([x])
-            f = float(pdf(xa)[0])
-            if f <= 0.0:
-                return 0.0
-            lam = max(float(density(xa)[0]), _LOG_FLOOR)
-            return f * np.log2(lam)
-
         lam_bps = sorted(set(bps) | set(density.breakpoints))
-        shape_bits = 2.0 * sum(
-            integrate_adaptive(log_lam, a, b, lam_bps) for a, b in regions
-        ) / mass
+        shape_bits = 2.0 * _log2_moment(pdf, density, regions, lam_bps) / mass
         ratio = _density_ratio_moment(profile, density, pdf) / mass
     coeff = (mass / 12.0) * 2.0 ** (2.0 * h_bits + shape_bits) * ratio
     return coeff, mass, binary_entropy(mass)

@@ -87,9 +87,7 @@ class PointDensity:
 
         mass = 0.0
         for a, b in _active_intervals(lo, hi, zones):
-            mass += integrate_adaptive(
-                lambda t: float(masked(np.asarray([t]))[0]), a, b, bps
-            )
+            mass += integrate_adaptive(masked, a, b, bps)
         if mass <= 0:
             raise ValueError("point density has no mass on the active region")
         return PointDensity(
@@ -320,9 +318,7 @@ def refine_codewords_conditional_mean(q: Quantizer, pdf: Pdf) -> Quantizer:
         mass = pdf.integrate(a, b)
         if mass <= 0:
             continue
-        first = integrate_adaptive(
-            lambda x: x * float(pdf.density(np.asarray([x]))[0]), a, b, pdf.breakpoints
-        )
+        first = integrate_adaptive(lambda x: x * pdf(x), a, b, pdf.breakpoints)
         new[k - 1] = first / mass
     return Quantizer(q.boundaries, new, q.dont_care_cells)
 

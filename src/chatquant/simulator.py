@@ -238,6 +238,19 @@ def decode(
     return float(out[0]) if scalar else out
 
 
+def _encode_chunk(
+    spec: ChatNetworkSpec, proto: _Protocol, trials: int, seed: int, c: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sources, fusion indices and incoming messages of chunk ``c``, drawn
+    from its own substream of ``seed``."""
+    size = min(CHUNK, trials - c * CHUNK)
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(c,)))
+    )
+    x = spec.source.sample(rng, (size, spec.n_sensors))
+    return (x, *proto.encode(x))
+
+
 def run_simulation(
     spec: ChatNetworkSpec,
     banks: Mapping[int, Mapping[int, Quantizer]],
@@ -263,19 +276,14 @@ def run_simulation(
     ec_counts = _EcCounts(spec, banks) if spec.regime == ENTROPY_CONSTRAINED else None
 
     def one_chunk(c: int) -> tuple[float, float, int, "_EcCounts | None"]:
-        size = min(CHUNK, trials - c * CHUNK)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(c,)))
-        )
-        x = spec.source.sample(rng, (size, spec.n_sensors))
-        indices, incoming = proto.encode(x)
+        x, indices, incoming = _encode_chunk(spec, proto, trials, seed, c)
         est = decode(decoder, indices, banks, spec, incoming)
         err = (x.max(axis=1) - est) ** 2
         local = None
         if ec_counts is not None:
             local = _EcCounts(spec, banks)
             local.add(indices, incoming)
-        return float(err.sum()), float((err**2).sum()), size, local
+        return float(err.sum()), float((err**2).sum()), x.shape[0], local
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -400,15 +408,11 @@ def measure_entropy_rate(
     Plug-in entropies of the emitted streams; an ideal entropy coder would
     meet these rates, a practical one approaches them from above.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     proto = _Protocol(spec, banks)
     counts = _EcCounts(spec, banks)
-    n_chunks = (trials + CHUNK - 1) // CHUNK
-    for c in range(n_chunks):
-        size = min(CHUNK, trials - c * CHUNK)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(c,)))
-        )
-        x = spec.source.sample(rng, (size, spec.n_sensors))
-        indices, incoming = proto.encode(x)
+    for c in range((trials + CHUNK - 1) // CHUNK):
+        _x, indices, incoming = _encode_chunk(spec, proto, trials, seed, c)
         counts.add(indices, incoming)
     return counts.message_rates()

@@ -4,10 +4,13 @@ These deliberately avoid the library's own algorithms: the allocation
 oracle does exhaustive dynamic programming on a rate grid, the
 sensitivity sampler does plain rejection sampling, and the
 conditional-expectation oracle multiplies every sensor's conditional CDF
-instead of only the overlapping ones.
+instead of only the overlapping ones, and the high-resolution constants
+are integrated pointwise by scipy's adaptive ``quad``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -93,3 +96,84 @@ def ce_max_all_sensors(cdf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         prod *= np.clip(f, 0.0, 1.0)
     tail = ((1.0 - prod) * weights).sum(axis=2) * half
     return left + tail.sum(axis=1)
+
+
+def quad_integral(fn, lo: float, hi: float, points=()) -> float:
+    """Integral of a scalar ``fn`` over [lo, hi] by scipy's adaptive
+    ``quad`` at tight tolerances, split at ``points``."""
+    from scipy.integrate import quad
+
+    edges = [lo, *sorted(p for p in set(points) if lo < p < hi), hi]
+    return sum(
+        quad(fn, a, b, epsabs=1e-15, epsrel=1e-12, limit=500)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+def _messages(spec, n: int):
+    probs = spec.message_probs(n).probabilities
+    for k, p in enumerate(probs, start=1):
+        if p > 0.0:
+            yield k, float(p), spec.conditional_profile(n, k)
+
+
+def _active_regions(profile) -> list[tuple[float, float]]:
+    """The profile's support minus its zero zones."""
+    out, cursor = [], profile.support[0]
+    for a, b in profile.zero_zones:
+        if a > cursor:
+            out.append((cursor, a))
+        cursor = max(cursor, b)
+    if cursor < profile.support[1]:
+        out.append((cursor, profile.support[1]))
+    return out
+
+
+def fixed_rate_betas_quad(spec) -> np.ndarray:
+    """beta_n = sum_k p_k (int_A (gamma^2 f)^(1/3))^3 / 12 by scalar quad,
+    A the message's active region."""
+    f = spec.source
+    betas = np.zeros(spec.n_sensors)
+    for n in range(1, spec.n_sensors + 1):
+        for _k, p, prof in _messages(spec, n):
+            root = lambda x: max(float(prof(x) * f(x)), 0.0) ** (1.0 / 3.0)
+            s = sum(
+                quad_integral(root, a, b, prof.breakpoints)
+                for a, b in _active_regions(prof)
+            )
+            betas[n - 1] += p * s**3 / 12.0
+    return betas
+
+
+def entropy_coding_tables_quad(spec) -> list[tuple[np.ndarray, ...]]:
+    """(probs, constants, active masses, gate bits) of every sensor, with
+    each integral over the active region A taken by scalar quad:
+    constant = P(A)/12 * 2^(2 h(X|A) + E[log2 gamma^2 | A])."""
+    f = spec.source
+    out = []
+    for n in range(1, spec.n_sensors + 1):
+        probs = spec.message_probs(n).probabilities
+        consts = np.zeros_like(probs)
+        masses = np.ones_like(probs)
+        gates = np.zeros_like(probs)
+        for k, _p, prof in _messages(spec, n):
+            regions = _active_regions(prof)
+
+            def over_a(fn):
+                return sum(
+                    quad_integral(fn, a, b, prof.breakpoints) for a, b in regions
+                )
+
+            mass = over_a(lambda x: float(f(x)))
+            f_log_f = over_a(lambda x: float(f(x)) * math.log2(float(f(x))))
+            log_g2 = over_a(
+                lambda x: float(f(x)) * math.log2(max(float(prof(x)), 1e-300))
+            )
+            h = math.log2(mass) - f_log_f / mass
+            consts[k - 1] = mass / 12.0 * 2.0 ** (2.0 * h + log_g2 / mass)
+            masses[k - 1] = mass
+            if mass < 1.0:
+                rest = 1.0 - mass
+                gates[k - 1] = -mass * math.log2(mass) - rest * math.log2(rest)
+        out.append((probs, consts, masses, gates))
+    return out

@@ -21,6 +21,8 @@ from chatquant.probcore import Pdf
 from chatquant.quantizer import PointDensity
 from chatquant.sensitivity import SensitivityProfile, max_sensitivity
 
+from oracles import entropy_coding_tables_quad, fixed_rate_betas_quad
+
 
 def flat_profile():
     return SensitivityProfile((0.0, 1.0), lambda x: np.ones_like(x))
@@ -174,6 +176,28 @@ def test_entropy_tables_frozen_coefficients():
     assert tables[0].active_mass[0] == pytest.approx(1.0)
     assert tables[0].gate_bits[0] == pytest.approx(0.0)
     assert t2.active_mass[0] == pytest.approx(1.0)
+
+
+def test_constants_match_quad_oracle():
+    # Uniform partitions at every chat rate, and the one-bit partition
+    # where it degenerates towards either end.
+    cases = [(n, 2**rc, None) for n in range(2, 11) for rc in range(4)]
+    cases += [(10, 2, (0.0, p1, 1.0)) for p1 in (1e-4, 0.01, 0.99, 1 - 1e-4)]
+    fields = ("probs", "constants", "active_mass", "gate_bits")
+    for n, size, bounds in cases:
+        spec = ChatNetworkSpec.serial_max(n, size, boundaries=bounds)
+        case = f"N={n}, {size} messages, partition {bounds}"
+        assert fixed_rate_betas(spec) == pytest.approx(
+            fixed_rate_betas_quad(spec), rel=1e-8, abs=0.0
+        ), case
+        tables = entropy_coding_tables(spec.with_regime("entropy-constrained"))
+        for sensor, (got, want) in enumerate(
+            zip(tables, entropy_coding_tables_quad(spec)), 1
+        ):
+            for name, ref in zip(fields, want):
+                assert getattr(got, name) == pytest.approx(
+                    ref, rel=1e-8, abs=0.0
+                ), f"{case}, sensor {sensor}, {name}"
 
 
 def test_entropy_chat_matches_table_sum():

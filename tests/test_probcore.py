@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,8 +20,16 @@ from chatquant.probcore import (
 def test_integrate_polynomial():
     assert integrate_adaptive(lambda x: 3 * x**2, 0.0, 1.0) == pytest.approx(1.0)
     assert integrate_adaptive(lambda x: x, 0.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        integrate_adaptive(lambda x: x, 1.0, 0.0)
+    # Integrable singularities at an end need no breakpoint or split.
+    for fn, lo, hi, exact in (
+        (np.log, 0.0, 1.0, -1.0),
+        (lambda x: x**-0.5, 0.0, 1.0, 2.0),
+        (lambda x: np.cbrt(x - 0.3), 0.3, 1.0, 0.75 * 0.7 ** (4.0 / 3.0)),
+    ):
+        assert integrate_adaptive(fn, lo, hi) == pytest.approx(exact, rel=1e-9)
+    for lo, hi in ((1.0, 0.0), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            integrate_adaptive(lambda x: x, lo, hi)
 
 
 def test_integrate_with_kink():
@@ -29,6 +39,17 @@ def test_integrate_with_kink():
     assert integrate_adaptive(fn, 0.0, 1.0, breakpoints=(1.0 / 3.0,)) == pytest.approx(
         exact, abs=1e-9
     )
+    # A zero piece settles at once; the peaked one next to it needs more levels.
+    w = 0.01
+    peak = lambda x: np.where(x < 0.3, 0.0, w / ((x - 0.65) ** 2 + w**2))
+    exact = 2.0 * math.atan(0.35 / w)
+    assert integrate_adaptive(peak, 0.0, 1.0, breakpoints=(0.3,)) == pytest.approx(
+        exact, rel=1e-9
+    )
+    # A jump with no breakpoint never settles: raise, not a wrong answer.
+    step = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="settle"):
+        integrate_adaptive(step, 0.0, 1.0)
 
 
 def test_quasi_norm_linear_density():
@@ -52,8 +73,9 @@ def test_binary_entropy_values():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
     assert binary_entropy(0.25) == pytest.approx(0.8112781244591328)
-    with pytest.raises(ValueError):
-        binary_entropy(1.5)
+    for p in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            binary_entropy(p)
 
 
 @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
@@ -120,3 +142,14 @@ def test_differential_entropy_examples():
         0.5 / math.log(2.0) - 1.0, abs=1e-7
     )
 
+
+def test_import_loads_no_scipy():
+    # perfbench/spans.py patches probcore.quad, so the name must resolve.
+    code = (
+        "import sys, chatquant\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+        "assert callable(chatquant.probcore.quad)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -234,8 +234,11 @@ def test_result_csv_row():
 def test_simulation_input_validation():
     spec = chain(2, 2)
     banks = build_banks(spec, [8, 8])
-    with pytest.raises(ValueError):
-        run_simulation(spec, banks, PLUG_IN, trials=0)
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trial"):
+            run_simulation(spec, banks, PLUG_IN, trials=trials)
+        with pytest.raises(ValueError, match="trial"):
+            measure_entropy_rate(spec, banks, trials=trials)
     with pytest.raises(ValueError):
         run_simulation(spec, {1: banks[1]}, PLUG_IN, trials=10)
     with pytest.raises(ValueError):
