@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .chatnet import ChatNetworkSpec, out_message_table
+from .chatnet import ChatEdge, ChatNetworkSpec, out_message_table
 from .distortion import ENTROPY_CONSTRAINED
 from .probcore import binary_entropy
 from .quantizer import Quantizer
@@ -95,29 +95,29 @@ class _Protocol:
     def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Quantize a (trials, N) observation block.
 
-        Returns fusion indices and incoming chat messages, both (trials, N)
-        and 1-based.
+        Returns fusion indices and incoming chat messages, both 1-based
+        (trials, N) int64 arrays in column-major order, so each sensor's
+        column is contiguous.
         """
         spec = self.spec
-        trials = x.shape[0]
-        indices = np.zeros((trials, spec.n_sensors), dtype=np.int64)
-        incoming = np.ones((trials, spec.n_sensors), dtype=np.int64)
+        x = np.asfortranarray(x)
+        indices = np.empty(x.shape, dtype=np.int64, order="F")
+        incoming = np.ones(x.shape, dtype=np.int64, order="F")
         for n in range(1, spec.n_sensors + 1):
             bank = self.banks[n]
-            col = np.zeros(trials, dtype=np.int64)
+            x_col, col = x[:, n - 1], indices[:, n - 1]
             if len(bank) == 1:
-                col = np.asarray(bank[1].quantize(x[:, n - 1]))
+                col[:] = bank[1].quantize(x_col)
             else:
+                # Every message the table sends is in the bank, so the
+                # per-message rows cover the column.
                 k_col = incoming[:, n - 1]
                 for k, q in bank.items():
-                    rows = k_col == k
-                    if rows.any():
-                        col[rows] = q.quantize(x[rows, n - 1])
-            indices[:, n - 1] = col
+                    rows = np.flatnonzero(k_col == k)
+                    if rows.size:
+                        col[rows] = q.quantize(x_col[rows])
             for e in spec.graph.edges_out_of(n):
-                incoming[:, e.dst - 1] = self.tables[e.key][
-                    incoming[:, n - 1] - 1, col - 1
-                ]
+                incoming[:, e.dst - 1] = self._send(e, incoming[:, n - 1], col)
         return indices, incoming
 
     def replay(self, indices: np.ndarray) -> np.ndarray:
@@ -126,10 +126,19 @@ class _Protocol:
         incoming = np.ones_like(indices)
         for n in range(1, spec.n_sensors + 1):
             for e in spec.graph.edges_out_of(n):
-                incoming[:, e.dst - 1] = self.tables[e.key][
-                    incoming[:, n - 1] - 1, indices[:, n - 1] - 1
-                ]
+                incoming[:, e.dst - 1] = self._send(
+                    e, incoming[:, n - 1], indices[:, n - 1]
+                )
         return incoming
+
+    def _send(self, e: ChatEdge, k_col: np.ndarray, m_col: np.ndarray) -> np.ndarray:
+        """Message sent on edge ``e`` by a sender that received ``k_col``
+        and transmitted index ``m_col``, by one flat table gather."""
+        table = self.tables[e.key]
+        pos = k_col * table.shape[1]
+        pos += m_col
+        pos -= table.shape[1] + 1
+        return table.ravel()[pos]
 
 
 def replay_codebooks(
@@ -145,26 +154,70 @@ def replay_codebooks(
     return _Protocol(spec, banks).replay(np.asarray(indices))
 
 
-def _cell_bounds(
-    banks: Mapping[int, Mapping[int, Quantizer]],
-    indices: np.ndarray,
-    incoming: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial cell intervals and codewords, all (trials, N)."""
-    trials, n_sensors = indices.shape
-    lo = np.empty((trials, n_sensors))
-    hi = np.empty((trials, n_sensors))
-    cw = np.empty((trials, n_sensors))
-    for n in range(1, n_sensors + 1):
-        for k, q in banks[n].items():
-            rows = incoming[:, n - 1] == k
-            if not rows.any():
-                continue
-            m = indices[rows, n - 1]
-            lo[rows, n - 1] = q.boundaries[m - 1]
-            hi[rows, n - 1] = q.boundaries[m]
-            cw[rows, n - 1] = q.codewords[m - 1]
-    return lo, hi, cw
+class _CellTable:
+    """Every codebook of a bank set padded into flat lookup tables.
+
+    Cell m of the codebook that message k selects at sensor n sits at
+    position ``(n-1)*K*stride + (k-1)*stride + m-1`` of ``lower``,
+    ``upper`` and ``codewords``, with K the most messages any sensor
+    receives and ``stride`` the largest codebook size plus one.  One
+    gather per sensor column then finds every cell; ``index`` rejects
+    messages and indices outside the banks, so a lookup never reads a pad
+    or a neighbouring codebook.
+    """
+
+    def __init__(self, banks: Mapping[int, Mapping[int, Quantizer]]):
+        sensors = range(1, len(banks) + 1)
+        self.n_messages = [len(banks[n]) for n in sensors]
+        self.smallest = [min(q.size for q in banks[n].values()) for n in sensors]
+        self.stride = max(q.size for bank in banks.values() for q in bank.values()) + 1
+        self.sizes = np.zeros((len(banks), max(self.n_messages)), dtype=np.int64)
+        bounds = np.zeros(self.sizes.shape + (self.stride,))
+        codewords = np.zeros_like(bounds)
+        is_cell = np.zeros(bounds.shape, dtype=bool)
+        for n, bank in banks.items():
+            for k, q in bank.items():
+                self.sizes[n - 1, k - 1] = q.size
+                bounds[n - 1, k - 1, : q.size + 1] = q.boundaries
+                codewords[n - 1, k - 1, : q.size] = q.codewords
+                is_cell[n - 1, k - 1, : q.size] = True
+        self.lower = bounds.ravel()
+        # Cell m ends at boundary m, the next entry of the same row.
+        self.upper = self.lower[1:]
+        self.codewords = codewords.ravel()
+        self.is_cell = is_cell.ravel()
+        self.row = self.sizes.shape[1] * self.stride
+
+    def index(self, n: int, m: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Table positions of cells ``m`` of the codebooks that messages
+        ``k`` select at sensor ``n``, all 1-based.
+
+        Raises ``ValueError`` when a message is not in the sensor's bank or
+        an index is not a cell of the codebook its message selects.
+        """
+        if k.min(initial=1) < 1 or k.max(initial=1) > self.n_messages[n - 1]:
+            bad = k[(k < 1) | (k > self.n_messages[n - 1])][0]
+            raise ValueError(
+                f"sensor {n}: incoming message {bad} is not in its bank "
+                f"1..{self.n_messages[n - 1]}"
+            )
+        pos = k * self.stride
+        pos += m
+        pos += (n - 1) * self.row - self.stride - 1
+        top = m.max(initial=1)
+        # An index within every codebook of the sensor is a cell whatever
+        # the message; only a larger one needs the table.
+        if m.min(initial=1) >= 1 and (
+            top <= self.smallest[n - 1]
+            or (top < self.stride and self.is_cell[pos].all())
+        ):
+            return pos
+        size = self.sizes[n - 1, k - 1]
+        t = np.flatnonzero((m < 1) | (m > size))[0]
+        raise ValueError(
+            f"sensor {n}: index {m[t]} is not a cell of codebook {k[t]} "
+            f"(cells 1..{size[t]})"
+        )
 
 
 def _ce_max(spec: ChatNetworkSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -221,20 +274,45 @@ def decode(
     messages are replayed from the indices when not supplied.  The
     plug-in decoder takes the max of the per-cell codewords; the
     conditional-expectation decoder returns E[max | cells] in closed form.
+    Raises ``ValueError`` for an unknown decoder, indices of another shape,
+    or a message or index outside the banks.
     """
+    if decoder not in (PLUG_IN, CONDITIONAL_EXPECTATION):
+        raise ValueError(f"unknown decoder {decoder!r}")
     idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
     scalar = np.asarray(indices).ndim == 1
+    if idx.ndim != 2 or idx.shape[1] != spec.n_sensors:
+        raise ValueError(
+            f"indices must be (N,) or (trials, N) with N = {spec.n_sensors}, "
+            f"got shape {np.shape(indices)}"
+        )
+    cells = _CellTable(banks)
     if incoming is None:
-        incoming = replay_codebooks(spec, banks, idx)
+        # Clipped so the replay's table gather stays in range; an index
+        # that had to be clipped is reported by ``cells.index``.
+        incoming = replay_codebooks(
+            spec, banks, np.clip(idx, 1, cells.sizes.max(axis=1))
+        )
     else:
         incoming = np.atleast_2d(np.asarray(incoming, dtype=np.int64))
-    lo, hi, cw = _cell_bounds(banks, idx, incoming)
+        if incoming.shape != idx.shape:
+            raise ValueError(
+                f"incoming messages have shape {incoming.shape}, "
+                f"indices {idx.shape}"
+            )
+    cols = [(n, idx[:, n - 1], incoming[:, n - 1]) for n in range(1, idx.shape[1] + 1)]
     if decoder == PLUG_IN:
-        out = cw.max(axis=1)
-    elif decoder == CONDITIONAL_EXPECTATION:
-        out = _ce_max(spec, lo, hi)
+        out = np.full(idx.shape[0], -np.inf)
+        for n, m, k in cols:
+            np.maximum(out, cells.codewords[cells.index(n, m, k)], out=out)
     else:
-        raise ValueError(f"unknown decoder {decoder!r}")
+        lo = np.empty(idx.shape, order="F")
+        hi = np.empty(idx.shape, order="F")
+        for n, m, k in cols:
+            pos = cells.index(n, m, k)
+            lo[:, n - 1] = cells.lower[pos]
+            hi[:, n - 1] = cells.upper[pos]
+        out = _ce_max(spec, lo, hi)
     return float(out[0]) if scalar else out
 
 
@@ -247,7 +325,8 @@ def _encode_chunk(
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(c,)))
     )
-    x = spec.source.sample(rng, (size, spec.n_sensors))
+    # Column-major, as ``encode`` works; the max over a row is then fast.
+    x = np.asfortranarray(spec.source.sample(rng, (size, spec.n_sensors)))
     return (x, *proto.encode(x))
 
 
@@ -321,48 +400,51 @@ def run_simulation(
 
 
 class _EcCounts:
-    """Index histograms per (sensor, incoming message)."""
+    """Index histograms per sensor: one row per incoming message, padded
+    to the sensor's largest codebook."""
 
     def __init__(self, spec: ChatNetworkSpec, banks: Mapping[int, Mapping[int, Quantizer]]):
         self.banks = banks
         self.counts = {
-            (n, k): np.zeros(q.size, dtype=np.int64)
+            n: np.zeros(
+                (len(banks[n]), max(q.size for q in banks[n].values())),
+                dtype=np.int64,
+            )
             for n in range(1, spec.n_sensors + 1)
-            for k, q in banks[n].items()
         }
 
     def add(self, indices: np.ndarray, incoming: np.ndarray) -> None:
-        for (n, k), hist in self.counts.items():
-            rows = incoming[:, n - 1] == k
-            if rows.any():
-                hist += np.bincount(
-                    indices[rows, n - 1] - 1, minlength=hist.size
-                )
+        for n, hist in self.counts.items():
+            key = (incoming[:, n - 1] - 1) * hist.shape[1]
+            key += indices[:, n - 1] - 1
+            hist += np.bincount(key, minlength=hist.size).reshape(hist.shape)
 
     def merge(self, other: "_EcCounts") -> None:
-        for key, hist in other.counts.items():
-            self.counts[key] += hist
+        for n, hist in other.counts.items():
+            self.counts[n] += hist
+
+    def _hist(self, n: int, k: int) -> np.ndarray:
+        return self.counts[n][k - 1, : self.banks[n][k].size]
 
     def message_rates(self) -> dict[tuple[int, int], float]:
         out = {}
-        for (n, k), hist in self.counts.items():
-            total = hist.sum()
-            if total == 0:
-                out[(n, k)] = 0.0
-                continue
-            dc = sorted(self.banks[n][k].dont_care_cells)
-            active = np.ones(hist.size, dtype=bool)
-            active[[c - 1 for c in dc]] = False
-            out[(n, k)] = _split_entropy(hist, active)
+        for n in self.counts:
+            for k, q in self.banks[n].items():
+                hist = self._hist(n, k)
+                if hist.sum() == 0:
+                    out[(n, k)] = 0.0
+                    continue
+                active = np.ones(hist.size, dtype=bool)
+                active[[c - 1 for c in sorted(q.dont_care_cells)]] = False
+                out[(n, k)] = _split_entropy(hist, active)
         return out
 
     def per_sensor_rates(self) -> np.ndarray:
-        sensors = sorted({n for n, _k in self.counts})
-        rates = np.zeros(len(sensors))
+        rates = np.zeros(len(self.counts))
         per_msg = self.message_rates()
-        for n in sensors:
-            keys = [key for key in self.counts if key[0] == n]
-            totals = np.array([self.counts[key].sum() for key in keys], dtype=float)
+        for n in self.counts:
+            keys = [(n, k) for k in self.banks[n]]
+            totals = np.array([self._hist(n, k).sum() for _n, k in keys], dtype=float)
             grand = totals.sum()
             if grand > 0:
                 weights = totals / grand

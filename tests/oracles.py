@@ -4,8 +4,10 @@ These deliberately avoid the library's own algorithms: the allocation
 oracle does exhaustive dynamic programming on a rate grid, the
 sensitivity sampler does plain rejection sampling, and the
 conditional-expectation oracle multiplies every sensor's conditional CDF
-instead of only the overlapping ones, and the high-resolution constants
-are integrated pointwise by scipy's adaptive ``quad``.
+instead of only the overlapping ones, the high-resolution constants
+are integrated pointwise by scipy's adaptive ``quad``, and the encoder and
+cell lookup mask each (sensor, message) pair's rows in turn where the
+simulator gathers from padded tables.
 """
 
 from __future__ import annotations
@@ -96,6 +98,45 @@ def ce_max_all_sensors(cdf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         prod *= np.clip(f, 0.0, 1.0)
     tail = ((1.0 - prod) * weights).sum(axis=2) * half
     return left + tail.sum(axis=1)
+
+
+def encode_mask_loop(spec, banks, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fusion indices and incoming chat messages of a (trials, N) block,
+    both 1-based, by a boolean mask per (sensor, message) and a 2-D table
+    lookup per chat edge."""
+    from chatquant.chatnet import out_message_table
+
+    tables = {e.key: out_message_table(spec, banks, e) for e in spec.graph.edges}
+    trials = x.shape[0]
+    indices = np.zeros((trials, spec.n_sensors), dtype=np.int64)
+    incoming = np.ones((trials, spec.n_sensors), dtype=np.int64)
+    for n in range(1, spec.n_sensors + 1):
+        col = np.zeros(trials, dtype=np.int64)
+        for k, q in banks[n].items():
+            rows = incoming[:, n - 1] == k
+            if rows.any():
+                col[rows] = q.quantize(x[rows, n - 1])
+        indices[:, n - 1] = col
+        for e in spec.graph.edges_out_of(n):
+            incoming[:, e.dst - 1] = tables[e.key][incoming[:, n - 1] - 1, col - 1]
+    return indices, incoming
+
+
+def cell_bounds_mask_loop(banks, indices: np.ndarray, incoming: np.ndarray):
+    """Per-trial cell edges and codewords, all (trials, N), by a boolean
+    mask per (sensor, message)."""
+    trials, n_sensors = indices.shape
+    lo = np.full((trials, n_sensors), np.nan)
+    hi = np.full((trials, n_sensors), np.nan)
+    cw = np.full((trials, n_sensors), np.nan)
+    for n in range(1, n_sensors + 1):
+        for k, q in banks[n].items():
+            rows = incoming[:, n - 1] == k
+            m = indices[rows, n - 1]
+            lo[rows, n - 1] = q.boundaries[m - 1]
+            hi[rows, n - 1] = q.boundaries[m]
+            cw[rows, n - 1] = q.codewords[m - 1]
+    return lo, hi, cw
 
 
 def quad_integral(fn, lo: float, hi: float, points=()) -> float:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,13 @@ from chatquant.simulator import (
     replay_codebooks,
     run_simulation,
 )
-from chatquant.simulator import _Protocol, _ce_max
+from chatquant.simulator import _CellTable, _Protocol, _ce_max
 
-from oracles import ce_max_all_sensors
+from oracles import cell_bounds_mask_loop, ce_max_all_sensors, encode_mask_loop
 
 PLUG_IN = "plug-in"
 CE = "conditional-expectation"
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
 
 def chain(n, size, **kw):
@@ -41,14 +44,19 @@ def test_seed_reproducibility():
 
 
 def test_worker_count_is_invisible():
-    spec = chain(2, 2)
-    banks = build_banks(spec, [8, 8])
+    fixed = chain(2, 2)
+    entropy = chain(3, 2, regime="entropy-constrained")
     trials = 2 * CHUNK + 1_000
-    for decoder in (PLUG_IN, CE):
-        solo = run_simulation(spec, banks, decoder, trials=trials, seed=9, workers=1)
-        pooled = run_simulation(spec, banks, decoder, trials=trials, seed=9, workers=4)
-        assert solo.empirical_fmse == pooled.empirical_fmse
-        assert solo.stderr == pooled.stderr
+    for spec, banks in (
+        (fixed, build_banks(fixed, [8, 8])),
+        (entropy, design_network(entropy, budget=12.0).banks),
+    ):
+        for decoder in (PLUG_IN, CE):
+            solo = run_simulation(spec, banks, decoder, trials=trials, seed=9, workers=1)
+            pooled = run_simulation(spec, banks, decoder, trials=trials, seed=9, workers=4)
+            assert solo.empirical_fmse == pooled.empirical_fmse
+            assert solo.stderr == pooled.stderr
+            assert np.array_equal(solo.empirical_rates, pooled.empirical_rates)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -128,6 +136,93 @@ def test_ce_max_matches_all_sensor_oracle(n):
     want = ce_max_all_sensors(spec.source.cdf, lo, hi)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     assert np.all((got >= lo.max(axis=1)) & (got <= hi.max(axis=1)))
+
+
+def _lookup_design(name):
+    if name == "max5_entropy":
+        spec = parse_spec_file((SPEC_DIR / "max5_entropy.txt").read_text())
+        return spec, design_network(spec, budget=25.0).banks
+    spec = chain(16, 2)
+    return spec, design_network(spec, budget=64.0).banks
+
+
+@pytest.mark.parametrize("name", ["max5_entropy", "chain16"])
+def test_cell_lookup_matches_mask_loop_oracle(name):
+    # max5_entropy's banks hold codebooks of 100+ and 7 cells for the two
+    # messages of one sensor; chain16 is a fixed-rate N=16 chain.
+    spec, banks = _lookup_design(name)
+    n = spec.n_sensors
+    rng = np.random.default_rng(7)
+    x = rng.random((40_000, n))
+    for s in range(1, n + 1):
+        largest = max(banks[s].values(), key=lambda q: q.size)
+        last = largest.boundaries[-2] + (1.0 - largest.boundaries[-2]) * rng.random(200)
+        special = np.concatenate(
+            [q.boundaries for q in banks[s].values()] + [[0.0, 1.0], last]
+        )
+        # Eight copies each, in random rows, meet every incoming message.
+        rows = rng.permutation(x.shape[0])[: 8 * special.size]
+        x[rows, s - 1] = np.tile(special, 8)
+
+    indices, incoming = _Protocol(spec, banks).encode(x)
+    want_idx, want_inc = encode_mask_loop(spec, banks, x)
+    assert indices.flags.f_contiguous and incoming.flags.f_contiguous
+    assert np.array_equal(indices, want_idx)
+    assert np.array_equal(incoming, want_inc)
+    for s in range(1, n + 1):
+        top = max(q.size for q in banks[s].values())
+        assert (indices[:, s - 1] == top).any()
+
+    cells = _CellTable(banks)
+    pos = np.stack(
+        [cells.index(s, indices[:, s - 1], incoming[:, s - 1]) for s in range(1, n + 1)],
+        axis=1,
+    )
+    lo, hi, cw = cell_bounds_mask_loop(banks, indices, incoming)
+    assert np.array_equal(cells.lower[pos], lo)
+    assert np.array_equal(cells.upper[pos], hi)
+    assert np.array_equal(cells.codewords[pos], cw)
+    assert np.array_equal(decode(PLUG_IN, indices, banks, spec, incoming), cw.max(axis=1))
+    assert np.array_equal(decode(CE, indices, banks, spec, incoming), _ce_max(spec, lo, hi))
+
+
+@pytest.mark.parametrize("decoder", [PLUG_IN, CE])
+def test_decode_rejects_out_of_range_input(decoder):
+    spec = parse_spec_file((SPEC_DIR / "max4_chat.txt").read_text())
+    banks = design_network(spec, budget=16.0).banks
+    size = {n: banks[n][1].size for n in banks}
+    ok = [1, 1, 1, 1]
+    assert np.isfinite(decode(decoder, ok, banks, spec, ok))
+    with pytest.raises(ValueError, match="shape"):
+        decode(decoder, [1, 1, 1], banks, spec)
+    with pytest.raises(ValueError, match="shape"):
+        decode(decoder, np.ones((2, 2, 4), dtype=int), banks, spec)
+    with pytest.raises(ValueError, match="shape"):
+        decode(decoder, [ok, ok], banks, spec, [ok])
+    for bad in (0, 5, -1):
+        with pytest.raises(ValueError, match="sensor 2: incoming message"):
+            decode(decoder, ok, banks, spec, [1, bad, 1, 1])
+    for incoming in (ok, None):
+        for bad in (0, -1, size[3] + 1, 10**6):
+            with pytest.raises(ValueError, match="sensor 3: index"):
+                decode(decoder, [1, 1, bad, 1], banks, spec, incoming)
+    # One bad trial among good ones is found too.
+    block = np.ones((50, 4), dtype=np.int64)
+    block[37, 3] = size[4] + 1
+    with pytest.raises(ValueError, match="sensor 4: index"):
+        decode(decoder, block, banks, spec, np.ones_like(block))
+
+
+def test_decode_reports_the_first_bad_index_on_replay():
+    # Sensor 2's second codebook has 7 cells; index 50 would replay a pad
+    # as sensor 3's message, but the index itself is what is reported.
+    spec = parse_spec_file((SPEC_DIR / "max5_entropy.txt").read_text())
+    banks = design_network(spec, budget=25.0).banks
+    assert banks[2][2].size < 50 <= banks[2][1].size
+    top = banks[1][1].size
+    for decoder in (PLUG_IN, CE):
+        with pytest.raises(ValueError, match="sensor 2: index 50 is not a cell of codebook 2"):
+            decode(decoder, [top, 50, 1, 1, 1], banks, spec)
 
 
 def test_silent_chat_equals_no_chat():
