@@ -88,6 +88,7 @@ class _Protocol:
                 )
         self.spec = spec
         self.banks = banks
+        self.cells = _CellTable(banks)
         self.tables = {
             e.key: out_message_table(spec, banks, e) for e in spec.graph.edges
         }
@@ -121,14 +122,18 @@ class _Protocol:
         return indices, incoming
 
     def replay(self, indices: np.ndarray) -> np.ndarray:
-        """Incoming messages recomputed from fusion indices alone."""
+        """Incoming messages recomputed from fusion indices alone.
+
+        Raises ``ValueError`` at the first sensor, in chain order, whose
+        index is not a cell of the codebook its replayed message selects.
+        """
         spec = self.spec
         incoming = np.ones_like(indices)
         for n in range(1, spec.n_sensors + 1):
+            m, k = indices[:, n - 1], incoming[:, n - 1]
+            self.cells.index(n, m, k)
             for e in spec.graph.edges_out_of(n):
-                incoming[:, e.dst - 1] = self._send(
-                    e, incoming[:, n - 1], indices[:, n - 1]
-                )
+                incoming[:, e.dst - 1] = self._send(e, k, m)
         return incoming
 
     def _send(self, e: ChatEdge, k_col: np.ndarray, m_col: np.ndarray) -> np.ndarray:
@@ -149,7 +154,9 @@ def replay_codebooks(
     """Codebook choices the fusion decoder derives from the indices it saw.
 
     Returns the (trials, N) matrix of incoming chat messages.  By C1-C4
-    this must equal the encoder side's messages on every trial.
+    this must equal the encoder side's messages on every trial.  Raises
+    ``ValueError`` on an index that is not a cell of the codebook its
+    message selects.
     """
     return _Protocol(spec, banks).replay(np.asarray(indices))
 
@@ -288,11 +295,7 @@ def decode(
         )
     cells = _CellTable(banks)
     if incoming is None:
-        # Clipped so the replay's table gather stays in range; an index
-        # that had to be clipped is reported by ``cells.index``.
-        incoming = replay_codebooks(
-            spec, banks, np.clip(idx, 1, cells.sizes.max(axis=1))
-        )
+        incoming = replay_codebooks(spec, banks, idx)
     else:
         incoming = np.atleast_2d(np.asarray(incoming, dtype=np.int64))
         if incoming.shape != idx.shape:

@@ -213,16 +213,24 @@ def test_decode_rejects_out_of_range_input(decoder):
         decode(decoder, block, banks, spec, np.ones_like(block))
 
 
-def test_decode_reports_the_first_bad_index_on_replay():
+def test_replay_reports_the_first_bad_index():
     # Sensor 2's second codebook has 7 cells; index 50 would replay a pad
     # as sensor 3's message, but the index itself is what is reported.
     spec = parse_spec_file((SPEC_DIR / "max5_entropy.txt").read_text())
     banks = design_network(spec, budget=25.0).banks
     assert banks[2][2].size < 50 <= banks[2][1].size
     top = banks[1][1].size
+    bad = [top, 50, 1, 1, 1]
+    with pytest.raises(ValueError, match="sensor 2: index 50 is not a cell of codebook 2"):
+        replay_codebooks(spec, banks, [bad])
     for decoder in (PLUG_IN, CE):
         with pytest.raises(ValueError, match="sensor 2: index 50 is not a cell of codebook 2"):
-            decode(decoder, [top, 50, 1, 1, 1], banks, spec)
+            decode(decoder, bad, banks, spec)
+    # Index 0 used to wrap to the last cell, one past the end to raise
+    # IndexError.
+    for m in (0, top + 1):
+        with pytest.raises(ValueError, match="sensor 1: index"):
+            replay_codebooks(spec, banks, [[m, 1, 1, 1, 1]])
 
 
 def test_silent_chat_equals_no_chat():
