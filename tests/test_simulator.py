@@ -226,8 +226,7 @@ def test_replay_reports_the_first_bad_index():
     for decoder in (PLUG_IN, CE):
         with pytest.raises(ValueError, match="sensor 2: index 50 is not a cell of codebook 2"):
             decode(decoder, bad, banks, spec)
-    # Index 0 used to wrap to the last cell, one past the end to raise
-    # IndexError.
+    # Index 0 and one past the last cell are caught before any gather.
     for m in (0, top + 1):
         with pytest.raises(ValueError, match="sensor 1: index"):
             replay_codebooks(spec, banks, [[m, 1, 1, 1, 1]])
