@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import graphlib
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
 
@@ -34,6 +35,7 @@ from .distortion import (
     ENTROPY_CONSTRAINED,
     FIXED_RATE,
     DistortionReport,
+    _require_finite_rates,
     fixed_rate_message_moments,
     hr_fmse_entropy_chat,
     hr_fmse_fixed_rate_chat,
@@ -74,8 +76,10 @@ class ChatEdge:
             raise ValueError(f"self-loop on sensor {self.src}")
         if self.size < 1:
             raise ValueError("chat codebook size must be at least 1")
-        if self.alpha < 0:
-            raise ValueError("chat cost per bit must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(
+                f"chat cost per bit must be finite and nonnegative, got {self.alpha}"
+            )
 
     @property
     def key(self) -> tuple[int, int]:
@@ -212,7 +216,8 @@ class SpecFormatError(ValueError):
 class ChatNetworkSpec:
     """Immutable description of a chatting network.
 
-    Sensors observe iid draws from ``source``, chat over ``graph``
+    Sensors observe iid draws from ``source`` (uniform on [0, 1], the
+    only law the closed forms cover), chat over ``graph``
     following ``schedule``, and transmit to the fusion center over links
     with per-bit costs ``fusion_alphas``.  ``partitions`` maps each chat
     edge to the strictly increasing boundaries of its message cells.
@@ -232,13 +237,13 @@ class ChatNetworkSpec:
             raise ValueError("need at least one sensor")
         if len(self.fusion_alphas) != self.n_sensors:
             raise ValueError("need one fusion cost per sensor")
-        if any(a <= 0 for a in self.fusion_alphas):
-            raise ValueError("fusion costs must be positive")
+        if not all(math.isfinite(a) and a > 0 for a in self.fusion_alphas):
+            raise ValueError(
+                f"fusion costs must be finite and positive, got {self.fusion_alphas}"
+            )
         if self.regime not in (FIXED_RATE, ENTROPY_CONSTRAINED):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if (self.source.lo, self.source.hi) != (0.0, 1.0) or not np.allclose(
-            self.source(np.linspace(0.0, 1.0, 9)), 1.0
-        ):
+        if self.source != Pdf(0.0, 1.0):
             # Profiles, message laws and max_sensitivity are closed forms
             # for uniform(0, 1) sources only.
             raise ValueError("the source must be uniform on [0, 1]")
@@ -286,7 +291,7 @@ class ChatNetworkSpec:
             alphas = tuple(float(a) for a in fusion_alphas)
         return ChatNetworkSpec(
             n_sensors,
-            Pdf.uniform(0.0, 1.0),
+            Pdf(0.0, 1.0),
             graph,
             schedule,
             alphas,
@@ -483,7 +488,7 @@ def conditional_quantizer_bank(
     for k in range(1, spec.message_probs(n).size + 1):
         prof = spec.conditional_profile(n, k)
         if spec.regime == FIXED_RATE:
-            density = optimal_density_fixed_rate(prof, spec.source)
+            density = optimal_density_fixed_rate(prof)
         else:
             density = optimal_density_entropy(prof)
         size_k = size[k] if isinstance(size, Mapping) else int(size)
@@ -566,10 +571,12 @@ def design_network(
     bit), then rounded to integer codebook sizes; when rounding overshoots
     the fixed-rate budget, sizes are walked back greedily, dropping
     whichever codeword costs the least predicted distortion per cost
-    recovered.  Rates are taken as-is (no repair).
+    recovered.  Rates are taken as-is (no repair) and must be finite.
     """
     if (budget is None) == (rates is None):
         raise ValueError("give either a budget or explicit rates")
+    if rates is not None:
+        _require_finite_rates(rates)
     alloc = None if budget is None else allocate(spec, budget)
 
     if spec.regime == FIXED_RATE:
@@ -776,7 +783,7 @@ def parse_spec_file(text: str) -> ChatNetworkSpec:
     try:
         return ChatNetworkSpec(
             n_sensors,
-            Pdf.uniform(*source_args),
+            Pdf(*source_args),
             graph,
             Schedule(schedule),
             tuple(fusion_alpha),

@@ -10,6 +10,7 @@ spec files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -246,6 +247,8 @@ def _cmd_sweep_rc(args) -> int:
 
 
 def _cmd_sweep_p1(args) -> int:
+    if not (math.isfinite(args.step) and 0.0 < args.step < 1.0):
+        raise ValueError(f"--step must be inside (0, 1), got {args.step}")
     grid = tuple(np.round(np.arange(args.step, 1.0, args.step), 10))
     sweep = SweepSpec(
         "p1",

@@ -6,10 +6,11 @@ each sensor selects a codebook from the received message.  All message
 expectations are exact sums over the message distribution; nothing on the
 design side is sampled.
 
-The network argument of the chat predictors is duck-typed: it needs
-``n_sensors``, ``source`` (a Pdf shared by the iid sensors),
-``message_probs(n)`` and ``conditional_profile(n, k)`` with 1-based
-indices.  ``ChatNetworkSpec`` provides these.
+The sensors observe iid uniform(0, 1) sources, so the source density is
+1 on every profile's support [0, 1] and drops out of every integral.  The
+network argument of the chat predictors is duck-typed: it needs
+``n_sensors``, ``message_probs(n)`` and ``conditional_profile(n, k)``
+with 1-based indices.  ``ChatNetworkSpec`` provides these.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .probcore import (
-    Pdf,
     _log2_moment,
     binary_entropy,
     integrate_adaptive,
@@ -44,7 +44,6 @@ __all__ = [
     "fixed_rate_message_moments",
     "hr_fmse_entropy_chat",
     "hr_fmse_fixed_rate_chat",
-    "hr_mse",
     "optimal_density_entropy",
     "optimal_density_fixed_rate",
 ]
@@ -92,98 +91,62 @@ class DistortionReport:
         return rows
 
 
-def hr_mse(size: int, density: PointDensity, pdf: Pdf) -> float:
-    """High-resolution MSE of a ``size``-cell companding quantizer.
-
-    Evaluates E[lambda^-2(X)] / (12 K^2).  The density must be positive
-    wherever the source has mass.
-    """
-    if size < 1:
-        raise ValueError("codebook size must be at least 1")
-    # Under a flat profile, source mass on a zero zone makes the moment diverge.
-    edges = tuple(e for zone in density.zero_zones for e in zone)
-    flat = SensitivityProfile((pdf.lo, pdf.hi), np.ones_like, (), edges)
-    return _density_ratio_moment(flat, density, pdf) / (12.0 * size**2)
-
-
-def optimal_density_fixed_rate(
-    profile: SensitivityProfile, pdf: Pdf
-) -> PointDensity:
-    """Fixed-rate optimal point density, proportional to (gamma^2 f)^(1/3).
-
-    Zero on the profile's zero zones and wherever the source density
-    vanishes; normalized over the rest.
-    """
-
-    def shaped(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.cbrt(np.maximum(profile(x) * pdf(x), 0.0))
-
-    bps = tuple(set(profile.breakpoints) | set(pdf.breakpoints))
-    try:
-        return PointDensity.from_proportional(
-            shaped, pdf.lo, pdf.hi, profile.zero_zones, bps
-        )
-    except ValueError as exc:
-        raise UndefinedDistortionError(
-            "sensitivity-weighted density has no mass"
-        ) from exc
-
-
-def optimal_density_entropy(profile: SensitivityProfile) -> PointDensity:
-    """Entropy-constrained optimal point density, proportional to gamma."""
+def _profile_density(profile: SensitivityProfile, root, empty: str) -> PointDensity:
+    """Point density proportional to ``root(gamma^2)``, zero on the
+    profile's zero zones and normalized over the rest."""
     lo, hi = profile.support
 
     def shaped(x: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(profile(np.asarray(x, dtype=float)), 0.0))
+        return root(np.maximum(profile(np.asarray(x, dtype=float)), 0.0))
 
     try:
         return PointDensity.from_proportional(
             shaped, lo, hi, profile.zero_zones, profile.breakpoints
         )
     except ValueError as exc:
-        raise UndefinedDistortionError(
-            "sensitivity profile vanishes almost everywhere"
-        ) from exc
+        raise UndefinedDistortionError(empty) from exc
+
+
+def optimal_density_fixed_rate(profile: SensitivityProfile) -> PointDensity:
+    """Fixed-rate optimal point density, proportional to (gamma^2 f)^(1/3),
+    that is gamma^(2/3) for the uniform source."""
+    return _profile_density(
+        profile, np.cbrt, "sensitivity-weighted density has no mass"
+    )
+
+
+def optimal_density_entropy(profile: SensitivityProfile) -> PointDensity:
+    """Entropy-constrained optimal point density, proportional to gamma."""
+    return _profile_density(
+        profile, np.sqrt, "sensitivity profile vanishes almost everywhere"
+    )
 
 
 def _profile_regions(
-    profile: SensitivityProfile, pdf: Pdf
+    profile: SensitivityProfile,
 ) -> tuple[list[tuple[float, float]], list[float]]:
-    """Active intervals of a profile clipped to the source support, plus
-    the union of integration breakpoints."""
-    lo = max(profile.support[0], pdf.lo)
-    hi = min(profile.support[1], pdf.hi)
-    regions = [
-        (max(a, lo), min(b, hi))
-        for a, b in _active_intervals(*profile.support, profile.zero_zones)
-        if min(b, hi) > max(a, lo)
-    ]
-    bps = sorted(set(profile.breakpoints) | set(pdf.breakpoints))
-    return regions, bps
+    """Active intervals of a profile and its sorted breakpoints."""
+    regions = _active_intervals(*profile.support, profile.zero_zones)
+    return regions, sorted(set(profile.breakpoints))
 
 
-def _weighted_quasi_norm(profile: SensitivityProfile, pdf: Pdf) -> float:
-    """One-third quasi-norm of gamma^2 * f over the profile's support.
+def _weighted_quasi_norm(profile: SensitivityProfile) -> float:
+    """One-third quasi-norm of gamma^2 f = gamma^2 over the profile's support.
 
     gamma^2 is 0 on the zero zones, so their edges are only breakpoints.
     """
-    lo = max(profile.support[0], pdf.lo)
-    hi = min(profile.support[1], pdf.hi)
-    bps = {*profile.breakpoints, *pdf.breakpoints}
+    bps = set(profile.breakpoints)
     bps.update(edge for zone in profile.zero_zones for edge in zone)
-    return quasi_norm_one_third(lambda x: profile(x) * pdf(x), lo, hi, sorted(bps))
+    return quasi_norm_one_third(profile, *profile.support, sorted(bps))
 
 
-def _density_ratio_moment(
-    profile: SensitivityProfile, density: PointDensity, pdf: Pdf
-) -> float:
+def _density_ratio_moment(profile: SensitivityProfile, density: PointDensity) -> float:
     """E[(gamma/lambda)^2 (X)] over the profile's active region."""
-    regions, bps = _profile_regions(profile, pdf)
+    regions, bps = _profile_regions(profile)
     bps = sorted(set(bps) | set(density.breakpoints))
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        num = profile(x) * pdf(x)
+        num = profile(x)
         lam = density(x)
         # inf where the density vanishes under positive weight.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -196,6 +159,14 @@ def _density_ratio_moment(
             "point density vanishes where the weighted source has mass"
         )
     return val
+
+
+def _require_finite_rates(rates) -> None:
+    """Raise ValueError unless every rate, per sensor or per (sensor,
+    message), is finite."""
+    for n, r in enumerate(rates, start=1):
+        if not np.all(np.isfinite(np.asarray(r, dtype=float))):
+            raise ValueError(f"sensor {n}: rates must be finite, got {r}")
 
 
 def _sensor_messages(spec: "ChatNetworkSpec", n: int):
@@ -225,12 +196,12 @@ def hr_fmse_fixed_rate_chat(
     the message distribution.  ``densities`` maps (sensor, message) to the
     point density in force; None uses the optimal density for every pair,
     for which E[(gamma/lambda)^2] collapses to the one-third quasi-norm of
-    gamma^2 f.
+    gamma^2 f.  Raises ValueError on a non-finite rate.
     """
     rates = np.asarray(rates, dtype=float)
     if rates.size != spec.n_sensors:
         raise ValueError("need one rate per sensor")
-    pdf = spec.source
+    _require_finite_rates(rates)
     per_sensor = np.zeros(spec.n_sensors)
     detail: list[tuple[int, int, float]] = []
     for n in range(1, spec.n_sensors + 1):
@@ -242,9 +213,9 @@ def hr_fmse_fixed_rate_chat(
                     f"{2.0 ** rates[n - 1]:g} cannot cover the don't-care cells"
                 )
             if densities is None:
-                moment = _weighted_quasi_norm(prof, pdf)
+                moment = _weighted_quasi_norm(prof)
             else:
-                moment = _density_ratio_moment(prof, densities[(n, k)], pdf)
+                moment = _density_ratio_moment(prof, densities[(n, k)])
             contrib = p * moment / (12.0 * granular**2)
             per_sensor[n - 1] += contrib
             detail.append((n, k, contrib))
@@ -271,27 +242,29 @@ class EntropyCodingTable:
 
 def _entropy_message_constant(
     profile: SensitivityProfile,
-    pdf: Pdf,
     density: PointDensity | None = None,
 ) -> tuple[float, float, float]:
     """Coefficient, P(A) and gate bits of one (sensor, message) pair."""
-    regions, bps = _profile_regions(profile, pdf)
-    # Differences of the CDF: exact for the uniform source, so P(A) = 1/2
-    # gates exactly one bit.
-    mass = float(sum(pdf.cdf(b) - pdf.cdf(a) for a, b in regions))
+    regions, bps = _profile_regions(profile)
+    # The source density is 1, so P(A) is the summed length of the active
+    # regions (exact: P(A) = 1/2 gates exactly one bit) and X given A is
+    # uniform on A, with h(X|A) = log2 P(A).
+    mass = float(sum(b - a for a, b in regions))
     if mass <= 0.0:
         raise UndefinedDistortionError("no source mass outside don't-care zones")
-    # h(X|A) = -int (f/P) log2 (f/P) = log2 P - (1/P) int f log2 f.
-    h_bits = float(np.log2(mass) - _log2_moment(pdf, pdf, regions, bps) / mass)
+    h_bits = float(np.log2(mass))
     if density is None:
         # 2 E[log2 gamma | A] = E[log2 gamma^2 | A].
-        shape_bits = _log2_moment(pdf, profile, regions, bps) / mass
+        shape_bits = _log2_moment(profile, regions, bps) / mass
         ratio = 1.0
     else:
         # Full form: 2^{2 E[log2 lambda | A]} * E[(gamma/lambda)^2 | A].
+        # The ratio first: where lambda vanishes under positive weight it
+        # raises UndefinedDistortionError, while log2 lambda would meet a
+        # jump with no breakpoint and fail to settle.
+        ratio = _density_ratio_moment(profile, density) / mass
         lam_bps = sorted(set(bps) | set(density.breakpoints))
-        shape_bits = 2.0 * _log2_moment(pdf, density, regions, lam_bps) / mass
-        ratio = _density_ratio_moment(profile, density, pdf) / mass
+        shape_bits = 2.0 * _log2_moment(density, regions, lam_bps) / mass
     coeff = (mass / 12.0) * 2.0 ** (2.0 * h_bits + shape_bits) * ratio
     return coeff, mass, binary_entropy(mass)
 
@@ -303,7 +276,6 @@ def entropy_coding_tables(spec: "ChatNetworkSpec") -> list[EntropyCodingTable]:
     message k contributes probs[k] * constants[k] * 2^(-2 (R - gate) / mass)
     to the network fMSE when granted rate R on that message.
     """
-    pdf = spec.source
     tables = []
     for n in range(1, spec.n_sensors + 1):
         probs = spec.message_probs(n).probabilities
@@ -311,7 +283,7 @@ def entropy_coding_tables(spec: "ChatNetworkSpec") -> list[EntropyCodingTable]:
         masses = np.ones_like(probs)
         gates = np.zeros_like(probs)
         for k, _p, prof in _sensor_messages(spec, n):
-            c, m, g = _entropy_message_constant(prof, pdf)
+            c, m, g = _entropy_message_constant(prof)
             consts[k - 1], masses[k - 1], gates[k - 1] = c, m, g
         tables.append(EntropyCodingTable(probs, consts, masses, gates))
     return tables
@@ -328,9 +300,10 @@ def hr_fmse_entropy_chat(
     with a rate for each incoming message.  Each (sensor, message) rate
     must exceed the gate bits H_B(P(A)) spent flagging don't-care hits;
     the remainder is amplified by 1/P(A) because the granular code runs
-    only when the observation is informative.
+    only when the observation is informative.  Raises ValueError on a
+    non-finite rate.
     """
-    pdf = spec.source
+    _require_finite_rates(rates)
     per_sensor = np.zeros(spec.n_sensors)
     detail: list[tuple[int, int, float]] = []
     for n in range(1, spec.n_sensors + 1):
@@ -338,7 +311,7 @@ def hr_fmse_entropy_chat(
         for k, p, prof in _sensor_messages(spec, n):
             r = float(r_n if np.isscalar(r_n) else r_n[k - 1])
             dens = None if densities is None else densities[(n, k)]
-            coeff, mass, gate = _entropy_message_constant(prof, pdf, dens)
+            coeff, mass, gate = _entropy_message_constant(prof, dens)
             if r <= gate:
                 raise InfeasibleRateError(
                     f"sensor {n}, message {k}: rate {r:g} cannot cover the "
@@ -361,14 +334,13 @@ def fixed_rate_message_moments(
     optimal fixed-rate density, so sensor n's distortion with a K-cell
     codebook is sum_k probs[k] * norms[k] / (12 (K - dc[k])^2).
     """
-    pdf = spec.source
     out = []
     for n in range(1, spec.n_sensors + 1):
         probs = spec.message_probs(n).probabilities
         norms = np.zeros_like(probs)
         dc = np.zeros(probs.size, dtype=int)
         for k, _p, prof in _sensor_messages(spec, n):
-            norms[k - 1] = _weighted_quasi_norm(prof, pdf)
+            norms[k - 1] = _weighted_quasi_norm(prof)
             dc[k - 1] = _dont_care_count(prof)
         out.append((probs, norms, dc))
     return out
@@ -381,9 +353,8 @@ def beta_fixed_rate(n: int, spec: "ChatNetworkSpec") -> float:
     conditional gamma^2 f, divided by 12; sensor n then contributes
     beta_n * 2^(-2 R_n) to the network fMSE.
     """
-    pdf = spec.source
     return sum(
-        p * _weighted_quasi_norm(prof, pdf) / 12.0
+        p * _weighted_quasi_norm(prof) / 12.0
         for _k, p, prof in _sensor_messages(spec, n)
     )
 

@@ -1,34 +1,30 @@
-"""Scalar probability densities and the numeric primitives built on them.
+"""The uniform source law and the numeric primitives built on it.
 
 Everything downstream (quantizer construction, sensitivity profiles,
 distortion predictions) reduces to one-dimensional integrals of piecewise
 smooth functions on a bounded interval.  This module centralizes those
-integrals so tolerances live in one place, and provides a small Pdf type
-with CDF inversion for reproducible sampling.
+integrals so tolerances live in one place, and provides the uniform
+``Pdf`` the sensors sample from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "GriddedFunction",
     "Pdf",
     "binary_entropy",
-    "differential_entropy",
     "integrate_adaptive",
     "quasi_norm_one_third",
 ]
 
-# Absolute / relative tolerances for the adaptive quadrature, and the grid
-# resolution used when a function has to be tabulated (CDF inversion).
+# Absolute / relative tolerances for the adaptive quadrature.
 ABS_TOL = 1e-9
 REL_TOL = 1e-6
-DEFAULT_GRID = 4096
 
 # Floor under the argument of a logarithm; a log singularity at a zero of
 # the argument is integrable, the floor only guards exact-zero evaluations.
@@ -146,17 +142,16 @@ def quasi_norm_one_third(
 
 
 def _log2_moment(
-    pdf: Pdf, fn: Callable, regions: Sequence[tuple[float, float]], bps: Sequence[float]
+    fn: Callable, regions: Sequence[tuple[float, float]], bps: Sequence[float]
 ) -> float:
-    """Integral of f log2 fn over ``regions``, f the density of ``pdf``.
+    """Integral of log2 fn over ``regions``.
 
-    The integrand is 0 where f = 0, and ``fn`` is floored at _LOG_FLOOR,
-    so a zero of ``fn`` is an integrable log singularity, not a NaN.
+    ``fn`` is floored at _LOG_FLOOR, so a zero of ``fn`` is an integrable
+    log singularity, not a NaN.
     """
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        f = pdf(x)
-        return np.where(f > 0.0, f * np.log2(np.maximum(fn(x), _LOG_FLOOR)), 0.0)
+        return np.log2(np.maximum(fn(x), _LOG_FLOOR))
 
     return sum(integrate_adaptive(integrand, a, b, bps) for a, b in regions)
 
@@ -171,136 +166,41 @@ def binary_entropy(p: float) -> float:
 
 
 @dataclass(frozen=True)
-class GriddedFunction:
-    """A function tabulated on an increasing grid, evaluated by linear
-    interpolation and clamped to the end values outside the grid."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self) -> None:
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
-        if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-            raise ValueError("grid and values must be 1-D arrays of equal length >= 2")
-        if not np.all(np.diff(xs) > 0):
-            raise ValueError("grid must be strictly increasing")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
-    def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
-        return np.interp(x, self.xs, self.ys)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self.xs[0]), float(self.xs[-1])
-
-
-@dataclass(frozen=True)
 class Pdf:
-    """Probability density on a bounded interval.
+    """Uniform law on the interval [lo, hi], lo < hi, both finite.
 
-    Parameters
-    ----------
-    lo, hi : float
-        Support endpoints, lo < hi.
-    density : callable
-        Vectorized density function; nonnegative on the support.
-    breakpoints : tuple of float
-        Interior seams of piecewise definitions, passed to the quadrature.
+    Every closed form downstream (sensitivity profiles, message laws,
+    the conditional-expectation decoder) assumes iid uniform(0, 1)
+    sensors, so this is the only source law; its CDF, inverse CDF,
+    interval masses and samples are exact.
     """
 
     lo: float
     hi: float
-    density: Callable[[np.ndarray], np.ndarray]
-    breakpoints: tuple[float, ...] = ()
-    _cdf_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (self.hi > self.lo):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.hi <= self.lo:
             raise ValueError(f"degenerate support [{self.lo}, {self.hi}]")
-        total = self.integrate(self.lo, self.hi)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"density integrates to {total!r}, not 1")
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def uniform(lo: float = 0.0, hi: float = 1.0) -> "Pdf":
-        width = hi - lo
-        pdf = Pdf(lo, hi, lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / width))
-        # The CDF is affine, so interpolating on its endpoints is exact.
-        pdf._cdf_cache["table"] = (np.array([lo, hi], dtype=float), np.array([0.0, 1.0]))
-        return pdf
-
-    @staticmethod
-    def from_callable(
-        fn: Callable[[np.ndarray], np.ndarray],
-        lo: float,
-        hi: float,
-        breakpoints: Sequence[float] = (),
-        normalize: bool = False,
-    ) -> "Pdf":
-        bps = tuple(sorted(p for p in breakpoints if lo < p < hi))
-        if normalize:
-            mass = integrate_adaptive(fn, lo, hi, bps)
-            if mass <= 0:
-                raise ValueError("cannot normalize a density with nonpositive mass")
-            base = fn
-            fn = lambda x, _b=base, _m=mass: np.asarray(_b(x), dtype=float) / _m
-        return Pdf(lo, hi, fn, bps)
-
-    # -- evaluation ---------------------------------------------------
-
-    def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
-        return self.density(np.asarray(x, dtype=float))
 
     def integrate(self, a: float, b: float) -> float:
-        a = max(a, self.lo)
-        b = min(b, self.hi)
-        if b <= a:
-            return 0.0
-        return integrate_adaptive(self.density, a, b, self.breakpoints)
-
-    def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._cdf_cache.get("table")
-        if cached is not None:
-            return cached
-        pieces = [self.lo, *[p for p in self.breakpoints if self.lo < p < self.hi], self.hi]
-        xs_parts = []
-        for a, b in zip(pieces[:-1], pieces[1:]):
-            n = max(16, int(DEFAULT_GRID * (b - a) / (self.hi - self.lo)))
-            xs_parts.append(np.linspace(a, b, n + 1))
-        xs = np.unique(np.concatenate(xs_parts))
-        ys = np.asarray(self.density(xs), dtype=float)
-        trapezoids = np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0
-        cdf = np.concatenate([[0.0], np.cumsum(trapezoids)])
-        if cdf[-1] > 0:
-            cdf = cdf / cdf[-1]
-        cdf = np.maximum.accumulate(cdf)
-        self._cdf_cache["table"] = (xs, cdf)
-        return xs, cdf
+        """Probability of [a, b]."""
+        return max(min(b, self.hi) - max(a, self.lo), 0.0) / (self.hi - self.lo)
 
     def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
-        xs, cdf = self._cdf_table()
-        return np.interp(x, xs, cdf)
+        u = (np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo)
+        return np.clip(u, 0.0, 1.0)
 
     def ppf(self, u: np.ndarray | float) -> np.ndarray | float:
-        """Inverse CDF by interpolation on the cached table."""
-        xs, cdf = self._cdf_table()
-        # Drop flat runs so np.interp sees a strictly increasing abscissa.
-        keep = np.concatenate([[True], np.diff(cdf) > 0])
-        return np.interp(u, cdf[keep], xs[keep])
+        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+        return self.lo + (self.hi - self.lo) * u
 
     def sample(self, rng: np.random.Generator, size: int | tuple | None = None):
-        """Draw samples via inverse-CDF transform of ``rng`` uniforms."""
+        """``rng.random(size)`` scaled onto [lo, hi] in place, so the unit
+        law returns the generator's draws bit for bit."""
         u = rng.random(size)
-        return self.ppf(u)
-
-
-def differential_entropy(pdf: Pdf) -> float:
-    """Differential entropy of ``pdf`` in bits; integrand is 0 where f = 0."""
-    return -_log2_moment(pdf, pdf, [(pdf.lo, pdf.hi)], pdf.breakpoints)
+        u *= self.hi - self.lo
+        u += self.lo
+        return u
 
 
 def __getattr__(name: str):

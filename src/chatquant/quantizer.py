@@ -23,7 +23,6 @@ __all__ = [
     "Quantizer",
     "build_fixed_rate_quantizer",
     "output_entropy",
-    "refine_codewords_conditional_mean",
 ]
 
 # Points per smooth piece when tabulating the cumulative codeword mass.
@@ -301,26 +300,6 @@ def _largest_remainder(shares: np.ndarray, total: int, minimum: int = 0) -> np.n
     for k in order[: total - base.sum()]:
         base[k] += 1
     return base
-
-
-def refine_codewords_conditional_mean(q: Quantizer, pdf: Pdf) -> Quantizer:
-    """Replace each codeword by the source mean conditioned on its cell.
-
-    Cells with no probability mass keep their existing codewords.
-    """
-    new = q.codewords.copy()
-    for k in range(1, q.size + 1):
-        a, b = q.cell_interval(k)
-        a = max(a, pdf.lo)
-        b = min(b, pdf.hi)
-        if b <= a:
-            continue
-        mass = pdf.integrate(a, b)
-        if mass <= 0:
-            continue
-        first = integrate_adaptive(lambda x: x * pdf(x), a, b, pdf.breakpoints)
-        new[k - 1] = first / mass
-    return Quantizer(q.boundaries, new, q.dont_care_cells)
 
 
 def output_entropy(q: Quantizer, pdf: Pdf) -> float:

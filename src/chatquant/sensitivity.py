@@ -6,31 +6,24 @@ as a function of the observed value.  It measures how much a small
 quantization error at sensor n perturbs the computed output, and it is the
 weight that shapes optimal codeword densities downstream.
 
-Closed forms are provided for the max computation, both unconditional and
-conditioned on a received chat message; everything else goes through the
-Monte Carlo estimator.
+Closed forms are provided for the max computation over iid uniform(0, 1)
+sources, both unconditional and conditioned on a received chat message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .probcore import GriddedFunction
 
 __all__ = [
     "MessageDistribution",
     "SensitivityProfile",
     "max_conditional_sensitivity",
     "max_sensitivity",
-    "sensitivity_monte_carlo",
     "serial_max_message_distribution",
 ]
-
-# Grid resolution for Monte Carlo profiles.
-MC_GRID = 256
 
 
 @dataclass(frozen=True)
@@ -41,15 +34,12 @@ class SensitivityProfile:
     formula consumes it directly; ``gamma`` is a square-root view.
     ``zero_zones`` lists the maximal subintervals where the profile
     vanishes identically (don't-care regions for quantizer design).
-    Monte Carlo profiles carry their per-grid-point standard errors.
     """
 
     support: tuple[float, float]
     gamma_sq: Callable[[np.ndarray], np.ndarray]
     zero_zones: tuple[tuple[float, float], ...] = ()
     breakpoints: tuple[float, ...] = ()
-    grid: np.ndarray | None = field(default=None, compare=False)
-    stderr: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         lo, hi = self.support
@@ -160,62 +150,3 @@ def serial_max_message_distribution(
     if abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12:
         raise ValueError("partition must cover [0, 1]")
     return MessageDistribution(np.diff(t ** (n - 1)))
-
-
-def sensitivity_monte_carlo(
-    g_partial: Callable[[np.ndarray, int], np.ndarray],
-    joint_sampler: Callable[[np.random.Generator, int], np.ndarray],
-    n: int,
-    grid: Sequence[float],
-    samples_per_point: int = 10_000,
-    seed: int | None = None,
-) -> SensitivityProfile:
-    """Estimate a squared sensitivity profile by Monte Carlo.
-
-    Parameters
-    ----------
-    g_partial : callable
-        ``g_partial(X, n)`` evaluates the partial derivative of the
-        computation in its n-th argument (1-based) at each row of the
-        (samples, N) matrix ``X``.
-    joint_sampler : callable
-        ``joint_sampler(rng, size)`` draws a (size, N) matrix of source
-        observations.
-    n : int
-        1-based sensor index whose profile is estimated.
-    grid : sequence of float
-        Points at which the profile is evaluated; sensor n's coordinate is
-        pinned to each grid value while the others are redrawn, which is
-        the conditional law for independent sources.
-    samples_per_point : int
-        Monte Carlo draws per grid point (at least 1000).
-    seed : int, optional
-        Seeds one independent substream per grid point, so estimates do
-        not depend on evaluation order.
-
-    Returns
-    -------
-    SensitivityProfile
-        Gridded profile with per-point standard errors in ``stderr``.
-    """
-    if samples_per_point < 1_000:
-        raise ValueError("samples_per_point must be at least 1000")
-    xs = np.asarray(grid, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or not np.all(np.diff(xs) > 0):
-        raise ValueError("grid must be strictly increasing")
-    root = np.random.SeedSequence(seed)
-    means = np.empty_like(xs)
-    errs = np.empty_like(xs)
-    for i, (x, ss) in enumerate(zip(xs, root.spawn(xs.size))):
-        rng = np.random.Generator(np.random.Philox(ss))
-        draws = joint_sampler(rng, samples_per_point)
-        draws[:, n - 1] = x
-        sq = np.asarray(g_partial(draws, n), dtype=float) ** 2
-        means[i] = sq.mean()
-        errs[i] = sq.std(ddof=1) / np.sqrt(samples_per_point)
-    return SensitivityProfile(
-        (float(xs[0]), float(xs[-1])),
-        GriddedFunction(xs, means),
-        grid=xs,
-        stderr=errs,
-    )

@@ -155,10 +155,31 @@ def replay_codebooks(
 
     Returns the (trials, N) matrix of incoming chat messages.  By C1-C4
     this must equal the encoder side's messages on every trial.  Raises
-    ``ValueError`` on an index that is not a cell of the codebook its
+    ``ValueError`` on indices that are not an (N,) or (trials, N) block of
+    integers, or on an index that is not a cell of the codebook its
     message selects.
     """
-    return _Protocol(spec, banks).replay(np.asarray(indices))
+    return _Protocol(spec, banks).replay(_index_block(indices, spec.n_sensors))
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as int64, or ``ValueError`` if any is not an integer."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)
+
+
+def _index_block(indices, n_sensors: int) -> np.ndarray:
+    """Fusion indices as a (trials, N) int64 block; ``indices`` may be
+    (N,) for one trial."""
+    idx = np.atleast_2d(_integers(indices, "indices"))
+    if idx.ndim != 2 or idx.shape[1] != n_sensors:
+        raise ValueError(
+            f"indices must be (N,) or (trials, N) with N = {n_sensors}, "
+            f"got shape {np.shape(indices)}"
+        )
+    return idx
 
 
 class _CellTable:
@@ -227,42 +248,40 @@ class _CellTable:
         )
 
 
-def _ce_max(spec: ChatNetworkSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """E[max of independent cell-conditioned sources], vectorized.
+def _ce_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """E[max of independent uniform sources given their cells], vectorized.
 
     E[max] = left + integral over [left, right] of 1 - prod_n F_n(t),
     with left the largest lower cell edge, right the largest upper one
-    and F_n sensor n's conditional CDF.  A sensor whose cell ends at or
-    below ``left`` has F_n = 1 there, so each trial keeps only its K
-    overlapping sensors, whose lower edges all lie at or below ``left``.
+    and F_n(t) = (t - lo_n) / (hi_n - lo_n) sensor n's conditional CDF.
+    A sensor whose cell ends at or below ``left`` has F_n = 1 there, so
+    each trial keeps only its K overlapping sensors, whose lower edges all
+    lie at or below ``left``.
     The integrand is then smooth between the sorted upper edges of those
     K cells and the tail is taken per segment with Gauss-Legendre nodes.
-    Trials are grouped by K; for the uniform source the integrand is a
-    polynomial of degree K of the overlapping sensors and the rule is
-    exact.
+    Trials are grouped by K; the integrand is a polynomial of degree K of
+    the overlapping sensors and the rule is exact.
     """
     left = lo.max(axis=1)
     overlap = hi > left[:, None]
     k_of = overlap.sum(axis=1)
-    cdf = spec.source.cdf
     out = left.copy()
     for k in np.unique(k_of):
         rows = k_of == k
         keep = overlap[rows]
         # Boolean selection keeps row order, and each row has k hits.
-        a = cdf(lo[rows][keep].reshape(-1, k))
+        a = lo[rows][keep].reshape(-1, k)
         b = hi[rows][keep].reshape(-1, k)
-        cb = cdf(b)
         edges = np.concatenate([left[rows, None], np.sort(b, axis=1)], axis=1)
         half = (edges[:, 1:] - edges[:, :-1]) / 2.0
         mid = (edges[:, 1:] + edges[:, :-1]) / 2.0
         nodes, weights = np.polynomial.legendre.leggauss(max(4, (k + 2) // 2))
-        # ct has shape (trials in the group, segments, nodes).
-        ct = cdf(mid[:, :, None] + half[:, :, None] * nodes)
-        prod = np.ones_like(ct)
+        # t has shape (trials in the group, segments, nodes).
+        t = mid[:, :, None] + half[:, :, None] * nodes
+        prod = np.ones_like(t)
         for n in range(k):
             ca = a[:, n, None, None]
-            prod *= np.clip((ct - ca) / (cb[:, n, None, None] - ca), 0.0, 1.0)
+            prod *= np.clip((t - ca) / (b[:, n, None, None] - ca), 0.0, 1.0)
         tail = ((1.0 - prod) * weights).sum(axis=2) * half
         out[rows] += tail.sum(axis=1)
     return out
@@ -282,22 +301,18 @@ def decode(
     plug-in decoder takes the max of the per-cell codewords; the
     conditional-expectation decoder returns E[max | cells] in closed form.
     Raises ``ValueError`` for an unknown decoder, indices of another shape,
-    or a message or index outside the banks.
+    non-integer indices or messages, or a message or index outside the
+    banks.
     """
     if decoder not in (PLUG_IN, CONDITIONAL_EXPECTATION):
         raise ValueError(f"unknown decoder {decoder!r}")
-    idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
+    idx = _index_block(indices, spec.n_sensors)
     scalar = np.asarray(indices).ndim == 1
-    if idx.ndim != 2 or idx.shape[1] != spec.n_sensors:
-        raise ValueError(
-            f"indices must be (N,) or (trials, N) with N = {spec.n_sensors}, "
-            f"got shape {np.shape(indices)}"
-        )
     cells = _CellTable(banks)
     if incoming is None:
         incoming = replay_codebooks(spec, banks, idx)
     else:
-        incoming = np.atleast_2d(np.asarray(incoming, dtype=np.int64))
+        incoming = np.atleast_2d(_integers(incoming, "incoming messages"))
         if incoming.shape != idx.shape:
             raise ValueError(
                 f"incoming messages have shape {incoming.shape}, "
@@ -315,7 +330,7 @@ def decode(
             pos = cells.index(n, m, k)
             lo[:, n - 1] = cells.lower[pos]
             hi[:, n - 1] = cells.upper[pos]
-        out = _ce_max(spec, lo, hi)
+        out = _ce_max(lo, hi)
     return float(out[0]) if scalar else out
 
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: the allocation
 oracle does exhaustive dynamic programming on a rate grid, the
-sensitivity sampler does plain rejection sampling, and the
+sensitivity profiles are estimated by Monte Carlo from the partial
+derivative, the sensitivity sampler does plain rejection sampling, and the
 conditional-expectation oracle multiplies every sensor's conditional CDF
 instead of only the overlapping ones, the high-resolution constants
 are integrated pointwise by scipy's adaptive ``quad``, and the encoder and
@@ -69,6 +70,31 @@ def conditional_max_sampler(n: int, n_sensors: int, s_l: float, s_u: float):
 def max_partial(x: np.ndarray, n: int) -> np.ndarray:
     """Derivative of max in its n-th argument: indicator of being the max."""
     return (x[:, n - 1] == x.max(axis=1)).astype(float)
+
+
+def sensitivity_monte_carlo(
+    g_partial, joint_sampler, n: int, grid, samples_per_point: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo squared sensitivity of sensor ``n`` (1-based) at each
+    grid point, with its standard error.
+
+    ``joint_sampler(rng, size)`` draws a (size, N) source matrix; sensor
+    n's column is pinned to the grid value while the others stay drawn,
+    which is the conditional law for independent sources, and
+    ``g_partial(X, n)`` is the partial derivative of the computation in
+    its n-th argument at each row.  Each grid point draws from its own
+    Philox substream of ``seed``, so estimates do not depend on order.
+    """
+    xs = np.asarray(grid, dtype=float)
+    means = np.empty_like(xs)
+    errs = np.empty_like(xs)
+    for i, (x, ss) in enumerate(zip(xs, np.random.SeedSequence(seed).spawn(xs.size))):
+        draws = joint_sampler(np.random.Generator(np.random.Philox(ss)), samples_per_point)
+        draws[:, n - 1] = x
+        sq = np.asarray(g_partial(draws, n), dtype=float) ** 2
+        means[i] = sq.mean()
+        errs[i] = sq.std(ddof=1) / np.sqrt(samples_per_point)
+    return means, errs
 
 
 def ce_max_all_sensors(cdf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -151,6 +177,12 @@ def quad_integral(fn, lo: float, hi: float, points=()) -> float:
     )
 
 
+def _density(pdf):
+    """Density of the uniform source law ``pdf`` on its support."""
+    height = 1.0 / (pdf.hi - pdf.lo)
+    return lambda x: height
+
+
 def _messages(spec, n: int):
     probs = spec.message_probs(n).probabilities
     for k, p in enumerate(probs, start=1):
@@ -173,7 +205,7 @@ def _active_regions(profile) -> list[tuple[float, float]]:
 def fixed_rate_betas_quad(spec) -> np.ndarray:
     """beta_n = sum_k p_k (int_A (gamma^2 f)^(1/3))^3 / 12 by scalar quad,
     A the message's active region."""
-    f = spec.source
+    f = _density(spec.source)
     betas = np.zeros(spec.n_sensors)
     for n in range(1, spec.n_sensors + 1):
         for _k, p, prof in _messages(spec, n):
@@ -190,7 +222,7 @@ def entropy_coding_tables_quad(spec) -> list[tuple[np.ndarray, ...]]:
     """(probs, constants, active masses, gate bits) of every sensor, with
     each integral over the active region A taken by scalar quad:
     constant = P(A)/12 * 2^(2 h(X|A) + E[log2 gamma^2 | A])."""
-    f = spec.source
+    f = _density(spec.source)
     out = []
     for n in range(1, spec.n_sensors + 1):
         probs = spec.message_probs(n).probabilities

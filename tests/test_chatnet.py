@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,9 @@ def test_edge_validation():
         ChatEdge(1, 2, 0)
     with pytest.raises(ValueError):
         ChatEdge(1, 2, 2, alpha=-0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ChatEdge(1, 2, 2, alpha=bad)
 
 
 def test_graph_validation():
@@ -109,6 +113,11 @@ def test_spec_field_validation():
         ChatNetworkSpec(
             2, good.source, good.graph, good.schedule, (1.0, -1.0), good.partitions
         )
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ChatNetworkSpec(
+                2, good.source, good.graph, good.schedule, (1.0, bad), good.partitions
+            )
     with pytest.raises(ValueError):
         chain(2, 2, regime="variable-rate")
     with pytest.raises(ValueError):
@@ -374,3 +383,14 @@ def test_design_entropy_explicit_rates():
     assert design.sizes[1] == (8, 6)
     with pytest.raises(ValueError):
         design_network(spec, rates=[3.0, [3.0, 2.5, 2.0], 2.0])
+
+
+@pytest.mark.parametrize("regime", ["fixed-rate", "entropy-constrained"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_design_rejects_non_finite_rates(regime, bad):
+    spec = chain(3, 2, regime=regime)
+    with pytest.raises(ValueError, match="sensor 2: rates must be finite"):
+        design_network(spec, rates=[3.0, bad, 3.0])
+    if regime == "entropy-constrained":
+        with pytest.raises(ValueError, match="sensor 2: rates must be finite"):
+            design_network(spec, rates=[3.0, [3.0, bad], 3.0])

@@ -217,6 +217,49 @@ def test_non_unit_source_is_spec_error(tmp_path, capsys):
     assert "uniform on [0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["predict", "-N", "2", "--rates", "nan,4"],
+        ["predict", "-N", "2", "--regime", "entropy-constrained", "--rates", "4,4/inf"],
+        ["design", "-N", "3", "--rates", "3,nan,3"],
+        ["simulate", "-N", "3", "--rates", "3,-inf,3", "--trials", "100"],
+    ],
+)
+def test_non_finite_rates_exit_1(args, capsys):
+    assert main(args) == 1
+    assert "rates must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep-rc", "-N", "3", "--budget", "12", "--alpha-c", "nan"],
+        ["sweep-rc", "-N", "3", "--budget", "12", "--fusion-alpha", "inf"],
+        ["allocate", "-N", "3", "--budget", "12", "--alpha-c", "inf"],
+        ["allocate", "-N", "3", "--budget", "12", "--fusion-alpha", "nan"],
+        ["allocate", "--spec", str(SPEC_DIR / "max4_chat.txt"), "--budget", "16",
+         "--alpha-c", "nan"],
+        ["allocate", "--spec", str(SPEC_DIR / "max4_chat.txt"), "--budget", "16",
+         "--fusion-alpha", "nan"],
+    ],
+)
+def test_non_finite_link_costs_exit_1(args, capsys):
+    assert main(args) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line", ["edge = 1 2 4 nan", "edge = 1 2 4 inf", "fusion_alpha = 1 nan"]
+)
+def test_non_finite_link_cost_in_spec_is_spec_error(line, tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(f"N = 2\n{line}\n")
+    assert main(["validate", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error:") and "must be finite" in err
+
+
 def test_sweep_rc_stdout_and_csv(tmp_path, capsys):
     assert main(["sweep-rc", "-N", "3", "--budget", "12", "--rc-max", "2"]) == 0
     out = capsys.readouterr().out
@@ -239,6 +282,13 @@ def test_sweep_p1(capsys):
     out = capsys.readouterr().out
     assert out.count("p1 ") == 3
     assert "ratio" in out
+
+
+@pytest.mark.parametrize("step", ["0", "1", "-0.1", "1.5", "nan", "inf"])
+def test_sweep_p1_rejects_bad_step(step, capsys):
+    assert main(["sweep-p1", "-N", "3", "--budget", "12", "--step", step]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --step must be inside (0, 1)")
 
 
 def test_scenarios_command(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,9 @@ from chatquant.distortion import (
     fixed_rate_message_moments,
     hr_fmse_entropy_chat,
     hr_fmse_fixed_rate_chat,
-    hr_mse,
     optimal_density_entropy,
     optimal_density_fixed_rate,
 )
-from chatquant.probcore import Pdf
 from chatquant.quantizer import PointDensity
 from chatquant.sensitivity import SensitivityProfile, max_sensitivity
 
@@ -32,38 +32,34 @@ def chat5():
     return ChatNetworkSpec.serial_max(5, 2)
 
 
-# -- hr_mse ---------------------------------------------------------------
+# -- high-resolution MSE of one sensor --------------------------------------
+#
+# A single sensor has the flat profile gamma^2 = 1, so its fixed-rate
+# prediction under an explicit point density is the plain high-resolution
+# MSE E[lambda^-2] / (12 K^2).
 
 
 def test_hr_mse_uniform():
-    dens = PointDensity.uniform(0.0, 1.0)
-    pdf = Pdf.uniform(0.0, 1.0)
-    assert hr_mse(4, dens, pdf) == pytest.approx(1.0 / 192.0)
-    assert hr_mse(1, dens, pdf) == pytest.approx(1.0 / 12.0)
-
-
-def test_hr_mse_companded_triangular():
-    # Source f = 2x; the cube-root-shaped density gives E[1/lambda^2] = 27/32.
-    pdf = Pdf.from_callable(lambda x: 2.0 * x, 0.0, 1.0)
-    dens = optimal_density_fixed_rate(flat_profile(), pdf)
-    assert hr_mse(8, dens, pdf) == pytest.approx((27.0 / 32.0) / (12.0 * 64.0))
+    spec = ChatNetworkSpec.serial_max(1, 1)
+    dens = {(1, 1): PointDensity.uniform(0.0, 1.0)}
+    assert hr_fmse_fixed_rate_chat(spec, dens, [2.0]).total == pytest.approx(1.0 / 192.0)
+    assert hr_fmse_fixed_rate_chat(spec, dens, [0.0]).total == pytest.approx(1.0 / 12.0)
 
 
 def test_hr_mse_rejects_mass_in_zero_zone():
-    pdf = Pdf.uniform(0.0, 1.0)
+    # The density vanishes on [0, 1/2], where the source has mass under
+    # positive weight, so the moment diverges.
     dens = PointDensity.from_proportional(
         lambda x: np.where(np.asarray(x) > 0.5, 1.0, 0.0),
         0.0,
         1.0,
         zero_zones=((0.0, 0.5),),
     )
+    spec = ChatNetworkSpec.serial_max(1, 1)
     with pytest.raises(UndefinedDistortionError):
-        hr_mse(4, dens, pdf)
-
-
-def test_hr_mse_validates_size():
-    with pytest.raises(ValueError):
-        hr_mse(0, PointDensity.uniform(0.0, 1.0), Pdf.uniform(0.0, 1.0))
+        hr_fmse_fixed_rate_chat(spec, {(1, 1): dens}, [2.0])
+    with pytest.raises(UndefinedDistortionError):
+        hr_fmse_entropy_chat(spec.with_regime("entropy-constrained"), {(1, 1): dens}, [2.0])
 
 
 # -- optimal densities ----------------------------------------------------
@@ -71,8 +67,7 @@ def test_hr_mse_validates_size():
 
 def test_optimal_density_fixed_rate_shape():
     # gamma^2 = x^2 over a uniform source: lambda proportional to x^(2/3).
-    pdf = Pdf.uniform(0.0, 1.0)
-    dens = optimal_density_fixed_rate(max_sensitivity(3), pdf)
+    dens = optimal_density_fixed_rate(max_sensitivity(3))
     xs = np.array([0.2, 0.5, 0.9])
     want = (5.0 / 3.0) * xs ** (2.0 / 3.0)
     assert np.allclose(dens(xs), want, rtol=1e-9)
@@ -90,7 +85,7 @@ def test_optimal_density_rejects_empty_profile():
     with pytest.raises(UndefinedDistortionError):
         optimal_density_entropy(dead)
     with pytest.raises(UndefinedDistortionError):
-        optimal_density_fixed_rate(dead, Pdf.uniform(0.0, 1.0))
+        optimal_density_fixed_rate(dead)
 
 
 # -- fixed-rate network forms ----------------------------------------------
@@ -139,7 +134,7 @@ def test_fixed_rate_chat_with_explicit_densities():
         probs = spec.message_probs(n).probabilities
         for k in range(1, probs.size + 1):
             densities[(n, k)] = optimal_density_fixed_rate(
-                spec.conditional_profile(n, k), spec.source
+                spec.conditional_profile(n, k)
             )
     rates = [4.0] * 5
     a = hr_fmse_fixed_rate_chat(spec, None, rates)
@@ -152,6 +147,17 @@ def test_fixed_rate_chat_infeasible_rate():
     # codebook has no granular cell left.
     with pytest.raises(InfeasibleRateError):
         hr_fmse_fixed_rate_chat(chat5(), None, [0.0] * 5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rates_are_rejected(bad):
+    spec = chat5()
+    with pytest.raises(ValueError, match="sensor 2: rates must be finite"):
+        hr_fmse_fixed_rate_chat(spec, None, [5.0, bad, 5.0, 5.0, 5.0])
+    ent = spec.with_regime("entropy-constrained")
+    for rates in ([5.0, bad, 5.0, 5.0, 5.0], [5.0, [5.0, bad], 5.0, 5.0, 5.0]):
+        with pytest.raises(ValueError, match="sensor 2: rates must be finite"):
+            hr_fmse_entropy_chat(ent, None, rates)
 
 
 def test_nochat_reduces_to_closed_form_fixed_rate():

@@ -35,6 +35,16 @@ def test_sweep_spec_validation():
     assert sweep.params()["variable"] == "Rc"
 
 
+def test_sweeps_reject_non_finite_link_costs():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="chat cost per bit must be finite"):
+            sweep_chatting_rate(SweepSpec("Rc", (0, 1), alpha_c=bad))
+        with pytest.raises(ValueError, match="fusion costs must be finite"):
+            sweep_chatting_rate(SweepSpec("Rc", (0, 1), fusion_alpha=bad))
+        with pytest.raises(ValueError, match="fusion costs must be finite"):
+            sweep_partition(SweepSpec("p1", (0.5,), fusion_alpha=bad))
+
+
 def test_sweep_functions_check_variable():
     with pytest.raises(ValueError):
         sweep_chatting_rate(SweepSpec("p1", (0.5,)))

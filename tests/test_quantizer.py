@@ -11,7 +11,6 @@ from chatquant.quantizer import (
     Quantizer,
     build_fixed_rate_quantizer,
     output_entropy,
-    refine_codewords_conditional_mean,
 )
 
 
@@ -118,31 +117,12 @@ def test_text_roundtrip():
     assert q.dont_care_cells == q2.dont_care_cells
 
 
-def test_refine_codewords():
-    pdf = Pdf.from_callable(lambda x: 2.0 * np.asarray(x, float), 0.0, 1.0)
-    q = Quantizer(boundaries=(0.0, 1.0), codewords=(0.5,))
-    assert refine_codewords_conditional_mean(q, pdf).codewords[0] == pytest.approx(
-        2.0 / 3.0, rel=1e-6
-    )
-    q2 = Quantizer(boundaries=(0.0, 0.5, 1.0), codewords=(0.25, 0.75))
-    refined = refine_codewords_conditional_mean(q2, pdf)
-    assert refined.codewords[0] == pytest.approx(1.0 / 3.0, rel=1e-6)
-    assert refined.codewords[1] == pytest.approx(7.0 / 9.0, rel=1e-6)
-
-
-def test_refine_keeps_empty_cells():
-    pdf = Pdf.uniform(0.5, 1.0)
-    q = Quantizer(boundaries=(0.0, 0.5, 1.0), codewords=(0.25, 0.75))
-    refined = refine_codewords_conditional_mean(q, pdf)
-    assert refined.codewords[0] == 0.25  # no mass, codeword untouched
-
-
 def test_output_entropy():
     q = Quantizer(boundaries=(0.0, 0.5, 0.75, 1.0), codewords=(0.25, 0.625, 0.875))
-    assert output_entropy(q, Pdf.uniform(0.0, 1.0)) == pytest.approx(1.5, rel=1e-6)
+    assert output_entropy(q, Pdf(0.0, 1.0)) == pytest.approx(1.5, rel=1e-6)
     # Quantizer narrower than the source: tails fold into the end cells.
     q2 = Quantizer(boundaries=(0.25, 0.5, 0.75), codewords=(0.375, 0.625))
-    assert output_entropy(q2, Pdf.uniform(0.0, 1.0)) == pytest.approx(1.0, rel=1e-6)
+    assert output_entropy(q2, Pdf(0.0, 1.0)) == pytest.approx(1.0, rel=1e-6)
 
 
 @settings(max_examples=30, deadline=None)

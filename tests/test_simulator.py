@@ -132,7 +132,7 @@ def test_ce_max_matches_all_sensor_oracle(n):
     lo, hi = _cells(np.random.default_rng(n), 3_000, n)
     k_of = (hi > lo.max(axis=1)[:, None]).sum(axis=1)
     assert k_of.min() == 1 and k_of.max() == n
-    got = _ce_max(spec, lo, hi)
+    got = _ce_max(lo, hi)
     want = ce_max_all_sensors(spec.source.cdf, lo, hi)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     assert np.all((got >= lo.max(axis=1)) & (got <= hi.max(axis=1)))
@@ -183,7 +183,7 @@ def test_cell_lookup_matches_mask_loop_oracle(name):
     assert np.array_equal(cells.upper[pos], hi)
     assert np.array_equal(cells.codewords[pos], cw)
     assert np.array_equal(decode(PLUG_IN, indices, banks, spec, incoming), cw.max(axis=1))
-    assert np.array_equal(decode(CE, indices, banks, spec, incoming), _ce_max(spec, lo, hi))
+    assert np.array_equal(decode(CE, indices, banks, spec, incoming), _ce_max(lo, hi))
 
 
 @pytest.mark.parametrize("decoder", [PLUG_IN, CE])
@@ -211,6 +211,15 @@ def test_decode_rejects_out_of_range_input(decoder):
     block[37, 3] = size[4] + 1
     with pytest.raises(ValueError, match="sensor 4: index"):
         decode(decoder, block, banks, spec, np.ones_like(block))
+    # Non-integers are rejected, not truncated to a valid cell or message.
+    for incoming in (ok, None):
+        for bad in ([1.9, 1, 1, 1], [1, 1, np.nan, 1], [1.0, 1, 1, 1]):
+            with pytest.raises(ValueError, match="indices must be integers"):
+                decode(decoder, bad, banks, spec, incoming)
+    with pytest.raises(ValueError, match="incoming messages must be integers"):
+        decode(decoder, ok, banks, spec, [1, 1.5, 1, 1])
+    with pytest.raises(ValueError, match="indices must be integers"):
+        replay_codebooks(spec, banks, [[2.7, 1, 1, 1]])
 
 
 def test_replay_reports_the_first_bad_index():
