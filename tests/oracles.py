@@ -88,8 +88,10 @@ def sensitivity_monte_carlo(
     xs = np.asarray(grid, dtype=float)
     means = np.empty_like(xs)
     errs = np.empty_like(xs)
-    for i, (x, ss) in enumerate(zip(xs, np.random.SeedSequence(seed).spawn(xs.size))):
-        draws = joint_sampler(np.random.Generator(np.random.Philox(ss)), samples_per_point)
+    streams = np.random.SeedSequence(seed).spawn(xs.size)
+    for i, (x, ss) in enumerate(zip(xs, streams)):
+        rng = np.random.Generator(np.random.Philox(ss))
+        draws = joint_sampler(rng, samples_per_point)
         draws[:, n - 1] = x
         sq = np.asarray(g_partial(draws, n), dtype=float) ** 2
         means[i] = sq.mean()

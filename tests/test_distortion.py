@@ -24,10 +24,6 @@ from chatquant.sensitivity import SensitivityProfile, max_sensitivity
 from oracles import entropy_coding_tables_quad, fixed_rate_betas_quad
 
 
-def flat_profile():
-    return SensitivityProfile((0.0, 1.0), lambda x: np.ones_like(x))
-
-
 def chat5():
     return ChatNetworkSpec.serial_max(5, 2)
 
@@ -42,8 +38,8 @@ def chat5():
 def test_hr_mse_uniform():
     spec = ChatNetworkSpec.serial_max(1, 1)
     dens = {(1, 1): PointDensity.uniform(0.0, 1.0)}
-    assert hr_fmse_fixed_rate_chat(spec, dens, [2.0]).total == pytest.approx(1.0 / 192.0)
-    assert hr_fmse_fixed_rate_chat(spec, dens, [0.0]).total == pytest.approx(1.0 / 12.0)
+    for rate, mse in ((2.0, 1.0 / 192.0), (0.0, 1.0 / 12.0)):
+        assert hr_fmse_fixed_rate_chat(spec, dens, [rate]).total == pytest.approx(mse)
 
 
 def test_hr_mse_rejects_mass_in_zero_zone():
@@ -58,8 +54,9 @@ def test_hr_mse_rejects_mass_in_zero_zone():
     spec = ChatNetworkSpec.serial_max(1, 1)
     with pytest.raises(UndefinedDistortionError):
         hr_fmse_fixed_rate_chat(spec, {(1, 1): dens}, [2.0])
+    spec = spec.with_regime("entropy-constrained")
     with pytest.raises(UndefinedDistortionError):
-        hr_fmse_entropy_chat(spec.with_regime("entropy-constrained"), {(1, 1): dens}, [2.0])
+        hr_fmse_entropy_chat(spec, {(1, 1): dens}, [2.0])
 
 
 # -- optimal densities ----------------------------------------------------

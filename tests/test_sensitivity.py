@@ -85,7 +85,9 @@ def test_monte_carlo_recovers_unconditional_profile():
         return rng.random((size, n_sensors))
 
     grid = np.linspace(0.05, 0.95, 19)
-    means, stderr = sensitivity_monte_carlo(max_partial, sampler, n, grid, 4_000, seed=11)
+    means, stderr = sensitivity_monte_carlo(
+        max_partial, sampler, n, grid, 4_000, seed=11
+    )
     closed = grid ** (n_sensors - 1)
     dev = np.abs(means - closed)
     assert np.all(dev <= 5.0 * np.maximum(stderr, 1e-12))
@@ -96,7 +98,9 @@ def test_monte_carlo_conditional_matches_closed_form():
     n, n_sensors, s_l, s_u = 3, 4, 0.5, 1.0
     sampler = conditional_max_sampler(n, n_sensors, s_l, s_u)
     grid = np.linspace(0.05, 0.95, 19)
-    means, stderr = sensitivity_monte_carlo(max_partial, sampler, n, grid, 4_000, seed=3)
+    means, stderr = sensitivity_monte_carlo(
+        max_partial, sampler, n, grid, 4_000, seed=3
+    )
     closed = np.asarray(max_conditional_sensitivity(n, n_sensors, s_l, s_u)(grid))
     dev = np.abs(means - closed)
     assert np.all(dev <= 5.0 * np.maximum(stderr, 1e-12))
