@@ -34,6 +34,9 @@ __all__ = [
 # never depends on the total trial count ahead of it or on worker layout.
 CHUNK = 65536
 
+# Most encode buckets per codebook; keeps the bucket tables to a few MB.
+_MAX_BUCKETS = 4096
+
 PLUG_IN = "plug-in"
 CONDITIONAL_EXPECTATION = "conditional-expectation"
 
@@ -72,7 +75,12 @@ class SimulationResult:
 
 
 class _Protocol:
-    """Precomputed per-edge message tables along the serial chain."""
+    """Chat message tables along the serial chain.
+
+    ``sends[e.key]`` holds, at the table position of each cell of the
+    sender's codebooks (see ``_CellTable``), the message sent on edge
+    ``e`` when the sender transmits that cell, so a chat hop is one gather.
+    """
 
     def __init__(self, spec: ChatNetworkSpec, banks: Mapping[int, Mapping[int, Quantizer]]):
         if spec.graph.edges and not spec.is_serial_chain():
@@ -89,37 +97,10 @@ class _Protocol:
         self.spec = spec
         self.banks = banks
         self.cells = _CellTable(banks)
-        self.tables = {
-            e.key: out_message_table(spec, banks, e) for e in spec.graph.edges
+        self.sends = {
+            e.key: self.cells.spread(e.src, out_message_table(spec, banks, e))
+            for e in spec.graph.edges
         }
-
-    def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Quantize a (trials, N) observation block.
-
-        Returns fusion indices and incoming chat messages, both 1-based
-        (trials, N) int64 arrays in column-major order, so each sensor's
-        column is contiguous.
-        """
-        spec = self.spec
-        x = np.asfortranarray(x)
-        indices = np.empty(x.shape, dtype=np.int64, order="F")
-        incoming = np.ones(x.shape, dtype=np.int64, order="F")
-        for n in range(1, spec.n_sensors + 1):
-            bank = self.banks[n]
-            x_col, col = x[:, n - 1], indices[:, n - 1]
-            if len(bank) == 1:
-                col[:] = bank[1].quantize(x_col)
-            else:
-                # Every message the table sends is in the bank, so the
-                # per-message rows cover the column.
-                k_col = incoming[:, n - 1]
-                for k, q in bank.items():
-                    rows = np.flatnonzero(k_col == k)
-                    if rows.size:
-                        col[rows] = q.quantize(x_col[rows])
-            for e in spec.graph.edges_out_of(n):
-                incoming[:, e.dst - 1] = self._send(e, incoming[:, n - 1], col)
-        return indices, incoming
 
     def replay(self, indices: np.ndarray) -> np.ndarray:
         """Incoming messages recomputed from fusion indices alone.
@@ -130,20 +111,91 @@ class _Protocol:
         spec = self.spec
         incoming = np.ones_like(indices)
         for n in range(1, spec.n_sensors + 1):
-            m, k = indices[:, n - 1], incoming[:, n - 1]
-            self.cells.index(n, m, k)
+            pos = self.cells.index(n, indices[:, n - 1], incoming[:, n - 1])
             for e in spec.graph.edges_out_of(n):
-                incoming[:, e.dst - 1] = self._send(e, k, m)
+                incoming[:, e.dst - 1] = self.sends[e.key][pos]
         return incoming
 
-    def _send(self, e: ChatEdge, k_col: np.ndarray, m_col: np.ndarray) -> np.ndarray:
-        """Message sent on edge ``e`` by a sender that received ``k_col``
-        and transmitted index ``m_col``, by one flat table gather."""
-        table = self.tables[e.key]
-        pos = k_col * table.shape[1]
-        pos += m_col
-        pos -= table.shape[1] + 1
-        return table.ravel()[pos]
+
+class _Encoder(_Protocol):
+    """The protocol plus bucket tables that find each sensor's cells.
+
+    The unit interval is cut into ``scale`` equal buckets: the smallest
+    power of two at or above 1 / (narrowest cell), capped at
+    ``_MAX_BUCKETS``, so x * scale is exact and a bucket is floor(x *
+    scale).  ``starts[n-1][(k-1)*scale + b]`` is the table position of the
+    cell, in the codebook message k selects at sensor n, that holds bucket
+    b's left end: cell 1 plus the interior boundaries in lower buckets.
+    The first bucket takes every x below it and the last every x above
+    it, as the clamping of ``Quantizer.quantize`` does.  ``upper`` holds
+    each cell's upper edge and +inf for the last cell of every codebook,
+    so the correction step ``pos += upper[pos] < x`` never leaves a
+    codebook.  Inputs and boundaries are bucketed by the same monotone
+    ``_buckets``, so the start is never past x's cell and falls short by
+    at most the interior boundaries x's bucket holds; ``steps[n-1]``, the
+    most any bucket of the sensor holds, lands every x on the cell
+    ``Quantizer.quantize`` gives.
+    """
+
+    def __init__(self, spec: ChatNetworkSpec, banks: Mapping[int, Mapping[int, Quantizer]]):
+        super().__init__(spec, banks)
+        cells = self.cells
+        codebooks = [q for bank in banks.values() for q in bank.values()]
+        narrowest = min(np.diff(q.boundaries).min() for q in codebooks)
+        scale = 1
+        while scale < _MAX_BUCKETS and scale * narrowest < 1.0:
+            scale *= 2
+        self.scale = scale
+        self.upper = np.full(cells.lower.size, np.inf)
+        # Position p holds cell p % stride + 1 of its codebook.
+        self.cell_no = np.arange(cells.lower.size, dtype=np.int64) % cells.stride + 1
+        self.starts: list[np.ndarray] = []
+        self.steps: list[int] = []
+        for n in range(1, spec.n_sensors + 1):
+            starts = np.empty(len(banks[n]) * scale, dtype=np.int64)
+            steps = 0
+            for k, q in banks[n].items():
+                first = cells.position(n, k)
+                self.upper[first : first + q.size - 1] = q.boundaries[1:-1]
+                inner = _buckets(q.boundaries[1:-1], scale)
+                starts[(k - 1) * scale : k * scale] = first + np.searchsorted(
+                    inner, np.arange(scale), side="left"
+                )
+                steps = max(steps, int(np.bincount(inner).max(initial=0)))
+            self.starts.append(starts)
+            self.steps.append(steps)
+
+    def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Quantize a (trials, N) observation block.
+
+        Returns fusion indices and incoming chat messages, both 1-based
+        (trials, N) int64 arrays in column-major order, so each sensor's
+        column is contiguous.  Indices equal those of ``Quantizer.quantize``
+        with the codebook each trial's message selects.
+        """
+        spec = self.spec
+        x = np.asfortranarray(x)
+        indices = np.empty(x.shape, dtype=np.int64, order="F")
+        incoming = np.ones(x.shape, dtype=np.int64, order="F")
+        for n in range(1, spec.n_sensors + 1):
+            x_col = x[:, n - 1]
+            key = _buckets(x_col, self.scale)
+            if len(self.banks[n]) > 1:
+                key += (incoming[:, n - 1] - 1) * self.scale
+            pos = self.starts[n - 1][key]
+            for _ in range(self.steps[n - 1]):
+                pos += self.upper[pos] < x_col
+            np.take(self.cell_no, pos, out=indices[:, n - 1])
+            for e in spec.graph.edges_out_of(n):
+                incoming[:, e.dst - 1] = self.sends[e.key][pos]
+        return indices, incoming
+
+
+def _buckets(x: np.ndarray, scale: int) -> np.ndarray:
+    """floor(x * scale) clamped to 0..scale-1, as int64."""
+    b = np.multiply(x, scale)
+    np.clip(b, 0, scale - 1, out=b)
+    return b.astype(np.int64)
 
 
 def replay_codebooks(
@@ -215,6 +267,19 @@ class _CellTable:
         self.codewords = codewords.ravel()
         self.is_cell = is_cell.ravel()
         self.row = self.sizes.shape[1] * self.stride
+
+    def position(self, n: int, k: int) -> int:
+        """Table position of cell 1 of the codebook message ``k`` selects
+        at sensor ``n``."""
+        return (n - 1) * self.row + (k - 1) * self.stride
+
+    def spread(self, n: int, table: np.ndarray) -> np.ndarray:
+        """A (message, cell) table of sensor ``n``, entry [k-1, m-1] moved
+        to the position of cell m of codebook k; zero elsewhere."""
+        out = np.zeros(self.lower.size, dtype=table.dtype)
+        block = out[(n - 1) * self.row : n * self.row].reshape(-1, self.stride)
+        block[: table.shape[0], : table.shape[1]] = table
+        return out
 
     def index(self, n: int, m: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Table positions of cells ``m`` of the codebooks that messages
@@ -335,7 +400,7 @@ def decode(
 
 
 def _encode_chunk(
-    spec: ChatNetworkSpec, proto: _Protocol, trials: int, seed: int, c: int
+    spec: ChatNetworkSpec, proto: _Encoder, trials: int, seed: int, c: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sources, fusion indices and incoming messages of chunk ``c``, drawn
     from its own substream of ``seed``."""
@@ -368,7 +433,7 @@ def run_simulation(
         raise ValueError("need at least one trial")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    proto = _Protocol(spec, banks)
+    proto = _Encoder(spec, banks)
     n_chunks = (trials + CHUNK - 1) // CHUNK
     ec_counts = _EcCounts(spec, banks) if spec.regime == ENTROPY_CONSTRAINED else None
 
@@ -510,7 +575,7 @@ def measure_entropy_rate(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    proto = _Protocol(spec, banks)
+    proto = _Encoder(spec, banks)
     counts = _EcCounts(spec, banks)
     for c in range((trials + CHUNK - 1) // CHUNK):
         _x, indices, incoming = _encode_chunk(spec, proto, trials, seed, c)

@@ -45,7 +45,7 @@ from chatquant.sensitivity import (
     max_conditional_sensitivity,
     serial_max_message_distribution,
 )
-from chatquant.simulator import PLUG_IN, _Protocol, replay_codebooks, run_simulation
+from chatquant.simulator import PLUG_IN, _Encoder, replay_codebooks, run_simulation
 
 from oracles import (
     conditional_max_sampler,
@@ -257,7 +257,7 @@ def test_criterion_6_identifiability_and_replay(capsys):
 
     banks = design_network(spec, budget=16.0).banks
     x = np.random.default_rng(123).random((100_000, 4))
-    indices, incoming = _Protocol(spec, banks).encode(x)
+    indices, incoming = _Encoder(spec, banks).encode(x)
     replayed = replay_codebooks(spec, banks, indices)
     mismatches = int(np.count_nonzero(replayed != incoming))
     ok = (

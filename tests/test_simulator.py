@@ -1,3 +1,4 @@
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from chatquant.simulator import (
     replay_codebooks,
     run_simulation,
 )
-from chatquant.simulator import _CellTable, _Protocol, _ce_max
+from chatquant.simulator import _CellTable, _EcCounts, _Encoder, _ce_max, _encode_chunk
 
 from oracles import cell_bounds_mask_loop, ce_max_all_sensors, encode_mask_loop
 
@@ -138,12 +139,38 @@ def test_ce_max_matches_all_sensor_oracle(n):
     assert np.all((got >= lo.max(axis=1)) & (got <= hi.max(axis=1)))
 
 
+# Cells of width 1e-9 put the boundaries 0.3, 0.3 + 1e-9 and 0.3 + 2e-9 in
+# one of the 4096 encode buckets, so the encoder needs three correction
+# steps there.
+TIGHT = Quantizer(
+    (0.0, 0.3, 0.3 + 1e-9, 0.3 + 2e-9, 0.7, 1.0),
+    (0.15, 0.3 + 0.5e-9, 0.3 + 1.5e-9, 0.5, 0.85),
+)
+HALVES = Quantizer((0.0, 0.5, 1.0), (0.25, 0.75))
+
+SPEC_DESIGNS = {
+    "max4_chat": ("max4_chat.txt", 16.0),
+    "max2_nochat": ("max2_nochat.txt", 4.0),
+    "max5_entropy": ("max5_entropy.txt", 25.0),
+}
+CHAIN_DESIGNS = {
+    "chain16": ((16, 2), {}, 64.0),
+    "entropy3": ((3, 2), {"regime": "entropy-constrained"}, 12.0),
+    "entropy6_rc2": ((6, 4), {"regime": "entropy-constrained"}, 30.0),
+}
+
+
+@functools.cache
 def _lookup_design(name):
-    if name == "max5_entropy":
-        spec = parse_spec_file((SPEC_DIR / "max5_entropy.txt").read_text())
-        return spec, design_network(spec, budget=25.0).banks
-    spec = chain(16, 2)
-    return spec, design_network(spec, budget=64.0).banks
+    if name == "tight":
+        return chain(2, 2), {1: {1: TIGHT}, 2: {1: TIGHT, 2: HALVES}}
+    if name in SPEC_DESIGNS:
+        file, budget = SPEC_DESIGNS[name]
+        spec = parse_spec_file((SPEC_DIR / file).read_text())
+    else:
+        args, kw, budget = CHAIN_DESIGNS[name]
+        spec = chain(*args, **kw)
+    return spec, design_network(spec, budget=budget).banks
 
 
 @pytest.mark.parametrize("name", ["max5_entropy", "chain16"])
@@ -164,7 +191,7 @@ def test_cell_lookup_matches_mask_loop_oracle(name):
         rows = rng.permutation(x.shape[0])[: 8 * special.size]
         x[rows, s - 1] = np.tile(special, 8)
 
-    indices, incoming = _Protocol(spec, banks).encode(x)
+    indices, incoming = _Encoder(spec, banks).encode(x)
     want_idx, want_inc = encode_mask_loop(spec, banks, x)
     assert indices.flags.f_contiguous and incoming.flags.f_contiguous
     assert np.array_equal(indices, want_idx)
@@ -184,6 +211,69 @@ def test_cell_lookup_matches_mask_loop_oracle(name):
     assert np.array_equal(cells.codewords[pos], cw)
     assert np.array_equal(decode(PLUG_IN, indices, banks, spec, incoming), cw.max(axis=1))
     assert np.array_equal(decode(CE, indices, banks, spec, incoming), _ce_max(lo, hi))
+
+
+def _edge_inputs(banks, n):
+    """Every boundary of sensor n's codebooks with its neighbours on both
+    sides, and inputs outside [0, 1] that clamp to the end cells."""
+    edges = np.concatenate([q.boundaries for q in banks[n].values()])
+    outside = [-np.inf, -1.0, -1e-300, np.nextafter(1.0, 2.0), 2.0, np.inf]
+    return np.concatenate(
+        [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), outside]
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["max4_chat", "max2_nochat", "max5_entropy", "chain16", "entropy6_rc2", "tight"],
+)
+def test_encode_matches_mask_loop_at_every_boundary(name):
+    spec, banks = _lookup_design(name)
+    n = spec.n_sensors
+    enc = _Encoder(spec, banks)
+    # Bucket count: the smallest power of two at or above 1 / narrowest
+    # cell, at most 4096.
+    narrowest = min(np.diff(q.boundaries).min() for b in banks.values() for q in b.values())
+    assert enc.scale & (enc.scale - 1) == 0
+    assert enc.scale == 4096 or enc.scale * narrowest >= 1.0
+    assert enc.scale == 1 or enc.scale * narrowest < 2.0
+    if name == "tight":
+        assert enc.scale == 4096 and enc.steps == [3, 3]
+
+    # Sensor by sensor, every edge input meets every incoming message the
+    # upstream columns send: rows drawn per message are copied, which keeps
+    # their messages, and take the inputs in the sensor's column.
+    rng = np.random.default_rng(5)
+    x = rng.random((20_000, n))
+    copies = 4
+    for s in range(1, n + 1):
+        values = _edge_inputs(banks, s)
+        k_col = encode_mask_loop(spec, banks, x)[1][:, s - 1]
+        blocks = [x]
+        for k in np.unique(k_col):
+            block = x[rng.choice(np.flatnonzero(k_col == k), copies * values.size)]
+            block[:, s - 1] = np.tile(values, copies)
+            blocks.append(block)
+        x = np.concatenate(blocks)
+    indices, incoming = enc.encode(x)
+    want_idx, want_inc = encode_mask_loop(spec, banks, x)
+    assert np.array_equal(indices, want_idx)
+    assert np.array_equal(incoming, want_inc)
+
+
+@pytest.mark.parametrize("name", ["max5_entropy", "entropy3"])
+def test_entropy_rate_matches_mask_loop_histogram(name):
+    # measure_entropy_rate counts what the bucket encoder emits; the same
+    # chunks encoded by the mask-loop oracle give the same rates exactly.
+    spec, banks = _lookup_design(name)
+    trials, seed = CHUNK + 5_000, 3
+    rates = measure_entropy_rate(spec, banks, trials=trials, seed=seed)
+    enc = _Encoder(spec, banks)
+    counts = _EcCounts(spec, banks)
+    for c in range(2):
+        x = _encode_chunk(spec, enc, trials, seed, c)[0]
+        counts.add(*encode_mask_loop(spec, banks, x))
+    assert rates == counts.message_rates()
 
 
 @pytest.mark.parametrize("decoder", [PLUG_IN, CE])
@@ -259,7 +349,7 @@ def test_chat_messages_track_codeword_cells():
     # the chat cells of the transmitted codewords, per the table rule.
     spec = chain(4, 4)
     banks = build_banks(spec, [8, 8, 8, 8])
-    proto = _Protocol(spec, banks)
+    proto = _Encoder(spec, banks)
     rng = np.random.default_rng(11)
     x = rng.random((5_000, 4))
     indices, incoming = proto.encode(x)
@@ -278,7 +368,7 @@ def test_chat_messages_track_codeword_cells():
 def test_replay_matches_encoder():
     spec = chain(4, 2)
     banks = build_banks(spec, [8, 8, 8, 8])
-    proto = _Protocol(spec, banks)
+    proto = _Encoder(spec, banks)
     rng = np.random.default_rng(2)
     x = rng.random((20_000, 4))
     indices, incoming = proto.encode(x)
