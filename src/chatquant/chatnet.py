@@ -35,6 +35,7 @@ from .distortion import (
     ENTROPY_CONSTRAINED,
     FIXED_RATE,
     DistortionReport,
+    InfeasibleRateError,
     _require_finite_rates,
     fixed_rate_message_moments,
     hr_fmse_entropy_chat,
@@ -571,7 +572,9 @@ def design_network(
     bit), then rounded to integer codebook sizes; when rounding overshoots
     the fixed-rate budget, sizes are walked back greedily, dropping
     whichever codeword costs the least predicted distortion per cost
-    recovered.  Rates are taken as-is (no repair) and must be finite.
+    recovered.  Rates are taken as-is (no repair) and must be finite;
+    a fixed rate that buys less than one granular cell beside the
+    don't-care cells raises ``InfeasibleRateError``.
     """
     if (budget is None) == (rates is None):
         raise ValueError("give either a budget or explicit rates")
@@ -584,6 +587,14 @@ def design_network(
         alphas = np.asarray(spec.fusion_alphas)
         moments = fixed_rate_message_moments(spec)
         min_sizes = np.array([int(dc.max()) + 1 for _p, _m, dc in moments])
+        if alloc is None:
+            # As in the prediction: a rate must buy one granular cell.
+            for n in np.flatnonzero(2.0**target < min_sizes - 1e-9):
+                raise InfeasibleRateError(
+                    f"sensor {n + 1}: rate {target[n]:g} buys "
+                    f"{2.0 ** target[n]:g} cells, less than one granular "
+                    f"cell beside {min_sizes[n] - 1} don't-care cells"
+                )
         sizes = np.maximum(np.rint(2.0**target).astype(int), min_sizes)
         if alloc is not None:
             sizes = _repair_budget(

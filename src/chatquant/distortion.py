@@ -196,7 +196,9 @@ def hr_fmse_fixed_rate_chat(
     the message distribution.  ``densities`` maps (sensor, message) to the
     point density in force; None uses the optimal density for every pair,
     for which E[(gamma/lambda)^2] collapses to the one-third quasi-norm of
-    gamma^2 f.  Raises ValueError on a non-finite rate.
+    gamma^2 f.  Raises ValueError on a non-finite rate and
+    ``InfeasibleRateError`` when 2^R_n - L_n(m) < 1, a rate that buys less
+    than one granular cell.
     """
     rates = np.asarray(rates, dtype=float)
     if rates.size != spec.n_sensors:
@@ -207,10 +209,13 @@ def hr_fmse_fixed_rate_chat(
     for n in range(1, spec.n_sensors + 1):
         for k, p, prof in _sensor_messages(spec, n):
             granular = 2.0 ** rates[n - 1] - _dont_care_count(prof)
-            if granular <= 0.0:
+            # The slack lets a rate of log2(L + 1), taken back from an
+            # integer size, keep its one granular cell.
+            if granular < 1.0 - 1e-9:
                 raise InfeasibleRateError(
-                    f"sensor {n}, message {k}: codebook of size "
-                    f"{2.0 ** rates[n - 1]:g} cannot cover the don't-care cells"
+                    f"sensor {n}, message {k}: rate {rates[n - 1]:g} buys "
+                    f"{2.0 ** rates[n - 1]:g} cells, less than one granular "
+                    f"cell beside {_dont_care_count(prof)} don't-care cells"
                 )
             if densities is None:
                 moment = _weighted_quasi_norm(prof)

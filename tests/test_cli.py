@@ -148,6 +148,23 @@ def test_predict_infeasible_rate(capsys):
     assert "flag" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["predict", "-N", "2", "--rates=-1,4"],
+        ["design", "-N", "2", "--rates=-1,4"],
+        ["simulate", "-N", "2", "--rates=-1,4", "--trials", "100"],
+        ["design", "-N", "2", "--rates=4,0.9"],
+    ],
+)
+def test_fixed_rate_below_one_granular_cell_exits_1(args, capsys):
+    # Half a codeword at sensor 1, or 1.87 codewords beside sensor 2's
+    # don't-care cell: refused as the entropy-coded regime refuses
+    # --rates=-1,4.
+    assert main(args) == 1
+    assert "less than one granular cell" in capsys.readouterr().err
+
+
 def test_design_prints_sizes_and_dumps_banks(tmp_path, capsys):
     banks = tmp_path / "banks"
     code = main(

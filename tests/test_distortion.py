@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chatquant.chatnet import ChatNetworkSpec
+from chatquant.chatnet import ChatNetworkSpec, design_network
 from chatquant.distortion import (
     DistortionReport,
     InfeasibleRateError,
@@ -144,6 +144,35 @@ def test_fixed_rate_chat_infeasible_rate():
     # codebook has no granular cell left.
     with pytest.raises(InfeasibleRateError):
         hr_fmse_fixed_rate_chat(chat5(), None, [0.0] * 5)
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        [-1.0, 4.0],  # half a cell at a sensor with no don't-care cell
+        [4.0, math.log2(1.5)],  # half a granular cell beside one don't-care
+        [4.0, 0.9],
+    ],
+)
+def test_fixed_rate_below_one_granular_cell(rates):
+    # Sensor 2 of a one-bit chain has one don't-care cell on message 2, so
+    # it needs 2^R >= 2; sensor 1 has none and needs 2^R >= 1.  The
+    # prediction and the design reject the same rates.
+    spec = ChatNetworkSpec.serial_max(2, 2)
+    with pytest.raises(InfeasibleRateError, match="less than one granular cell"):
+        hr_fmse_fixed_rate_chat(spec, None, rates)
+    with pytest.raises(InfeasibleRateError, match="less than one granular cell"):
+        design_network(spec, rates=rates)
+
+
+def test_fixed_rate_one_granular_cell_is_feasible():
+    # Exactly one granular cell, also with the rate taken back from an
+    # integer size (2**log2(3) rounds below 3).
+    spec = ChatNetworkSpec.serial_max(3, 2)
+    for rates in ([0.0, 1.0, 1.0], list(np.log2([1, 3, 3]))):
+        report = hr_fmse_fixed_rate_chat(spec, None, rates)
+        assert np.all(np.isfinite(report.per_sensor_terms))
+    assert design_network(spec, rates=[0.0, 1.0, 1.0]).sizes == (1, 2, 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
