@@ -589,7 +589,9 @@ def design_network(
         min_sizes = np.array([int(dc.max()) + 1 for _p, _m, dc in moments])
         if alloc is None:
             # As in the prediction: a rate must buy one granular cell.
-            for n in np.flatnonzero(2.0**target < min_sizes - 1e-9):
+            short = np.flatnonzero(2.0**target < min_sizes - 1e-9)
+            if short.size:
+                n = short[0]
                 raise InfeasibleRateError(
                     f"sensor {n + 1}: rate {target[n]:g} buys "
                     f"{2.0 ** target[n]:g} cells, less than one granular "

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .chatnet import ChatEdge, ChatNetworkSpec, out_message_table
+from .chatnet import ChatNetworkSpec, out_message_table
 from .distortion import ENTROPY_CONSTRAINED
 from .probcore import binary_entropy
 from .quantizer import Quantizer
@@ -140,8 +140,9 @@ class _Encoder(_Protocol):
     def __init__(self, spec: ChatNetworkSpec, banks: Mapping[int, Mapping[int, Quantizer]]):
         super().__init__(spec, banks)
         cells = self.cells
-        codebooks = [q for bank in banks.values() for q in bank.values()]
-        narrowest = min(np.diff(q.boundaries).min() for q in codebooks)
+        narrowest = min(
+            np.diff(q.boundaries).min() for bank in banks.values() for q in bank.values()
+        )
         scale = 1
         while scale < _MAX_BUCKETS and scale * narrowest < 1.0:
             scale *= 2
@@ -277,7 +278,8 @@ class _CellTable:
         """A (message, cell) table of sensor ``n``, entry [k-1, m-1] moved
         to the position of cell m of codebook k; zero elsewhere."""
         out = np.zeros(self.lower.size, dtype=table.dtype)
-        block = out[(n - 1) * self.row : n * self.row].reshape(-1, self.stride)
+        first = self.position(n, 1)
+        block = out[first : first + self.row].reshape(-1, self.stride)
         block[: table.shape[0], : table.shape[1]] = table
         return out
 
