@@ -258,12 +258,14 @@ def chat_budget_search(
     Each candidate chat rate is allocated by ``allocate`` in the spec's
     regime.  Returns the chat rate with the smallest predicted fMSE and
     its allocation.  Candidates that consume the whole budget are
-    skipped; if none survives, the budget is infeasible.
+    skipped; if none survives, the budget is infeasible.  A candidate
+    that is not a nonnegative integer raises ``ValueError``.
     """
     best: tuple[int, AllocationResult] | None = None
     for rc in rc_grid:
+        chatting = spec.with_chat_rate(rc)
         try:
-            res = allocate(spec.with_chat_rate(int(rc)), budget)
+            res = allocate(chatting, budget)
         except InfeasibleBudgetError:
             continue
         if best is None or res.predicted_distortion < best[1].predicted_distortion:

@@ -366,10 +366,14 @@ class ChatNetworkSpec:
     # -- rewriting helpers ----------------------------------------------
 
     def with_chat_rate(self, rc: int) -> "ChatNetworkSpec":
-        """Same network with every chat edge at rate rc (uniform cells)."""
-        if rc < 0:
-            raise ValueError("chat rate must be nonnegative")
-        size = 2**int(rc)
+        """Same network with every chat edge at rate rc (uniform cells).
+
+        Raises ``ValueError`` unless rc is a nonnegative whole number of
+        bits: an edge of 2**rc cells has no fractional rate.
+        """
+        if not (np.isfinite(rc) and rc >= 0 and int(rc) == rc):
+            raise ValueError(f"chat rate must be a nonnegative integer, got {rc!r}")
+        size = 2 ** int(rc)
         t = tuple(np.linspace(0.0, 1.0, size + 1))
         graph = ChatGraph(
             self.graph.nodes,

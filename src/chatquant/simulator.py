@@ -324,21 +324,30 @@ def _ce_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     A sensor whose cell ends at or below ``left`` has F_n = 1 there, so
     each trial keeps only its K overlapping sensors, whose lower edges all
     lie at or below ``left``.
-    The integrand is then smooth between the sorted upper edges of those
-    K cells and the tail is taken per segment with Gauss-Legendre nodes.
-    Trials are grouped by K; the integrand is a polynomial of degree K of
-    the overlapping sensors and the rule is exact.
+    When K = 1 only the cell with the largest lower edge reaches above
+    ``left``, the max is uniform on it, and the answer is the midpoint
+    (left + right) / 2 in closed form, taken for the whole block at once.
+    Only trials with K >= 2 are integrated: the integrand is smooth
+    between the sorted upper edges of their K cells and the tail is taken
+    per segment with Gauss-Legendre nodes.  Those trials are grouped by K;
+    the integrand is a polynomial of degree K of the overlapping sensors
+    and the rule is exact.  The cost per trial follows K, not N.
     """
     left = lo.max(axis=1)
     overlap = hi > left[:, None]
     k_of = overlap.sum(axis=1)
-    out = left.copy()
-    for k in np.unique(k_of):
-        rows = k_of == k
-        keep = overlap[rows]
-        # Boolean selection keeps row order, and each row has k hits.
-        a = lo[rows][keep].reshape(-1, k)
-        b = hi[rows][keep].reshape(-1, k)
+    out = (left + hi.max(axis=1)) / 2.0
+    multi = np.flatnonzero(k_of > 1)
+    if multi.size == 0:
+        return out
+    k_multi = k_of[multi]
+    for k in np.unique(k_multi):
+        rows = multi[k_multi == k]
+        # nonzero keeps row order, and each row has k hits.
+        r, c = np.nonzero(overlap[rows])
+        r = rows[r]
+        a = lo[r, c].reshape(-1, k)
+        b = hi[r, c].reshape(-1, k)
         edges = np.concatenate([left[rows, None], np.sort(b, axis=1)], axis=1)
         half = (edges[:, 1:] - edges[:, :-1]) / 2.0
         mid = (edges[:, 1:] + edges[:, :-1]) / 2.0
@@ -350,7 +359,7 @@ def _ce_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             ca = a[:, n, None, None]
             prod *= np.clip((t - ca) / (b[:, n, None, None] - ca), 0.0, 1.0)
         tail = ((1.0 - prod) * weights).sum(axis=2) * half
-        out[rows] += tail.sum(axis=1)
+        out[rows] = left[rows] + tail.sum(axis=1)
     return out
 
 

@@ -246,6 +246,14 @@ def test_chat_budget_search_infeasible():
         chat_budget_search(spec, 16.0, (4, 5))
 
 
+@pytest.mark.parametrize("grid", [(1.5,), (0, 2.9), (-1, 1)])
+def test_chat_budget_search_rejects_non_integer_rates(grid):
+    # A truncated 2.9 would win as rate 2 and be reported as such.
+    spec = ChatNetworkSpec.serial_max(4, 2, chat_alpha=0.01)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        chat_budget_search(spec, 16.0, grid)
+
+
 # -- the one allocation path ---------------------------------------------------
 
 

@@ -217,6 +217,17 @@ def test_rewriting_helpers():
         spec.with_chat_rate(-1)
 
 
+@pytest.mark.parametrize("rc", [1.5, 2.9, -1, float("nan"), float("inf")])
+def test_with_chat_rate_rejects_non_integer_rates(rc):
+    # 2**int(1.5) would silently build 1-bit edges.
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        chain(4, 2).with_chat_rate(rc)
+
+
+def test_with_chat_rate_accepts_integral_floats():
+    assert chain(4, 2).with_chat_rate(2.0) == chain(4, 2).with_chat_rate(2)
+
+
 def test_canonical_text_round_trip():
     spec = chain(3, 2, chat_alpha=0.25, fusion_alphas=(1.0, 2.0, 1.0))
     again = parse_spec_file(spec.canonical_text())

@@ -139,6 +139,61 @@ def test_ce_max_matches_all_sensor_oracle(n):
     assert np.all((got >= lo.max(axis=1)) & (got <= hi.max(axis=1)))
 
 
+def _ce_oracle(lo, hi):
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    got = _ce_max(lo, hi)
+    spec = parse_spec_file(f"N = {lo.shape[1]}\n")
+    assert np.allclose(got, ce_max_all_sensors(spec.source.cdf, lo, hi), rtol=0.0, atol=1e-12)
+    return got
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_ce_max_single_overlap_is_the_midpoint(n, monkeypatch):
+    # Every row has K = 1, so the block takes the closed form only and no
+    # row goes through quadrature; the answer is the midpoint of the cell
+    # with the largest lower edge, to the last bit.
+    def no_quadrature(order):
+        raise AssertionError("a K = 1 block needs no quadrature nodes")
+
+    lo, hi = _cells(np.random.default_rng(10 + n), 3_000, n)
+    lo, hi = lo[:1_000], hi[:1_000]
+    left = lo.max(axis=1)
+    assert ((hi > left[:, None]).sum(axis=1) == 1).all()
+    want = (left + hi.max(axis=1)) / 2.0
+    oracle = ce_max_all_sensors(parse_spec_file(f"N = {n}\n").source.cdf, lo, hi)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_quadrature)
+    got = _ce_max(lo, hi)
+    assert np.array_equal(got, want)
+    assert np.allclose(got, oracle, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_ce_max_without_single_overlap_rows(n):
+    lo, hi = _cells(np.random.default_rng(20 + n), 3_000, n)
+    multi = (hi > lo.max(axis=1)[:, None]).sum(axis=1) >= 2
+    lo, hi = lo[multi], hi[multi]
+    left = lo.max(axis=1)
+    k_of = (hi > left[:, None]).sum(axis=1)
+    assert len(k_of) > 1_000 and k_of.min() == 2 and k_of.max() == n
+    got = _ce_oracle(lo, hi)
+    assert np.all((got > left) & (got < hi.max(axis=1)))
+    # E[max] is at least the largest of the sensors' conditional means.
+    assert np.all(got >= ((lo + hi) / 2.0).max(axis=1) - 1e-12)
+
+
+def test_ce_max_ties_at_the_largest_lower_edge():
+    # Row 0: sensor 2's cell ends exactly at left = 0.5, so it does not
+    # overlap, K = 1, and the answer is the midpoint 0.75.  Row 1: both
+    # cells start at left = 0.5, K = 2, and E[max] = 0.5 + 2/3 * 0.5.
+    # Row 2: K = 1 next to a K = 2 row in the same block.
+    lo = [[0.5, 0.25], [0.5, 0.5], [0.0, 0.75]]
+    hi = [[1.0, 0.5], [1.0, 1.0], [0.75, 1.0]]
+    got = _ce_oracle(lo, hi)
+    assert got[0] == 0.75 and got[2] == 0.875
+    assert got[1] == pytest.approx(0.5 + 2.0 / 3.0 * 0.5, abs=1e-15)
+    assert got[1] != 0.75
+
+
 # Cells of width 1e-9 put the boundaries 0.3, 0.3 + 1e-9 and 0.3 + 2e-9 in
 # one of the 4096 encode buckets, so the encoder needs three correction
 # steps there.
