@@ -217,7 +217,7 @@ def test_rewriting_helpers():
         spec.with_chat_rate(-1)
 
 
-@pytest.mark.parametrize("rc", [1.5, 2.9, -1, float("nan"), float("inf")])
+@pytest.mark.parametrize("rc", [1.5, 2.9, float("nan"), float("inf")])
 def test_with_chat_rate_rejects_non_integer_rates(rc):
     # 2**int(1.5) would silently build 1-bit edges.
     with pytest.raises(ValueError, match="nonnegative integer"):
