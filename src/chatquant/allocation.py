@@ -6,7 +6,8 @@ a budget.  The deterministic case constrains sum(b); the probabilistic
 case (codebooks chosen per chat message) constrains the expected cost
 sum(w_i * b_i) with message probabilities as weights.  The stationarity
 condition is identical in both, so one water-filling routine serves both
-with the weights entering only through the budget.
+with the weights entering only through the budget.  Its water level is
+exact: a sort and two cumulative sums give it in O(n log n), no search.
 """
 
 from __future__ import annotations
@@ -24,21 +25,12 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "AllocationResult",
     "InfeasibleBudgetError",
-    "NonInteriorAllocationError",
     "allocate",
     "chat_budget_search",
-    "closed_form_allocation",
     "entropy_allocation",
     "probabilistic_allocation",
     "waterfill_kkt",
 ]
-
-_BISECT_ITERS = 200
-
-
-class NonInteriorAllocationError(ValueError):
-    """The interior closed form produced a nonpositive share."""
-
 
 class InfeasibleBudgetError(ValueError):
     """No candidate leaves a positive budget for the fusion links."""
@@ -102,74 +94,61 @@ def waterfill_kkt(
     weights: Sequence[float] | None = None,
     labels: tuple[tuple[int, int], ...] | None = None,
 ) -> AllocationResult:
-    """Water-fill a budget over links by the KKT conditions.
+    """Water-fill a budget over links by the KKT conditions, exactly.
 
-    Share i gets b_i = max(0, (alpha_i/2) log2((beta_i/alpha_i) / level))
-    with the water level found by bisection so the (weighted) shares sum
-    to the budget.  The weights do not enter the stationarity condition,
-    only the budget, so the same routine covers the deterministic and the
-    probabilistic problem.
+    Share i gets b_i = max(0, (alpha_i/2) log2(r_i / L)) with
+    r_i = beta_i/alpha_i.  The water level L is exact, not searched for:
+    with the links sorted by r_i, descending, the top j links alone spend
+    the budget C at
+
+        log2 L_j = (sum_{i<=j} w_i alpha_i log2 r_i - 2C) / sum_{i<=j} w_i alpha_i,
+
+    and the active set is the largest j whose weakest ratio r_j is still
+    above L_j (Boyd & Vandenberghe 2004, section 5.5.3).  When every
+    link is active this is the paper's interior closed form.  The weights
+    do not enter the stationarity condition, only the budget, so the same
+    routine covers the deterministic and the probabilistic problem.
+    """
+    return _waterfill(betas, alphas, budget, weights, labels)
+
+
+def _waterfill(betas, alphas, budget, weights, labels) -> AllocationResult:
+    """``waterfill_kkt`` itself, under a private name for in-module callers.
+
+    ``probabilistic_allocation`` solves through this name, so a per-name
+    call count of ``waterfill_kkt`` counts direct water-fillings only.
     """
     betas = np.asarray(betas, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
     w = None if weights is None else np.asarray(weights, dtype=float)
     if not np.isfinite(budget) or budget < 0:
         raise ValueError(f"budget must be finite and nonnegative, got {budget}")
-    if np.any(betas <= 0) or np.any(alphas <= 0):
-        raise ValueError("betas and alphas must be positive")
-    if w is not None and (np.any(w <= 0) or w.size != betas.size):
-        raise ValueError("weights must be positive and match the link count")
+    given = (betas, alphas) if w is None else (betas, alphas, w)
+    if any(a.ndim != 1 or a.size != betas.size for a in given):
+        raise ValueError("betas, alphas and weights must be 1-D and of one length")
+    if betas.size == 0:
+        raise ValueError("need at least one link to allocate over")
+    if not all(np.isfinite(a).all() for a in given):
+        raise ValueError("betas, alphas and weights must be finite")
+    if any((a <= 0).any() for a in given):
+        raise ValueError("betas, alphas and weights must be positive")
 
-    ratio = betas / alphas
-    wvec = np.ones_like(betas) if w is None else w
-
-    def shares(level: float) -> np.ndarray:
-        return np.maximum(0.0, alphas / 2.0 * np.log2(ratio / level))
-
-    def spent(level: float) -> float:
-        return float(np.sum(wvec * shares(level)))
-
-    hi = float(ratio.max())  # all shares zero
-    lo = float(ratio.min())
-    while spent(lo) < budget:
-        lo /= 4.0
-    for _ in range(_BISECT_ITERS):
-        mid = np.sqrt(lo * hi)  # geometric: level spans many decades
-        if spent(mid) > budget:
-            lo = mid
-        else:
-            hi = mid
-    b = shares(hi)
-    # Close the residual budget gap over the active links.
-    active = b > 0
-    residual = budget - float(np.sum(wvec * b))
-    if active.any() and abs(residual) > 0:
-        scale = alphas * active
-        b = b + residual * scale / float(np.sum(wvec * scale))
-        b = np.maximum(b, 0.0)
+    log_ratio = np.log2(betas / alphas)
+    order = np.argsort(-log_ratio, kind="stable")
+    # Logs are shifted so the largest ratio sits at 0: an active share is
+    # then a difference of numbers of the budget's size, not of the log2 r
+    # themselves, and a small budget is still spent to rounding.
+    d = log_ratio - log_ratio[order[0]]
+    sorted_d = d[order]
+    wa = (alphas if w is None else w * alphas)[order]
+    levels = (np.cumsum(wa * sorted_d) - 2.0 * budget) / np.cumsum(wa)
+    # Each L_{j+1} lies between L_j and r_{j+1}, so "r_j above L_j" holds
+    # for a prefix of j; with no budget it holds for none and L = r_1.
+    feasible = np.flatnonzero(sorted_d > levels)
+    level = levels[feasible[-1]] if feasible.size else 0.0
+    b = np.maximum(0.0, alphas / 2.0 * (d - level))
     return AllocationResult(
         b, b / alphas, _objective(betas, alphas, b, w), alphas, w, labels
-    )
-
-
-def closed_form_allocation(
-    betas: Sequence[float], alphas: Sequence[float], budget: float
-) -> AllocationResult:
-    """Interior-point allocation in closed form.
-
-    Valid only when every share comes out positive; otherwise raises
-    NonInteriorAllocationError and the caller should water-fill.
-    """
-    res = probabilistic_allocation(
-        [[b] for b in betas],
-        [[a] for a in alphas],
-        [[1.0]] * len(list(betas)),
-        budget,
-        _allow_fallback=False,
-    )
-    return AllocationResult(
-        res.b, res.rates, res.predicted_distortion, res.alphas,
-        None, tuple((i + 1, -1) for i in range(res.b.size)),
     )
 
 
@@ -178,23 +157,23 @@ def probabilistic_allocation(
     alphas: Sequence[Sequence[float]],
     message_probs: Sequence[Sequence[float]],
     budget: float,
-    _allow_fallback: bool = True,
 ) -> AllocationResult:
     """Allocate an expected budget over per-message codebooks.
 
     Link n's cost share may depend on the chat message m it received;
-    message probabilities weight both the objective and the budget.  The
-    interior solution is
+    message probabilities weight both the objective and the budget, so
+    the problem is ``waterfill_kkt`` over the flattened (link, message)
+    index set with the probabilities as weights.  Messages of probability
+    0 are dropped.  When every share is positive the solution is the
+    paper's interior form
 
         b_n(m) = (alpha_n(m)/atilde) C
                  + (alpha_n(m)/2) log2((beta_n(m)/alpha_n(m)) / G)
 
     with atilde the probability-weighted sum of alphas and G the
     probability-and-alpha-weighted geometric mean of the beta/alpha
-    ratios.  A nonpositive share invalidates the interior assumption and
-    the routine falls back to water-filling on the flattened index set.
+    ratios.
     """
-    _require_finite(budget)
     flat_b: list[float] = []
     flat_a: list[float] = []
     flat_w: list[float] = []
@@ -209,25 +188,9 @@ def probabilistic_allocation(
             flat_a.append(float(alpha))
             flat_w.append(float(p))
             labels.append((n, m))
-    bet = np.array(flat_b)
-    alp = np.array(flat_a)
-    wgt = np.array(flat_w)
-    if np.any(bet <= 0) or np.any(alp <= 0):
-        raise ValueError("betas and alphas must be positive")
-
-    atilde = float(np.sum(wgt * alp))
-    log_ratio = np.log2(bet / alp)
-    log_gmean = float(np.sum(wgt * alp * log_ratio)) / atilde
-    b = alp / atilde * budget + alp / 2.0 * (log_ratio - log_gmean)
-    if np.any(b <= 0):
-        if not _allow_fallback:
-            raise NonInteriorAllocationError(
-                "closed form produced a nonpositive share; water-fill instead"
-            )
-        return waterfill_kkt(bet, alp, budget, wgt, tuple(labels))
-    return AllocationResult(
-        b, b / alp, _objective(bet, alp, b, wgt), alp, wgt, tuple(labels)
-    )
+    if not labels:
+        raise ValueError("no message has positive probability: nothing to allocate")
+    return _waterfill(flat_b, flat_a, budget, flat_w, tuple(labels))
 
 
 def allocate(spec: "ChatNetworkSpec", budget: float) -> AllocationResult:

@@ -66,8 +66,6 @@ def _build_spec(args: argparse.Namespace) -> ChatNetworkSpec:
     """
     if args.spec is not None:
         spec = parse_spec_file(args.spec.read_text())
-        if args.chat_rate is not None:
-            spec = spec.with_chat_rate(args.chat_rate)
         if args.alpha_c is not None:
             graph = replace(
                 spec.graph,
@@ -79,13 +77,14 @@ def _build_spec(args: argparse.Namespace) -> ChatNetworkSpec:
     else:
         if args.sensors is None:
             raise SpecFormatError(0, "N", "give --spec or --sensors")
-        rc = 1 if args.chat_rate is None else args.chat_rate
         spec = ChatNetworkSpec.serial_max(
             args.sensors,
-            2**rc,
+            2,
             0.0 if args.alpha_c is None else args.alpha_c,
             1.0 if args.fusion_alpha is None else args.fusion_alpha,
         )
+    if args.chat_rate is not None:
+        spec = spec.with_chat_rate(args.chat_rate)
     if args.regime is not None:
         spec = spec.with_regime(args.regime)
     if args.p1 is not None:

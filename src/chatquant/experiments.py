@@ -64,7 +64,7 @@ class SweepSpec:
         if self.variable == "p1" and not all(0 < v < 1 for v in self.values):
             raise ValueError("partition boundaries must be inside (0, 1)")
         if self.variable == "Rc" and not all(
-            int(v) == v and v >= 0 for v in self.values
+            np.isfinite(v) and int(v) == v and v >= 0 for v in self.values
         ):
             raise ValueError("chat rates must be nonnegative integers")
 

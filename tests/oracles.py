@@ -1,7 +1,8 @@
 """Slow, independent reference implementations used only by tests.
 
 These deliberately avoid the library's own algorithms: the allocation
-oracle does exhaustive dynamic programming on a rate grid, the
+oracles do exhaustive dynamic programming on a rate grid, bisect the
+water level for 200 steps, or apply the paper's interior formula, the
 sensitivity profiles are estimated by Monte Carlo from the partial
 derivative, the sensitivity sampler does plain rejection sampling, and the
 conditional-expectation oracle multiplies every sensor's conditional CDF
@@ -44,6 +45,63 @@ def dp_allocation_oracle(
         best = new
     # The grid constrains the split but not the total: all of it is spent.
     return float(best[units])
+
+
+def bisection_waterfill(betas, alphas, budget: float, weights=None) -> np.ndarray:
+    """KKT shares with the water level found by 200 bisection steps.
+
+    Share i is max(0, (alpha_i/2) (log2(beta_i/alpha_i) - l)) for the log2
+    water level l.  The level is bisected on a log scale (a geometric
+    bisection of the level itself) from an upper end where nothing is
+    spent and a lower end pushed down until the budget is covered; the
+    residual budget gap is then spread over the active links in proportion
+    to alpha.
+    """
+    betas = np.asarray(betas, dtype=float)
+    alphas = np.asarray(alphas, dtype=float)
+    w = np.ones_like(betas) if weights is None else np.asarray(weights, dtype=float)
+    log_ratio = np.log2(betas / alphas)
+
+    def shares(level: float) -> np.ndarray:
+        return np.maximum(0.0, alphas / 2.0 * (log_ratio - level))
+
+    def spent(level: float) -> float:
+        return float(np.sum(w * shares(level)))
+
+    hi = float(log_ratio.max())
+    lo = float(log_ratio.min())
+    while spent(lo) < budget:
+        lo -= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if spent(mid) > budget:
+            lo = mid
+        else:
+            hi = mid
+    b = shares(hi)
+    active = b > 0
+    residual = budget - float(np.sum(w * b))
+    if active.any() and residual != 0:
+        scale = alphas * active
+        b = np.maximum(b + residual * scale / float(np.sum(w * scale)), 0.0)
+    return b
+
+
+def lemma_allocation(betas, alphas, budget: float, weights=None) -> np.ndarray:
+    """The paper's interior closed form, valid when every share is positive.
+
+    b_i = (alpha_i/atilde) C + (alpha_i/2) log2((beta_i/alpha_i) / G) with
+    atilde = sum w_i alpha_i and log2 G the (w alpha)-weighted mean of
+    log2(beta/alpha).  Outside the interior some shares come out negative;
+    they are returned as they are.
+    """
+    betas = np.asarray(betas, dtype=float)
+    alphas = np.asarray(alphas, dtype=float)
+    w = np.ones_like(betas) if weights is None else np.asarray(weights, dtype=float)
+    atilde = float(np.sum(w * alphas))
+    log_ratio = np.log2(betas / alphas)
+    log_gmean = float(np.sum(w * alphas * log_ratio)) / atilde
+    return alphas / atilde * budget + alphas / 2.0 * (log_ratio - log_gmean)
 
 
 def conditional_max_sampler(n: int, n_sensors: int, s_l: float, s_u: float):

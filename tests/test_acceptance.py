@@ -25,12 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from chatquant.allocation import (
-    NonInteriorAllocationError,
-    closed_form_allocation,
-    probabilistic_allocation,
-    waterfill_kkt,
-)
+from chatquant.allocation import probabilistic_allocation, waterfill_kkt
 from chatquant.chatnet import ChatNetworkSpec, design_network, parse_spec_file
 from chatquant.distortion import FIXED_RATE, ENTROPY_CONSTRAINED, closed_form_max_nochat
 from chatquant.experiments import (
@@ -48,8 +43,10 @@ from chatquant.sensitivity import (
 from chatquant.simulator import PLUG_IN, _Encoder, replay_codebooks, run_simulation
 
 from oracles import (
+    bisection_waterfill,
     conditional_max_sampler,
     dp_allocation_oracle,
+    lemma_allocation,
     max_partial,
     sensitivity_monte_carlo,
 )
@@ -129,11 +126,13 @@ def test_criterion_3_chatting_fixed_rate(capsys):
 
 def test_criterion_4_allocation_oracles(capsys):
     """Water-filling vs a 0.01-grid dynamic program on 100 random
-    instances, plus the interior closed form and the flattened weighted
-    form of the probabilistic allocation."""
+    instances, plus the 200-step bisection of the water level, the
+    interior closed form and the flattened weighted form of the
+    probabilistic allocation."""
     t0 = time.time()
     rng = np.random.default_rng(42)
     worst_gap = -np.inf
+    worst_bisect = 0.0
     worst_cf = 0.0
     interior = 0
     for _ in range(100):
@@ -144,12 +143,13 @@ def test_criterion_4_allocation_oracles(capsys):
         wf = waterfill_kkt(betas, alphas, budget)
         dp = dp_allocation_oracle(betas, alphas, budget)
         worst_gap = max(worst_gap, wf.predicted_distortion - dp)
-        try:
-            cf = closed_form_allocation(betas, alphas, budget)
-        except NonInteriorAllocationError:
+        bisected = bisection_waterfill(betas, alphas, budget)
+        worst_bisect = max(worst_bisect, float(np.max(np.abs(bisected - wf.b))))
+        cf = lemma_allocation(betas, alphas, budget)
+        if np.any(cf <= 0):
             continue
         interior += 1
-        worst_cf = max(worst_cf, float(np.max(np.abs(cf.b - wf.b))))
+        worst_cf = max(worst_cf, float(np.max(np.abs(cf - wf.b))))
 
     worst_flat = 0.0
     for _ in range(20):
@@ -173,20 +173,22 @@ def test_criterion_4_allocation_oracles(capsys):
     elapsed = time.time() - t0
     ok = (
         worst_gap <= 1e-6
+        and worst_bisect <= 1e-12
         and interior >= 10
         and worst_cf <= 1e-6
-        and worst_flat <= 1e-3
+        and worst_flat <= 1e-12
         and elapsed < 60.0
     )
     report(
         capsys, 4, ok,
-        f"grid gap {worst_gap:.1e}, closed form off {worst_cf:.1e} on "
-        f"{interior} interior instances, flattened off {worst_flat:.1e} "
-        f"({elapsed:.1f}s)",
+        f"grid gap {worst_gap:.1e}, bisection off {worst_bisect:.1e}, closed "
+        f"form off {worst_cf:.1e} on {interior} interior instances, "
+        f"flattened off {worst_flat:.1e} ({elapsed:.1f}s)",
     )
     assert worst_gap <= 1e-6
+    assert worst_bisect <= 1e-12
     assert interior >= 10 and worst_cf <= 1e-6
-    assert worst_flat <= 1e-3
+    assert worst_flat <= 1e-12
     assert elapsed < 60.0
 
 

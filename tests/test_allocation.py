@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chatquant.allocation import (
     InfeasibleBudgetError,
-    NonInteriorAllocationError,
     allocate,
     chat_budget_search,
-    closed_form_allocation,
     entropy_allocation,
     probabilistic_allocation,
     waterfill_kkt,
@@ -14,7 +14,7 @@ from chatquant.allocation import (
 from chatquant.chatnet import ChatNetworkSpec, design_network
 from chatquant.distortion import fixed_rate_betas
 
-from oracles import dp_allocation_oracle
+from oracles import bisection_waterfill, dp_allocation_oracle, lemma_allocation
 
 
 # -- water-filling ----------------------------------------------------------
@@ -54,6 +54,61 @@ def test_waterfill_validation():
         waterfill_kkt([1.0, 1.0], [1.0, 1.0], 1.0, weights=[0.5])
 
 
+@pytest.mark.parametrize(
+    "betas, alphas, weights, match",
+    [
+        ([1.0, 4.0], [1.0], None, "1-D and of one length"),
+        ([[1.0, 4.0]], [[1.0, 1.0]], None, "1-D and of one length"),
+        (1.0, 1.0, None, "1-D and of one length"),
+        ([1.0, 4.0], [1.0, 1.0], [[0.5, 0.5]], "1-D and of one length"),
+        ([], [], None, "at least one link"),
+        ([np.nan, 1.0], [1.0, 1.0], None, "finite"),
+        ([np.inf, 1.0], [1.0, 1.0], None, "finite"),
+        ([1.0, 1.0], [1.0, np.inf], None, "finite"),
+        ([1.0, 1.0], [1.0, 1.0], [np.nan, 1.0], "finite"),
+        ([1.0, 1.0], [1.0, 1.0], [0.0, 1.0], "positive"),
+    ],
+)
+def test_waterfill_rejects_malformed_links(betas, alphas, weights, match):
+    with pytest.raises(ValueError, match=match):
+        waterfill_kkt(betas, alphas, 2.0, weights)
+
+
+_RATIO_EXPONENTS = st.floats(-12.0, 12.0)
+_ALPHAS = st.floats(0.1, 10.0)
+_WEIGHTS = st.floats(0.1, 1.0)
+
+
+@st.composite
+def _links(draw):
+    n = draw(st.integers(1, 6))
+    betas = [10.0 ** draw(_RATIO_EXPONENTS) for _ in range(n)]
+    alphas = [draw(_ALPHAS) for _ in range(n)]
+    weights = [draw(_WEIGHTS) for _ in range(n)] if draw(st.booleans()) else None
+    # Repeat some links verbatim: their beta/alpha ratios tie exactly.
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        betas.append(betas[i])
+        alphas.append(alphas[i])
+        if weights is not None:
+            weights.append(weights[i])
+    budget = draw(st.one_of(st.just(0.0), st.floats(1e-3, 50.0)))
+    return betas, alphas, weights, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(_links())
+@example(([1.0, 1e-6], [1.0, 1.0], None, 1.0))  # one inactive link
+@example(([1.0, 1.0, 4.0], [1.0, 1.0, 1.0], [0.3, 0.3, 1.0], 3.0))  # a tie
+@example(([2.0, 1e-12, 1e12], [1.0, 0.1, 10.0], [0.5, 1.0, 0.2], 0.0))  # no budget
+@example(([1e12, 1e-12], [0.1, 10.0], None, 1e-3))  # 24 decades apart
+def test_exact_level_matches_bisection_oracle(links):
+    betas, alphas, weights, budget = links
+    res = waterfill_kkt(betas, alphas, budget, weights)
+    ref = bisection_waterfill(betas, alphas, budget, weights)
+    assert np.allclose(res.b, ref, rtol=0.0, atol=1e-12 * max(budget, 1.0))
+    assert abs(res.budget() - budget) <= 1e-12 * budget
+
+
 def test_waterfill_beats_dp_oracle():
     # Spot check here; the acceptance suite runs the 100-instance version.
     rng = np.random.default_rng(7)
@@ -81,20 +136,24 @@ def test_waterfill_monotone_in_budget():
 
 
 def test_closed_form_equal_split():
-    res = closed_form_allocation([2.0] * 4, [1.0] * 4, 6.0)
+    assert np.allclose(lemma_allocation([2.0] * 4, [1.0] * 4, 6.0), 1.5, atol=1e-9)
+    res = waterfill_kkt([2.0] * 4, [1.0] * 4, 6.0)
     assert np.allclose(res.b, 1.5, atol=1e-9)
 
 
 def test_closed_form_matches_waterfill_interior():
-    a = closed_form_allocation([1.0, 4.0], [1.0, 1.0], 2.0)
+    a = lemma_allocation([1.0, 4.0], [1.0, 1.0], 2.0)
     b = waterfill_kkt([1.0, 4.0], [1.0, 1.0], 2.0)
-    assert np.allclose(a.b, b.b, atol=1e-6)
+    assert np.allclose(a, b.b, atol=1e-6)
 
 
 def test_closed_form_heterogeneous_costs():
     # alpha=(1,2), beta=(1,1), C=3: shares (4/3, 5/3), objective
     # 2^(-8/3) + 2^(-5/3).
-    res = closed_form_allocation([1.0, 1.0], [1.0, 2.0], 3.0)
+    assert np.allclose(
+        lemma_allocation([1.0, 1.0], [1.0, 2.0], 3.0), [4.0 / 3.0, 5.0 / 3.0], atol=1e-9
+    )
+    res = waterfill_kkt([1.0, 1.0], [1.0, 2.0], 3.0)
     assert np.allclose(res.b, [4.0 / 3.0, 5.0 / 3.0], atol=1e-9)
     want = 2.0 ** (-8.0 / 3.0) + 2.0 ** (-5.0 / 3.0)
     assert res.predicted_distortion == pytest.approx(want, rel=1e-9)
@@ -104,8 +163,11 @@ def test_closed_form_heterogeneous_costs():
 
 
 def test_closed_form_rejects_non_interior():
-    with pytest.raises(NonInteriorAllocationError):
-        closed_form_allocation([1.0, 1e-6], [1.0, 1.0], 1.0)
+    # The interior formula goes negative on the weak link; water-filling
+    # switches it off instead.
+    assert np.min(lemma_allocation([1.0, 1e-6], [1.0, 1.0], 1.0)) < 0
+    res = waterfill_kkt([1.0, 1e-6], [1.0, 1.0], 1.0)
+    assert np.array_equal(res.b, [1.0, 0.0])
 
 
 def test_lemma_agreement_random_interior():
@@ -116,12 +178,11 @@ def test_lemma_agreement_random_interior():
         betas = rng.uniform(0.1, 10.0, n)
         alphas = rng.uniform(0.5, 2.0, n)
         budget = float(rng.uniform(4.0, 10.0))
-        try:
-            cf = closed_form_allocation(betas, alphas, budget)
-        except NonInteriorAllocationError:
+        cf = lemma_allocation(betas, alphas, budget)
+        if np.any(cf <= 0):
             continue
         wf = waterfill_kkt(betas, alphas, budget)
-        assert np.allclose(cf.b, wf.b, atol=1e-6)
+        assert np.allclose(cf, wf.b, atol=1e-6)
         checked += 1
 
 
@@ -134,8 +195,8 @@ def test_probabilistic_degenerate_messages():
     res = probabilistic_allocation(
         [[b] for b in betas], [[a] for a in alphas], [[1.0]] * 3, 5.0
     )
-    ref = closed_form_allocation(betas, alphas, 5.0)
-    assert np.allclose(res.b, ref.b, atol=1e-9)
+    ref = lemma_allocation(betas, alphas, 5.0)
+    assert np.allclose(res.b, ref, atol=1e-9)
 
 
 def test_probabilistic_symmetric_messages():
@@ -160,9 +221,9 @@ def test_probabilistic_matches_flattened_weighted_kkt():
     flat = waterfill_kkt(
         [1.0, 1.0, 4.0], [1.0, 1.0, 1.0], 3.0, weights=[1.0, 0.5, 0.5]
     )
-    assert np.allclose(res.b, flat.b, atol=1e-3)
+    assert np.allclose(res.b, flat.b, rtol=0.0, atol=1e-12)
     assert res.predicted_distortion == pytest.approx(
-        flat.predicted_distortion, rel=1e-6
+        flat.predicted_distortion, rel=1e-12
     )
 
 
@@ -179,6 +240,13 @@ def test_probabilistic_drops_dead_messages():
 def test_probabilistic_rejects_ragged_rows():
     with pytest.raises(ValueError):
         probabilistic_allocation([[1.0, 2.0]], [[1.0]], [[1.0]], 2.0)
+
+
+def test_probabilistic_rejects_all_zero_probabilities():
+    with pytest.raises(ValueError, match="no message has positive probability"):
+        probabilistic_allocation(
+            [[1.0], [4.0, 2.0]], [[1.0], [1.0, 1.0]], [[0.0], [0.0, 0.0]], 2.0
+        )
 
 
 # -- network-level allocation --------------------------------------------------
@@ -288,8 +356,6 @@ def test_non_finite_budgets_are_rejected(budget, monkeypatch):
         waterfill_kkt([1.0, 4.0], [1.0, 1.0], budget)
     with pytest.raises(ValueError, match="finite"):
         probabilistic_allocation([[1.0], [4.0]], [[1.0], [1.0]], [[1.0], [1.0]], budget)
-    with pytest.raises(ValueError, match="finite"):
-        closed_form_allocation([1.0, 4.0], [1.0, 1.0], budget)
     with pytest.raises(ValueError, match="finite"):
         entropy_allocation(ChatNetworkSpec.serial_max(3, 2), budget)
     for regime in ("fixed-rate", "entropy-constrained"):

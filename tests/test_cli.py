@@ -267,6 +267,17 @@ def test_non_finite_link_costs_exit_1(args, capsys):
 
 
 @pytest.mark.parametrize(
+    "network",
+    [["--sensors", "3"], ["--spec", str(SPEC_DIR / "max4_chat.txt")]],
+)
+def test_negative_chat_rate_exits_1(network, capsys):
+    # Both network sources name the bad chat rate, not a codebook size.
+    assert main(["predict", *network, "--chat-rate", "-1", "--budget", "12"]) == 1
+    err = capsys.readouterr().err
+    assert "chat rate must be a nonnegative integer, got -1" in err
+
+
+@pytest.mark.parametrize(
     "line", ["edge = 1 2 4 nan", "edge = 1 2 4 inf", "fusion_alpha = 1 nan"]
 )
 def test_non_finite_link_cost_in_spec_is_spec_error(line, tmp_path, capsys):

@@ -27,6 +27,9 @@ def test_sweep_spec_validation():
         SweepSpec("p1", (0.0, 0.5))
     with pytest.raises(ValueError):
         SweepSpec("Rc", (0, 1.5))
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            SweepSpec("Rc", (0, bad))
     with pytest.raises(ValueError):
         SweepSpec("Rc", (0, 1), budget_per_sensor=float("nan"))
     sweep = SweepSpec("Rc", (0, 1), n_sensors=5, budget_per_sensor=3.0)
