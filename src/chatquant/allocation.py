@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .distortion import FIXED_RATE, entropy_coding_tables, fixed_rate_betas
+from .distortion import FIXED_RATE, _betas, entropy_coding_tables, fixed_rate_betas
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chatnet import ChatNetworkSpec
@@ -193,6 +193,19 @@ def probabilistic_allocation(
     return _waterfill(flat_b, flat_a, budget, flat_w, tuple(labels))
 
 
+def _fusion_budget(spec: "ChatNetworkSpec", budget: float) -> float:
+    """The budget left for the fusion links once every chat edge is
+    charged its per-bit price times its message bits."""
+    _require_finite(budget)
+    chat_cost = spec.chat_cost()
+    remaining = budget - chat_cost
+    if remaining <= 0:
+        raise InfeasibleBudgetError(
+            f"chatting cost {chat_cost:g} exhausts the budget {budget:g}"
+        )
+    return remaining
+
+
 def allocate(spec: "ChatNetworkSpec", budget: float) -> AllocationResult:
     """Charge the chat links, then split the rest by the regime's rule.
 
@@ -201,16 +214,24 @@ def allocate(spec: "ChatNetworkSpec", budget: float) -> AllocationResult:
     betas under fixed-rate coding and split per message under entropy
     coding.  Raises InfeasibleBudgetError when chatting leaves nothing.
     """
-    _require_finite(budget)
-    chat_cost = spec.chat_cost()
-    remaining = budget - chat_cost
-    if remaining <= 0:
-        raise InfeasibleBudgetError(
-            f"chatting cost {chat_cost:g} exhausts the budget {budget:g}"
-        )
+    remaining = _fusion_budget(spec, budget)
     if spec.regime == FIXED_RATE:
         return waterfill_kkt(fixed_rate_betas(spec), spec.fusion_alphas, remaining)
     return entropy_allocation(spec, remaining)
+
+
+def _allocate_from(
+    spec: "ChatNetworkSpec", remaining: float, constants: tuple[np.ndarray, ...]
+) -> AllocationResult:
+    """``allocate``'s split of the fusion budget ``remaining``, from the
+    (N, K) constants of ``distortion._chat_constants`` in the spec's
+    regime instead of integrating them again."""
+    if spec.regime == FIXED_RATE:
+        probs, _dc, norms = constants
+        return waterfill_kkt(_betas(probs, norms), spec.fusion_alphas, remaining)
+    probs, _dc, coeffs, masses, gates = constants
+    rows = zip(probs, coeffs, masses, gates)
+    return _entropy_waterfill(rows, spec.fusion_alphas, remaining)
 
 
 def chat_budget_search(
@@ -250,28 +271,31 @@ def entropy_allocation(spec: "ChatNetworkSpec", budget: float) -> AllocationResu
     ones used inside the optimization.
     """
     _require_finite(budget)
-    tables = entropy_coding_tables(spec)
-    alphas = np.asarray(spec.fusion_alphas, dtype=float)
-    betas_t, alphas_t, probs_t = [], [], []
-    for n, tab in enumerate(tables, start=1):
-        keep = tab.probs > 0
-        betas_t.append(
-            list(tab.constants[keep] * 2.0 ** (2.0 * tab.gate_bits[keep] / tab.active_mass[keep]))
-        )
-        alphas_t.append(list(alphas[n - 1] * tab.active_mass[keep]))
-        probs_t.append(list(tab.probs[keep]))
-    res = probabilistic_allocation(betas_t, alphas_t, probs_t, budget)
-    # Relabel message indices to the originals when zero-probability
-    # messages were dropped.
-    labels: list[tuple[int, int]] = []
-    for n, tab in enumerate(tables, start=1):
-        labels += [(n, k + 1) for k in np.flatnonzero(tab.probs > 0)]
-    true_alphas = np.array([alphas[n - 1] for n, _ in labels])
+    rows = [
+        (t.probs, t.constants, t.active_mass, t.gate_bits)
+        for t in entropy_coding_tables(spec)
+    ]
+    return _entropy_waterfill(rows, spec.fusion_alphas, budget)
+
+
+def _entropy_waterfill(rows, fusion_alphas, budget: float) -> AllocationResult:
+    """``entropy_allocation`` from each sensor's (probabilities,
+    coefficients, P(A), gate bits) over its messages."""
+    alphas = np.asarray(fusion_alphas, dtype=float)
+    betas, costs, weights = [], [], []
+    for alpha, (probs, coeffs, masses, gates) in zip(alphas, rows):
+        betas.append(coeffs * 2.0 ** (2.0 * gates / masses))
+        costs.append(alpha * masses)
+        weights.append(probs)
+    # probabilistic_allocation drops the messages of probability 0 and
+    # labels the rest with their original indices.
+    res = probabilistic_allocation(betas, costs, weights, budget)
+    true_alphas = alphas[[n - 1 for n, _k in res.labels]]
     return AllocationResult(
         res.b,
         res.b / true_alphas,
         res.predicted_distortion,
         true_alphas,
         res.weights,
-        tuple(labels),
+        res.labels,
     )

@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .allocation import AllocationResult, allocate
+from .allocation import AllocationResult, _allocate_from, _fusion_budget
 from .probcore import Pdf
 from .quantizer import Quantizer, build_fixed_rate_quantizer
 from .sensitivity import (
@@ -36,10 +36,10 @@ from .distortion import (
     FIXED_RATE,
     DistortionReport,
     InfeasibleRateError,
+    _entropy_report,
+    _fixed_rate_report,
     _require_finite_rates,
-    fixed_rate_message_moments,
-    hr_fmse_entropy_chat,
-    hr_fmse_fixed_rate_chat,
+    _spec_constants,
     optimal_density_entropy,
     optimal_density_fixed_rate,
 )
@@ -584,13 +584,17 @@ def design_network(
         raise ValueError("give either a budget or explicit rates")
     if rates is not None:
         _require_finite_rates(rates)
-    alloc = None if budget is None else allocate(spec, budget)
+    remaining = None if budget is None else _fusion_budget(spec, budget)
+    # Every constant is integrated once, here, and feeds the allocation,
+    # the integer sizes and the prediction alike.
+    consts = _spec_constants(spec, spec.regime)
+    alloc = None if budget is None else _allocate_from(spec, remaining, consts)
+    dont_care = consts[1]
 
     if spec.regime == FIXED_RATE:
         target = np.asarray(rates, dtype=float) if alloc is None else alloc.rates
         alphas = np.asarray(spec.fusion_alphas)
-        moments = fixed_rate_message_moments(spec)
-        min_sizes = np.array([int(dc.max()) + 1 for _p, _m, dc in moments])
+        min_sizes = dont_care.max(axis=1) + 1
         if alloc is None:
             # As in the prediction: a rate must buy one granular cell.
             short = np.flatnonzero(2.0**target < min_sizes - 1e-9)
@@ -603,11 +607,9 @@ def design_network(
                 )
         sizes = np.maximum(np.rint(2.0**target).astype(int), min_sizes)
         if alloc is not None:
-            sizes = _repair_budget(
-                sizes, min_sizes, alphas, moments, budget - spec.chat_cost()
-            )
+            sizes = _repair_budget(sizes, min_sizes, alphas, consts, remaining)
         banks = build_banks(spec, [int(s) for s in sizes])
-        predicted = hr_fmse_fixed_rate_chat(spec, None, np.log2(sizes))
+        predicted = _fixed_rate_report(*consts, np.log2(sizes))
         return NetworkDesign(
             spec, tuple(int(s) for s in sizes), banks, target, alloc, predicted
         )
@@ -637,11 +639,11 @@ def design_network(
     for n in range(1, spec.n_sensors + 1):
         row = {}
         for k, r in enumerate(rate_rows[n - 1], start=1):
-            dc = len(spec.conditional_profile(n, k).zero_zones)
+            dc = int(dont_care[n - 1, k - 1])
             row[k] = max(int(np.rint(2.0**r)), dc + 1)
         sizes_ec.append(row)
     banks = build_banks(spec, sizes_ec)
-    predicted = hr_fmse_entropy_chat(spec, None, rate_rows)
+    predicted = _entropy_report(*consts, rate_rows)
     return NetworkDesign(
         spec,
         tuple(tuple(row[k] for k in sorted(row)) for row in sizes_ec),
@@ -656,18 +658,20 @@ def _repair_budget(
     sizes: np.ndarray,
     min_sizes: np.ndarray,
     alphas: np.ndarray,
-    moments: list,
+    consts: tuple[np.ndarray, ...],
     budget: float,
 ) -> np.ndarray:
     """Shrink integer codebooks until they fit the cost budget.
 
     Each step removes the codeword with the smallest ratio of predicted
-    distortion increase to cost recovered.
+    distortion increase to cost recovered; ``consts`` are the (N, K)
+    fixed-rate (probs, don't-care counts, quasi-norms).
     """
+    probs, dont_care, norms = consts
 
     def term(n: int, size: int) -> float:
-        probs, norms, dc = moments[n]
-        return float(np.sum(probs * norms / (12.0 * (size - dc) ** 2)))
+        granular = size - dont_care[n]
+        return float(np.sum(probs[n] * norms[n] / (12.0 * granular**2)))
 
     sizes = sizes.copy()
     while float(np.sum(alphas * np.log2(sizes))) > budget + 1e-9:

@@ -14,11 +14,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .allocation import allocate
+from .allocation import _allocate_from, _fusion_budget, allocate
 from .chatnet import ChatNetworkSpec, design_network
 from .distortion import (
     ENTROPY_CONSTRAINED,
     FIXED_RATE,
+    _chat_constants,
     closed_form_max_nochat,
     fixed_rate_betas,
     hr_fmse_entropy_chat,
@@ -152,19 +153,42 @@ def sweep_partition(sweep: SweepSpec) -> list[dict]:
         sweep.n_sensors, 2, 0.0, sweep.fusion_alpha, sweep.regime
     )
     nochat = closed_form_max_nochat(sweep.n_sensors, sweep.budget, sweep.regime)
-    rows = []
-    for p1 in sweep.values:
-        spec = base.with_partition((0.0, float(p1), 1.0))
-        alloc = allocate(spec, sweep.budget)
-        rows.append(
-            {
-                "p1": float(p1),
-                "predicted_fmse": alloc.predicted_distortion,
-                "nochat_fmse": nochat,
-                "ratio": alloc.predicted_distortion / nochat,
-            }
-        )
-    return rows
+    p1s = np.array([float(p1) for p1 in sweep.values])
+    return [
+        {
+            "p1": float(p1),
+            "predicted_fmse": float(d),
+            "nochat_fmse": nochat,
+            "ratio": float(d) / nochat,
+        }
+        for p1, d in zip(p1s, _partition_grid(base, sweep.budget, p1s))
+    ]
+
+
+def _partition_grid(
+    spec: ChatNetworkSpec, budget: float, p1s: np.ndarray
+) -> np.ndarray:
+    """Predicted fMSE of ``allocate(spec.with_partition((0, p1, 1)), budget)``
+    at every p1 in ``p1s``.
+
+    The constants of every grid point come from one integration pass;
+    each point then costs one water-fill.
+    """
+    one_bit = spec.with_partition((0.0, 0.5, 1.0))
+    remaining = _fusion_budget(one_bit, budget)
+    grid = np.column_stack([np.zeros_like(p1s), p1s, np.ones_like(p1s)])
+    consts = _chat_constants(one_bit, one_bit.regime, grid)
+    allocs = (
+        _allocate_from(one_bit, remaining, [c[g] for c in consts])
+        for g in range(p1s.size)
+    )
+    return np.array([a.predicted_distortion for a in allocs])
+
+
+def _require_step(step: float) -> None:
+    """Raise ValueError unless the p1 grid step lies inside (0, 1)."""
+    if not (np.isfinite(step) and 0.0 < step < 1.0):
+        raise ValueError(f"the p1 step must be inside (0, 1), got {step!r}")
 
 
 def run_scenarios(
@@ -180,8 +204,9 @@ def run_scenarios(
     scenario 2 adds optimal rate allocation; scenario 3 also brute-force
     optimizes the partition boundary.  Improvements are the no-chat
     distortion divided by the scenario distortion at the same total cost
-    (chatting itself is free).
+    (chatting itself is free).  Raises ValueError unless 0 < p1_step < 1.
     """
+    _require_step(p1_step)
     budget = budget_per_sensor * n_sensors
     rows = []
     for regime in regimes:
@@ -219,13 +244,14 @@ def run_scenarios(
 def optimize_partition(
     spec: ChatNetworkSpec, budget: float, step: float = 0.01
 ) -> tuple[float, float]:
-    """Brute-force the one-bit partition boundary on a fixed grid."""
-    best_p1, best = 0.5, np.inf
-    for p1 in np.arange(step, 1.0, step):
-        alloc = allocate(spec.with_partition((0.0, float(p1), 1.0)), budget)
-        if alloc.predicted_distortion < best:
-            best_p1, best = float(p1), alloc.predicted_distortion
-    return best_p1, best
+    """Brute-force the one-bit partition boundary on the grid
+    step, 2 step, ... below 1; the first best point wins a tie.  Raises
+    ValueError unless 0 < step < 1."""
+    _require_step(step)
+    p1s = np.arange(step, 1.0, step)
+    fmse = _partition_grid(spec, budget, p1s)
+    best = int(np.argmin(fmse))
+    return float(p1s[best]), float(fmse[best])
 
 
 def allocation_report(
@@ -237,12 +263,16 @@ def allocation_report(
     """Optimal cost shares per link for both regimes, side by side.
 
     Fixed-rate shares are per sensor; entropy-constrained shares depend on
-    the received message, except for sensor 1 which receives none.
+    the received message, except for sensor 1 which receives none.  The
+    chat rate ``rc`` must be a nonnegative integer, as in
+    ``ChatNetworkSpec.with_chat_rate``.
     """
     budget = budget_per_sensor * n_sensors
     rows = []
     for regime in (FIXED_RATE, ENTROPY_CONSTRAINED):
-        spec = ChatNetworkSpec.serial_max(n_sensors, 2**rc, alpha_c, 1.0, regime)
+        spec = ChatNetworkSpec.serial_max(
+            n_sensors, 1, alpha_c, 1.0, regime
+        ).with_chat_rate(rc)
         alloc = allocate(spec, budget)
         for link, msg, alpha, b, rate in alloc.csv_rows():
             rows.append(

@@ -56,60 +56,90 @@ _DE_NODES = tuple(_de_nodes(level) for level in range(_DE_LEVELS + 1))
 
 
 def integrate_adaptive(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
+    fn: Callable[..., np.ndarray],
+    lo: float | np.ndarray,
+    hi: float | None = None,
     breakpoints: Sequence[float] = (),
-) -> float:
-    """Integrate ``fn`` over [lo, hi] with the tanh-sinh rule.
+) -> float | np.ndarray:
+    """Integrate one function, or rows of them, with the tanh-sinh rule.
 
-    Each level evaluates ``fn`` once, on the new nodes of every piece
-    between breakpoints, and halves the step, until two levels agree on
-    every piece to ABS_TOL / REL_TOL.  The nodes crowd towards the piece
-    ends without reaching them, so integrable endpoint singularities (a
-    cube root or a logarithm of a zero) need no special treatment.
+    Each level evaluates the integrand once, on the new nodes of every
+    piece between edges, and halves the step, until two levels agree on
+    every piece of a row to ABS_TOL / REL_TOL.  The nodes crowd towards
+    the piece ends without reaching them, so integrable endpoint
+    singularities (a cube root or a logarithm of a zero) need no special
+    treatment.
 
-    Parameters
-    ----------
-    fn : callable
-        Vectorized integrand: maps a 1-D array of abscissas to the array
-        of values (a scalar result is broadcast).
-    lo, hi : float
-        Finite integration limits, lo <= hi.
-    breakpoints : sequence of float
-        Interior points where the integrand is non-smooth (kinks, piece
-        seams).  The integral is split there so no piece straddles a
-        discontinuity.
+    ``integrate_adaptive(fn, lo, hi, breakpoints)`` integrates ``fn``, a
+    vectorized map of a 1-D array of abscissas to values (a scalar result
+    is broadcast), over [lo, hi] split at the interior ``breakpoints``
+    (kinks, piece seams), and returns a float.  lo <= hi must be finite.
 
-    Returns
-    -------
-    float
-        The integral value, accurate to roughly ABS_TOL / REL_TOL on each
-        piece.  A non-finite sum is returned as it is; a finite one that
-        has not settled after the last level raises ValueError.
+    ``integrate_adaptive(fn, edges)`` integrates R rows at once: ``edges``
+    is an (R, P+1) array whose row r holds the nondecreasing piece edges
+    of integral r, and ``fn(x, rows)`` maps an (len(rows), P, nodes) block
+    of abscissas, rows ``rows`` of ``edges``, to values of that shape (or
+    one that broadcasts to it).  Each row stops at its own level and drops
+    out of later ones; a zero-width piece contributes exactly 0, so rows
+    with fewer pieces are padded with them.  Returns the R integrals.
+
+    A non-finite sum is returned as it is; a finite one that has not
+    settled after the last level raises ValueError.
     """
+    if hi is None:
+        edges = np.asarray(lo, dtype=float)
+        if edges.ndim != 2 or edges.shape[1] < 2:
+            raise ValueError(f"row edges must be (R, P+1), P >= 1, not {edges.shape}")
+        if not np.isfinite(edges).all():
+            raise ValueError("integration limits must be finite")
+        if np.any(np.diff(edges, axis=1) < 0):
+            raise ValueError("row edges must be nondecreasing")
+        return _integrate_rows(fn, edges)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"integration limits must be finite, got [{lo}, {hi}]")
     if hi < lo:
         raise ValueError(f"empty integration range [{lo}, {hi}]")
     if hi == lo:
         return 0.0
-    edges = np.array([lo, *sorted(p for p in set(breakpoints) if lo < p < hi), hi])
-    a, b = edges[:-1, None], edges[1:, None]
+    edges = np.array([[lo, *sorted(p for p in set(breakpoints) if lo < p < hi), hi]])
+
+    def row(x: np.ndarray, _rows: np.ndarray) -> np.ndarray:
+        vals = np.asarray(fn(x.ravel()), dtype=float)
+        return np.broadcast_to(vals, (x.size,)).reshape(x.shape)
+
+    return float(_integrate_rows(row, edges)[0])
+
+
+def _integrate_rows(fn: Callable, edges: np.ndarray) -> np.ndarray:
+    """The tanh-sinh levels of ``integrate_adaptive`` over rows of edges."""
+    a, b = edges[:, :-1, None], edges[:, 1:, None]
     half = 0.5 * (b - a)
-    acc = np.zeros(edges.size - 1)
-    prev = np.full(edges.size - 1, np.inf)
+    acc = np.zeros(half.shape[:2])
+    prev = np.full(half.shape[:2], np.inf)
+    out = np.empty(edges.shape[0])
+    rows = np.arange(edges.shape[0])
     for level, (side, dist, weight) in enumerate(_DE_NODES):
-        x = np.where(side < 0, a + half * dist, b - half * dist)
-        vals = np.broadcast_to(np.asarray(fn(x.ravel()), dtype=float), (x.size,))
-        acc += vals.reshape(x.shape) @ weight
-        est = acc * half[:, 0] * (_DE_STEP / 2**level)
-        total = float(est.sum())
-        if not math.isfinite(total):
-            return total
-        if np.all(np.abs(est - prev) <= np.maximum(ABS_TOL, REL_TOL * np.abs(est))):
-            return total
-        prev = est
+        ra, rb, rh = a[rows], b[rows], half[rows]
+        x = np.where(side < 0, ra + rh * dist, rb - rh * dist)
+        vals = np.broadcast_to(np.asarray(fn(x, rows), dtype=float), x.shape)
+        # One (pieces, nodes) matrix times the weights, as for a single row.
+        acc[rows] += (vals.reshape(-1, side.size) @ weight).reshape(rh.shape[:2])
+        width = rh[:, :, 0]
+        # A zero-width piece adds exactly 0, even where fn is not finite at
+        # its point; a non-finite row stops as it is, whatever inf - inf
+        # compares to.
+        with np.errstate(invalid="ignore"):
+            est = np.where(width > 0, acc[rows] * width * (_DE_STEP / 2**level), 0.0)
+            change = np.abs(est - prev[rows])
+        total = est.sum(axis=1)
+        settled = np.all(change <= np.maximum(ABS_TOL, REL_TOL * np.abs(est)), axis=1)
+        done = settled | ~np.isfinite(total)
+        out[rows[done]] = total[done]
+        prev[rows] = est
+        rows = rows[~done]
+        if rows.size == 0:
+            return out
+    lo, hi = edges[rows[0], 0], edges[rows[0], -1]
     raise ValueError(
         f"integral over [{lo}, {hi}] did not settle after {_DE_LEVELS} levels; "
         "a kink or jump may lack a breakpoint"

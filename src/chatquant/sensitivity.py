@@ -57,6 +57,24 @@ class SensitivityProfile:
         return np.sqrt(np.maximum(self(x), 0.0))
 
 
+def _max_gamma_sq(x, anc, rest, s_l, s_u):
+    """Squared sensitivity of the max at a sensor with ``anc`` sensors
+    before it and ``rest`` after, given that the max of the ``anc`` lies
+    in [s_l, s_u]; broadcasts over all five arguments.
+
+    Below s_l the sensor is dominated for sure, between s_l and s_u it
+    matters with probability (x^anc - s_l^anc) / (s_u^anc - s_l^anc)
+    relative to the incoming max, and above s_u the conditioning is moot;
+    the x^rest factor from the later sensors holds throughout.  With
+    s_l = s_u = 0 nothing is known and the profile is x^rest.
+    """
+    tail = x**rest
+    # s_l = s_u makes the ramp 0/0, but then it is never selected.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ramp = (x**anc - s_l**anc) / (s_u**anc - s_l**anc) * tail
+    return np.where(x < s_l, 0.0, np.where(x < s_u, ramp, tail))
+
+
 def max_sensitivity(n_sensors: int) -> SensitivityProfile:
     """Profile of the max of ``n_sensors`` iid uniform(0,1) observations.
 
@@ -65,11 +83,10 @@ def max_sensitivity(n_sensors: int) -> SensitivityProfile:
     """
     if n_sensors < 1:
         raise ValueError("need at least one sensor")
-    power = n_sensors - 1
+    rest = n_sensors - 1
 
     def gamma_sq(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.ones_like(x) if power == 0 else x**power
+        return _max_gamma_sq(np.asarray(x, dtype=float), 0, rest, 0.0, 0.0)
 
     return SensitivityProfile((0.0, 1.0), gamma_sq)
 
@@ -80,11 +97,9 @@ def max_conditional_sensitivity(
     """Profile of sensor ``n`` in a serial max chain, given that the
     maximum of sensors 1..n-1 was revealed to lie in [s_l, s_u].
 
-    Three pieces: below s_l the sensor cannot matter (its observation is
-    dominated for sure), between s_l and s_u it matters with probability
-    ((x^(n-1) - s_l^(n-1)) / (s_u^(n-1) - s_l^(n-1))) relative to the
-    incoming max, and above s_u the conditioning is moot.  The ramp piece
-    keeps the x^(N-n) factor from sensors n+1..N throughout.
+    Three pieces (see ``_max_gamma_sq``): zero below s_l, a ramp of the
+    probability that x exceeds the incoming max between s_l and s_u, and
+    x^(N-n) above s_u.
     """
     if not (2 <= n <= n_sensors):
         raise ValueError(f"sensor index {n} out of range 2..{n_sensors}")
@@ -94,13 +109,9 @@ def max_conditional_sensitivity(
         )
     anc = n - 1
     rest = n_sensors - n
-    denom = s_u**anc - s_l**anc
 
     def gamma_sq(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        tail = np.ones_like(x) if rest == 0 else x**rest
-        ramp = (x**anc - s_l**anc) / denom * tail
-        return np.select([x < s_l, x < s_u], [np.zeros_like(x), ramp], tail)
+        return _max_gamma_sq(np.asarray(x, dtype=float), anc, rest, s_l, s_u)
 
     zones = ((0.0, float(s_l)),) if s_l > 0 else ()
     kinks = tuple(v for v in (float(s_l), float(s_u)) if 0.0 < v < 1.0)

@@ -7,9 +7,11 @@ sensitivity profiles are estimated by Monte Carlo from the partial
 derivative, the sensitivity sampler does plain rejection sampling, and the
 conditional-expectation oracle multiplies every sensor's conditional CDF
 instead of only the overlapping ones, the high-resolution constants
-are integrated pointwise by scipy's adaptive ``quad``, and the encoder and
+are integrated pointwise by scipy's adaptive ``quad``, the encoder and
 cell lookup mask each (sensor, message) pair's rows in turn where the
-simulator gathers from padded tables.
+simulator gathers from padded tables, and the partition grid is allocated
+one spec at a time where the sweeps integrate every point's constants in
+one pass.
 """
 
 from __future__ import annotations
@@ -310,3 +312,16 @@ def entropy_coding_tables_quad(spec) -> list[tuple[np.ndarray, ...]]:
                 gates[k - 1] = -mass * math.log2(mass) - rest * math.log2(rest)
         out.append((probs, consts, masses, gates))
     return out
+
+
+def partition_grid_loop(spec, budget: float, p1s) -> np.ndarray:
+    """Predicted fMSE of ``allocate`` at each one-bit partition (0, p1, 1),
+    one rebuilt spec and one full allocation per grid point."""
+    from chatquant.allocation import allocate
+
+    return np.array(
+        [
+            allocate(spec.with_partition((0.0, float(p1), 1.0)), budget).predicted_distortion
+            for p1 in p1s
+        ]
+    )

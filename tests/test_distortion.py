@@ -8,7 +8,6 @@ from chatquant.distortion import (
     DistortionReport,
     InfeasibleRateError,
     UndefinedDistortionError,
-    beta_fixed_rate,
     closed_form_max_nochat,
     entropy_coding_tables,
     fixed_rate_betas,
@@ -90,7 +89,7 @@ def test_optimal_density_rejects_empty_profile():
 
 def test_first_sensor_beta_closed_form():
     # Unconditional profile x^4: quasi-norm (3/7)^3, beta = (3/7)^3 / 12.
-    assert beta_fixed_rate(1, chat5()) == pytest.approx((3.0 / 7.0) ** 3 / 12.0)
+    assert fixed_rate_betas(chat5())[0] == pytest.approx((3.0 / 7.0) ** 3 / 12.0)
 
 
 FROZEN_BETAS_5 = np.array(

@@ -3,16 +3,20 @@ import csv
 import numpy as np
 import pytest
 
+from chatquant.chatnet import ChatNetworkSpec
 from chatquant.distortion import closed_form_max_nochat
 from chatquant.experiments import (
     SweepSpec,
     allocation_report,
+    optimize_partition,
     run_scenarios,
     standard_figures,
     sweep_chatting_rate,
     sweep_partition,
     write_csv,
 )
+
+from oracles import partition_grid_loop
 
 FR = "fixed-rate"
 EC = "entropy-constrained"
@@ -121,6 +125,42 @@ def test_partition_sweep_entropy_can_hurt():
     rows = sweep_partition(SweepSpec("p1", (0.2,), 10, 4.0, 0.0, 1.0, EC))
     assert rows[0]["ratio"] == pytest.approx(9.9715, rel=1e-3)
     assert rows[0]["ratio"] > 1.0
+
+
+@pytest.mark.parametrize("regime", [FR, EC])
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_partition_grid_matches_per_point_loop(n, regime):
+    # One integration pass over the grid gives what allocating every grid
+    # point from scratch gives, and the same best boundary.
+    spec = ChatNetworkSpec.serial_max(n, 2, 0.0, 1.0, regime)
+    budget = 4.0 * n
+    for step in (0.01, 0.05):
+        p1s = np.arange(step, 1.0, step)
+        want = partition_grid_loop(spec, budget, p1s)
+        best_p1, best = optimize_partition(spec, budget, step)
+        assert best_p1 == p1s[np.argmin(want)]
+        assert best == pytest.approx(want.min(), rel=1e-12, abs=0.0)
+        rows = sweep_partition(SweepSpec("p1", tuple(p1s), n, 4.0, 0.0, 1.0, regime))
+        got = np.array([r["predicted_fmse"] for r in rows])
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert [r["p1"] for r in rows] == [float(p1) for p1 in p1s]
+
+
+def test_partition_step_must_be_inside_unit_interval():
+    spec = ChatNetworkSpec.serial_max(3, 2)
+    for bad in (1.0, 1.5, 0.0, -0.01, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"must be inside \(0, 1\)"):
+            optimize_partition(spec, 12.0, bad)
+        with pytest.raises(ValueError, match=r"must be inside \(0, 1\)"):
+            run_scenarios(3, 4.0, p1_step=bad)
+
+
+def test_allocation_report_rejects_bad_chat_rates():
+    for bad in (0.5, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="chat rate must be a nonnegative integer"):
+            allocation_report(4, 4.0, bad)
+    # A whole number given as a float is a valid rate.
+    assert allocation_report(4, 4.0, 1.0) == allocation_report(4, 4.0, 1)
 
 
 SCENARIO_LADDER = {

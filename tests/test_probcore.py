@@ -50,6 +50,110 @@ def test_integrate_with_kink():
         integrate_adaptive(step, 0.0, 1.0)
 
 
+# Row integrands: kind 0 is a smooth polynomial, kind 1 a cube root that
+# vanishes at the row's first edge, kind 2 the logarithm of x, singular at
+# 0 where those rows start.
+def _row_values(x, kind, lo, coef):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.select(
+            [kind == 0, kind == 1],
+            [coef * x**2 + 1.0, np.cbrt(x - lo)],
+            coef * np.log(x),
+        )
+
+
+@st.composite
+def row_batches(draw):
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.integers(0, 2))
+        cuts = draw(
+            st.lists(
+                st.sampled_from([0.0, 0.125, 0.3, 0.5, 0.7, 1.0])
+                | st.floats(0.0, 1.0),
+                min_size=2,
+                max_size=4,
+            )
+        )
+        edges = sorted(cuts)
+        if kind == 2:
+            edges[0] = 0.0
+        rows.append((kind, draw(st.floats(0.5, 4.0)), edges))
+    pieces = max(len(e) for _k, _c, e in rows)
+    # Pad with zero-width pieces at each row's end.
+    edges = np.array([e + [e[-1]] * (pieces - len(e)) for _k, _c, e in rows])
+    kind = np.array([k for k, _c, _e in rows])
+    coef = np.array([c for _k, c, _e in rows])
+    return kind, coef, edges
+
+
+@given(row_batches())
+def test_rows_match_one_row_calls(batch):
+    kind, coef, edges = batch
+
+    def fn(x, rows):
+        r = rows[:, None, None]
+        return _row_values(x, kind[r], edges[r, 0], coef[r])
+
+    got = integrate_adaptive(fn, edges)
+    assert got.shape == (len(edges),)
+    for r in range(len(edges)):
+        one = integrate_adaptive(
+            lambda x, _rows: _row_values(x, kind[r], edges[r, 0], coef[r]),
+            edges[r : r + 1],
+        )
+        assert one.shape == (1,)
+        assert got[r] == pytest.approx(one[0], rel=1e-15, abs=0.0)
+
+
+def test_one_row_is_the_scalar_call():
+    # The scalar call is the one-row case of the same loop, bit for bit.
+    fn = lambda x: np.cbrt(np.abs(x - 0.3)) + np.log(x)
+    for edges, (lo, hi, bps) in (
+        ([0.0, 0.3, 0.6, 1.0], (0.0, 1.0, (0.6, 0.3, 1.0))),
+        ([0.2, 0.3, 0.9], (0.2, 0.9, (0.3, 0.3))),
+        ([0.3, 0.9], (0.3, 0.9, ())),
+    ):
+        (got,) = integrate_adaptive(lambda x, rows: fn(x), np.array([edges]))
+        assert got == integrate_adaptive(fn, lo, hi, bps)
+
+
+def test_rows_non_finite_row_comes_back_as_is():
+    edges = np.array([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [0.0, 1.0, 1.0]])
+    bad = {1: np.inf, 2: np.nan}
+
+    def fn(x, rows):
+        out = np.broadcast_to(3.0 * x**2, x.shape).copy()
+        for i, r in enumerate(rows):
+            if r in bad:
+                out[i] = bad[r]
+        return out
+
+    got = integrate_adaptive(fn, edges)
+    assert got[0] == pytest.approx(1.0, rel=1e-12)
+    assert got[1] == np.inf
+    assert np.isnan(got[2])
+
+
+def test_rows_jump_without_breakpoint_raises():
+    # Row 1 settles at once; row 0 jumps at 1/3 with no edge there.
+    edges = np.array([[0.0, 1.0], [0.0, 1.0]])
+
+    def fn(x, rows):
+        jump = np.where(x < 1.0 / 3.0, 0.0, 1.0)
+        return np.where(rows[:, None, None] == 0, jump, x)
+
+    with pytest.raises(ValueError, match="settle"):
+        integrate_adaptive(fn, edges)
+
+
+def test_rows_reject_bad_edges():
+    fn = lambda x, rows: x
+    for edges in ([0.0, 1.0], [[0.0, np.inf]], [[0.5, 0.2]], [[0.0]]):
+        with pytest.raises(ValueError):
+            integrate_adaptive(fn, np.array(edges))
+
+
 def test_quasi_norm_linear_density():
     # f(x) = 2x on [0,1]: (int (2x)^(1/3))^3 = 2 * (3/4)^3 = 27/32.
     assert quasi_norm_one_third(lambda x: 2.0 * x, 0.0, 1.0) == pytest.approx(
