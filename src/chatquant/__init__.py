@@ -12,7 +12,6 @@ from .probcore import (
     Pdf,
     binary_entropy,
     integrate_adaptive,
-    quasi_norm_one_third,
 )
 from .quantizer import (
     Compressor,
@@ -58,7 +57,6 @@ from .chatnet import (
     ChatEdge,
     ChatGraph,
     ChatNetworkSpec,
-    ChatState,
     NetworkDesign,
     Schedule,
     SpecFormatError,
@@ -68,7 +66,6 @@ from .chatnet import (
     design_network,
     out_message_table,
     parse_spec_file,
-    serial_max_chat_round,
     validate_identifiable,
 )
 from .simulator import (
@@ -97,7 +94,6 @@ __all__ = [
     "ChatEdge",
     "ChatGraph",
     "ChatNetworkSpec",
-    "ChatState",
     "Compressor",
     "CONDITIONAL_EXPECTATION",
     "DistortionReport",
@@ -146,11 +142,9 @@ __all__ = [
     "output_entropy",
     "parse_spec_file",
     "probabilistic_allocation",
-    "quasi_norm_one_third",
     "replay_codebooks",
     "run_scenarios",
     "run_simulation",
-    "serial_max_chat_round",
     "serial_max_message_distribution",
     "standard_figures",
     "sweep_chatting_rate",

@@ -8,7 +8,8 @@ deduce every sensor's codebook choice from the fusion-link messages alone
 causal (C2), and quantizers and outgoing messages may depend only on
 received messages and, for outgoing messages, the sensor's own
 *transmitted* codeword (C3/C4) - never on the raw observation.  The
-protocol tables built here enforce C3/C4 by construction.
+protocol tables built here enforce C3/C4 by construction.  Every chat
+edge reports the cell of the running max in one shared partition.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "ChatEdge",
     "ChatGraph",
     "ChatNetworkSpec",
-    "ChatState",
     "NetworkDesign",
     "Schedule",
     "SpecFormatError",
@@ -58,7 +58,6 @@ __all__ = [
     "design_network",
     "out_message_table",
     "parse_spec_file",
-    "serial_max_chat_round",
     "validate_identifiable",
 ]
 
@@ -186,24 +185,6 @@ def validate_identifiable(graph: ChatGraph, schedule: Schedule) -> list[Violatio
     return out
 
 
-@dataclass(frozen=True)
-class ChatState:
-    """Outcome of one chat round.
-
-    ``messages`` maps each edge to the transmitted index; ``intervals``
-    maps each sensor to the interval known to contain the running maximum
-    of its ancestors ((0, 1] when nothing was received).
-    """
-
-    messages: Mapping[tuple[int, int], int]
-    intervals: Mapping[int, tuple[float, float]]
-
-    def __post_init__(self) -> None:
-        for n, (lo, hi) in self.intervals.items():
-            if not (0.0 <= lo < hi <= 1.0):
-                raise ValueError(f"sensor {n}: bad received interval [{lo}, {hi}]")
-
-
 class SpecFormatError(ValueError):
     """Malformed network spec file; carries the offending line and key."""
 
@@ -220,8 +201,10 @@ class ChatNetworkSpec:
     Sensors observe iid draws from ``source`` (uniform on [0, 1], the
     only law the closed forms cover), chat over ``graph``
     following ``schedule``, and transmit to the fusion center over links
-    with per-bit costs ``fusion_alphas``.  ``partitions`` maps each chat
-    edge to the strictly increasing boundaries of its message cells.
+    with per-bit costs ``fusion_alphas``.  ``partition`` holds the
+    strictly increasing boundaries of the message cells that every chat
+    edge shares, so each edge's size is ``len(partition) - 1``; a network
+    without chat edges holds (0, 1).
     """
 
     n_sensors: int
@@ -229,9 +212,8 @@ class ChatNetworkSpec:
     graph: ChatGraph
     schedule: Schedule
     fusion_alphas: tuple[float, ...]
-    partitions: Mapping[tuple[int, int], tuple[float, ...]]
+    partition: tuple[float, ...]
     regime: str = FIXED_RATE
-    computation: str = "max"
 
     def __post_init__(self) -> None:
         if self.n_sensors < 1:
@@ -250,22 +232,22 @@ class ChatNetworkSpec:
             raise ValueError("the source must be uniform on [0, 1]")
         if set(self.graph.nodes) != set(range(1, self.n_sensors + 1)):
             raise ValueError("graph nodes must be sensors 1..N")
+        t = tuple(float(v) for v in self.partition)
+        if len(t) < 2 or any(b <= a for a, b in zip(t, t[1:])):
+            raise ValueError(f"partition {t} must be increasing boundaries")
+        if abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12:
+            raise ValueError(f"partition {t} must cover [0, 1]")
+        if not self.graph.edges and t != (0.0, 1.0):
+            raise ValueError(
+                f"a network without chat edges has partition (0, 1), got {t}"
+            )
         for e in self.graph.edges:
-            t = self.partitions.get(e.key)
-            if t is None:
-                raise ValueError(f"edge {e.key} has no partition")
-            t = np.asarray(t, dtype=float)
-            if t.size != e.size + 1 or not np.all(np.diff(t) > 0):
+            if e.size != len(t) - 1:
                 raise ValueError(
-                    f"edge {e.key}: partition must be {e.size + 1} increasing boundaries"
+                    f"edge {e.key} has {e.size} cells, but the shared partition "
+                    f"has {len(t) - 1}"
                 )
-            if abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12:
-                raise ValueError(f"edge {e.key}: partition must cover [0, 1]")
-        object.__setattr__(
-            self,
-            "partitions",
-            {k: tuple(float(v) for v in t) for k, t in self.partitions.items()},
-        )
+        object.__setattr__(self, "partition", t)
         object.__setattr__(self, "fusion_alphas", tuple(float(a) for a in self.fusion_alphas))
 
     # -- construction helpers -------------------------------------------
@@ -282,10 +264,12 @@ class ChatNetworkSpec:
         """The serial chain computing the max of iid uniform(0,1) sources."""
         graph = ChatGraph.serial_chain(n_sensors, chat_size, chat_alpha)
         schedule = Schedule(tuple(e.key for e in graph.edges))
-        if boundaries is None:
+        if not graph.edges:
+            t = (0.0, 1.0)
+        elif boundaries is None:
             t = tuple(np.linspace(0.0, 1.0, chat_size + 1))
         else:
-            t = tuple(float(v) for v in boundaries)
+            t = tuple(boundaries)
         if np.isscalar(fusion_alphas):
             alphas = (float(fusion_alphas),) * n_sensors
         else:
@@ -296,7 +280,7 @@ class ChatNetworkSpec:
             graph,
             schedule,
             alphas,
-            {e.key: t for e in graph.edges},
+            t,
             regime,
         )
 
@@ -311,53 +295,30 @@ class ChatNetworkSpec:
         want = tuple((i, i + 1) for i in range(1, self.n_sensors))
         return tuple(sorted(e.key for e in self.graph.edges)) == want
 
-    def shared_partition(self) -> tuple[float, ...] | None:
-        """The common partition, or None if edges disagree (or no edges)."""
-        parts = {self.partitions[e.key] for e in self.graph.edges}
-        return next(iter(parts)) if len(parts) == 1 else None
-
     # -- message structure ----------------------------------------------
 
     def message_interval(self, n: int, k: int) -> tuple[float, float]:
         """Interval for the running ancestor max implied by message k at
-        sensor n: the message's cell for shared partitions, and only a
-        lower bound (up to 1) when partitions differ per edge."""
+        sensor n: the message's cell of the partition."""
         edge = self.graph.edge_into(n)
         if edge is None:
             if k != 1:
                 raise ValueError(f"sensor {n} receives no messages")
             return (0.0, 1.0)
-        t = self.partitions[edge.key]
         if not (1 <= k <= edge.size):
             raise ValueError(f"message {k} out of range for edge {edge.key}")
-        hi = t[k] if self.shared_partition() is not None else 1.0
-        return (t[k - 1], hi)
+        return (self.partition[k - 1], self.partition[k])
 
     def message_probs(self, n: int) -> MessageDistribution:
-        """Exact distribution of the message arriving at sensor n.
-
-        Requires the max computation with a shared partition; the
-        conservative per-edge mode has no closed-form message law and is
-        simulation-only.
-        """
-        edge = self.graph.edge_into(n)
-        if edge is None:
+        """Exact distribution of the message arriving at sensor n."""
+        if self.graph.edge_into(n) is None:
             return MessageDistribution(np.array([1.0]))
-        if self.computation != "max":
-            raise ValueError("message distributions are closed-form only for max")
-        t = self.shared_partition()
-        if t is None:
-            raise ValueError(
-                "per-edge partitions have no closed-form message distribution"
-            )
         if not self.is_serial_chain():
             raise ValueError("message distributions assume the serial chain")
-        return serial_max_message_distribution(n, t)
+        return serial_max_message_distribution(n, self.partition)
 
     def conditional_profile(self, n: int, k: int) -> SensitivityProfile:
         """Sensitivity of sensor n's quantization error given message k."""
-        if self.computation != "max":
-            raise ValueError("closed-form profiles exist only for max")
         if self.graph.edge_into(n) is None:
             return max_sensitivity(self.n_sensors)
         s_l, s_u = self.message_interval(n, k)
@@ -373,31 +334,19 @@ class ChatNetworkSpec:
         """
         if not (np.isfinite(rc) and rc >= 0 and int(rc) == rc):
             raise ValueError(f"chat rate must be a nonnegative integer, got {rc!r}")
-        size = 2 ** int(rc)
-        t = tuple(np.linspace(0.0, 1.0, size + 1))
-        graph = ChatGraph(
-            self.graph.nodes,
-            tuple(replace(e, size=size) for e in self.graph.edges),
-        )
-        return replace(
-            self,
-            graph=graph,
-            partitions={e.key: t for e in graph.edges},
-        )
+        return self.with_partition(np.linspace(0.0, 1.0, 2 ** int(rc) + 1))
 
     def with_partition(self, boundaries: Sequence[float]) -> "ChatNetworkSpec":
-        """Same network with one shared partition on every chat edge."""
-        t = tuple(float(v) for v in boundaries)
-        size = len(t) - 1
+        """Same network with ``boundaries`` as the partition of every chat
+        edge; a network without chat edges comes back as it is."""
+        if not self.graph.edges:
+            return self
+        t = tuple(boundaries)
         graph = ChatGraph(
             self.graph.nodes,
-            tuple(replace(e, size=size) for e in self.graph.edges),
+            tuple(replace(e, size=len(t) - 1) for e in self.graph.edges),
         )
-        return replace(
-            self,
-            graph=graph,
-            partitions={e.key: t for e in graph.edges},
-        )
+        return replace(self, graph=graph, partition=t)
 
     def with_regime(self, regime: str) -> "ChatNetworkSpec":
         return replace(self, regime=regime)
@@ -409,17 +358,15 @@ class ChatNetworkSpec:
         fmt = lambda v: format(float(v), ".17g")
         lines = [
             f"N = {self.n_sensors}",
-            f"computation = {self.computation}",
+            "computation = max",
             f"regime = {self.regime}",
             f"source = uniform {fmt(self.source.lo)} {fmt(self.source.hi)}",
             "fusion_alpha = " + " ".join(fmt(a) for a in self.fusion_alphas),
         ]
+        cells = " ".join(fmt(v) for v in self.partition)
         for e in sorted(self.graph.edges, key=lambda e: e.key):
             lines.append(f"edge = {e.src} {e.dst} {e.size} {fmt(e.alpha)}")
-            t = self.partitions[e.key]
-            lines.append(
-                f"partition = {e.src} {e.dst} : " + " ".join(fmt(v) for v in t)
-            )
+            lines.append(f"partition = {e.src} {e.dst} : {cells}")
         lines.append(
             "schedule = " + " ".join(f"{i}>{j}" for i, j in self.schedule.order)
         )
@@ -427,52 +374,6 @@ class ChatNetworkSpec:
 
     def spec_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
-
-
-def _cell_of(value: float, t: Sequence[float]) -> int:
-    """1-based index of the left-open cell of ``t`` containing ``value``."""
-    k = int(np.searchsorted(np.asarray(t), value, side="left"))
-    return min(max(k, 1), len(t) - 1)
-
-
-def serial_max_chat_round(spec: ChatNetworkSpec, x: Sequence[float]) -> ChatState:
-    """Run one chat round of the serial max network on raw observations.
-
-    Each sensor combines the interval it received with its own value and
-    sends the cell index of the resulting lower bound on the running max.
-    With a shared partition this equals the cell index of max(x_1..x_n)
-    exactly; with per-edge partitions the re-encoding is conservative and
-    the decoded interval keeps only the lower bound.
-
-    This is the reference semantics of the chat content.  Simulation uses
-    the codeword-driven tables from out_message_table, which the fusion
-    center can replay (see the module docstring).
-    """
-    if not spec.is_serial_chain():
-        raise ValueError("the raw chat round is defined for the serial chain")
-    x = np.asarray(x, dtype=float)
-    if x.size != spec.n_sensors:
-        raise ValueError("need one observation per sensor")
-    shared = spec.shared_partition() is not None
-    messages: dict[tuple[int, int], int] = {}
-    intervals: dict[int, tuple[float, float]] = {1: (0.0, 1.0)}
-    # Sensor i's knowledge of max(x_1..x_i): the max of the empty ancestor
-    # set is 0 exactly, so sensor 1 knows its running max outright.
-    know_l = know_h = 0.0
-    for i, n in spec.schedule.order:
-        t = np.asarray(spec.partitions[(i, n)])
-        xi = float(x[i - 1])
-        kl, kh = max(know_l, xi), max(know_h, xi)
-        if kl == kh:
-            k = _cell_of(kl, t)
-        else:
-            # Only a lower bound is certain; send the cell just above it.
-            k = min(max(int(np.searchsorted(t, kl, side="right")), 1), t.size - 1)
-        messages[(i, n)] = k
-        hi = float(t[k]) if shared else 1.0
-        intervals[n] = (float(t[k - 1]), hi)
-        know_l, know_h = float(t[k - 1]), hi
-    return ChatState(messages, intervals)
 
 
 def conditional_quantizer_bank(
@@ -527,23 +428,18 @@ def out_message_table(
     """Chat message sent on ``edge`` as a function of decodable data.
 
     Entry [k_in - 1, m - 1] is the outgoing message when the sender
-    received message k_in and transmitted fusion codeword m.  The sender
-    encodes the lower bound of the running max implied by its received
-    interval and the chat cell of its own *codeword* - not its raw
-    observation - so the fusion center can replay every entry (C4).  With
-    a shared partition this reduces to max(k_in, chat cell of codeword).
+    received message k_in and transmitted fusion codeword m: the max rule
+    max(k_in, chat cell of codeword), where cells are left-open.  It reads
+    the sender's *codeword*, not its raw observation, so the fusion
+    center can replay every entry (C4).
     """
-    t = np.asarray(spec.partitions[edge.key])
+    t = np.asarray(spec.partition)
     sender_bank = banks[edge.src]
-    n_in = len(sender_bank)
     n_codes = max(q.size for q in sender_bank.values())
-    table = np.zeros((n_in, n_codes), dtype=np.int64)
+    table = np.zeros((len(sender_bank), n_codes), dtype=np.int64)
     for k_in, q in sender_bank.items():
-        low_in = spec.message_interval(edge.src, k_in)[0]
-        for m in range(1, q.size + 1):
-            j = _cell_of(float(q.codewords[m - 1]), t)
-            low = max(low_in, float(t[j - 1]))
-            table[k_in - 1, m - 1] = _cell_of(np.nextafter(low, 2.0), t)
+        cells = np.searchsorted(t, q.codewords, side="left").clip(1, t.size - 1)
+        table[k_in - 1, : q.size] = np.maximum(cells, k_in)
     return table
 
 
@@ -699,17 +595,18 @@ def parse_spec_file(text: str) -> ChatNetworkSpec:
     Keys: N, computation, regime, source (``uniform lo hi``),
     fusion_alpha (one value, broadcast, or one per sensor), edge
     (``src dst K alpha``, repeatable), partition
-    (``src dst : b0 b1 ...``, optional per edge, default uniform),
+    (``src dst : b0 b1 ...``, at most one per edge, default uniform),
     schedule (``i>j ...``, optional, default edge order).  ``#`` starts a
-    comment.  Raises SpecFormatError naming the offending line and key.
+    comment.  Every edge shares one partition, so edges of different
+    sizes and partitions that differ across edges are rejected.  Raises
+    SpecFormatError naming the offending line and key.
     """
     n_sensors: int | None = None
-    computation = "max"
     regime = FIXED_RATE
     source_args: tuple[float, float] = (0.0, 1.0)
     fusion_alpha: list[float] | None = None
     edges: list[tuple[int, ChatEdge]] = []
-    partitions: dict[tuple[int, int], tuple[float, ...]] = {}
+    partitions: dict[tuple[int, int], tuple[int, tuple[float, ...]]] = {}
     schedule: tuple[tuple[int, int], ...] | None = None
 
     def fail(line_no: int, key: str, msg: str):
@@ -730,7 +627,6 @@ def parse_spec_file(text: str) -> ChatNetworkSpec:
             elif key == "computation":
                 if value != "max":
                     fail(line_no, key, f"unsupported computation {value!r}")
-                computation = value
             elif key == "regime":
                 if value not in (FIXED_RATE, ENTROPY_CONSTRAINED):
                     fail(line_no, key, f"unknown regime {value!r}")
@@ -759,9 +655,10 @@ def parse_spec_file(text: str) -> ChatNetworkSpec:
                 pair = head.split()
                 if len(pair) != 2 or not tail.strip():
                     fail(line_no, key, "expected 'src dst : b0 b1 ...'")
-                partitions[(int(pair[0]), int(pair[1]))] = tuple(
-                    float(v) for v in tail.split()
-                )
+                pair = (int(pair[0]), int(pair[1]))
+                if pair in partitions:
+                    fail(line_no, key, f"second partition for edge {pair}")
+                partitions[pair] = (line_no, tuple(float(v) for v in tail.split()))
             elif key == "schedule":
                 hops = []
                 for item in value.split():
@@ -788,17 +685,34 @@ def parse_spec_file(text: str) -> ChatNetworkSpec:
 
     edge_objs = tuple(e for _ln, e in edges)
     graph = ChatGraph(tuple(range(1, n_sensors + 1)), edge_objs)
+    for key, (line_no, _t) in partitions.items():
+        if key not in {e.key for e in edge_objs}:
+            raise SpecFormatError(line_no, "partition", f"no edge {key}")
+    partition = (0.0, 1.0)
+    first = edge_objs[0] if edge_objs else None
     for line_no, e in edges:
-        t = partitions.get(e.key)
-        if t is None:
-            partitions[e.key] = tuple(np.linspace(0.0, 1.0, e.size + 1))
-        elif len(t) != e.size + 1:
+        if e.size != first.size:
+            raise SpecFormatError(
+                line_no,
+                "edge",
+                f"edge {e.key} has {e.size} cells, but edge {first.key} has "
+                f"{first.size}; every chat edge shares one partition",
+            )
+        default = tuple(np.linspace(0.0, 1.0, e.size + 1).tolist())
+        line_no, t = partitions.get(e.key, (line_no, default))
+        if len(t) != e.size + 1:
             raise SpecFormatError(
                 line_no, "partition", f"edge {e.key} needs {e.size + 1} boundaries"
             )
-    for key in partitions:
-        if key not in {e.key for e in edge_objs}:
-            raise SpecFormatError(0, "partition", f"no edge {key}")
+        if e is first:
+            partition = t
+        elif t != partition:
+            raise SpecFormatError(
+                line_no,
+                "partition",
+                f"edge {e.key} has partition {t}, but edge {first.key} has "
+                f"{partition}; every chat edge shares one partition",
+            )
     if schedule is None:
         schedule = tuple(e.key for e in edge_objs)
     try:
@@ -808,9 +722,8 @@ def parse_spec_file(text: str) -> ChatNetworkSpec:
             graph,
             Schedule(schedule),
             tuple(fusion_alpha),
-            partitions,
+            partition,
             regime,
-            computation,
         )
     except ValueError as exc:
         raise SpecFormatError(0, "spec", str(exc)) from exc

@@ -177,9 +177,9 @@ def _chat_constants(
     of their parameters, so every pair is a row of one row integral over
     its active region [s_l, 1]: of the cube root of gamma^2 under fixed
     rate, of log2 gamma^2 under entropy coding.  ``partitions`` is a
-    (G, K+1) array of shared partitions of the spec's chat chain; None
-    takes the spec's own (G = 1), and raises, as ``message_probs`` does,
-    for networks without a closed-form message law.
+    (G, K+1) array of partitions of the spec's chat chain; None takes
+    the spec's own (G = 1), and raises, as ``message_probs`` does, for
+    networks without a closed-form message law.
 
     Returns (probs, dont_care, *constants), each shaped (G, N, K), K the
     message count of a chat edge (1 without chat).  A sensor that
@@ -192,14 +192,11 @@ def _chat_constants(
     """
     if regime not in (FIXED_RATE, ENTROPY_CONSTRAINED):
         raise ValueError(f"unknown regime {regime!r}")
-    if spec.computation != "max":
-        raise ValueError("closed-form profiles exist only for max")
     n_sensors = spec.n_sensors
     if partitions is None:
         for n in range(1, n_sensors + 1):
             spec.message_probs(n)
-        own = spec.shared_partition()
-        partitions = [(0.0, 1.0) if own is None else own]
+        partitions = [spec.partition]
     t = np.asarray(partitions, dtype=float)
     receives = np.array(
         [spec.graph.edge_into(n) is not None for n in range(1, n_sensors + 1)]

@@ -19,7 +19,6 @@ __all__ = [
     "Pdf",
     "binary_entropy",
     "integrate_adaptive",
-    "quasi_norm_one_third",
 ]
 
 # Absolute / relative tolerances for the adaptive quadrature.
@@ -144,31 +143,6 @@ def _integrate_rows(fn: Callable, edges: np.ndarray) -> np.ndarray:
         f"integral over [{lo}, {hi}] did not settle after {_DE_LEVELS} levels; "
         "a kink or jump may lack a breakpoint"
     )
-
-
-def quasi_norm_one_third(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """Cube of the integral of ``fn**(1/3)`` over [lo, hi].
-
-    This is the one-third quasi-norm that governs fixed-rate companding
-    performance.  ``fn`` must be vectorized and nonnegative on the interval.
-    """
-
-    def root(x: np.ndarray) -> np.ndarray:
-        v = np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
-        for bad, what in ((~np.isfinite(v), "non-finite"), (v < -1e-12, "negative")):
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValueError(f"{what} integrand value {v[i]!r} at x={x[i]!r}")
-        # Tolerate float dust below zero from subtractive formulas.
-        return np.cbrt(np.maximum(v, 0.0))
-
-    s = integrate_adaptive(root, lo, hi, breakpoints)
-    return s**3
 
 
 def _log2_moment(

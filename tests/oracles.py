@@ -9,14 +9,17 @@ conditional-expectation oracle multiplies every sensor's conditional CDF
 instead of only the overlapping ones, the high-resolution constants
 are integrated pointwise by scipy's adaptive ``quad``, the encoder and
 cell lookup mask each (sensor, message) pair's rows in turn where the
-simulator gathers from padded tables, and the partition grid is allocated
+simulator gathers from padded tables, the partition grid is allocated
 one spec at a time where the sweeps integrate every point's constants in
-one pass.
+one pass, and the chat round reads the raw observations where the
+protocol tables read transmitted codewords.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -325,3 +328,50 @@ def partition_grid_loop(spec, budget: float, p1s) -> np.ndarray:
             for p1 in p1s
         ]
     )
+
+
+@dataclass(frozen=True)
+class ChatState:
+    """Outcome of one chat round.
+
+    ``messages`` maps each edge to the transmitted index; ``intervals``
+    maps each sensor to the interval known to contain the running maximum
+    of its ancestors ((0, 1] when nothing was received).
+    """
+
+    messages: Mapping[tuple[int, int], int]
+    intervals: Mapping[int, tuple[float, float]]
+
+    def __post_init__(self) -> None:
+        for n, (lo, hi) in self.intervals.items():
+            if not (0.0 <= lo < hi <= 1.0):
+                raise ValueError(f"sensor {n}: bad received interval [{lo}, {hi}]")
+
+
+def _cell_of(value: float, t: Sequence[float]) -> int:
+    """1-based index of the left-open cell of ``t`` containing ``value``."""
+    k = int(np.searchsorted(np.asarray(t), value, side="left"))
+    return min(max(k, 1), len(t) - 1)
+
+
+def serial_max_chat_round(spec, x: Sequence[float]) -> ChatState:
+    """One chat round of the serial max network on raw observations.
+
+    Sensor i sends the cell of max(x_1..x_i) in the spec's partition.
+    This is the reference semantics of the chat content; the simulator
+    sends ``out_message_table``'s codeword-driven messages instead, which
+    the fusion center can replay.
+    """
+    if not spec.is_serial_chain():
+        raise ValueError("the raw chat round is defined for the serial chain")
+    x = np.asarray(x, dtype=float)
+    if x.size != spec.n_sensors:
+        raise ValueError("need one observation per sensor")
+    t = spec.partition
+    messages: dict[tuple[int, int], int] = {}
+    intervals: dict[int, tuple[float, float]] = {1: (0.0, 1.0)}
+    for i, n in spec.schedule.order:
+        k = _cell_of(float(x[:i].max()), t)
+        messages[(i, n)] = k
+        intervals[n] = (t[k - 1], t[k])
+    return ChatState(messages, intervals)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from chatquant.chatnet import (
     design_network,
     out_message_table,
     parse_spec_file,
-    serial_max_chat_round,
     validate_identifiable,
 )
 from chatquant.allocation import InfeasibleBudgetError
@@ -24,6 +24,7 @@ from chatquant.distortion import (
     hr_fmse_entropy_chat,
     hr_fmse_fixed_rate_chat,
 )
+from oracles import serial_max_chat_round
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -98,7 +99,7 @@ def test_identifiable_flags_schedule_mismatch():
 def test_serial_max_defaults():
     spec = chain(3, 4)
     assert spec.is_serial_chain()
-    assert spec.shared_partition() == (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert spec.partition == (0.0, 0.25, 0.5, 0.75, 1.0)
     assert spec.schedule.order == ((1, 2), (2, 3))
     assert spec.validate() == []
 
@@ -107,22 +108,22 @@ def test_spec_field_validation():
     good = chain(2, 2)
     with pytest.raises(ValueError):
         ChatNetworkSpec(
-            2, good.source, good.graph, good.schedule, (1.0,), good.partitions
+            2, good.source, good.graph, good.schedule, (1.0,), good.partition
         )
     with pytest.raises(ValueError):
         ChatNetworkSpec(
-            2, good.source, good.graph, good.schedule, (1.0, -1.0), good.partitions
+            2, good.source, good.graph, good.schedule, (1.0, -1.0), good.partition
         )
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             ChatNetworkSpec(
-                2, good.source, good.graph, good.schedule, (1.0, bad), good.partitions
+                2, good.source, good.graph, good.schedule, (1.0, bad), good.partition
             )
     with pytest.raises(ValueError):
         chain(2, 2, regime="variable-rate")
     with pytest.raises(ValueError):
         ChatNetworkSpec(
-            2, good.source, good.graph, good.schedule, (1.0, 1.0), {}
+            2, good.source, good.graph, good.schedule, (1.0, 1.0), ()
         )
     with pytest.raises(ValueError):
         ChatNetworkSpec(
@@ -131,7 +132,7 @@ def test_spec_field_validation():
             good.graph,
             good.schedule,
             (1.0, 1.0),
-            {(1, 2): (0.0, 1.0)},  # two boundaries cannot cut two cells
+            (0.0, 1.0),  # two boundaries cannot cut two cells
         )
 
 
@@ -148,24 +149,71 @@ def test_message_interval_and_probs():
     assert np.allclose(spec.message_probs(3).probabilities, [0.25, 0.75])
 
 
-def test_per_edge_partitions_are_conservative():
+def test_spec_rejects_edge_sizes_other_than_the_partition():
+    # Every edge reports a cell of the one partition, so it has that many
+    # messages.
     edges = (ChatEdge(1, 2, 2), ChatEdge(2, 3, 4))
-    spec = ChatNetworkSpec(
-        3,
-        chain(3, 2).source,
-        ChatGraph((1, 2, 3), edges),
-        Schedule(((1, 2), (2, 3))),
-        (1.0, 1.0, 1.0),
-        {(1, 2): (0.0, 0.5, 1.0), (2, 3): (0.0, 0.25, 0.5, 0.75, 1.0)},
+    with pytest.raises(ValueError, match=r"edge \(2, 3\) has 4 cells"):
+        ChatNetworkSpec(
+            3,
+            chain(3, 2).source,
+            ChatGraph((1, 2, 3), edges),
+            Schedule(((1, 2), (2, 3))),
+            (1.0, 1.0, 1.0),
+            (0.0, 0.5, 1.0),
+        )
+
+
+def test_spec_without_chat_edges_holds_the_unit_partition():
+    silent = parse_spec_file("N = 2\n")
+    assert silent.partition == (0.0, 1.0)
+    assert chain(1, 4).partition == (0.0, 1.0)
+    with pytest.raises(ValueError, match="without chat edges"):
+        replace(silent, partition=(0.0, 0.5, 1.0))
+    # The rewriting helpers have no edge to rewrite.
+    assert silent.with_partition((0.0, 0.3, 1.0)) == silent
+    assert silent.with_chat_rate(2) == silent
+
+
+def test_parse_rejects_partitions_that_differ_across_edges():
+    text = (
+        "N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\n"
+        "partition = 1 2 : 0 0.7 1\npartition = 2 3 : 0 0.6 1\n"
     )
-    assert spec.shared_partition() is None
-    # Only the lower bound survives re-encoding across partitions.
-    assert spec.message_interval(3, 2) == (0.25, 1.0)
-    state = serial_max_chat_round(spec, [0.6, 0.1, 0.0])
-    assert state.messages[(2, 3)] == 3
-    assert state.intervals[3] == (0.5, 1.0)
-    with pytest.raises(ValueError):
-        spec.message_probs(3)
+    with pytest.raises(SpecFormatError, match="shares one partition") as err:
+        parse_spec_file(text)
+    assert (err.value.line, err.value.key) == (5, "partition")
+    # An edge without a line takes the uniform default, which differs too.
+    with pytest.raises(SpecFormatError, match="shares one partition") as err:
+        parse_spec_file("N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\npartition = 1 2 : 0 0.7 1\n")
+    assert (err.value.line, err.value.key) == (3, "partition")
+
+
+def test_parse_rejects_edges_of_different_sizes():
+    with pytest.raises(SpecFormatError, match="shares one partition") as err:
+        parse_spec_file("N = 3\nedge = 1 2 2 0\nedge = 2 3 4 0\n")
+    assert (err.value.line, err.value.key) == (3, "edge")
+
+
+def test_parse_rejects_second_partition_for_an_edge():
+    text = (
+        "N = 2\nedge = 1 2 2 0\n"
+        "partition = 1 2 : 0 0.5 1\npartition = 1 2 : 0 0.7 1\n"
+    )
+    with pytest.raises(SpecFormatError, match=r"second partition for edge \(1, 2\)") as err:
+        parse_spec_file(text)
+    assert (err.value.line, err.value.key) == (4, "partition")
+
+
+def test_parse_accepts_agreeing_partition_lines():
+    text = (
+        "N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\n"
+        "partition = 1 2 : 0 0.7 1\npartition = 2 3 : 0 0.7 1\n"
+    )
+    assert parse_spec_file(text).partition == (0.0, 0.7, 1.0)
+    # A line equal to the uniform default agrees with an omitted one.
+    text = "N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\npartition = 2 3 : 0 0.5 1\n"
+    assert parse_spec_file(text) == chain(3, 2)
 
 
 def test_chat_round_frozen_example():
@@ -180,7 +228,7 @@ def test_chat_round_frozen_example():
 @given(st.lists(st.floats(0.001, 0.999), min_size=4, max_size=4), st.integers(1, 3))
 def test_chat_round_reports_running_max_cell(xs, rc):
     spec = chain(4, 2**rc)
-    t = np.asarray(spec.shared_partition())
+    t = np.asarray(spec.partition)
     state = serial_max_chat_round(spec, xs)
     for i, j in spec.schedule.order:
         running = max(xs[:i])
@@ -197,7 +245,7 @@ def test_chat_round_validation():
         ChatGraph((1, 2, 3), (ChatEdge(1, 2, 2), ChatEdge(1, 3, 2))),
         Schedule(((1, 2), (1, 3))),
         (1.0, 1.0, 1.0),
-        {(1, 2): (0.0, 0.5, 1.0), (1, 3): (0.0, 0.5, 1.0)},
+        (0.0, 0.5, 1.0),
     )
     with pytest.raises(ValueError):
         serial_max_chat_round(fan_out, [0.1, 0.2, 0.3])
@@ -207,9 +255,9 @@ def test_rewriting_helpers():
     spec = chain(4, 2)
     fast = spec.with_chat_rate(3)
     assert all(e.size == 8 for e in fast.graph.edges)
-    assert fast.shared_partition() == tuple(np.linspace(0.0, 1.0, 9))
+    assert fast.partition == tuple(np.linspace(0.0, 1.0, 9))
     skew = spec.with_partition([0.0, 0.7, 1.0])
-    assert skew.shared_partition() == (0.0, 0.7, 1.0)
+    assert skew.partition == (0.0, 0.7, 1.0)
     assert skew.graph.edges[0].size == 2
     ec = spec.with_regime("entropy-constrained")
     assert ec.regime == "entropy-constrained"
@@ -233,6 +281,18 @@ def test_canonical_text_round_trip():
     again = parse_spec_file(spec.canonical_text())
     assert again.canonical_text() == spec.canonical_text()
     assert again.spec_hash() == spec.spec_hash()
+
+
+def test_canonical_text_writes_the_partition_on_every_edge():
+    spec = chain(4, 2).with_partition((0.0, 0.7, 1.0))
+    text = spec.canonical_text()
+    assert text.count("partition = ") == 3
+    assert text.count(" : 0 0.69999999999999996 1\n") == 3
+    assert "computation = max\n" in text
+    assert parse_spec_file(text) == spec
+    # max is the only computation, so it is no field of the spec.
+    with pytest.raises(TypeError):
+        replace(spec, computation="sum")
 
 
 def test_hash_tracks_content():
@@ -277,7 +337,7 @@ def test_parse_comments_and_defaults():
     spec = parse_spec_file(
         "N = 2  # tiny\n# full-line comment\nedge = 1 2 2 0\n"
     )
-    assert spec.shared_partition() == (0.0, 0.5, 1.0)
+    assert spec.partition == (0.0, 0.5, 1.0)
     assert spec.schedule.order == ((1, 2),)
     assert spec.fusion_alphas == (1.0, 1.0)
 
@@ -302,16 +362,35 @@ def test_bank_pins_dont_care_codeword():
     assert bank[2].boundaries[1] == pytest.approx(0.5)
 
 
+def assert_max_rule(spec, banks):
+    t = np.asarray(spec.partition)
+    for edge in spec.graph.edges:
+        table = out_message_table(spec, banks, edge)
+        for k_in, q in banks[edge.src].items():
+            for m in range(1, q.size + 1):
+                j = max(int(np.searchsorted(t, q.codewords[m - 1], side="left")), 1)
+                assert table[k_in - 1, m - 1] == max(k_in, j)
+            assert not table[k_in - 1, q.size :].any()
+
+
 def test_out_message_table_is_max_rule():
     spec = chain(5, 2)
-    banks = build_banks(spec, [4] * 5)
-    edge = spec.graph.edges[1]  # sensor 2 -> sensor 3
-    table = out_message_table(spec, banks, edge)
-    t = np.asarray(spec.partitions[edge.key])
-    for k_in, q in banks[edge.src].items():
-        for m in range(1, q.size + 1):
-            j = max(int(np.searchsorted(t, q.codewords[m - 1], side="left")), 1)
-            assert table[k_in - 1, m - 1] == max(k_in, j)
+    assert_max_rule(spec, build_banks(spec, [4] * 5))
+
+
+SAMPLE_BUDGETS = {"max2_nochat.txt": 8.0, "max4_chat.txt": 16.0, "max5_entropy.txt": 25.0}
+
+
+@pytest.mark.parametrize("name", [*sorted(SAMPLE_BUDGETS), "chain16", "entropy6_rc2"])
+def test_out_message_table_is_max_rule_on_designs(name):
+    if name in SAMPLE_BUDGETS:
+        spec = parse_spec_file((SPEC_DIR / name).read_text())
+        design = design_network(spec, budget=SAMPLE_BUDGETS[name])
+    elif name == "chain16":
+        design = design_network(chain(16, 2), budget=64.0)
+    else:
+        design = design_network(chain(6, 4, regime="entropy-constrained"), budget=30.0)
+    assert_max_rule(design.spec, design.banks)
 
 
 def test_out_message_table_entries_in_range():

@@ -44,6 +44,47 @@ def test_malformed_spec_is_usage_error(tmp_path, capsys):
     assert err.startswith("spec error: line 2, key 'edge'")
 
 
+ONE_PARTITION_CASES = {
+    "differing partition lines": (
+        "N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\n"
+        "partition = 1 2 : 0 0.7 1\npartition = 2 3 : 0 0.6 1\n",
+        "line 5, key 'partition'",
+    ),
+    "edges of different sizes": (
+        "N = 3\nedge = 1 2 2 0\nedge = 2 3 4 0\n",
+        "line 3, key 'edge'",
+    ),
+    "second partition line for an edge": (
+        "N = 2\nedge = 1 2 2 0\n"
+        "partition = 1 2 : 0 0.5 1\npartition = 1 2 : 0 0.7 1\n",
+        "line 4, key 'partition'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PARTITION_CASES))
+@pytest.mark.parametrize(
+    "command", [["validate"], ["predict", "--budget", "12"], ["design", "--budget", "12"]]
+)
+def test_specs_without_one_shared_partition_are_spec_errors(
+    case, command, tmp_path, capsys
+):
+    # Every chat edge reports a cell of one partition; the closed forms
+    # cover nothing else.
+    text, where = ONE_PARTITION_CASES[case]
+    spec = tmp_path / "spec.txt"
+    spec.write_text(text)
+    assert main([command[0], "--spec", str(spec), *command[1:]]) == 2
+    assert capsys.readouterr().err.startswith(f"spec error: {where}")
+
+
+def test_unsupported_computation_is_spec_error(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("N = 2\ncomputation = sum\n")
+    assert main(["validate", "--spec", str(spec)]) == 2
+    assert "unsupported computation 'sum'" in capsys.readouterr().err
+
+
 def test_missing_spec_file(capsys):
     assert main(["validate", "--spec", "/no/such/file.txt"]) == 2
 

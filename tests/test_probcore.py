@@ -11,7 +11,6 @@ from chatquant.probcore import (
     Pdf,
     binary_entropy,
     integrate_adaptive,
-    quasi_norm_one_third,
 )
 
 
@@ -152,22 +151,6 @@ def test_rows_reject_bad_edges():
     for edges in ([0.0, 1.0], [[0.0, np.inf]], [[0.5, 0.2]], [[0.0]]):
         with pytest.raises(ValueError):
             integrate_adaptive(fn, np.array(edges))
-
-
-def test_quasi_norm_linear_density():
-    # f(x) = 2x on [0,1]: (int (2x)^(1/3))^3 = 2 * (3/4)^3 = 27/32.
-    assert quasi_norm_one_third(lambda x: 2.0 * x, 0.0, 1.0) == pytest.approx(
-        27.0 / 32.0, rel=1e-8
-    )
-
-
-def test_quasi_norm_uniform_is_one():
-    assert quasi_norm_one_third(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0)
-
-
-def test_quasi_norm_rejects_negative():
-    with pytest.raises(ValueError):
-        quasi_norm_one_third(lambda x: -1.0, 0.0, 1.0)
 
 
 def test_binary_entropy_values():

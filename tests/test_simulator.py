@@ -408,7 +408,7 @@ def test_chat_messages_track_codeword_cells():
     rng = np.random.default_rng(11)
     x = rng.random((5_000, 4))
     indices, incoming = proto.encode(x)
-    t = np.asarray(spec.shared_partition())
+    t = np.asarray(spec.partition)
     cw_cell = np.zeros_like(indices)
     for n in range(1, 5):
         for k, q in banks[n].items():
@@ -505,7 +505,7 @@ def test_simulation_input_validation():
         ChatGraph((1, 2, 3), (ChatEdge(1, 2, 2), ChatEdge(1, 3, 2))),
         Schedule(((1, 2), (1, 3))),
         (1.0, 1.0, 1.0),
-        {(1, 2): (0.0, 0.5, 1.0), (1, 3): (0.0, 0.5, 1.0)},
+        (0.0, 0.5, 1.0),
     )
     with pytest.raises(ValueError):
         run_simulation(fan_out, build_banks(fan_out, [4, 4, 4]), PLUG_IN, trials=10)
