@@ -3,9 +3,10 @@
 The package designs, analyzes, and simulates sensor networks where each
 node scalar-quantizes its observation for a fusion center computing a
 function of all sources, after exchanging a few bits with its neighbors.
-High-resolution theory drives the design (optimal point densities, rate
-allocation across links, closed-form distortion laws); a deterministic
-Monte Carlo engine checks the predictions end to end.
+High-resolution theory drives the design (the optimal point density of
+each codebook, rate allocation across links, closed-form distortion
+laws); a deterministic Monte Carlo engine checks the predictions end to
+end.
 """
 
 from .probcore import (
@@ -38,18 +39,15 @@ from .distortion import (
     closed_form_max_nochat,
     entropy_coding_tables,
     fixed_rate_betas,
-    fixed_rate_message_moments,
-    hr_fmse_entropy_chat,
-    hr_fmse_fixed_rate_chat,
     optimal_density_entropy,
     optimal_density_fixed_rate,
+    predict,
 )
 from .allocation import (
     AllocationResult,
     InfeasibleBudgetError,
     allocate,
     chat_budget_search,
-    entropy_allocation,
     probabilistic_allocation,
     waterfill_kkt,
 )
@@ -126,12 +124,8 @@ __all__ = [
     "conditional_quantizer_bank",
     "decode",
     "design_network",
-    "entropy_allocation",
     "entropy_coding_tables",
     "fixed_rate_betas",
-    "fixed_rate_message_moments",
-    "hr_fmse_entropy_chat",
-    "hr_fmse_fixed_rate_chat",
     "integrate_adaptive",
     "max_conditional_sensitivity",
     "max_sensitivity",
@@ -141,6 +135,7 @@ __all__ = [
     "out_message_table",
     "output_entropy",
     "parse_spec_file",
+    "predict",
     "probabilistic_allocation",
     "replay_codebooks",
     "run_scenarios",

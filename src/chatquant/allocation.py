@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .distortion import FIXED_RATE, _betas, entropy_coding_tables, fixed_rate_betas
+from .distortion import FIXED_RATE, _betas, _spec_constants
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chatnet import ChatNetworkSpec
@@ -27,7 +27,6 @@ __all__ = [
     "InfeasibleBudgetError",
     "allocate",
     "chat_budget_search",
-    "entropy_allocation",
     "probabilistic_allocation",
     "waterfill_kkt",
 ]
@@ -75,11 +74,6 @@ class AllocationResult:
             (link, msg, float(self.alphas[i]), float(self.b[i]), float(self.rates[i]))
             for i, (link, msg) in enumerate(labels)
         ]
-
-
-def _require_finite(budget: float) -> None:
-    if not np.isfinite(budget):
-        raise ValueError(f"budget must be finite, got {budget}")
 
 
 def _objective(betas, alphas, b, weights) -> float:
@@ -196,7 +190,8 @@ def probabilistic_allocation(
 def _fusion_budget(spec: "ChatNetworkSpec", budget: float) -> float:
     """The budget left for the fusion links once every chat edge is
     charged its per-bit price times its message bits."""
-    _require_finite(budget)
+    if not np.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
     chat_cost = spec.chat_cost()
     remaining = budget - chat_cost
     if remaining <= 0:
@@ -215,9 +210,7 @@ def allocate(spec: "ChatNetworkSpec", budget: float) -> AllocationResult:
     coding.  Raises InfeasibleBudgetError when chatting leaves nothing.
     """
     remaining = _fusion_budget(spec, budget)
-    if spec.regime == FIXED_RATE:
-        return waterfill_kkt(fixed_rate_betas(spec), spec.fusion_alphas, remaining)
-    return entropy_allocation(spec, remaining)
+    return _allocate_from(spec, remaining, _spec_constants(spec, spec.regime))
 
 
 def _allocate_from(
@@ -225,13 +218,33 @@ def _allocate_from(
 ) -> AllocationResult:
     """``allocate``'s split of the fusion budget ``remaining``, from the
     (N, K) constants of ``distortion._chat_constants`` in the spec's
-    regime instead of integrating them again."""
+    regime.
+
+    Under entropy coding the don't-care gate turns message (n, k) into a
+    link with effective cost per exponent-bit alpha_n * P(A) and
+    coefficient inflated by the gate bits; that is exactly a
+    probabilistic allocation instance.  The returned rates are actual bit
+    rates b / alpha_n, not the effective ones used inside the
+    optimization.
+    """
     if spec.regime == FIXED_RATE:
         probs, _dc, norms = constants
         return waterfill_kkt(_betas(probs, norms), spec.fusion_alphas, remaining)
     probs, _dc, coeffs, masses, gates = constants
-    rows = zip(probs, coeffs, masses, gates)
-    return _entropy_waterfill(rows, spec.fusion_alphas, remaining)
+    alphas = np.asarray(spec.fusion_alphas, dtype=float)
+    betas = coeffs * 2.0 ** (2.0 * gates / masses)
+    # probabilistic_allocation drops the messages of probability 0 and
+    # labels the rest with their original indices.
+    res = probabilistic_allocation(betas, alphas[:, None] * masses, probs, remaining)
+    true_alphas = alphas[[n - 1 for n, _k in res.labels]]
+    return AllocationResult(
+        res.b,
+        res.b / true_alphas,
+        res.predicted_distortion,
+        true_alphas,
+        res.weights,
+        res.labels,
+    )
 
 
 def chat_budget_search(
@@ -259,43 +272,3 @@ def chat_budget_search(
             f"chatting exhausts the budget {budget:g} at every candidate rate"
         )
     return best
-
-
-def entropy_allocation(spec: "ChatNetworkSpec", budget: float) -> AllocationResult:
-    """Optimal per-message rate allocation under entropy coding.
-
-    The don't-care gate turns message (n, k) into a link with effective
-    cost per exponent-bit alpha_n * P(A) and coefficient inflated by the
-    gate bits; that is exactly a probabilistic allocation instance.  The
-    returned rates are actual bit rates b / alpha_n, not the effective
-    ones used inside the optimization.
-    """
-    _require_finite(budget)
-    rows = [
-        (t.probs, t.constants, t.active_mass, t.gate_bits)
-        for t in entropy_coding_tables(spec)
-    ]
-    return _entropy_waterfill(rows, spec.fusion_alphas, budget)
-
-
-def _entropy_waterfill(rows, fusion_alphas, budget: float) -> AllocationResult:
-    """``entropy_allocation`` from each sensor's (probabilities,
-    coefficients, P(A), gate bits) over its messages."""
-    alphas = np.asarray(fusion_alphas, dtype=float)
-    betas, costs, weights = [], [], []
-    for alpha, (probs, coeffs, masses, gates) in zip(alphas, rows):
-        betas.append(coeffs * 2.0 ** (2.0 * gates / masses))
-        costs.append(alpha * masses)
-        weights.append(probs)
-    # probabilistic_allocation drops the messages of probability 0 and
-    # labels the rest with their original indices.
-    res = probabilistic_allocation(betas, costs, weights, budget)
-    true_alphas = alphas[[n - 1 for n, _k in res.labels]]
-    return AllocationResult(
-        res.b,
-        res.b / true_alphas,
-        res.predicted_distortion,
-        true_alphas,
-        res.weights,
-        res.labels,
-    )

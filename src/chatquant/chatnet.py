@@ -36,10 +36,10 @@ from .distortion import (
     ENTROPY_CONSTRAINED,
     FIXED_RATE,
     DistortionReport,
-    InfeasibleRateError,
     _entropy_report,
     _fixed_rate_report,
-    _require_finite_rates,
+    _per_sensor,
+    _rate_array,
     _spec_constants,
     optimal_density_entropy,
     optimal_density_fixed_rate,
@@ -463,7 +463,7 @@ class NetworkDesign:
 def design_network(
     spec: ChatNetworkSpec,
     budget: float | None = None,
-    rates: Sequence[float] | None = None,
+    rates: Sequence[float] | Sequence[Sequence[float]] | None = None,
 ) -> NetworkDesign:
     """Turn a network spec into buildable integer-size codebooks.
 
@@ -472,14 +472,15 @@ def design_network(
     bit), then rounded to integer codebook sizes; when rounding overshoots
     the fixed-rate budget, sizes are walked back greedily, dropping
     whichever codeword costs the least predicted distortion per cost
-    recovered.  Rates are taken as-is (no repair) and must be finite;
-    a fixed rate that buys less than one granular cell beside the
-    don't-care cells raises ``InfeasibleRateError``.
+    recovered.  Rates are taken as-is (no repair), in the shapes that
+    ``distortion.predict`` takes, and raise as it does: ``ValueError`` for
+    another shape or a non-finite rate, ``InfeasibleRateError`` for a
+    fixed rate that buys less than one granular cell beside the
+    don't-care cells.
     """
     if (budget is None) == (rates is None):
         raise ValueError("give either a budget or explicit rates")
-    if rates is not None:
-        _require_finite_rates(rates)
+    given = None if rates is None else _rate_array(spec, rates)
     remaining = None if budget is None else _fusion_budget(spec, budget)
     # Every constant is integrated once, here, and feeds the allocation,
     # the integer sizes and the prediction alike.
@@ -488,63 +489,46 @@ def design_network(
     dont_care = consts[1]
 
     if spec.regime == FIXED_RATE:
-        target = np.asarray(rates, dtype=float) if alloc is None else alloc.rates
-        alphas = np.asarray(spec.fusion_alphas)
-        min_sizes = dont_care.max(axis=1) + 1
         if alloc is None:
             # As in the prediction: a rate must buy one granular cell.
-            short = np.flatnonzero(2.0**target < min_sizes - 1e-9)
-            if short.size:
-                n = short[0]
-                raise InfeasibleRateError(
-                    f"sensor {n + 1}: rate {target[n]:g} buys "
-                    f"{2.0 ** target[n]:g} cells, less than one granular "
-                    f"cell beside {min_sizes[n] - 1} don't-care cells"
-                )
+            _fixed_rate_report(*consts, given)
+            target = given[:, 0]
+        else:
+            target = alloc.rates
+        alphas = np.asarray(spec.fusion_alphas)
+        min_sizes = dont_care.max(axis=1) + 1
         sizes = np.maximum(np.rint(2.0**target).astype(int), min_sizes)
         if alloc is not None:
             sizes = _repair_budget(sizes, min_sizes, alphas, consts, remaining)
         banks = build_banks(spec, [int(s) for s in sizes])
-        predicted = _fixed_rate_report(*consts, np.log2(sizes))
+        built = np.broadcast_to(np.log2(sizes)[:, None], dont_care.shape)
+        predicted = _fixed_rate_report(*consts, built)
         return NetworkDesign(
             spec, tuple(int(s) for s in sizes), banks, target, alloc, predicted
         )
 
     # Entropy-constrained: rates (and sizes) vary with the incoming message.
-    n_msgs = [spec.message_probs(n).size for n in range(1, spec.n_sensors + 1)]
-    if alloc is not None:
-        per_message: dict[int, dict[int, float]] = {}
-        for (n, k), rate in zip(alloc.labels, alloc.rates):
-            per_message.setdefault(n, {})[k] = float(rate)
-        rate_rows = [
-            [per_message[n].get(k, 1.0) for k in range(1, n_msgs[n - 1] + 1)]
-            for n in range(1, spec.n_sensors + 1)
-        ]
+    if alloc is None:
+        rate_rows = given
     else:
-        rate_rows = []
-        for n, r in enumerate(rates, start=1):
-            row = list(np.atleast_1d(np.asarray(r, dtype=float)))
-            if len(row) == 1:
-                row = row * n_msgs[n - 1]
-            if len(row) != n_msgs[n - 1]:
-                raise ValueError(
-                    f"sensor {n}: need a rate per message (got {len(row)})"
-                )
-            rate_rows.append(row)
-    sizes_ec = []
-    for n in range(1, spec.n_sensors + 1):
-        row = {}
-        for k, r in enumerate(rate_rows[n - 1], start=1):
-            dc = int(dont_care[n - 1, k - 1])
-            row[k] = max(int(np.rint(2.0**r)), dc + 1)
-        sizes_ec.append(row)
+        rate_rows = np.ones(dont_care.shape)
+        for (n, k), rate in zip(alloc.labels, alloc.rates):
+            rate_rows[n - 1, k - 1] = rate
+    rows = list(_per_sensor(spec, rate_rows, dont_care))
+    sizes_ec = [
+        {
+            k: max(int(np.rint(2.0**r)), int(dc) + 1)
+            for k, (r, dc) in enumerate(zip(r_row, dc_row), start=1)
+        }
+        for r_row, dc_row in rows
+    ]
     banks = build_banks(spec, sizes_ec)
     predicted = _entropy_report(*consts, rate_rows)
     return NetworkDesign(
         spec,
-        tuple(tuple(row[k] for k in sorted(row)) for row in sizes_ec),
+        tuple(tuple(row.values()) for row in sizes_ec),
         banks,
-        np.array([float(np.mean(r)) for r in rate_rows]),
+        np.array([float(np.mean(r_row)) for r_row, _dc in rows]),
         alloc,
         predicted,
     )
@@ -683,8 +667,14 @@ def parse_spec_file(text: str) -> ChatNetworkSpec:
     if len(fusion_alpha) != n_sensors:
         raise SpecFormatError(0, "fusion_alpha", "need one cost per sensor")
 
-    edge_objs = tuple(e for _ln, e in edges)
-    graph = ChatGraph(tuple(range(1, n_sensors + 1)), edge_objs)
+    # One edge line at a time, so a graph error names its line.
+    graph = ChatGraph(tuple(range(1, n_sensors + 1)), ())
+    for line_no, e in edges:
+        try:
+            graph = replace(graph, edges=graph.edges + (e,))
+        except ValueError as exc:
+            raise SpecFormatError(line_no, "edge", str(exc)) from exc
+    edge_objs = graph.edges
     for key, (line_no, _t) in partitions.items():
         if key not in {e.key for e in edge_objs}:
             raise SpecFormatError(line_no, "partition", f"no edge {key}")

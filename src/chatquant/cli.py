@@ -29,8 +29,7 @@ from .distortion import (
     FIXED_RATE,
     InfeasibleRateError,
     UndefinedDistortionError,
-    hr_fmse_entropy_chat,
-    hr_fmse_fixed_rate_chat,
+    predict,
 )
 from .experiments import (
     SweepSpec,
@@ -152,11 +151,7 @@ def _cmd_predict(args) -> int:
         alloc = allocate(spec, args.budget)
         print(f"predicted fMSE {alloc.predicted_distortion:.6e}")
         return 0
-    rates = _parse_rates(args.rates)
-    if spec.regime == FIXED_RATE:
-        report = hr_fmse_fixed_rate_chat(spec, None, rates)
-    else:
-        report = hr_fmse_entropy_chat(spec, None, rates)
+    report = predict(spec, _parse_rates(args.rates))
     for n, term in enumerate(report.per_sensor_terms, start=1):
         print(f"sensor {n}: {term:.6e}")
     print(f"predicted fMSE {report.total:.6e}")

@@ -1,27 +1,26 @@
-"""High-resolution distortion predictors and optimal point densities.
+"""High-resolution distortion prediction and the optimal point density.
 
-Covers plain mean-squared error of a companding quantizer, functional MSE
-of a distributed network without chatting, and the chatting forms in which
-each sensor selects a codebook from the received message.  All message
-expectations are exact sums over the message distribution; nothing on the
-design side is sampled.
+Covers the functional MSE of a max network without chatting and the
+chatting forms in which each sensor selects a codebook from the received
+message, under fixed-rate and entropy coding.  One table of (sensor,
+message) constants, ``_chat_constants``, feeds every prediction
+(``predict``) and every allocation.  All message expectations are exact
+sums over the message distribution; nothing on the design side is
+sampled.
 
 The sensors observe iid uniform(0, 1) sources, so the source density is
-1 on every profile's support [0, 1] and drops out of every integral.  The
-network argument of the chat predictors is duck-typed: it needs
-``n_sensors``, ``message_probs(n)`` and ``conditional_profile(n, k)``
-with 1-based indices.  ``ChatNetworkSpec`` provides these.
+1 on every profile's support [0, 1] and drops out of every integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .probcore import _LOG_FLOOR, _log2_moment, binary_entropy, integrate_adaptive
-from .quantizer import PointDensity, _active_intervals
+from .probcore import _LOG_FLOOR, binary_entropy, integrate_adaptive
+from .quantizer import PointDensity
 from .sensitivity import SensitivityProfile, _max_gamma_sq
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,11 +34,9 @@ __all__ = [
     "closed_form_max_nochat",
     "entropy_coding_tables",
     "fixed_rate_betas",
-    "fixed_rate_message_moments",
-    "hr_fmse_entropy_chat",
-    "hr_fmse_fixed_rate_chat",
     "optimal_density_entropy",
     "optimal_density_fixed_rate",
+    "predict",
 ]
 
 FIXED_RATE = "fixed-rate"
@@ -116,54 +113,39 @@ def optimal_density_entropy(profile: SensitivityProfile) -> PointDensity:
     )
 
 
-def _profile_regions(
-    profile: SensitivityProfile,
-) -> tuple[list[tuple[float, float]], list[float]]:
-    """Active intervals of a profile and its sorted breakpoints."""
-    regions = _active_intervals(*profile.support, profile.zero_zones)
-    return regions, sorted(set(profile.breakpoints))
+def _rate_array(spec: "ChatNetworkSpec", rates) -> np.ndarray:
+    """``rates`` as an (N, K) array of the rate of every (sensor, message)
+    pair, K the message count of a chat edge (1 without chat).
 
-
-def _density_ratio_moment(profile: SensitivityProfile, density: PointDensity) -> float:
-    """E[(gamma/lambda)^2 (X)] over the profile's active region."""
-    regions, bps = _profile_regions(profile)
-    bps = sorted(set(bps) | set(density.breakpoints))
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        num = profile(x)
-        lam = density(x)
-        # inf where the density vanishes under positive weight.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = num / np.maximum(lam, 0.0) ** 2
-        return np.where(num > 0.0, ratio, 0.0)
-
-    val = sum(integrate_adaptive(integrand, a, b, bps) for a, b in regions)
-    if not np.isfinite(val):
-        raise UndefinedDistortionError(
-            "point density vanishes where the weighted source has mass"
+    ``rates`` holds one entry per sensor: a rate, which fills the
+    sensor's row, or under entropy coding a sequence of one rate per
+    message the sensor can receive (K behind a chat edge, else 1).
+    Raises ValueError for another count or shape and for a non-finite
+    rate.
+    """
+    if np.isscalar(rates) or len(rates) != spec.n_sensors:
+        raise ValueError(
+            f"sensor rates: need one rate per sensor ({spec.n_sensors}), "
+            f"got {rates!r}"
         )
-    return val
-
-
-def _require_finite_rates(rates) -> None:
-    """Raise ValueError unless every rate, per sensor or per (sensor,
-    message), is finite."""
     for n, r in enumerate(rates, start=1):
         if not np.all(np.isfinite(np.asarray(r, dtype=float))):
             raise ValueError(f"sensor {n}: rates must be finite, got {r}")
-
-
-def _sensor_messages(spec: "ChatNetworkSpec", n: int):
-    """Yield (message index, probability, conditional profile)."""
-    probs = spec.message_probs(n).probabilities
-    for k, p in enumerate(probs, start=1):
-        if p <= 0.0:
-            continue
-        yield k, float(p), spec.conditional_profile(n, k)
-
-
-def _dont_care_count(profile: SensitivityProfile) -> int:
-    return sum(1 for a, b in profile.zero_zones if b > a)
+    out = np.empty((spec.n_sensors, len(spec.partition) - 1))
+    for n, r in enumerate(rates, start=1):
+        if np.ndim(r) != 0:
+            if spec.regime == FIXED_RATE:
+                raise ValueError(
+                    f"sensor {n}: fixed-rate coding takes one rate per "
+                    f"sensor, got {r}"
+                )
+            want = out.shape[1] if spec.graph.edge_into(n) is not None else 1
+            if np.ndim(r) != 1 or len(r) != want:
+                raise ValueError(
+                    f"sensor {n}: need one rate per message ({want}), got {r}"
+                )
+        out[n - 1] = r
+    return out
 
 
 def _chat_constants(
@@ -275,32 +257,6 @@ def _spec_constants(spec: "ChatNetworkSpec", regime: str) -> tuple[np.ndarray, .
     return (probs, dont_care, *values)
 
 
-def _density_constants(
-    spec: "ChatNetworkSpec",
-    densities: Mapping[tuple[int, int], PointDensity],
-    regime: str,
-) -> tuple[np.ndarray, ...]:
-    """``_spec_constants`` with each pair's codebook drawn from the given
-    point density instead of the optimal one, one pair at a time."""
-    sizes = [spec.message_probs(n).size for n in range(1, spec.n_sensors + 1)]
-    shape = (spec.n_sensors, max(sizes))
-    probs, dont_care = np.zeros(shape), np.zeros(shape, dtype=int)
-    fills = (0.0,) if regime == FIXED_RATE else (0.0, 1.0, 0.0)
-    values = [np.full(shape, v) for v in fills]
-    for n in range(1, spec.n_sensors + 1):
-        for k, p, prof in _sensor_messages(spec, n):
-            probs[n - 1, k - 1] = p
-            dont_care[n - 1, k - 1] = _dont_care_count(prof)
-            dens = densities[(n, k)]
-            if regime == FIXED_RATE:
-                got = (_density_ratio_moment(prof, dens),)
-            else:
-                got = _entropy_message_constant(prof, dens)
-            for arr, v in zip(values, got):
-                arr[n - 1, k - 1] = v
-    return (probs, dont_care, *values)
-
-
 def _per_sensor(spec: "ChatNetworkSpec", *arrays: np.ndarray):
     """Each sensor's rows of (N, K) arrays, cut to the messages it can
     receive: K behind a chat edge, else 1."""
@@ -310,18 +266,18 @@ def _per_sensor(spec: "ChatNetworkSpec", *arrays: np.ndarray):
 
 
 def _fixed_rate_report(probs, dont_care, norms, rates) -> DistortionReport:
-    """Fixed-rate prediction from (N, K) constants; see
-    ``hr_fmse_fixed_rate_chat``."""
+    """Fixed-rate prediction from (N, K) constants and rates; see
+    ``predict``."""
     per_sensor = np.zeros(probs.shape[0])
     detail: list[tuple[int, int, float]] = []
     for n, k in zip(*np.nonzero(probs > 0.0)):
-        granular = 2.0 ** rates[n] - dont_care[n, k]
+        granular = 2.0 ** rates[n, k] - dont_care[n, k]
         # The slack lets a rate of log2(L + 1), taken back from an
         # integer size, keep its one granular cell.
         if granular < 1.0 - 1e-9:
             raise InfeasibleRateError(
-                f"sensor {n + 1}, message {k + 1}: rate {rates[n]:g} buys "
-                f"{2.0 ** rates[n]:g} cells, less than one granular "
+                f"sensor {n + 1}, message {k + 1}: rate {rates[n, k]:g} buys "
+                f"{2.0 ** rates[n, k]:g} cells, less than one granular "
                 f"cell beside {dont_care[n, k]} don't-care cells"
             )
         contrib = float(probs[n, k] * norms[n, k] / (12.0 * granular**2))
@@ -330,35 +286,6 @@ def _fixed_rate_report(probs, dont_care, norms, rates) -> DistortionReport:
     return DistortionReport(
         per_sensor, float(per_sensor.sum()), FIXED_RATE, tuple(detail)
     )
-
-
-def hr_fmse_fixed_rate_chat(
-    spec: "ChatNetworkSpec",
-    densities: Mapping[tuple[int, int], PointDensity] | None,
-    rates: Sequence[float],
-) -> DistortionReport:
-    """Functional MSE of a chatting network under fixed-rate coding.
-
-    For each sensor n and incoming message m the codebook has 2^R_n
-    codewords of which L_n(m) sit in don't-care intervals, leaving
-    2^R_n - L_n(m) granular cells; the per-message term is
-    E[(gamma/lambda)^2] / (12 (2^R_n - L_n(m))^2), averaged exactly over
-    the message distribution.  ``densities`` maps (sensor, message) to the
-    point density in force; None uses the optimal density for every pair,
-    for which E[(gamma/lambda)^2] collapses to the one-third quasi-norm of
-    gamma^2 f.  Raises ValueError on a non-finite rate and
-    ``InfeasibleRateError`` when 2^R_n - L_n(m) < 1, a rate that buys less
-    than one granular cell.
-    """
-    rates = np.asarray(rates, dtype=float)
-    if rates.size != spec.n_sensors:
-        raise ValueError("need one rate per sensor")
-    _require_finite_rates(rates)
-    if densities is None:
-        consts = _spec_constants(spec, FIXED_RATE)
-    else:
-        consts = _density_constants(spec, densities, FIXED_RATE)
-    return _fixed_rate_report(*consts, rates)
 
 
 @dataclass(frozen=True)
@@ -377,29 +304,6 @@ class EntropyCodingTable:
     gate_bits: np.ndarray
 
 
-def _entropy_message_constant(
-    profile: SensitivityProfile, density: PointDensity
-) -> tuple[float, float, float]:
-    """Coefficient, P(A) and gate bits of one (sensor, message) pair whose
-    codebook follows ``density``."""
-    regions, bps = _profile_regions(profile)
-    # The source density is 1, so P(A) is the summed length of the active
-    # regions and X given A is uniform on A, with h(X|A) = log2 P(A).
-    mass = float(sum(b - a for a, b in regions))
-    if mass <= 0.0:
-        raise UndefinedDistortionError("no source mass outside don't-care zones")
-    h_bits = float(np.log2(mass))
-    # Full form: 2^{2 E[log2 lambda | A]} * E[(gamma/lambda)^2 | A].
-    # The ratio first: where lambda vanishes under positive weight it
-    # raises UndefinedDistortionError, while log2 lambda would meet a
-    # jump with no breakpoint and fail to settle.
-    ratio = _density_ratio_moment(profile, density) / mass
-    lam_bps = sorted(set(bps) | set(density.breakpoints))
-    shape_bits = 2.0 * _log2_moment(density, regions, lam_bps) / mass
-    coeff = (mass / 12.0) * 2.0 ** (2.0 * h_bits + shape_bits) * ratio
-    return coeff, mass, binary_entropy(mass)
-
-
 def entropy_coding_tables(spec: "ChatNetworkSpec") -> list[EntropyCodingTable]:
     """Entropy-coding coefficients for every sensor and message.
 
@@ -412,13 +316,12 @@ def entropy_coding_tables(spec: "ChatNetworkSpec") -> list[EntropyCodingTable]:
 
 
 def _entropy_report(probs, dont_care, coeffs, masses, gates, rates) -> DistortionReport:
-    """Entropy-coded prediction from (N, K) constants; see
-    ``hr_fmse_entropy_chat``."""
+    """Entropy-coded prediction from (N, K) constants and rates; see
+    ``predict``."""
     per_sensor = np.zeros(probs.shape[0])
     detail: list[tuple[int, int, float]] = []
     for n, k in zip(*np.nonzero(probs > 0.0)):
-        r_n = rates[n]
-        r = float(r_n if np.isscalar(r_n) else r_n[k])
+        r = float(rates[n, k])
         gate = float(gates[n, k])
         if r <= gate:
             raise InfeasibleRateError(
@@ -435,39 +338,34 @@ def _entropy_report(probs, dont_care, coeffs, masses, gates, rates) -> Distortio
     )
 
 
-def hr_fmse_entropy_chat(
-    spec: "ChatNetworkSpec",
-    densities: Mapping[tuple[int, int], PointDensity] | None,
-    rates: Sequence[float] | Sequence[Sequence[float]],
+def predict(
+    spec: "ChatNetworkSpec", rates: Sequence[float] | Sequence[Sequence[float]]
 ) -> DistortionReport:
-    """Functional MSE of a chatting network under entropy coding.
+    """Functional MSE of a chatting network at given rates, in the spec's
+    regime, averaged exactly over the message distribution.
 
-    ``rates`` is either one rate per sensor or one sequence per sensor
-    with a rate for each incoming message.  Each (sensor, message) rate
-    must exceed the gate bits H_B(P(A)) spent flagging don't-care hits;
-    the remainder is amplified by 1/P(A) because the granular code runs
-    only when the observation is informative.  Raises ValueError on a
-    non-finite rate.
+    Fixed rate: sensor n has one codebook of 2^R_n codewords, of which
+    L_n(m) sit in the don't-care intervals of message m, leaving
+    2^R_n - L_n(m) granular cells; the message's term is the one-third
+    quasi-norm of gamma^2 f over 12 (2^R_n - L_n(m))^2.  ``rates`` holds
+    one rate per sensor.
+
+    Entropy coding: ``rates`` holds one rate per sensor or one sequence
+    per sensor with a rate for each message it can receive.  Each
+    (sensor, message) rate must exceed the gate bits H_B(P(A)) spent
+    flagging don't-care hits; the remainder is amplified by 1/P(A)
+    because the granular code runs only when the observation is
+    informative.
+
+    Raises ValueError for a rate list of another shape or a non-finite
+    rate, and ``InfeasibleRateError`` for a fixed rate that buys less
+    than one granular cell or an entropy rate that cannot cover its gate.
     """
-    _require_finite_rates(rates)
-    if densities is None:
-        consts = _spec_constants(spec, ENTROPY_CONSTRAINED)
-    else:
-        consts = _density_constants(spec, densities, ENTROPY_CONSTRAINED)
+    rates = _rate_array(spec, rates)
+    consts = _spec_constants(spec, spec.regime)
+    if spec.regime == FIXED_RATE:
+        return _fixed_rate_report(*consts, rates)
     return _entropy_report(*consts, rates)
-
-
-def fixed_rate_message_moments(
-    spec: "ChatNetworkSpec",
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-sensor (probs, quasi-norms, don't-care counts) over messages.
-
-    The quasi-norm entry for message k is E[(gamma/lambda)^2] under the
-    optimal fixed-rate density, so sensor n's distortion with a K-cell
-    codebook is sum_k probs[k] * norms[k] / (12 (K - dc[k])^2).
-    """
-    probs, dont_care, norms = _spec_constants(spec, FIXED_RATE)
-    return [(p, q, dc) for p, dc, q in _per_sensor(spec, probs, dont_care, norms)]
 
 
 def _betas(probs: np.ndarray, norms: np.ndarray) -> np.ndarray:

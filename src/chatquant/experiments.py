@@ -22,7 +22,7 @@ from .distortion import (
     _chat_constants,
     closed_form_max_nochat,
     fixed_rate_betas,
-    hr_fmse_entropy_chat,
+    predict,
 )
 from .simulator import CONDITIONAL_EXPECTATION, run_simulation
 
@@ -41,9 +41,9 @@ __all__ = [
 class SweepSpec:
     """A family of serial max networks with one swept variable.
 
-    ``variable`` names the swept axis (Rc, p1, alpha_c or N) and
-    ``values`` its points; the remaining fields stay fixed across the
-    family.  ``budget`` may be a number or "4N"-style None meaning
+    ``variable`` names the swept axis, the chat rate "Rc" or the one-bit
+    partition boundary "p1", and ``values`` its points; the remaining
+    fields stay fixed across the family, and the budget is
     budget_per_sensor * N.
     """
 
@@ -56,7 +56,7 @@ class SweepSpec:
     regime: str = FIXED_RATE
 
     def __post_init__(self) -> None:
-        if self.variable not in ("Rc", "p1", "alpha_c", "N"):
+        if self.variable not in ("Rc", "p1"):
             raise ValueError(f"unknown sweep variable {self.variable!r}")
         if not np.isfinite(self.budget_per_sensor):
             raise ValueError("the budget must be finite")
@@ -220,7 +220,7 @@ def run_scenarios(
                 np.dot(fixed_rate_betas(spec), 2.0 ** (-2.0 * np.asarray(equal)))
             )
         else:
-            d1 = hr_fmse_entropy_chat(spec, None, equal).total
+            d1 = predict(spec, equal).total
         d2 = allocate(spec, budget).predicted_distortion
         best_p1, d3 = optimize_partition(spec, budget, p1_step)
         for label, value in (

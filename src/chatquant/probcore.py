@@ -145,21 +145,6 @@ def _integrate_rows(fn: Callable, edges: np.ndarray) -> np.ndarray:
     )
 
 
-def _log2_moment(
-    fn: Callable, regions: Sequence[tuple[float, float]], bps: Sequence[float]
-) -> float:
-    """Integral of log2 fn over ``regions``.
-
-    ``fn`` is floored at _LOG_FLOOR, so a zero of ``fn`` is an integrable
-    log singularity, not a NaN.
-    """
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return np.log2(np.maximum(fn(x), _LOG_FLOOR))
-
-    return sum(integrate_adaptive(integrand, a, b, bps) for a, b in regions)
-
-
 def binary_entropy(p: float) -> float:
     """Entropy in bits of a Bernoulli(p) variable; 0 at the endpoints."""
     if not 0.0 <= p <= 1.0:

@@ -1,4 +1,4 @@
-"""Companding scalar quantizers built from point densities.
+"""Companding scalar quantizers, each built from a point density.
 
 A point density is a normalized codeword-density function on a bounded
 support, possibly with zero zones (subintervals that receive no granular

@@ -4,7 +4,7 @@ The sensitivity profile of a computation g at sensor n is the conditional
 second moment of the partial derivative of g with respect to argument n,
 as a function of the observed value.  It measures how much a small
 quantization error at sensor n perturbs the computed output, and it is the
-weight that shapes optimal codeword densities downstream.
+weight that shapes the optimal codeword density downstream.
 
 Closed forms are provided for the max computation over iid uniform(0, 1)
 sources, both unconditional and conditioned on a received chat message.
@@ -31,7 +31,7 @@ class SensitivityProfile:
     """Squared sensitivity gamma^2 on a bounded support.
 
     The squared profile is the stored primitive because every distortion
-    formula consumes it directly; ``gamma`` is a square-root view.
+    formula consumes it directly.
     ``zero_zones`` lists the maximal subintervals where the profile
     vanishes identically (don't-care regions for quantizer design).
     """
@@ -52,9 +52,6 @@ class SensitivityProfile:
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
         return self.gamma_sq(np.asarray(x, dtype=float))
-
-    def gamma(self, x: np.ndarray | float) -> np.ndarray | float:
-        return np.sqrt(np.maximum(self(x), 0.0))
 
 
 def _max_gamma_sq(x, anc, rest, s_l, s_u):

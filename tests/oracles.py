@@ -267,20 +267,37 @@ def _active_regions(profile) -> list[tuple[float, float]]:
     return out
 
 
-def fixed_rate_betas_quad(spec) -> np.ndarray:
-    """beta_n = sum_k p_k (int_A (gamma^2 f)^(1/3))^3 / 12 by scalar quad,
-    A the message's active region."""
+def fixed_rate_message_norms_quad(spec) -> list[tuple[np.ndarray, ...]]:
+    """(probs, quasi-norms, don't-care counts) over every sensor's
+    messages: norm = (int_A (gamma^2 f)^(1/3))^3 by scalar quad, A the
+    message's active region, and the count that of its zero zones."""
     f = _density(spec.source)
-    betas = np.zeros(spec.n_sensors)
+    out = []
     for n in range(1, spec.n_sensors + 1):
-        for _k, p, prof in _messages(spec, n):
+        probs = spec.message_probs(n).probabilities
+        norms = np.zeros_like(probs)
+        dont_care = np.zeros(probs.size, dtype=int)
+        for k, _p, prof in _messages(spec, n):
             root = lambda x: max(float(prof(x) * f(x)), 0.0) ** (1.0 / 3.0)
             s = sum(
                 quad_integral(root, a, b, prof.breakpoints)
                 for a, b in _active_regions(prof)
             )
-            betas[n - 1] += p * s**3 / 12.0
-    return betas
+            norms[k - 1] = s**3
+            dont_care[k - 1] = sum(1 for a, b in prof.zero_zones if b > a)
+        out.append((probs, norms, dont_care))
+    return out
+
+
+def fixed_rate_betas_quad(spec) -> np.ndarray:
+    """beta_n = sum_k p_k (int_A (gamma^2 f)^(1/3))^3 / 12 by scalar quad,
+    A the message's active region."""
+    return np.array(
+        [
+            float(np.sum(probs * norms / 12.0))
+            for probs, norms, _dc in fixed_rate_message_norms_quad(spec)
+        ]
+    )
 
 
 def entropy_coding_tables_quad(spec) -> list[tuple[np.ndarray, ...]]:

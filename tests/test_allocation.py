@@ -7,7 +7,6 @@ from chatquant.allocation import (
     InfeasibleBudgetError,
     allocate,
     chat_budget_search,
-    entropy_allocation,
     probabilistic_allocation,
     waterfill_kkt,
 )
@@ -261,8 +260,8 @@ def test_fixed_rate_network_allocation_frozen():
 
 
 def test_entropy_network_allocation_frozen():
-    spec = ChatNetworkSpec.serial_max(5, 2)
-    res = entropy_allocation(spec, 25.0)
+    spec = ChatNetworkSpec.serial_max(5, 2, regime="entropy-constrained")
+    res = allocate(spec, 25.0)
     assert res.predicted_distortion == pytest.approx(1.531615e-6, rel=1e-5)
     assert res.budget() == pytest.approx(25.0, abs=1e-9)
     # Later sensors and rarer messages still get nonnegative shares.
@@ -273,8 +272,10 @@ def test_entropy_network_allocation_frozen():
 def test_entropy_allocation_rates_are_per_bit():
     # Rates are b / alpha_n with the true link cost, not the effective
     # gate-scaled cost used inside the optimizer.
-    spec = ChatNetworkSpec.serial_max(3, 2, fusion_alphas=(1.0, 2.0, 1.0))
-    res = entropy_allocation(spec, 12.0)
+    spec = ChatNetworkSpec.serial_max(
+        3, 2, fusion_alphas=(1.0, 2.0, 1.0), regime="entropy-constrained"
+    )
+    res = allocate(spec, 12.0)
     for (link, _msg), b, rate in zip(res.labels, res.b, res.rates):
         alpha = spec.fusion_alphas[link - 1]
         assert rate == pytest.approx(b / alpha, rel=1e-12)
@@ -347,17 +348,15 @@ def test_allocate_charges_chat_before_fusion():
 
 @pytest.mark.parametrize("budget", [np.nan, np.inf, -np.inf])
 def test_non_finite_budgets_are_rejected(budget, monkeypatch):
-    # A bad budget fails before the coding tables are built.
-    def tables(spec):
-        raise AssertionError("coding tables built for a non-finite budget")
+    # A bad budget fails before the constants are integrated.
+    def tables(spec, regime):
+        raise AssertionError("constants integrated for a non-finite budget")
 
-    monkeypatch.setattr("chatquant.allocation.entropy_coding_tables", tables)
+    monkeypatch.setattr("chatquant.allocation._spec_constants", tables)
     with pytest.raises(ValueError, match="finite"):
         waterfill_kkt([1.0, 4.0], [1.0, 1.0], budget)
     with pytest.raises(ValueError, match="finite"):
         probabilistic_allocation([[1.0], [4.0]], [[1.0], [1.0]], [[1.0], [1.0]], budget)
-    with pytest.raises(ValueError, match="finite"):
-        entropy_allocation(ChatNetworkSpec.serial_max(3, 2), budget)
     for regime in ("fixed-rate", "entropy-constrained"):
         with pytest.raises(ValueError, match="finite"):
             allocate(ChatNetworkSpec.serial_max(3, 2, regime=regime), budget)

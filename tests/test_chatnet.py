@@ -20,10 +20,7 @@ from chatquant.chatnet import (
     validate_identifiable,
 )
 from chatquant.allocation import InfeasibleBudgetError
-from chatquant.distortion import (
-    hr_fmse_entropy_chat,
-    hr_fmse_fixed_rate_chat,
-)
+from chatquant.distortion import predict
 from oracles import serial_max_chat_round
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -203,6 +200,19 @@ def test_parse_rejects_second_partition_for_an_edge():
     with pytest.raises(SpecFormatError, match=r"second partition for edge \(1, 2\)") as err:
         parse_spec_file(text)
     assert (err.value.line, err.value.key) == (4, "partition")
+
+
+@pytest.mark.parametrize(
+    "text, line, match",
+    [
+        ("N = 2\nedge = 1 3 2 0\n", 2, r"edge \(1, 3\) leaves the node set"),
+        ("N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\nedge = 1 2 2 0\n", 4, "duplicate chat edges"),
+    ],
+)
+def test_parse_names_the_line_of_a_chat_graph_error(text, line, match):
+    with pytest.raises(SpecFormatError, match=match) as err:
+        parse_spec_file(text)
+    assert (err.value.line, err.value.key) == (line, "edge")
 
 
 def test_parse_accepts_agreeing_partition_lines():
@@ -420,7 +430,7 @@ def test_design_fixed_rate_budget():
         a * np.log2(s) for a, s in zip(spec.fusion_alphas, design.sizes)
     )
     assert spent <= 16.0 + 1e-9
-    want = hr_fmse_fixed_rate_chat(spec, None, np.log2(design.sizes))
+    want = predict(spec, np.log2(design.sizes))
     assert design.predicted.total == pytest.approx(want.total, rel=1e-12)
     assert design.allocation is not None
     assert set(design.banks) == {1, 2, 3, 4}
@@ -455,9 +465,8 @@ def test_design_entropy_sizes_cover_gates():
         for k, size in enumerate(row, start=1):
             dc = len(spec.conditional_profile(n, k).zero_zones)
             assert size >= dc + 1
-    want = hr_fmse_entropy_chat(
+    want = predict(
         spec,
-        None,
         [
             [float(r) for (_n, _k), r in zip(design.allocation.labels, design.allocation.rates) if _n == n]
             for n in range(1, 5)

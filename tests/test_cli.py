@@ -78,6 +78,21 @@ def test_specs_without_one_shared_partition_are_spec_errors(
     assert capsys.readouterr().err.startswith(f"spec error: {where}")
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("N = 2\nedge = 1 3 2 0\n", "line 2, key 'edge': edge (1, 3) leaves the node set"),
+        ("N = 2\nedge = 1 2 2 0\nedge = 1 2 2 0\n", "line 3, key 'edge': duplicate chat edges"),
+    ],
+)
+@pytest.mark.parametrize("command", [["validate"], ["predict", "--budget", "8"]])
+def test_chat_graph_errors_are_spec_errors(text, where, command, tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(text)
+    assert main([command[0], "--spec", str(spec), *command[1:]]) == 2
+    assert capsys.readouterr().err.startswith(f"spec error: {where}")
+
+
 def test_unsupported_computation_is_spec_error(tmp_path, capsys):
     spec = tmp_path / "spec.txt"
     spec.write_text("N = 2\ncomputation = sum\n")
@@ -204,6 +219,29 @@ def test_fixed_rate_below_one_granular_cell_exits_1(args, capsys):
     # --rates=-1,4.
     assert main(args) == 1
     assert "less than one granular cell" in capsys.readouterr().err
+
+
+ENTROPY = ["--regime", "entropy-constrained"]
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        (["predict", *ENTROPY, "--rates", "5,5"], "need one rate per sensor"),
+        (["predict", *ENTROPY, "--rates", "5,5,5,5"], "need one rate per sensor"),
+        (["predict", *ENTROPY, "--rates", "5,5/5/5,5"], "sensor 2: need one rate per message"),
+        (["design", *ENTROPY, "--rates", "5,5"], "need one rate per sensor"),
+        (["design", *ENTROPY, "--rates", "5,5,5,5"], "need one rate per sensor"),
+        (["design", "--rates", "5,5,5,5"], "need one rate per sensor"),
+        (["predict", "--rates", "5,5/4,5"], "sensor 2: fixed-rate coding takes one rate"),
+    ],
+)
+def test_rates_of_the_wrong_shape_exit_1(args, match, capsys):
+    # N = 3 behind one-bit chat: sensors 2 and 3 hear two messages each.
+    assert main([args[0], "-N", "3", *args[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sensor") and match in err
+    assert "Traceback" not in err
 
 
 def test_design_prints_sizes_and_dumps_banks(tmp_path, capsys):

@@ -11,51 +11,38 @@ from chatquant.distortion import (
     closed_form_max_nochat,
     entropy_coding_tables,
     fixed_rate_betas,
-    fixed_rate_message_moments,
-    hr_fmse_entropy_chat,
-    hr_fmse_fixed_rate_chat,
     optimal_density_entropy,
     optimal_density_fixed_rate,
+    predict,
 )
-from chatquant.quantizer import PointDensity
 from chatquant.sensitivity import SensitivityProfile, max_sensitivity
 
-from oracles import entropy_coding_tables_quad, fixed_rate_betas_quad
+from oracles import (
+    entropy_coding_tables_quad,
+    fixed_rate_betas_quad,
+    fixed_rate_message_norms_quad,
+)
 
 
 def chat5():
     return ChatNetworkSpec.serial_max(5, 2)
 
 
+def chat5_entropy():
+    return chat5().with_regime("entropy-constrained")
+
+
 # -- high-resolution MSE of one sensor --------------------------------------
 #
-# A single sensor has the flat profile gamma^2 = 1, so its fixed-rate
-# prediction under an explicit point density is the plain high-resolution
-# MSE E[lambda^-2] / (12 K^2).
+# A single sensor has the flat profile gamma^2 = 1, so its optimal point
+# density is uniform and its fixed-rate prediction is the plain
+# high-resolution MSE 1 / (12 K^2).
 
 
 def test_hr_mse_uniform():
     spec = ChatNetworkSpec.serial_max(1, 1)
-    dens = {(1, 1): PointDensity.uniform(0.0, 1.0)}
     for rate, mse in ((2.0, 1.0 / 192.0), (0.0, 1.0 / 12.0)):
-        assert hr_fmse_fixed_rate_chat(spec, dens, [rate]).total == pytest.approx(mse)
-
-
-def test_hr_mse_rejects_mass_in_zero_zone():
-    # The density vanishes on [0, 1/2], where the source has mass under
-    # positive weight, so the moment diverges.
-    dens = PointDensity.from_proportional(
-        lambda x: np.where(np.asarray(x) > 0.5, 1.0, 0.0),
-        0.0,
-        1.0,
-        zero_zones=((0.0, 0.5),),
-    )
-    spec = ChatNetworkSpec.serial_max(1, 1)
-    with pytest.raises(UndefinedDistortionError):
-        hr_fmse_fixed_rate_chat(spec, {(1, 1): dens}, [2.0])
-    spec = spec.with_regime("entropy-constrained")
-    with pytest.raises(UndefinedDistortionError):
-        hr_fmse_entropy_chat(spec, {(1, 1): dens}, [2.0])
+        assert predict(spec, [rate]).total == pytest.approx(mse)
 
 
 # -- optimal densities ----------------------------------------------------
@@ -110,9 +97,9 @@ def test_betas_shrink_along_chain():
 def test_fixed_rate_chat_matches_moment_table():
     spec = chat5()
     rates = np.array([5.2, 5.1, 5.0, 4.9, 4.8])
-    report = hr_fmse_fixed_rate_chat(spec, None, rates)
+    report = predict(spec, rates)
     total = 0.0
-    for n, (probs, norms, dc) in enumerate(fixed_rate_message_moments(spec), 1):
+    for n, (probs, norms, dc) in enumerate(fixed_rate_message_norms_quad(spec), 1):
         k = 2.0 ** rates[n - 1]
         live = probs > 0
         total += np.sum(
@@ -122,27 +109,11 @@ def test_fixed_rate_chat_matches_moment_table():
     assert report.regime == "fixed-rate"
 
 
-def test_fixed_rate_chat_with_explicit_densities():
-    # Handing in the optimal densities reproduces the collapsed form.
-    spec = chat5()
-    densities = {}
-    for n in range(1, 6):
-        probs = spec.message_probs(n).probabilities
-        for k in range(1, probs.size + 1):
-            densities[(n, k)] = optimal_density_fixed_rate(
-                spec.conditional_profile(n, k)
-            )
-    rates = [4.0] * 5
-    a = hr_fmse_fixed_rate_chat(spec, None, rates)
-    b = hr_fmse_fixed_rate_chat(spec, densities, rates)
-    assert b.total == pytest.approx(a.total, rel=1e-6)
-
-
 def test_fixed_rate_chat_infeasible_rate():
     # Sensor 2's second message has one don't-care cell, so a single-cell
     # codebook has no granular cell left.
     with pytest.raises(InfeasibleRateError):
-        hr_fmse_fixed_rate_chat(chat5(), None, [0.0] * 5)
+        predict(chat5(), [0.0] * 5)
 
 
 @pytest.mark.parametrize(
@@ -159,7 +130,7 @@ def test_fixed_rate_below_one_granular_cell(rates):
     # prediction and the design reject the same rates.
     spec = ChatNetworkSpec.serial_max(2, 2)
     with pytest.raises(InfeasibleRateError, match="less than one granular cell"):
-        hr_fmse_fixed_rate_chat(spec, None, rates)
+        predict(spec, rates)
     with pytest.raises(InfeasibleRateError, match="less than one granular cell"):
         design_network(spec, rates=rates)
 
@@ -169,7 +140,7 @@ def test_fixed_rate_one_granular_cell_is_feasible():
     # integer size (2**log2(3) rounds below 3).
     spec = ChatNetworkSpec.serial_max(3, 2)
     for rates in ([0.0, 1.0, 1.0], list(np.log2([1, 3, 3]))):
-        report = hr_fmse_fixed_rate_chat(spec, None, rates)
+        report = predict(spec, rates)
         assert np.all(np.isfinite(report.per_sensor_terms))
     assert design_network(spec, rates=[0.0, 1.0, 1.0]).sizes == (1, 2, 2)
 
@@ -178,16 +149,16 @@ def test_fixed_rate_one_granular_cell_is_feasible():
 def test_non_finite_rates_are_rejected(bad):
     spec = chat5()
     with pytest.raises(ValueError, match="sensor 2: rates must be finite"):
-        hr_fmse_fixed_rate_chat(spec, None, [5.0, bad, 5.0, 5.0, 5.0])
+        predict(spec, [5.0, bad, 5.0, 5.0, 5.0])
     ent = spec.with_regime("entropy-constrained")
     for rates in ([5.0, bad, 5.0, 5.0, 5.0], [5.0, [5.0, bad], 5.0, 5.0, 5.0]):
         with pytest.raises(ValueError, match="sensor 2: rates must be finite"):
-            hr_fmse_entropy_chat(ent, None, rates)
+            predict(ent, rates)
 
 
 def test_nochat_reduces_to_closed_form_fixed_rate():
     spec = ChatNetworkSpec.serial_max(5, 1)
-    report = hr_fmse_fixed_rate_chat(spec, None, [4.0] * 5)
+    report = predict(spec, [4.0] * 5)
     assert report.total == pytest.approx(closed_form_max_nochat(5, 20.0, "fixed-rate"))
     assert report.total == pytest.approx(1.28120445e-4, rel=1e-8)
 
@@ -232,10 +203,10 @@ def test_constants_match_quad_oracle():
 
 
 def test_entropy_chat_matches_table_sum():
-    spec = chat5()
+    spec = chat5_entropy()
     tables = entropy_coding_tables(spec)
     rates = np.array([5.0, 5.1, 4.9, 5.2, 4.8])
-    report = hr_fmse_entropy_chat(spec, None, rates)
+    report = predict(spec, rates)
     total = 0.0
     for n, t in enumerate(tables, 1):
         for k in range(t.probs.size):
@@ -252,42 +223,54 @@ def test_entropy_chat_matches_table_sum():
 
 
 def test_entropy_chat_per_message_rates():
-    spec = chat5()
-    scalar = hr_fmse_entropy_chat(spec, None, [5.0] * 5)
-    spread = hr_fmse_entropy_chat(
-        spec, None, [[5.0], [5.0, 5.0], [5.0, 5.0], [5.0, 5.0], [5.0, 5.0]]
-    )
+    spec = chat5_entropy()
+    scalar = predict(spec, [5.0] * 5)
+    spread = predict(spec, [[5.0], [5.0, 5.0], [5.0, 5.0], [5.0, 5.0], [5.0, 5.0]])
     assert spread.total == pytest.approx(scalar.total, rel=1e-12)
-
-
-def test_entropy_chat_with_explicit_densities():
-    spec = chat5()
-    densities = {}
-    for n in range(1, 6):
-        probs = spec.message_probs(n).probabilities
-        for k in range(1, probs.size + 1):
-            densities[(n, k)] = optimal_density_entropy(
-                spec.conditional_profile(n, k)
-            )
-    a = hr_fmse_entropy_chat(spec, None, [5.0] * 5)
-    b = hr_fmse_entropy_chat(spec, densities, [5.0] * 5)
-    assert b.total == pytest.approx(a.total, rel=1e-6)
 
 
 def test_entropy_chat_gate_infeasible():
     # Message 2 costs a full gate bit at every chatting sensor; a 1-bit
     # rate leaves nothing for the granular code.
     with pytest.raises(InfeasibleRateError):
-        hr_fmse_entropy_chat(chat5(), None, [1.0] * 5)
+        predict(chat5_entropy(), [1.0] * 5)
 
 
 def test_nochat_reduces_to_closed_form_entropy():
-    spec = ChatNetworkSpec.serial_max(5, 1)
-    report = hr_fmse_entropy_chat(spec, None, [4.0] * 5)
+    spec = ChatNetworkSpec.serial_max(5, 1, regime="entropy-constrained")
+    report = predict(spec, [4.0] * 5)
     assert report.total == pytest.approx(
         closed_form_max_nochat(5, 20.0, "entropy-constrained")
     )
     assert report.total == pytest.approx(2.98106102e-5, rel=1e-8)
+
+
+# -- the shape of a rate list -----------------------------------------------
+
+RATE_SHAPE_CASES = [
+    ("fixed-rate", [5.0, 5.0], "need one rate per sensor"),
+    ("fixed-rate", [5.0] * 4, "need one rate per sensor"),
+    ("fixed-rate", 5.0, "need one rate per sensor"),
+    ("fixed-rate", [5.0, [5.0, 4.0], 5.0], "sensor 2: fixed-rate coding takes one rate"),
+    ("entropy-constrained", [5.0, 5.0], "need one rate per sensor"),
+    ("entropy-constrained", [5.0] * 4, "need one rate per sensor"),
+    ("entropy-constrained", [5.0, [5.0, 5.0, 5.0], 5.0], r"sensor 2: need one rate per message \(2\)"),
+    ("entropy-constrained", [5.0, [5.0], 5.0], r"sensor 2: need one rate per message \(2\)"),
+    ("entropy-constrained", [[5.0, 5.0], 5.0, 5.0], r"sensor 1: need one rate per message \(1\)"),
+    ("entropy-constrained", [5.0, [[5.0, 5.0]], 5.0], "sensor 2: need one rate per message"),
+]
+
+
+@pytest.mark.parametrize("regime, rates, match", RATE_SHAPE_CASES)
+def test_rates_of_the_wrong_shape_are_rejected(regime, rates, match):
+    # N = 3 behind one-bit chat: sensor 1 hears nothing, sensors 2 and 3
+    # hear two messages each.  The prediction and the design read rates
+    # through one rule and refuse the same lists.
+    spec = ChatNetworkSpec.serial_max(3, 2, regime=regime)
+    with pytest.raises(ValueError, match=match):
+        predict(spec, rates)
+    with pytest.raises(ValueError, match=match):
+        design_network(spec, rates=rates)
 
 
 # -- report plumbing and closed forms ----------------------------------------

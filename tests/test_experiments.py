@@ -23,8 +23,10 @@ EC = "entropy-constrained"
 
 
 def test_sweep_spec_validation():
-    with pytest.raises(ValueError):
-        SweepSpec("K", (1, 2))
+    # Only the chat rate and the partition boundary have a sweep function.
+    for variable in ("K", "alpha_c", "N"):
+        with pytest.raises(ValueError, match="unknown sweep variable"):
+            SweepSpec(variable, (1, 2))
     with pytest.raises(ValueError):
         SweepSpec("Rc", ())
     with pytest.raises(ValueError):
