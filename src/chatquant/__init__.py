@@ -33,11 +33,9 @@ from .distortion import (
     ENTROPY_CONSTRAINED,
     FIXED_RATE,
     DistortionReport,
-    EntropyCodingTable,
     InfeasibleRateError,
     UndefinedDistortionError,
     closed_form_max_nochat,
-    entropy_coding_tables,
     fixed_rate_betas,
     optimal_density_entropy,
     optimal_density_fixed_rate,
@@ -48,7 +46,6 @@ from .allocation import (
     InfeasibleBudgetError,
     allocate,
     chat_budget_search,
-    probabilistic_allocation,
     waterfill_kkt,
 )
 from .chatnet import (
@@ -96,7 +93,6 @@ __all__ = [
     "CONDITIONAL_EXPECTATION",
     "DistortionReport",
     "ENTROPY_CONSTRAINED",
-    "EntropyCodingTable",
     "FIXED_RATE",
     "InfeasibleBudgetError",
     "InfeasibleCodebookError",
@@ -124,7 +120,6 @@ __all__ = [
     "conditional_quantizer_bank",
     "decode",
     "design_network",
-    "entropy_coding_tables",
     "fixed_rate_betas",
     "integrate_adaptive",
     "max_conditional_sensitivity",
@@ -136,7 +131,6 @@ __all__ = [
     "output_entropy",
     "parse_spec_file",
     "predict",
-    "probabilistic_allocation",
     "replay_codebooks",
     "run_scenarios",
     "run_simulation",

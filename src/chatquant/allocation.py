@@ -2,12 +2,15 @@
 
 Every problem here has the same shape: minimize a sum of terms
 beta_i * 2^(-2 b_i / alpha_i) over nonnegative cost shares b_i subject to
-a budget.  The deterministic case constrains sum(b); the probabilistic
-case (codebooks chosen per chat message) constrains the expected cost
-sum(w_i * b_i) with message probabilities as weights.  The stationarity
-condition is identical in both, so one water-filling routine serves both
-with the weights entering only through the budget.  Its water level is
-exact: a sort and two cumulative sums give it in O(n log n), no search.
+a budget.  Under fixed-rate coding the terms are the sensors and the
+budget constrains sum(b); under entropy coding they are the live
+(sensor, message) pairs of the constants table, since each codebook is
+chosen by the chat message, and the budget constrains the expected cost
+sum(w_i * b_i) with the message probabilities as weights.  The
+stationarity condition is identical in both, so one water-filling
+routine serves both with the weights entering only through the budget.
+Its water level is exact: a sort and two cumulative sums give it in
+O(n log n), no search.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "InfeasibleBudgetError",
     "allocate",
     "chat_budget_search",
-    "probabilistic_allocation",
     "waterfill_kkt",
 ]
 
@@ -39,10 +41,10 @@ class InfeasibleBudgetError(ValueError):
 class AllocationResult:
     """Cost shares b, the rates b/alpha they buy, and the predicted fMSE.
 
-    ``weights`` are message probabilities in the probabilistic case (the
+    ``weights`` are message probabilities under entropy coding (the
     budget then holds in expectation); None means deterministic.
-    ``labels`` tags each entry with (link, message), message -1 for plain
-    per-link allocations.
+    ``labels`` tags each entry with its (sensor, message); None for a
+    per-link allocation, whose ``csv_rows`` give message -1.
     """
 
     b: np.ndarray
@@ -86,7 +88,6 @@ def waterfill_kkt(
     alphas: Sequence[float],
     budget: float,
     weights: Sequence[float] | None = None,
-    labels: tuple[tuple[int, int], ...] | None = None,
 ) -> AllocationResult:
     """Water-fill a budget over links by the KKT conditions, exactly.
 
@@ -102,15 +103,6 @@ def waterfill_kkt(
     link is active this is the paper's interior closed form.  The weights
     do not enter the stationarity condition, only the budget, so the same
     routine covers the deterministic and the probabilistic problem.
-    """
-    return _waterfill(betas, alphas, budget, weights, labels)
-
-
-def _waterfill(betas, alphas, budget, weights, labels) -> AllocationResult:
-    """``waterfill_kkt`` itself, under a private name for in-module callers.
-
-    ``probabilistic_allocation`` solves through this name, so a per-name
-    call count of ``waterfill_kkt`` counts direct water-fillings only.
     """
     betas = np.asarray(betas, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
@@ -141,50 +133,7 @@ def _waterfill(betas, alphas, budget, weights, labels) -> AllocationResult:
     feasible = np.flatnonzero(sorted_d > levels)
     level = levels[feasible[-1]] if feasible.size else 0.0
     b = np.maximum(0.0, alphas / 2.0 * (d - level))
-    return AllocationResult(
-        b, b / alphas, _objective(betas, alphas, b, w), alphas, w, labels
-    )
-
-
-def probabilistic_allocation(
-    betas: Sequence[Sequence[float]],
-    alphas: Sequence[Sequence[float]],
-    message_probs: Sequence[Sequence[float]],
-    budget: float,
-) -> AllocationResult:
-    """Allocate an expected budget over per-message codebooks.
-
-    Link n's cost share may depend on the chat message m it received;
-    message probabilities weight both the objective and the budget, so
-    the problem is ``waterfill_kkt`` over the flattened (link, message)
-    index set with the probabilities as weights.  Messages of probability
-    0 are dropped.  When every share is positive the solution is the
-    paper's interior form
-
-        b_n(m) = (alpha_n(m)/atilde) C
-                 + (alpha_n(m)/2) log2((beta_n(m)/alpha_n(m)) / G)
-
-    with atilde the probability-weighted sum of alphas and G the
-    probability-and-alpha-weighted geometric mean of the beta/alpha
-    ratios.
-    """
-    flat_b: list[float] = []
-    flat_a: list[float] = []
-    flat_w: list[float] = []
-    labels: list[tuple[int, int]] = []
-    for n, (bs, als, ps) in enumerate(zip(betas, alphas, message_probs), start=1):
-        if not (len(bs) == len(als) == len(ps)):
-            raise ValueError(f"link {n}: ragged beta/alpha/prob rows")
-        for m, (beta, alpha, p) in enumerate(zip(bs, als, ps), start=1):
-            if p <= 0:
-                continue
-            flat_b.append(float(beta))
-            flat_a.append(float(alpha))
-            flat_w.append(float(p))
-            labels.append((n, m))
-    if not labels:
-        raise ValueError("no message has positive probability: nothing to allocate")
-    return _waterfill(flat_b, flat_a, budget, flat_w, tuple(labels))
+    return AllocationResult(b, b / alphas, _objective(betas, alphas, b, w), alphas, w)
 
 
 def _fusion_budget(spec: "ChatNetworkSpec", budget: float) -> float:
@@ -222,28 +171,28 @@ def _allocate_from(
 
     Under entropy coding the don't-care gate turns message (n, k) into a
     link with effective cost per exponent-bit alpha_n * P(A) and
-    coefficient inflated by the gate bits; that is exactly a
-    probabilistic allocation instance.  The returned rates are actual bit
-    rates b / alpha_n, not the effective ones used inside the
+    coefficient inflated by the gate bits.  The pairs of positive
+    probability, row-major, are water-filled once with the probabilities
+    as weights and labelled (n, k), 1-based.  The returned rates are
+    actual bit rates b / alpha_n, not the effective ones used inside the
     optimization.
     """
     if spec.regime == FIXED_RATE:
         probs, _dc, norms = constants
         return waterfill_kkt(_betas(probs, norms), spec.fusion_alphas, remaining)
     probs, _dc, coeffs, masses, gates = constants
-    alphas = np.asarray(spec.fusion_alphas, dtype=float)
-    betas = coeffs * 2.0 ** (2.0 * gates / masses)
-    # probabilistic_allocation drops the messages of probability 0 and
-    # labels the rest with their original indices.
-    res = probabilistic_allocation(betas, alphas[:, None] * masses, probs, remaining)
-    true_alphas = alphas[[n - 1 for n, _k in res.labels]]
+    n, k = np.nonzero(probs > 0.0)
+    true_alphas = np.asarray(spec.fusion_alphas, dtype=float)[n]
+    betas = coeffs[n, k] * 2.0 ** (2.0 * gates[n, k] / masses[n, k])
+    res = waterfill_kkt(betas, true_alphas * masses[n, k], remaining, probs[n, k])
+    labels = tuple(zip((n + 1).tolist(), (k + 1).tolist()))
     return AllocationResult(
         res.b,
         res.b / true_alphas,
         res.predicted_distortion,
         true_alphas,
         res.weights,
-        res.labels,
+        labels,
     )
 
 
@@ -255,9 +204,12 @@ def chat_budget_search(
     Each candidate chat rate is allocated by ``allocate`` in the spec's
     regime.  Returns the chat rate with the smallest predicted fMSE and
     its allocation.  Candidates that consume the whole budget are
-    skipped; if none survives, the budget is infeasible.  A candidate
-    that is not a nonnegative integer raises ``ValueError``.
+    skipped; if none survives, the budget is infeasible.  An empty grid
+    or a candidate that is not a nonnegative integer raises
+    ``ValueError``.
     """
+    if len(rc_grid) == 0:
+        raise ValueError("the chat-rate grid is empty: no candidate to search")
     best: tuple[int, AllocationResult] | None = None
     for rc in rc_grid:
         chatting = spec.with_chat_rate(rc)

@@ -38,7 +38,7 @@ from .distortion import (
     DistortionReport,
     _entropy_report,
     _fixed_rate_report,
-    _per_sensor,
+    _fixed_rate_terms,
     _rate_array,
     _spec_constants,
     optimal_density_entropy,
@@ -448,14 +448,14 @@ class NetworkDesign:
     """Concrete quantizer banks realizing an allocation.
 
     ``sizes`` holds the integer codebook sizes actually built (per sensor
-    for fixed rate, per sensor per message under entropy coding) and
-    ``rates`` the continuous rates the allocation asked for.
+    for fixed rate, per sensor per message under entropy coding);
+    ``allocation`` holds the continuous rates a budget's allocation asked
+    for, None when the rates were given.
     """
 
     spec: ChatNetworkSpec
     sizes: tuple
     banks: dict[int, dict[int, Quantizer]]
-    rates: np.ndarray
     allocation: AllocationResult | None
     predicted: DistortionReport
 
@@ -504,34 +504,23 @@ def design_network(
         built = np.broadcast_to(np.log2(sizes)[:, None], dont_care.shape)
         predicted = _fixed_rate_report(*consts, built)
         return NetworkDesign(
-            spec, tuple(int(s) for s in sizes), banks, target, alloc, predicted
+            spec, tuple(int(s) for s in sizes), banks, alloc, predicted
         )
 
     # Entropy-constrained: rates (and sizes) vary with the incoming message.
     if alloc is None:
-        rate_rows = given
+        rate_table = given
     else:
-        rate_rows = np.ones(dont_care.shape)
-        for (n, k), rate in zip(alloc.labels, alloc.rates):
-            rate_rows[n - 1, k - 1] = rate
-    rows = list(_per_sensor(spec, rate_rows, dont_care))
-    sizes_ec = [
-        {
-            k: max(int(np.rint(2.0**r)), int(dc) + 1)
-            for k, (r, dc) in enumerate(zip(r_row, dc_row), start=1)
-        }
-        for r_row, dc_row in rows
-    ]
-    banks = build_banks(spec, sizes_ec)
-    predicted = _entropy_report(*consts, rate_rows)
-    return NetworkDesign(
-        spec,
-        tuple(tuple(row.values()) for row in sizes_ec),
-        banks,
-        np.array([float(np.mean(r_row)) for r_row, _dc in rows]),
-        alloc,
-        predicted,
+        rate_table = np.ones(dont_care.shape)
+        rate_table[consts[0] > 0.0] = alloc.rates
+    table = np.maximum(np.rint(2.0**rate_table).astype(int), dont_care + 1)
+    sizes = tuple(
+        tuple(row[: spec.message_probs(n).size].tolist())
+        for n, row in enumerate(table, start=1)
     )
+    banks = build_banks(spec, [dict(enumerate(row, start=1)) for row in sizes])
+    predicted = _entropy_report(*consts, rate_table)
+    return NetworkDesign(spec, sizes, banks, alloc, predicted)
 
 
 def _repair_budget(
@@ -544,29 +533,22 @@ def _repair_budget(
     """Shrink integer codebooks until they fit the cost budget.
 
     Each step removes the codeword with the smallest ratio of predicted
-    distortion increase to cost recovered; ``consts`` are the (N, K)
-    fixed-rate (probs, don't-care counts, quasi-norms).
+    distortion increase to cost recovered, the first such sensor on a
+    tie; ``consts`` are the (N, K) fixed-rate (probs, don't-care counts,
+    quasi-norms).
     """
     probs, dont_care, norms = consts
-
-    def term(n: int, size: int) -> float:
-        granular = size - dont_care[n]
-        return float(np.sum(probs[n] * norms[n] / (12.0 * granular**2)))
-
     sizes = sizes.copy()
     while float(np.sum(alphas * np.log2(sizes))) > budget + 1e-9:
-        best_n, best_score = -1, np.inf
-        for n in range(sizes.size):
-            if sizes[n] <= max(min_sizes[n], 1):
-                continue
-            saving = alphas[n] * (np.log2(sizes[n]) - np.log2(sizes[n] - 1))
-            harm = term(n, sizes[n] - 1) - term(n, sizes[n])
-            score = harm / saving
-            if score < best_score:
-                best_n, best_score = n, score
-        if best_n < 0:
+        cand = np.flatnonzero(sizes > min_sizes)
+        if cand.size == 0:
             raise ValueError("budget too small for the minimum feasible codebooks")
-        sizes[best_n] -= 1
+        size = sizes[cand]
+        saving = alphas[cand] * (np.log2(size) - np.log2(size - 1))
+        p, dc, q = probs[cand], dont_care[cand], norms[cand]
+        harm = _fixed_rate_terms(p, q, size[:, None] - 1 - dc).sum(axis=1)
+        harm -= _fixed_rate_terms(p, q, size[:, None] - dc).sum(axis=1)
+        sizes[cand[np.argmin(harm / saving)]] -= 1
     return sizes
 
 

@@ -110,6 +110,13 @@ def _parse_rates(raw: str) -> list:
     return rates
 
 
+def _sensor_budget(args) -> float:
+    """--budget split over -N sensors; ValueError for fewer than one."""
+    if args.sensors < 1:
+        raise ValueError("need at least one sensor")
+    return args.budget / args.sensors
+
+
 def _cmd_validate(args) -> int:
     spec = _build_spec(args)
     violations = spec.validate()
@@ -216,7 +223,7 @@ def _cmd_sweep_rc(args) -> int:
         "Rc",
         tuple(range(args.rc_max + 1)),
         args.sensors,
-        args.budget / args.sensors,
+        _sensor_budget(args),
         0.0 if args.alpha_c is None else args.alpha_c,
         1.0 if args.fusion_alpha is None else args.fusion_alpha,
         args.regime or FIXED_RATE,
@@ -248,7 +255,7 @@ def _cmd_sweep_p1(args) -> int:
         "p1",
         grid,
         args.sensors,
-        args.budget / args.sensors,
+        _sensor_budget(args),
         0.0,
         1.0 if args.fusion_alpha is None else args.fusion_alpha,
         args.regime or FIXED_RATE,
@@ -263,7 +270,7 @@ def _cmd_sweep_p1(args) -> int:
 
 
 def _cmd_scenarios(args) -> int:
-    rows = run_scenarios(args.sensors, args.budget / args.sensors)
+    rows = run_scenarios(args.sensors, _sensor_budget(args))
     if args.out:
         write_csv(args.out, rows, {"N": args.sensors, "C": args.budget})
     else:

@@ -28,11 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "DistortionReport",
-    "EntropyCodingTable",
     "InfeasibleRateError",
     "UndefinedDistortionError",
     "closed_form_max_nochat",
-    "entropy_coding_tables",
     "fixed_rate_betas",
     "optimal_density_entropy",
     "optimal_density_fixed_rate",
@@ -168,9 +166,10 @@ def _chat_constants(
     receives nothing has message 1 only, with probability 1.  dont_care
     is 1 where message k leaves a don't-care zone [0, t_{k-1}].  The
     constants are the one-third quasi-norm of gamma^2 under fixed rate,
-    and the coefficient, P(A) and gate bits under entropy coding (see
-    ``entropy_coding_tables``); a pair of probability 0 holds 0, or
-    0, 1 and 0.
+    and under entropy coding the coefficient, the active mass P(A) and
+    the gate bits H_B(P(A)): granted rate R, the pair then adds
+    probs * coefficient * 2^(-2 (R - gate) / P(A)) to the fMSE.  A pair
+    of probability 0 holds 0, or 0, 1 and 0.
     """
     if regime not in (FIXED_RATE, ENTROPY_CONSTRAINED):
         raise ValueError(f"unknown regime {regime!r}")
@@ -257,17 +256,17 @@ def _spec_constants(spec: "ChatNetworkSpec", regime: str) -> tuple[np.ndarray, .
     return (probs, dont_care, *values)
 
 
-def _per_sensor(spec: "ChatNetworkSpec", *arrays: np.ndarray):
-    """Each sensor's rows of (N, K) arrays, cut to the messages it can
-    receive: K behind a chat edge, else 1."""
-    for n in range(spec.n_sensors):
-        k = arrays[0].shape[1] if spec.graph.edge_into(n + 1) is not None else 1
-        yield tuple(a[n, :k] for a in arrays)
+def _fixed_rate_terms(probs, norms, granular):
+    """Fixed-rate terms probs * norms / (12 granular^2) of (sensor,
+    message) pairs with ``granular`` granular cells, entry by entry for
+    scalars or (N, K) arrays."""
+    return probs * norms / (12.0 * granular**2)
 
 
 def _fixed_rate_report(probs, dont_care, norms, rates) -> DistortionReport:
     """Fixed-rate prediction from (N, K) constants and rates; see
-    ``predict``."""
+    ``predict``.  Entry by entry, summed in order: the array forms of 2^r
+    and g^2 and a pairwise np.sum can each move a prediction's last bit."""
     per_sensor = np.zeros(probs.shape[0])
     detail: list[tuple[int, int, float]] = []
     for n, k in zip(*np.nonzero(probs > 0.0)):
@@ -280,39 +279,12 @@ def _fixed_rate_report(probs, dont_care, norms, rates) -> DistortionReport:
                 f"{2.0 ** rates[n, k]:g} cells, less than one granular "
                 f"cell beside {dont_care[n, k]} don't-care cells"
             )
-        contrib = float(probs[n, k] * norms[n, k] / (12.0 * granular**2))
+        contrib = float(_fixed_rate_terms(probs[n, k], norms[n, k], granular))
         per_sensor[n] += contrib
         detail.append((int(n) + 1, int(k) + 1, contrib))
     return DistortionReport(
         per_sensor, float(per_sensor.sum()), FIXED_RATE, tuple(detail)
     )
-
-
-@dataclass(frozen=True)
-class EntropyCodingTable:
-    """Per-message entropy-coding data for one sensor.
-
-    ``constants[k]`` is the distortion coefficient of message k+1 (the
-    factor multiplying the rate-dependent exponential), ``active_mass`` is
-    P(A) for that message, and ``gate_bits`` the binary entropy spent
-    flagging whether the observation fell in a don't-care interval.
-    """
-
-    probs: np.ndarray
-    constants: np.ndarray
-    active_mass: np.ndarray
-    gate_bits: np.ndarray
-
-
-def entropy_coding_tables(spec: "ChatNetworkSpec") -> list[EntropyCodingTable]:
-    """Entropy-coding coefficients for every sensor and message.
-
-    These are the raw ingredients for rate allocation: sensor n with
-    message k contributes probs[k] * constants[k] * 2^(-2 (R - gate) / mass)
-    to the network fMSE when granted rate R on that message.
-    """
-    probs, _dc, *values = _spec_constants(spec, ENTROPY_CONSTRAINED)
-    return [EntropyCodingTable(*row) for row in _per_sensor(spec, probs, *values)]
 
 
 def _entropy_report(probs, dont_care, coeffs, masses, gates, rates) -> DistortionReport:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .allocation import _allocate_from, _fusion_budget, allocate
+from .allocation import InfeasibleBudgetError, _allocate_from, _fusion_budget, allocate
 from .chatnet import ChatNetworkSpec, design_network
 from .distortion import (
     ENTROPY_CONSTRAINED,
@@ -58,6 +58,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in ("Rc", "p1"):
             raise ValueError(f"unknown sweep variable {self.variable!r}")
+        if self.n_sensors < 1:
+            raise ValueError("need at least one sensor")
         if not np.isfinite(self.budget_per_sensor):
             raise ValueError("the budget must be finite")
         if not self.values:
@@ -111,30 +113,30 @@ def sweep_chatting_rate(
             sweep.fusion_alpha,
             sweep.regime,
         )
-        feasible = bool(sweep.budget > spec.chat_cost())
+        try:
+            alloc = allocate(spec, sweep.budget)
+        except InfeasibleBudgetError:
+            alloc = None
         row = {
             "Rc": rc,
-            "feasible": feasible,
-            "predicted_fmse": None,
+            "feasible": alloc is not None,
+            "predicted_fmse": None if alloc is None else alloc.predicted_distortion,
             "empirical_fmse": None,
             "stderr": None,
         }
-        if feasible:
-            alloc = allocate(spec, sweep.budget)
-            row["predicted_fmse"] = alloc.predicted_distortion
-            if simulate and sweep.regime == FIXED_RATE:
-                design = design_network(spec, budget=sweep.budget)
-                sim = run_simulation(
-                    spec,
-                    design.banks,
-                    decoder,
-                    trials,
-                    seed,
-                    predicted=design.predicted.total,
-                )
-                row["empirical_fmse"] = sim.empirical_fmse
-                row["stderr"] = sim.stderr
-                row["predicted_fmse"] = design.predicted.total
+        if alloc is not None and simulate and sweep.regime == FIXED_RATE:
+            design = design_network(spec, budget=sweep.budget)
+            sim = run_simulation(
+                spec,
+                design.banks,
+                decoder,
+                trials,
+                seed,
+                predicted=design.predicted.total,
+            )
+            row["empirical_fmse"] = sim.empirical_fmse
+            row["stderr"] = sim.stderr
+            row["predicted_fmse"] = design.predicted.total
         rows.append(row)
     return rows
 

@@ -11,8 +11,9 @@ are integrated pointwise by scipy's adaptive ``quad``, the encoder and
 cell lookup mask each (sensor, message) pair's rows in turn where the
 simulator gathers from padded tables, the partition grid is allocated
 one spec at a time where the sweeps integrate every point's constants in
-one pass, and the chat round reads the raw observations where the
-protocol tables read transmitted codewords.
+one pass, the budget repair scores one sensor at a time where the
+design scores all at once, and the chat round reads the raw
+observations where the protocol tables read transmitted codewords.
 """
 
 from __future__ import annotations
@@ -345,6 +346,34 @@ def partition_grid_loop(spec, budget: float, p1s) -> np.ndarray:
             for p1 in p1s
         ]
     )
+
+
+def repair_budget_loop(sizes, min_sizes, alphas, consts, budget: float) -> np.ndarray:
+    """Greedy codeword removal, one sensor at a time: each step drops a
+    codeword from the first sensor above its minimum size with the least
+    fixed-rate distortion increase per cost recovered, until the sizes
+    fit the budget.  Raises ValueError when every sensor is at its
+    minimum first."""
+    probs, dont_care, norms = consts
+
+    def term(n: int, size: int) -> float:
+        granular = size - dont_care[n]
+        return float(np.sum(probs[n] * norms[n] / (12.0 * granular**2)))
+
+    sizes = np.array(sizes, copy=True)
+    while float(np.sum(alphas * np.log2(sizes))) > budget + 1e-9:
+        best_n, best_score = -1, math.inf
+        for n in range(sizes.size):
+            if sizes[n] <= min_sizes[n]:
+                continue
+            saving = alphas[n] * (np.log2(sizes[n]) - np.log2(sizes[n] - 1))
+            score = (term(n, sizes[n] - 1) - term(n, sizes[n])) / saving
+            if score < best_score:
+                best_n, best_score = n, score
+        if best_n < 0:
+            raise ValueError("budget too small for the minimum feasible codebooks")
+        sizes[best_n] -= 1
+    return sizes
 
 
 @dataclass(frozen=True)

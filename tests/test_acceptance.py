@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from chatquant.allocation import probabilistic_allocation, waterfill_kkt
+from chatquant.allocation import waterfill_kkt
 from chatquant.chatnet import ChatNetworkSpec, design_network, parse_spec_file
 from chatquant.distortion import FIXED_RATE, ENTROPY_CONSTRAINED, closed_form_max_nochat
 from chatquant.experiments import (
@@ -126,9 +126,9 @@ def test_criterion_3_chatting_fixed_rate(capsys):
 
 def test_criterion_4_allocation_oracles(capsys):
     """Water-filling vs a 0.01-grid dynamic program on 100 random
-    instances, plus the 200-step bisection of the water level, the
-    interior closed form and the flattened weighted form of the
-    probabilistic allocation."""
+    instances, plus the 200-step bisection of the water level and the
+    interior closed form, both also on ragged (link, message) instances
+    flattened with message-probability weights."""
     t0 = time.time()
     rng = np.random.default_rng(42)
     worst_gap = -np.inf
@@ -151,25 +151,29 @@ def test_criterion_4_allocation_oracles(capsys):
         interior += 1
         worst_cf = max(worst_cf, float(np.max(np.abs(cf - wf.b))))
 
+    # Ragged (link, message) instances, flattened with the message
+    # probabilities as weights.
     worst_flat = 0.0
+    worst_flat_cf = 0.0
+    flat_interior = 0
     for _ in range(20):
         n = int(rng.integers(2, 5))
         betas, alphas, probs = [], [], []
         for _ in range(n):
             m = int(rng.integers(1, 4))
-            betas.append(list(10.0 ** rng.uniform(-2.0, 0.0, m)))
-            alphas.append(list(10.0 ** rng.uniform(-0.5, 0.5, m)))
+            betas.extend(10.0 ** rng.uniform(-2.0, 0.0, m))
+            alphas.extend(10.0 ** rng.uniform(-0.5, 0.5, m))
             p = rng.random(m) + 0.1
-            probs.append(list(p / p.sum()))
+            probs.extend(p / p.sum())
         budget = float(rng.uniform(1.0, 2.0 * n))
-        pa = probabilistic_allocation(betas, alphas, probs, budget)
-        flat = waterfill_kkt(
-            [b for row in betas for b in row],
-            [a for row in alphas for a in row],
-            budget,
-            weights=[p for row in probs for p in row],
-        )
-        worst_flat = max(worst_flat, float(np.max(np.abs(pa.b - flat.b))))
+        flat = waterfill_kkt(betas, alphas, budget, weights=probs)
+        bisected = bisection_waterfill(betas, alphas, budget, probs)
+        worst_flat = max(worst_flat, float(np.max(np.abs(bisected - flat.b))))
+        cf = lemma_allocation(betas, alphas, budget, probs)
+        if np.any(cf <= 0):
+            continue
+        flat_interior += 1
+        worst_flat_cf = max(worst_flat_cf, float(np.max(np.abs(cf - flat.b))))
     elapsed = time.time() - t0
     ok = (
         worst_gap <= 1e-6
@@ -177,18 +181,22 @@ def test_criterion_4_allocation_oracles(capsys):
         and interior >= 10
         and worst_cf <= 1e-6
         and worst_flat <= 1e-12
+        and flat_interior >= 5
+        and worst_flat_cf <= 1e-6
         and elapsed < 60.0
     )
     report(
         capsys, 4, ok,
         f"grid gap {worst_gap:.1e}, bisection off {worst_bisect:.1e}, closed "
-        f"form off {worst_cf:.1e} on {interior} interior instances, "
-        f"flattened off {worst_flat:.1e} ({elapsed:.1f}s)",
+        f"form off {worst_cf:.1e} on {interior} interior instances; weighted: "
+        f"bisection off {worst_flat:.1e}, closed form off {worst_flat_cf:.1e} "
+        f"on {flat_interior} interior instances ({elapsed:.1f}s)",
     )
     assert worst_gap <= 1e-6
     assert worst_bisect <= 1e-12
     assert interior >= 10 and worst_cf <= 1e-6
     assert worst_flat <= 1e-12
+    assert flat_interior >= 5 and worst_flat_cf <= 1e-6
     assert elapsed < 60.0
 
 

@@ -7,7 +7,6 @@ from chatquant.allocation import (
     InfeasibleBudgetError,
     allocate,
     chat_budget_search,
-    probabilistic_allocation,
     waterfill_kkt,
 )
 from chatquant.chatnet import ChatNetworkSpec, design_network
@@ -185,67 +184,25 @@ def test_lemma_agreement_random_interior():
         checked += 1
 
 
-# -- probabilistic allocation -------------------------------------------------
+# -- message-weighted water-filling ------------------------------------------
 
 
 def test_probabilistic_degenerate_messages():
+    # One sure message per link: the weighted form is the plain one.
     betas = [4.0, 1.0, 0.5]
     alphas = [1.0, 1.2, 0.8]
-    res = probabilistic_allocation(
-        [[b] for b in betas], [[a] for a in alphas], [[1.0]] * 3, 5.0
-    )
+    res = waterfill_kkt(betas, alphas, 5.0, weights=[1.0] * 3)
     ref = lemma_allocation(betas, alphas, 5.0)
     assert np.allclose(res.b, ref, atol=1e-9)
 
 
 def test_probabilistic_symmetric_messages():
-    res = probabilistic_allocation(
-        [[1.0], [2.0, 2.0]],
-        [[1.0], [1.0, 1.0]],
-        [[1.0], [0.5, 0.5]],
-        3.0,
+    # Link 1 with one message, link 2 with two equally likely ones.
+    res = waterfill_kkt(
+        [1.0, 2.0, 2.0], [1.0, 1.0, 1.0], 3.0, weights=[1.0, 0.5, 0.5]
     )
-    by_label = dict(zip(res.labels, res.b))
-    assert by_label[(2, 1)] == pytest.approx(by_label[(2, 2)], abs=1e-9)
+    assert res.b[1] == pytest.approx(res.b[2], abs=1e-9)
     assert res.budget() == pytest.approx(3.0, abs=1e-9)
-
-
-def test_probabilistic_matches_flattened_weighted_kkt():
-    res = probabilistic_allocation(
-        [[1.0], [1.0, 4.0]],
-        [[1.0], [1.0, 1.0]],
-        [[1.0], [0.5, 0.5]],
-        3.0,
-    )
-    flat = waterfill_kkt(
-        [1.0, 1.0, 4.0], [1.0, 1.0, 1.0], 3.0, weights=[1.0, 0.5, 0.5]
-    )
-    assert np.allclose(res.b, flat.b, rtol=0.0, atol=1e-12)
-    assert res.predicted_distortion == pytest.approx(
-        flat.predicted_distortion, rel=1e-12
-    )
-
-
-def test_probabilistic_drops_dead_messages():
-    res = probabilistic_allocation(
-        [[1.0], [1.0, 4.0]],
-        [[1.0], [1.0, 1.0]],
-        [[1.0], [1.0, 0.0]],
-        2.0,
-    )
-    assert res.labels == ((1, 1), (2, 1))
-
-
-def test_probabilistic_rejects_ragged_rows():
-    with pytest.raises(ValueError):
-        probabilistic_allocation([[1.0, 2.0]], [[1.0]], [[1.0]], 2.0)
-
-
-def test_probabilistic_rejects_all_zero_probabilities():
-    with pytest.raises(ValueError, match="no message has positive probability"):
-        probabilistic_allocation(
-            [[1.0], [4.0, 2.0]], [[1.0], [1.0, 1.0]], [[0.0], [0.0, 0.0]], 2.0
-        )
 
 
 # -- network-level allocation --------------------------------------------------
@@ -267,6 +224,16 @@ def test_entropy_network_allocation_frozen():
     # Later sensors and rarer messages still get nonnegative shares.
     assert np.all(res.b >= 0)
     assert res.labels[0] == (1, 1)
+
+
+def test_entropy_allocation_drops_dead_messages():
+    # Sensor 1 hears nothing, so of its table row only message 1 is live.
+    spec = ChatNetworkSpec.serial_max(3, 4, regime="entropy-constrained")
+    res = allocate(spec, 12.0)
+    assert len(res.labels) == res.b.size == 1 + 4 + 4
+    assert [k for n, k in res.labels if n == 1] == [1]
+    assert [k for n, k in res.labels if n == 3] == [1, 2, 3, 4]
+    assert res.weights[0] == 1.0
 
 
 def test_entropy_allocation_rates_are_per_bit():
@@ -315,6 +282,13 @@ def test_chat_budget_search_infeasible():
         chat_budget_search(spec, 16.0, (4, 5))
 
 
+def test_chat_budget_search_rejects_empty_grid():
+    spec = ChatNetworkSpec.serial_max(4, 2, chat_alpha=0.01)
+    with pytest.raises(ValueError, match="grid is empty") as exc:
+        chat_budget_search(spec, 12.0, [])
+    assert not isinstance(exc.value, InfeasibleBudgetError)
+
+
 @pytest.mark.parametrize("grid", [(1.5,), (0, 2.9), (-1, 1)])
 def test_chat_budget_search_rejects_non_integer_rates(grid):
     # A truncated 2.9 would win as rate 2 and be reported as such.
@@ -355,8 +329,6 @@ def test_non_finite_budgets_are_rejected(budget, monkeypatch):
     monkeypatch.setattr("chatquant.allocation._spec_constants", tables)
     with pytest.raises(ValueError, match="finite"):
         waterfill_kkt([1.0, 4.0], [1.0, 1.0], budget)
-    with pytest.raises(ValueError, match="finite"):
-        probabilistic_allocation([[1.0], [4.0]], [[1.0], [1.0]], [[1.0], [1.0]], budget)
     for regime in ("fixed-rate", "entropy-constrained"):
         with pytest.raises(ValueError, match="finite"):
             allocate(ChatNetworkSpec.serial_max(3, 2, regime=regime), budget)

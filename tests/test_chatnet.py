@@ -13,6 +13,7 @@ from chatquant.chatnet import (
     ChatNetworkSpec,
     Schedule,
     SpecFormatError,
+    _repair_budget,
     build_banks,
     design_network,
     out_message_table,
@@ -21,7 +22,7 @@ from chatquant.chatnet import (
 )
 from chatquant.allocation import InfeasibleBudgetError
 from chatquant.distortion import predict
-from oracles import serial_max_chat_round
+from oracles import repair_budget_loop, serial_max_chat_round
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -434,6 +435,39 @@ def test_design_fixed_rate_budget():
     assert design.predicted.total == pytest.approx(want.total, rel=1e-12)
     assert design.allocation is not None
     assert set(design.banks) == {1, 2, 3, 4}
+
+
+def test_repair_budget_matches_one_sensor_at_a_time():
+    # Random fixed-rate tables with up to 16 messages and overshoots of up
+    # to 6 cost units; every third instance has equal sensors, so the
+    # first-sensor rule decides ties.
+    rng = np.random.default_rng(1)
+    steps = 0
+    for trial in range(300):
+        n, k = int(rng.integers(1, 9)), int(rng.choice([1, 2, 4, 8, 16]))
+        tied = trial % 3 == 0
+        probs = rng.random((1 if tied else n, k))
+        probs /= probs.sum(axis=1, keepdims=True)
+        norms = rng.uniform(0.01, 1.0, (1 if tied else n, k))
+        dont_care = (rng.random((1 if tied else n, k)) < 0.5) * rng.integers(0, 3, k)
+        probs, norms, dont_care = (
+            np.broadcast_to(a, (n, k)) for a in (probs, norms, dont_care)
+        )
+        alphas = np.ones(n) if tied else rng.uniform(0.5, 2.0, n)
+        min_sizes = dont_care.max(axis=1) + 1
+        sizes = min_sizes + rng.integers(0, 40, n)
+        budget = float(np.sum(alphas * np.log2(sizes))) - rng.uniform(0.0, 6.0)
+        consts = (probs, dont_care, norms)
+        try:
+            want = repair_budget_loop(sizes, min_sizes, alphas, consts, budget)
+        except ValueError:
+            with pytest.raises(ValueError, match="budget too small"):
+                _repair_budget(sizes, min_sizes, alphas, consts, budget)
+            continue
+        got = _repair_budget(sizes, min_sizes, alphas, consts, budget)
+        assert np.array_equal(got, want), f"instance {trial}"
+        steps += int(np.sum(sizes - got))
+    assert steps > 1000
 
 
 def test_design_fixed_rate_charges_chatting():

@@ -398,6 +398,20 @@ def test_sweep_p1_rejects_bad_step(step, capsys):
     assert err.startswith("error: --step must be inside (0, 1)")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep-rc", "-N", "0", "--budget", "10"],
+        ["sweep-p1", "-N", "0", "--budget", "4"],
+        ["scenarios", "-N", "0"],
+        ["allocate", "-N", "0", "--budget", "4"],
+    ],
+)
+def test_zero_sensors_is_an_error(args, capsys):
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: need at least one sensor\n"
+
+
 def test_scenarios_command(capsys):
     assert main(["scenarios", "-N", "3", "--budget", "9"]) == 0
     out = capsys.readouterr().out

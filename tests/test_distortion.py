@@ -5,11 +5,12 @@ import pytest
 
 from chatquant.chatnet import ChatNetworkSpec, design_network
 from chatquant.distortion import (
+    ENTROPY_CONSTRAINED,
     DistortionReport,
     InfeasibleRateError,
     UndefinedDistortionError,
+    _spec_constants,
     closed_form_max_nochat,
-    entropy_coding_tables,
     fixed_rate_betas,
     optimal_density_entropy,
     optimal_density_fixed_rate,
@@ -166,18 +167,27 @@ def test_nochat_reduces_to_closed_form_fixed_rate():
 # -- entropy-constrained network forms --------------------------------------
 
 
+def entropy_rows(spec):
+    """Each sensor's (probs, coefficients, active masses, gate bits), its
+    rows of the (N, K) entropy-coding constants cut to the messages it
+    can receive."""
+    probs, _dc, *values = _spec_constants(spec, ENTROPY_CONSTRAINED)
+    for n in range(spec.n_sensors):
+        k = spec.message_probs(n + 1).size
+        yield tuple(a[n, :k] for a in (probs, *values))
+
+
 def test_entropy_tables_frozen_coefficients():
-    tables = entropy_coding_tables(chat5())
-    t2, t5 = tables[1], tables[4]
-    assert t2.constants[0] == pytest.approx(2.516449e-3, rel=1e-5)
-    assert t2.constants[1] == pytest.approx(1.526303e-3, rel=1e-5)
-    assert t5.constants[1] == pytest.approx(2.042407e-3, rel=1e-5)
-    assert t2.active_mass[1] == pytest.approx(0.5)
-    assert t2.gate_bits[1] == pytest.approx(1.0)
+    _probs, _dc, coeffs, masses, gates = _spec_constants(chat5(), ENTROPY_CONSTRAINED)
+    assert coeffs[1, 0] == pytest.approx(2.516449e-3, rel=1e-5)
+    assert coeffs[1, 1] == pytest.approx(1.526303e-3, rel=1e-5)
+    assert coeffs[4, 1] == pytest.approx(2.042407e-3, rel=1e-5)
+    assert masses[1, 1] == pytest.approx(0.5)
+    assert gates[1, 1] == pytest.approx(1.0)
     # First sensor and first messages see the full support: no gate.
-    assert tables[0].active_mass[0] == pytest.approx(1.0)
-    assert tables[0].gate_bits[0] == pytest.approx(0.0)
-    assert t2.active_mass[0] == pytest.approx(1.0)
+    assert masses[0, 0] == pytest.approx(1.0)
+    assert gates[0, 0] == pytest.approx(0.0)
+    assert masses[1, 0] == pytest.approx(1.0)
 
 
 def test_constants_match_quad_oracle():
@@ -192,31 +202,28 @@ def test_constants_match_quad_oracle():
         assert fixed_rate_betas(spec) == pytest.approx(
             fixed_rate_betas_quad(spec), rel=1e-8, abs=0.0
         ), case
-        tables = entropy_coding_tables(spec.with_regime("entropy-constrained"))
         for sensor, (got, want) in enumerate(
-            zip(tables, entropy_coding_tables_quad(spec)), 1
+            zip(entropy_rows(spec), entropy_coding_tables_quad(spec)), 1
         ):
-            for name, ref in zip(fields, want):
-                assert getattr(got, name) == pytest.approx(
+            for name, value, ref in zip(fields, got, want):
+                assert value == pytest.approx(
                     ref, rel=1e-8, abs=0.0
                 ), f"{case}, sensor {sensor}, {name}"
 
 
 def test_entropy_chat_matches_table_sum():
     spec = chat5_entropy()
-    tables = entropy_coding_tables(spec)
     rates = np.array([5.0, 5.1, 4.9, 5.2, 4.8])
     report = predict(spec, rates)
     total = 0.0
-    for n, t in enumerate(tables, 1):
-        for k in range(t.probs.size):
-            if t.probs[k] <= 0:
+    for n, (probs, coeffs, masses, gates) in enumerate(entropy_rows(spec), 1):
+        for k in range(probs.size):
+            if probs[k] <= 0:
                 continue
             total += (
-                t.probs[k]
-                * t.constants[k]
-                * 2.0
-                ** (-2.0 * (rates[n - 1] - t.gate_bits[k]) / t.active_mass[k])
+                probs[k]
+                * coeffs[k]
+                * 2.0 ** (-2.0 * (rates[n - 1] - gates[k]) / masses[k])
             )
     assert report.total == pytest.approx(total, rel=1e-12)
     assert report.regime == "entropy-constrained"

@@ -38,6 +38,9 @@ def test_sweep_spec_validation():
             SweepSpec("Rc", (0, bad))
     with pytest.raises(ValueError):
         SweepSpec("Rc", (0, 1), budget_per_sensor=float("nan"))
+    for n_sensors in (0, -1):
+        with pytest.raises(ValueError, match="need at least one sensor"):
+            SweepSpec("Rc", (0, 1), n_sensors=n_sensors)
     sweep = SweepSpec("Rc", (0, 1), n_sensors=5, budget_per_sensor=3.0)
     assert sweep.budget == 15.0
     assert sweep.params()["C"] == 15.0
