@@ -43,8 +43,9 @@ class AllocationResult:
 
     ``weights`` are message probabilities under entropy coding (the
     budget then holds in expectation); None means deterministic.
-    ``labels`` tags each entry with its (sensor, message); None for a
-    per-link allocation, whose ``csv_rows`` give message -1.
+    ``labels`` tags each entry with its (sensor, message), one label per
+    share; None for a per-link allocation, whose ``csv_rows`` give
+    message -1.
     """
 
     b: np.ndarray
@@ -58,6 +59,11 @@ class AllocationResult:
         b = np.asarray(self.b, dtype=float)
         if np.any(b < -1e-12):
             raise ValueError("cost shares must be nonnegative")
+        if self.labels is not None and len(self.labels) != b.size:
+            raise ValueError(
+                f"need one label per cost share, got {len(self.labels)} "
+                f"labels for {b.size} shares"
+            )
         object.__setattr__(self, "b", np.maximum(b, 0.0))
         object.__setattr__(self, "rates", np.asarray(self.rates, dtype=float))
         object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))

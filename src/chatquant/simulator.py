@@ -10,6 +10,7 @@ information the decoder really has.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
@@ -36,6 +37,10 @@ CHUNK = 65536
 
 # Most encode buckets per codebook; keeps the bucket tables to a few MB.
 _MAX_BUCKETS = 4096
+
+# Rows per block when a drawn chunk is copied to column-major order: a
+# block stays in cache, where a whole-chunk transpose does not.
+_COPY_ROWS = 1024
 
 PLUG_IN = "plug-in"
 CONDITIONAL_EXPECTATION = "conditional-expectation"
@@ -95,26 +100,27 @@ class _Protocol:
                     f"sensor {n}: bank must cover messages 1..{want}"
                 )
         self.spec = spec
-        self.banks = banks
         self.cells = _CellTable(banks)
         self.sends = {
             e.key: self.cells.spread(e.src, out_message_table(spec, banks, e))
             for e in spec.graph.edges
         }
 
-    def replay(self, indices: np.ndarray) -> np.ndarray:
-        """Incoming messages recomputed from fusion indices alone.
+    def replay(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Incoming messages recomputed from fusion indices alone, and the
+        table positions of the cells the indices name.
 
         Raises ``ValueError`` at the first sensor, in chain order, whose
         index is not a cell of the codebook its replayed message selects.
         """
         spec = self.spec
         incoming = np.ones_like(indices)
+        pos = np.empty(indices.shape, dtype=np.int64, order="F")
         for n in range(1, spec.n_sensors + 1):
-            pos = self.cells.index(n, indices[:, n - 1], incoming[:, n - 1])
+            pos[:, n - 1] = self.cells.index(n, indices[:, n - 1], incoming[:, n - 1])
             for e in spec.graph.edges_out_of(n):
-                incoming[:, e.dst - 1] = self.sends[e.key][pos]
-        return incoming
+                incoming[:, e.dst - 1] = self.sends[e.key][pos[:, n - 1]]
+        return incoming, pos
 
 
 class _Encoder(_Protocol):
@@ -134,7 +140,9 @@ class _Encoder(_Protocol):
     ``_buckets``, so the start is never past x's cell and falls short by
     at most the interior boundaries x's bucket holds; ``steps[n-1]``, the
     most any bucket of the sensor holds, lands every x on the cell
-    ``Quantizer.quantize`` gives.
+    ``Quantizer.quantize`` gives.  ``hops[n]``, for a sensor n that hears
+    more than one message, is the key offset (message - 1) * scale at each
+    position of its sender, sensor n - 1.
     """
 
     def __init__(self, spec: ChatNetworkSpec, banks: Mapping[int, Mapping[int, Quantizer]]):
@@ -148,8 +156,13 @@ class _Encoder(_Protocol):
             scale *= 2
         self.scale = scale
         self.upper = np.full(cells.lower.size, np.inf)
-        # Position p holds cell p % stride + 1 of its codebook.
-        self.cell_no = np.arange(cells.lower.size, dtype=np.int64) % cells.stride + 1
+        # Position p holds cell p % stride + 1 of the codebook that message
+        # p % row // stride + 1 selects.
+        every = np.arange(cells.lower.size, dtype=np.int64)
+        self.cell_no = every % cells.stride + 1
+        self.message_of = every % cells.row // cells.stride + 1
+        edges = spec.graph.edges
+        self.hops = {e.dst: (self.sends[e.key] - 1) * scale for e in edges if e.size > 1}
         self.starts: list[np.ndarray] = []
         self.steps: list[int] = []
         for n in range(1, spec.n_sensors + 1):
@@ -166,6 +179,22 @@ class _Encoder(_Protocol):
             self.starts.append(starts)
             self.steps.append(steps)
 
+    def positions(self, x: np.ndarray) -> np.ndarray:
+        """Table positions of the cells a (trials, N) observation block
+        falls in, as a column-major int64 block; fastest for a
+        column-major ``x``."""
+        pos = np.empty(x.shape, dtype=np.int64, order="F")
+        for n in range(1, self.spec.n_sensors + 1):
+            x_col = x[:, n - 1]
+            key = _buckets(x_col, self.scale)
+            if n in self.hops:
+                key += self.hops[n][pos[:, n - 2]]
+            col = self.starts[n - 1][key]
+            for _ in range(self.steps[n - 1]):
+                col += self.upper[col] < x_col
+            pos[:, n - 1] = col
+        return pos
+
     def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Quantize a (trials, N) observation block.
 
@@ -174,22 +203,8 @@ class _Encoder(_Protocol):
         column is contiguous.  Indices equal those of ``Quantizer.quantize``
         with the codebook each trial's message selects.
         """
-        spec = self.spec
-        x = np.asfortranarray(x)
-        indices = np.empty(x.shape, dtype=np.int64, order="F")
-        incoming = np.ones(x.shape, dtype=np.int64, order="F")
-        for n in range(1, spec.n_sensors + 1):
-            x_col = x[:, n - 1]
-            key = _buckets(x_col, self.scale)
-            if len(self.banks[n]) > 1:
-                key += (incoming[:, n - 1] - 1) * self.scale
-            pos = self.starts[n - 1][key]
-            for _ in range(self.steps[n - 1]):
-                pos += self.upper[pos] < x_col
-            np.take(self.cell_no, pos, out=indices[:, n - 1])
-            for e in spec.graph.edges_out_of(n):
-                incoming[:, e.dst - 1] = self.sends[e.key][pos]
-        return indices, incoming
+        pos = self.positions(np.asfortranarray(x))
+        return self.cell_no[pos], self.message_of[pos]
 
 
 def _buckets(x: np.ndarray, scale: int) -> np.ndarray:
@@ -212,7 +227,7 @@ def replay_codebooks(
     integers, or on an index that is not a cell of the codebook its
     message selects.
     """
-    return _Protocol(spec, banks).replay(_index_block(indices, spec.n_sensors))
+    return _Protocol(spec, banks).replay(_index_block(indices, spec.n_sensors))[0]
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -241,10 +256,12 @@ class _CellTable:
     Cell m of the codebook that message k selects at sensor n sits at
     position ``(n-1)*K*stride + (k-1)*stride + m-1`` of ``lower``,
     ``upper`` and ``codewords``, with K the most messages any sensor
-    receives and ``stride`` the largest codebook size plus one.  One
-    gather per sensor column then finds every cell; ``index`` rejects
-    messages and indices outside the banks, so a lookup never reads a pad
-    or a neighbouring codebook.
+    receives and ``stride`` the largest codebook size plus one.  A block
+    of positions, one per (trial, sensor), then reads any cell property
+    with one gather.  The encoder builds positions in range; ``index``
+    turns untrusted messages and indices into positions and rejects those
+    outside the banks, so a lookup never reads a pad or a neighbouring
+    codebook.
     """
 
     def __init__(self, banks: Mapping[int, Mapping[int, Quantizer]]):
@@ -314,6 +331,27 @@ class _CellTable:
             f"(cells 1..{size[t]})"
         )
 
+    def counts(self, pos: np.ndarray) -> np.ndarray:
+        """How often each cell occurs in a block of positions, as an
+        (N, K, stride) table: [n-1, k-1, m-1] counts cell m of the codebook
+        message k selects at sensor n."""
+        hist = np.bincount(pos.ravel(order="K"), minlength=self.lower.size)
+        return hist.reshape(self.sizes.shape + (self.stride,))
+
+
+def _estimate(decoder: str, cells: _CellTable, pos: np.ndarray) -> np.ndarray:
+    """Each trial's estimate of the max from its cells' table positions:
+    the largest codeword (plug-in) or E[max | cells]."""
+    if decoder == PLUG_IN:
+        return cells.codewords[pos].max(axis=1)
+    return _ce_max(cells.lower[pos], cells.upper[pos])
+
+
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    return np.polynomial.legendre.leggauss(order)
+
 
 def _ce_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """E[max of independent uniform sources given their cells], vectorized.
@@ -335,7 +373,7 @@ def _ce_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """
     left = lo.max(axis=1)
     overlap = hi > left[:, None]
-    k_of = overlap.sum(axis=1)
+    k_of = np.count_nonzero(overlap, axis=1)
     out = (left + hi.max(axis=1)) / 2.0
     multi = np.flatnonzero(k_of > 1)
     if multi.size == 0:
@@ -351,7 +389,7 @@ def _ce_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         edges = np.concatenate([left[rows, None], np.sort(b, axis=1)], axis=1)
         half = (edges[:, 1:] - edges[:, :-1]) / 2.0
         mid = (edges[:, 1:] + edges[:, :-1]) / 2.0
-        nodes, weights = np.polynomial.legendre.leggauss(max(4, (k + 2) // 2))
+        nodes, weights = _gauss_legendre(max(4, (k + 2) // 2))
         # t has shape (trials in the group, segments, nodes).
         t = mid[:, :, None] + half[:, :, None] * nodes
         prod = np.ones_like(t)
@@ -361,6 +399,17 @@ def _ce_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         tail = ((1.0 - prod) * weights).sum(axis=2) * half
         out[rows] = left[rows] + tail.sum(axis=1)
     return out
+
+
+def _check_decoder(decoder: str) -> None:
+    if decoder not in (PLUG_IN, CONDITIONAL_EXPECTATION):
+        raise ValueError(f"unknown decoder {decoder!r}")
+
+
+def _check_count(value, what: str, least: int) -> None:
+    """``ValueError`` unless ``value`` is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 def decode(
@@ -380,13 +429,12 @@ def decode(
     non-integer indices or messages, or a message or index outside the
     banks.
     """
-    if decoder not in (PLUG_IN, CONDITIONAL_EXPECTATION):
-        raise ValueError(f"unknown decoder {decoder!r}")
+    _check_decoder(decoder)
     idx = _index_block(indices, spec.n_sensors)
     scalar = np.asarray(indices).ndim == 1
-    cells = _CellTable(banks)
     if incoming is None:
-        incoming = replay_codebooks(spec, banks, idx)
+        proto = _Protocol(spec, banks)
+        cells, pos = proto.cells, proto.replay(idx)[1]
     else:
         incoming = np.atleast_2d(_integers(incoming, "incoming messages"))
         if incoming.shape != idx.shape:
@@ -394,34 +442,28 @@ def decode(
                 f"incoming messages have shape {incoming.shape}, "
                 f"indices {idx.shape}"
             )
-    cols = [(n, idx[:, n - 1], incoming[:, n - 1]) for n in range(1, idx.shape[1] + 1)]
-    if decoder == PLUG_IN:
-        out = np.full(idx.shape[0], -np.inf)
-        for n, m, k in cols:
-            np.maximum(out, cells.codewords[cells.index(n, m, k)], out=out)
-    else:
-        lo = np.empty(idx.shape, order="F")
-        hi = np.empty(idx.shape, order="F")
-        for n, m, k in cols:
-            pos = cells.index(n, m, k)
-            lo[:, n - 1] = cells.lower[pos]
-            hi[:, n - 1] = cells.upper[pos]
-        out = _ce_max(lo, hi)
+        cells = _CellTable(banks)
+        sensors = range(1, idx.shape[1] + 1)
+        pos = np.column_stack([cells.index(n, idx[:, n - 1], incoming[:, n - 1]) for n in sensors])
+    out = _estimate(decoder, cells, pos)
     return float(out[0]) if scalar else out
 
 
 def _encode_chunk(
     spec: ChatNetworkSpec, proto: _Encoder, trials: int, seed: int, c: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sources, fusion indices and incoming messages of chunk ``c``, drawn
-    from its own substream of ``seed``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sources and cell positions of chunk ``c``, drawn from its own
+    substream of ``seed``."""
     size = min(CHUNK, trials - c * CHUNK)
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(c,)))
     )
-    # Column-major, as ``encode`` works; the max over a row is then fast.
-    x = np.asfortranarray(spec.source.sample(rng, (size, spec.n_sensors)))
-    return (x, *proto.encode(x))
+    drawn = spec.source.sample(rng, (size, spec.n_sensors))
+    # Column-major, as the encoder works; the max over a row is then fast.
+    x = np.empty(drawn.shape, order="F")
+    for r in range(0, size, _COPY_ROWS):
+        x[r : r + _COPY_ROWS] = drawn[r : r + _COPY_ROWS]
+    return x, proto.positions(x)
 
 
 def run_simulation(
@@ -438,25 +480,22 @@ def run_simulation(
     Per trial: draw the sources, run the chat protocol, quantize with the
     message-selected codebooks, decode, and accumulate the squared error
     of the max.  Fixed ``seed`` gives bit-identical results for any
-    ``workers``.
+    ``workers``.  Raises ``ValueError`` for an unknown decoder or a
+    trial count, seed or worker count that is not an integer in range.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
+    _check_decoder(decoder)
+    _check_count(trials, "trials", 1)
+    _check_count(seed, "seed", 0)
+    _check_count(workers, "workers", 1)
     proto = _Encoder(spec, banks)
+    cells = proto.cells
     n_chunks = (trials + CHUNK - 1) // CHUNK
-    ec_counts = _EcCounts(spec, banks) if spec.regime == ENTROPY_CONSTRAINED else None
+    entropy = spec.regime == ENTROPY_CONSTRAINED
 
-    def one_chunk(c: int) -> tuple[float, float, int, "_EcCounts | None"]:
-        x, indices, incoming = _encode_chunk(spec, proto, trials, seed, c)
-        est = decode(decoder, indices, banks, spec, incoming)
-        err = (x.max(axis=1) - est) ** 2
-        local = None
-        if ec_counts is not None:
-            local = _EcCounts(spec, banks)
-            local.add(indices, incoming)
-        return float(err.sum()), float((err**2).sum()), x.shape[0], local
+    def one_chunk(c: int) -> tuple[float, float, np.ndarray | None]:
+        x, pos = _encode_chunk(spec, proto, trials, seed, c)
+        err = (x.max(axis=1) - _estimate(decoder, cells, pos)) ** 2
+        return float(err.sum()), float((err**2).sum()), cells.counts(pos) if entropy else None
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -466,17 +505,14 @@ def run_simulation(
 
     total = sum(p[0] for p in parts)
     total_sq = sum(p[1] for p in parts)
-    if ec_counts is not None:
-        for p in parts:
-            ec_counts.merge(p[3])
     mean = total / trials
     var = max(total_sq / trials - mean**2, 0.0)
     if trials > 1:
         var *= trials / (trials - 1)
     stderr = np.sqrt(var / trials)
 
-    if spec.regime == ENTROPY_CONSTRAINED:
-        rates = ec_counts.per_sensor_rates()
+    if entropy:
+        rates = _sensor_rates(banks, sum(p[2] for p in parts))
     else:
         rates = np.array(
             [np.log2(banks[n][1].size) for n in range(1, spec.n_sensors + 1)]
@@ -493,59 +529,33 @@ def run_simulation(
     )
 
 
-class _EcCounts:
-    """Index histograms per sensor: one row per incoming message, padded
-    to the sensor's largest codebook."""
+def _message_rates(
+    banks: Mapping[int, Mapping[int, Quantizer]], counts: np.ndarray
+) -> dict[tuple[int, int], float]:
+    """Indicator-then-index rate of every (sensor, message) codebook from
+    an (N, K, stride) cell count table; 0 for a codebook never used."""
+    out = {}
+    for n in range(1, counts.shape[0] + 1):
+        for k, q in banks[n].items():
+            hist = counts[n - 1, k - 1, : q.size]
+            active = np.ones(q.size, dtype=bool)
+            active[[c - 1 for c in q.dont_care_cells]] = False
+            out[(n, k)] = _split_entropy(hist, active) if hist.sum() else 0.0
+    return out
 
-    def __init__(self, spec: ChatNetworkSpec, banks: Mapping[int, Mapping[int, Quantizer]]):
-        self.banks = banks
-        self.counts = {
-            n: np.zeros(
-                (len(banks[n]), max(q.size for q in banks[n].values())),
-                dtype=np.int64,
-            )
-            for n in range(1, spec.n_sensors + 1)
-        }
 
-    def add(self, indices: np.ndarray, incoming: np.ndarray) -> None:
-        for n, hist in self.counts.items():
-            key = (incoming[:, n - 1] - 1) * hist.shape[1]
-            key += indices[:, n - 1] - 1
-            hist += np.bincount(key, minlength=hist.size).reshape(hist.shape)
-
-    def merge(self, other: "_EcCounts") -> None:
-        for n, hist in other.counts.items():
-            self.counts[n] += hist
-
-    def _hist(self, n: int, k: int) -> np.ndarray:
-        return self.counts[n][k - 1, : self.banks[n][k].size]
-
-    def message_rates(self) -> dict[tuple[int, int], float]:
-        out = {}
-        for n in self.counts:
-            for k, q in self.banks[n].items():
-                hist = self._hist(n, k)
-                if hist.sum() == 0:
-                    out[(n, k)] = 0.0
-                    continue
-                active = np.ones(hist.size, dtype=bool)
-                active[[c - 1 for c in sorted(q.dont_care_cells)]] = False
-                out[(n, k)] = _split_entropy(hist, active)
-        return out
-
-    def per_sensor_rates(self) -> np.ndarray:
-        rates = np.zeros(len(self.counts))
-        per_msg = self.message_rates()
-        for n in self.counts:
-            keys = [(n, k) for k in self.banks[n]]
-            totals = np.array([self._hist(n, k).sum() for _n, k in keys], dtype=float)
-            grand = totals.sum()
-            if grand > 0:
-                weights = totals / grand
-                rates[n - 1] = sum(
-                    w * per_msg[key] for w, key in zip(weights, keys)
-                )
-        return rates
+def _sensor_rates(
+    banks: Mapping[int, Mapping[int, Quantizer]], counts: np.ndarray
+) -> np.ndarray:
+    """Each sensor's message rates weighted by how often each message
+    arrived; every sensor hears a message on every trial."""
+    per_msg = _message_rates(banks, counts)
+    heard = counts.sum(axis=2)
+    rates = np.zeros(len(heard))
+    for n, bank in banks.items():
+        weights = heard[n - 1] / heard[n - 1].sum()
+        rates[n - 1] = sum(weights[k - 1] * per_msg[(n, k)] for k in bank)
+    return rates
 
 
 def _split_entropy(hist: np.ndarray, active: np.ndarray) -> float:
@@ -582,13 +592,15 @@ def measure_entropy_rate(
     indicator-then-index entropy coding.
 
     Plug-in entropies of the emitted streams; an ideal entropy coder would
-    meet these rates, a practical one approaches them from above.
+    meet these rates, a practical one approaches them from above.  Raises
+    ``ValueError`` for a trial count or seed that is not an integer in
+    range.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_count(trials, "trials", 1)
+    _check_count(seed, "seed", 0)
     proto = _Encoder(spec, banks)
-    counts = _EcCounts(spec, banks)
-    for c in range((trials + CHUNK - 1) // CHUNK):
-        _x, indices, incoming = _encode_chunk(spec, proto, trials, seed, c)
-        counts.add(indices, incoming)
-    return counts.message_rates()
+    counts = sum(
+        proto.cells.counts(_encode_chunk(spec, proto, trials, seed, c)[1])
+        for c in range((trials + CHUNK - 1) // CHUNK)
+    )
+    return _message_rates(banks, counts)

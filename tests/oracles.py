@@ -9,7 +9,9 @@ conditional-expectation oracle multiplies every sensor's conditional CDF
 instead of only the overlapping ones, the high-resolution constants
 are integrated pointwise by scipy's adaptive ``quad``, the encoder and
 cell lookup mask each (sensor, message) pair's rows in turn where the
-simulator gathers from padded tables, the partition grid is allocated
+simulator gathers from padded tables, the index histograms are keyed by
+(message, index) one sensor at a time where the simulator counts table
+positions of all sensors at once, the partition grid is allocated
 one spec at a time where the sweeps integrate every point's constants in
 one pass, the budget repair scores one sensor at a time where the
 design scores all at once, and the chat round reads the raw
@@ -229,6 +231,18 @@ def cell_bounds_mask_loop(banks, indices: np.ndarray, incoming: np.ndarray):
             hi[rows, n - 1] = q.boundaries[m]
             cw[rows, n - 1] = q.codewords[m - 1]
     return lo, hi, cw
+
+
+def index_histograms(banks, indices: np.ndarray, incoming: np.ndarray) -> dict:
+    """Per sensor n, a (messages, largest codebook size) table whose entry
+    [k-1, m-1] counts the trials where message k arrived and index m was
+    sent, keyed (k - 1) * width + m - 1 and counted by ``np.bincount``."""
+    out = {}
+    for n, bank in banks.items():
+        shape = (len(bank), max(q.size for q in bank.values()))
+        key = (incoming[:, n - 1] - 1) * shape[1] + indices[:, n - 1] - 1
+        out[n] = np.bincount(key, minlength=shape[0] * shape[1]).reshape(shape)
+    return out
 
 
 def quad_integral(fn, lo: float, hi: float, points=()) -> float:

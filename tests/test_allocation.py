@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chatquant.allocation import (
+    AllocationResult,
     InfeasibleBudgetError,
     allocate,
     chat_budget_search,
@@ -234,6 +235,18 @@ def test_entropy_allocation_drops_dead_messages():
     assert [k for n, k in res.labels if n == 1] == [1]
     assert [k for n, k in res.labels if n == 3] == [1, 2, 3, 4]
     assert res.weights[0] == 1.0
+
+
+def test_allocation_result_needs_one_label_per_share():
+    # A short label tuple would make csv_rows drop the shares past its end.
+    with pytest.raises(ValueError, match="one label per cost share"):
+        AllocationResult(
+            np.array([1.0, 2.0]), np.array([1.0, 2.0]), 0.1, np.ones(2), labels=((1, 1),)
+        )
+    ok = AllocationResult(
+        np.array([1.0, 2.0]), np.array([1.0, 2.0]), 0.1, np.ones(2), labels=((1, 1), (2, 1))
+    )
+    assert len(ok.csv_rows()) == 2
 
 
 def test_entropy_allocation_rates_are_per_bit():

@@ -306,6 +306,13 @@ def test_simulate_rejects_zero_workers(capsys):
     assert "worker" in capsys.readouterr().err
 
 
+def test_simulate_rejects_negative_seed(capsys):
+    code = main(["simulate", "-N", "2", "--budget", "8", "--trials", "2000",
+                 "--seed", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
+
 def test_non_unit_source_is_spec_error(tmp_path, capsys):
     wide = tmp_path / "wide.txt"
     wide.write_text("N = 2\nsource = uniform 0 2\nedge = 1 2 2 0\n")

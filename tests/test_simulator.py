@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chatquant import simulator
 from chatquant.chatnet import (
     ChatEdge,
     ChatGraph,
@@ -21,9 +22,21 @@ from chatquant.simulator import (
     replay_codebooks,
     run_simulation,
 )
-from chatquant.simulator import _CellTable, _EcCounts, _Encoder, _ce_max, _encode_chunk
+from chatquant.simulator import (
+    _CellTable,
+    _Encoder,
+    _ce_max,
+    _encode_chunk,
+    _estimate,
+    _split_entropy,
+)
 
-from oracles import cell_bounds_mask_loop, ce_max_all_sensors, encode_mask_loop
+from oracles import (
+    cell_bounds_mask_loop,
+    ce_max_all_sensors,
+    encode_mask_loop,
+    index_histograms,
+)
 
 PLUG_IN = "plug-in"
 CE = "conditional-expectation"
@@ -161,7 +174,7 @@ def test_ce_max_single_overlap_is_the_midpoint(n, monkeypatch):
     assert ((hi > left[:, None]).sum(axis=1) == 1).all()
     want = (left + hi.max(axis=1)) / 2.0
     oracle = ce_max_all_sensors(parse_spec_file(f"N = {n}\n").source.cdf, lo, hi)
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_quadrature)
+    monkeypatch.setattr(simulator, "_gauss_legendre", no_quadrature)
     got = _ce_max(lo, hi)
     assert np.array_equal(got, want)
     assert np.allclose(got, oracle, rtol=0.0, atol=1e-12)
@@ -278,26 +291,17 @@ def _edge_inputs(banks, n):
     )
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["max4_chat", "max2_nochat", "max5_entropy", "chain16", "entropy6_rc2", "tight"],
-)
-def test_encode_matches_mask_loop_at_every_boundary(name):
+BOUNDARY_DESIGNS = ["max4_chat", "max2_nochat", "max5_entropy", "chain16", "entropy6_rc2", "tight"]
+
+
+@functools.cache
+def _boundary_block(name):
+    """Inputs where, sensor by sensor, every edge input meets every
+    incoming message the upstream columns send: rows drawn per message are
+    copied, which keeps their messages, and take the inputs in the
+    sensor's column."""
     spec, banks = _lookup_design(name)
     n = spec.n_sensors
-    enc = _Encoder(spec, banks)
-    # Bucket count: the smallest power of two at or above 1 / narrowest
-    # cell, at most 4096.
-    narrowest = min(np.diff(q.boundaries).min() for b in banks.values() for q in b.values())
-    assert enc.scale & (enc.scale - 1) == 0
-    assert enc.scale == 4096 or enc.scale * narrowest >= 1.0
-    assert enc.scale == 1 or enc.scale * narrowest < 2.0
-    if name == "tight":
-        assert enc.scale == 4096 and enc.steps == [3, 3]
-
-    # Sensor by sensor, every edge input meets every incoming message the
-    # upstream columns send: rows drawn per message are copied, which keeps
-    # their messages, and take the inputs in the sensor's column.
     rng = np.random.default_rng(5)
     x = rng.random((20_000, n))
     copies = 4
@@ -310,10 +314,65 @@ def test_encode_matches_mask_loop_at_every_boundary(name):
             block[:, s - 1] = np.tile(values, copies)
             blocks.append(block)
         x = np.concatenate(blocks)
+    return x
+
+
+@pytest.mark.parametrize("name", BOUNDARY_DESIGNS)
+def test_encode_matches_mask_loop_at_every_boundary(name):
+    spec, banks = _lookup_design(name)
+    enc = _Encoder(spec, banks)
+    # Bucket count: the smallest power of two at or above 1 / narrowest
+    # cell, at most 4096.
+    narrowest = min(np.diff(q.boundaries).min() for b in banks.values() for q in b.values())
+    assert enc.scale & (enc.scale - 1) == 0
+    assert enc.scale == 4096 or enc.scale * narrowest >= 1.0
+    assert enc.scale == 1 or enc.scale * narrowest < 2.0
+    if name == "tight":
+        assert enc.scale == 4096 and enc.steps == [3, 3]
+
+    x = _boundary_block(name)
     indices, incoming = enc.encode(x)
     want_idx, want_inc = encode_mask_loop(spec, banks, x)
     assert np.array_equal(indices, want_idx)
     assert np.array_equal(incoming, want_inc)
+
+
+@pytest.mark.parametrize("name", sorted(set(BOUNDARY_DESIGNS) | {"entropy3"}))
+def test_estimates_from_encoder_positions_equal_decode(name):
+    # The simulator estimates straight from the encoder's positions; they
+    # must be the positions that the checked path builds from the indices
+    # and messages, and give decode's answers bit for bit.
+    spec, banks = _lookup_design(name)
+    n = spec.n_sensors
+    enc = _Encoder(spec, banks)
+    x = _boundary_block(name) if name in BOUNDARY_DESIGNS else (
+        np.random.default_rng(6).random((30_000, n))
+    )
+    pos = enc.positions(np.asfortranarray(x))
+    indices, incoming = enc.encode(x)
+    assert pos.flags.f_contiguous
+    checked = [enc.cells.index(s, indices[:, s - 1], incoming[:, s - 1]) for s in range(1, n + 1)]
+    assert np.array_equal(pos, np.stack(checked, axis=1))
+    lo, hi, cw = cell_bounds_mask_loop(banks, indices, incoming)
+    want = {PLUG_IN: cw.max(axis=1), CE: _ce_max(lo, hi)}
+    for decoder in (PLUG_IN, CE):
+        got = _estimate(decoder, enc.cells, pos)
+        assert np.array_equal(got, want[decoder])
+        assert np.array_equal(got, decode(decoder, indices, banks, spec, incoming))
+        assert np.array_equal(got, decode(decoder, indices, banks, spec))
+
+
+@pytest.mark.parametrize("name", ["max5_entropy", "entropy3", "entropy6_rc2", "max4_chat", "tight"])
+def test_counts_from_positions_match_keyed_histograms(name):
+    spec, banks = _lookup_design(name)
+    enc = _Encoder(spec, banks)
+    x = np.random.default_rng(8).random((50_000, spec.n_sensors))
+    indices, incoming = enc.encode(x)
+    counts = enc.cells.counts(enc.positions(np.asfortranarray(x)))
+    keyed = index_histograms(banks, indices, incoming)
+    assert counts.sum() == x.size
+    for n, hist in keyed.items():
+        assert np.array_equal(counts[n - 1, : hist.shape[0], : hist.shape[1]], hist)
 
 
 @pytest.mark.parametrize("name", ["max5_entropy", "entropy3"])
@@ -324,11 +383,18 @@ def test_entropy_rate_matches_mask_loop_histogram(name):
     trials, seed = CHUNK + 5_000, 3
     rates = measure_entropy_rate(spec, banks, trials=trials, seed=seed)
     enc = _Encoder(spec, banks)
-    counts = _EcCounts(spec, banks)
-    for c in range(2):
-        x = _encode_chunk(spec, enc, trials, seed, c)[0]
-        counts.add(*encode_mask_loop(spec, banks, x))
-    assert rates == counts.message_rates()
+    chunks = [
+        index_histograms(banks, *encode_mask_loop(spec, banks, x))
+        for x in (_encode_chunk(spec, enc, trials, seed, c)[0] for c in range(2))
+    ]
+    want = {}
+    for n, bank in banks.items():
+        for k, q in bank.items():
+            hist = sum(h[n][k - 1, : q.size] for h in chunks)
+            active = np.ones(q.size, dtype=bool)
+            active[[c - 1 for c in q.dont_care_cells]] = False
+            want[(n, k)] = _split_entropy(hist, active) if hist.sum() else 0.0
+    assert rates == want
 
 
 @pytest.mark.parametrize("decoder", [PLUG_IN, CE])
@@ -509,3 +575,96 @@ def test_simulation_input_validation():
     )
     with pytest.raises(ValueError):
         run_simulation(fan_out, build_banks(fan_out, [4, 4, 4]), PLUG_IN, trials=10)
+
+
+# run_simulation answers at 131,072 trials and seed 0, recorded before the
+# simulator worked on table positions: (fMSE, stderr) per decoder, and the
+# rates the run reports.
+FROZEN_RUNS = {
+    "max4_chat": (
+        {
+            PLUG_IN: (0.00013087769599652853, 5.889908874294791e-07),
+            CE: (0.00012995002739287414, 5.83775279297671e-07),
+        },
+        [4.169925001442312, 4.0, 3.9068905956085187, 3.807354922057604],
+    ),
+    "max2_nochat": (
+        {
+            PLUG_IN: (0.004238954190417745, 1.1971760574085535e-05),
+            CE: (0.003998234524063468, 1.2390392983740088e-05),
+        },
+        [2.0, 2.0],
+    ),
+    "max5_entropy": (
+        {
+            PLUG_IN: (4.9018163167479545e-05, 4.770471312389291e-07),
+            CE: (4.6282669933881395e-05, 4.1354100968207264e-07),
+        },
+        [5.407441510668507, 4.456320148101346, 3.735660938419199,
+         3.189340133354605, 2.774400785461223],
+    ),
+}
+
+
+@pytest.mark.parametrize("decoder", [PLUG_IN, CE])
+@pytest.mark.parametrize("name", sorted(FROZEN_RUNS))
+def test_simulation_answers_are_frozen(name, decoder):
+    spec, banks = _lookup_design(name)
+    runs, rates = FROZEN_RUNS[name]
+    res = run_simulation(spec, banks, decoder, trials=2 * CHUNK, seed=0)
+    assert res.empirical_fmse == pytest.approx(runs[decoder][0], rel=1e-12)
+    assert res.stderr == pytest.approx(runs[decoder][1], rel=1e-12)
+    assert res.empirical_rates == pytest.approx(rates, rel=1e-12)
+
+
+def test_simulation_never_rechecks_encoder_positions(monkeypatch):
+    # The encoder builds every position in range, so a run reads its
+    # cells without the checked conversion or the public decode.
+    def checked(*args, **kwargs):
+        raise AssertionError("the simulation re-checked its own positions")
+
+    monkeypatch.setattr(_CellTable, "index", checked)
+    monkeypatch.setattr(simulator, "decode", checked)
+    for name in ("max4_chat", "max5_entropy"):
+        spec, banks = _lookup_design(name)
+        for decoder in (PLUG_IN, CE):
+            run_simulation(spec, banks, decoder, trials=CHUNK + 10, seed=1, workers=2)
+    measure_entropy_rate(*_lookup_design("max5_entropy"), trials=1_000, seed=1)
+
+
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        ({"decoder": "maximum-likelihood"}, "unknown decoder 'maximum-likelihood'"),
+        ({"decoder": "plugin"}, "unknown decoder"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"trials": 1500.0}, "trials must be an integer >= 1, got 1500.0"),
+        ({"trials": "1500"}, "trials must be an integer"),
+        ({"workers": 1.5}, "workers must be an integer >= 1, got 1.5"),
+    ],
+)
+def test_simulation_inputs_are_checked_before_any_work(kw, match, monkeypatch):
+    spec = chain(2, 2)
+    banks = build_banks(spec, [8, 8])
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the inputs were checked")
+
+    monkeypatch.setattr(simulator, "_Encoder", no_work)
+    monkeypatch.setattr(simulator, "_encode_chunk", no_work)
+    args = {"decoder": PLUG_IN, "trials": 1_000, "seed": 0, **kw}
+    with pytest.raises(ValueError, match=match):
+        run_simulation(spec, banks, **args)
+    if "decoder" not in kw and "workers" not in kw:
+        with pytest.raises(ValueError, match=match):
+            measure_entropy_rate(spec, banks, trials=args["trials"], seed=args["seed"])
+
+
+def test_integer_likes_are_accepted():
+    spec = chain(2, 2)
+    banks = build_banks(spec, [8, 8])
+    a = run_simulation(spec, banks, PLUG_IN, trials=np.int64(1_000), seed=np.uint32(4))
+    b = run_simulation(spec, banks, PLUG_IN, trials=1_000, seed=4)
+    assert a.empirical_fmse == b.empirical_fmse
