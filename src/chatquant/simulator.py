@@ -2,7 +2,10 @@
 
 Trials are drawn in fixed-size chunks, each chunk seeded from its own
 substream of the master seed, so results are bit-identical regardless of
-how chunks are scheduled across workers.  The chat protocol runs on the
+how chunks are scheduled across workers.  A chunk goes through sampler,
+encoder and estimator in consecutive row blocks of a fixed number of
+(trial, sensor) cells, so a worker holds one block of draws, positions
+and cell edges whatever the trial count.  The chat protocol runs on the
 codeword-driven message tables, which the fusion decoder replays exactly;
 the conditional-expectation decoder therefore conditions on precisely the
 information the decoder really has.
@@ -38,9 +41,10 @@ CHUNK = 65536
 # Most encode buckets per codebook; keeps the bucket tables to a few MB.
 _MAX_BUCKETS = 4096
 
-# Rows per block when a drawn chunk is copied to column-major order: a
-# block stays in cache, where a whole-chunk transpose does not.
-_COPY_ROWS = 1024
+# (trial, sensor) cells per row block of a chunk or of a decoded index
+# block: 1 MiB per float64 array, so a block's draws, positions and cell
+# edges stay in cache.
+_BLOCK_CELLS = 1 << 17
 
 PLUG_IN = "plug-in"
 CONDITIONAL_EXPECTATION = "conditional-expectation"
@@ -427,14 +431,16 @@ def decode(
     conditional-expectation decoder returns E[max | cells] in closed form.
     Raises ``ValueError`` for an unknown decoder, indices of another shape,
     non-integer indices or messages, or a message or index outside the
-    banks.
+    banks.  The trials are checked and estimated in consecutive row
+    blocks, so the memory used beyond the answer is one block's, and the
+    error names a bad entry of the first block holding one.
     """
     _check_decoder(decoder)
     idx = _index_block(indices, spec.n_sensors)
     scalar = np.asarray(indices).ndim == 1
     if incoming is None:
         proto = _Protocol(spec, banks)
-        cells, pos = proto.cells, proto.replay(idx)[1]
+        cells = proto.cells
     else:
         incoming = np.atleast_2d(_integers(incoming, "incoming messages"))
         if incoming.shape != idx.shape:
@@ -443,27 +449,41 @@ def decode(
                 f"indices {idx.shape}"
             )
         cells = _CellTable(banks)
-        sensors = range(1, idx.shape[1] + 1)
-        pos = np.column_stack([cells.index(n, idx[:, n - 1], incoming[:, n - 1]) for n in sensors])
-    out = _estimate(decoder, cells, pos)
+    sensors = range(1, idx.shape[1] + 1)
+    out = np.empty(idx.shape[0])
+    for rows in _row_blocks(*idx.shape):
+        if incoming is None:
+            pos = proto.replay(idx[rows])[1]
+        else:
+            pos = np.column_stack(
+                [cells.index(n, idx[rows, n - 1], incoming[rows, n - 1]) for n in sensors]
+            )
+        out[rows] = _estimate(decoder, cells, pos)
     return float(out[0]) if scalar else out
 
 
-def _encode_chunk(
-    spec: ChatNetworkSpec, proto: _Encoder, trials: int, seed: int, c: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sources and cell positions of chunk ``c``, drawn from its own
-    substream of ``seed``."""
-    size = min(CHUNK, trials - c * CHUNK)
+def _row_blocks(trials: int, n_sensors: int):
+    """Consecutive row slices of a (trials, N) block, each of at most
+    ``_BLOCK_CELLS`` cells and at least one row."""
+    step = max(1, _BLOCK_CELLS // n_sensors)
+    return (slice(r, min(r + step, trials)) for r in range(0, trials, step))
+
+
+def _chunk_blocks(spec: ChatNetworkSpec, proto: _Encoder, trials: int, seed: int, c: int):
+    """Rows, sources and cell positions of chunk ``c``'s row blocks in
+    order, drawn from the chunk's own substream of ``seed``.
+
+    Consecutive draws continue one stream, so the blocks hold what one
+    draw of the whole chunk would.  Each block of sources is column-major,
+    as the encoder works; the max over a row is then fast too.
+    """
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(c,)))
     )
-    drawn = spec.source.sample(rng, (size, spec.n_sensors))
-    # Column-major, as the encoder works; the max over a row is then fast.
-    x = np.empty(drawn.shape, order="F")
-    for r in range(0, size, _COPY_ROWS):
-        x[r : r + _COPY_ROWS] = drawn[r : r + _COPY_ROWS]
-    return x, proto.positions(x)
+    for rows in _row_blocks(min(CHUNK, trials - c * CHUNK), spec.n_sensors):
+        drawn = spec.source.sample(rng, (rows.stop - rows.start, spec.n_sensors))
+        x = np.asfortranarray(drawn)
+        yield rows, x, proto.positions(x)
 
 
 def run_simulation(
@@ -480,8 +500,10 @@ def run_simulation(
     Per trial: draw the sources, run the chat protocol, quantize with the
     message-selected codebooks, decode, and accumulate the squared error
     of the max.  Fixed ``seed`` gives bit-identical results for any
-    ``workers``.  Raises ``ValueError`` for an unknown decoder or a
-    trial count, seed or worker count that is not an integer in range.
+    ``workers``.  Raises ``ValueError`` for an unknown decoder, a trial
+    count, seed or worker count that is not an integer in range, or a
+    fixed-rate bank whose codebooks differ in size by message (its rate,
+    log2 of the size, would be no single number).
     """
     _check_decoder(decoder)
     _check_count(trials, "trials", 1)
@@ -491,11 +513,24 @@ def run_simulation(
     cells = proto.cells
     n_chunks = (trials + CHUNK - 1) // CHUNK
     entropy = spec.regime == ENTROPY_CONSTRAINED
+    if not entropy:
+        for n in range(1, spec.n_sensors + 1):
+            sizes = {k: q.size for k, q in banks[n].items()}
+            if len(set(sizes.values())) > 1:
+                raise ValueError(
+                    f"sensor {n}: a fixed-rate bank needs one codebook size, "
+                    f"got sizes {sizes} by message"
+                )
 
-    def one_chunk(c: int) -> tuple[float, float, np.ndarray | None]:
-        x, pos = _encode_chunk(spec, proto, trials, seed, c)
-        err = (x.max(axis=1) - _estimate(decoder, cells, pos)) ** 2
-        return float(err.sum()), float((err**2).sum()), cells.counts(pos) if entropy else None
+    def one_chunk(c: int) -> tuple[float, float, np.ndarray | int]:
+        err = np.empty(min(CHUNK, trials - c * CHUNK))
+        counts = 0
+        for rows, x, pos in _chunk_blocks(spec, proto, trials, seed, c):
+            np.subtract(x.max(axis=1), _estimate(decoder, cells, pos), out=err[rows])
+            if entropy:
+                counts = counts + cells.counts(pos)
+        err **= 2
+        return float(err.sum()), float((err**2).sum()), counts
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -600,7 +635,8 @@ def measure_entropy_rate(
     _check_count(seed, "seed", 0)
     proto = _Encoder(spec, banks)
     counts = sum(
-        proto.cells.counts(_encode_chunk(spec, proto, trials, seed, c)[1])
+        proto.cells.counts(pos)
         for c in range((trials + CHUNK - 1) // CHUNK)
+        for _rows, _x, pos in _chunk_blocks(spec, proto, trials, seed, c)
     )
     return _message_rates(banks, counts)

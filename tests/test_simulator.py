@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from chatquant.simulator import (
     _CellTable,
     _Encoder,
     _ce_max,
-    _encode_chunk,
+    _chunk_blocks,
     _estimate,
     _split_entropy,
 )
@@ -36,6 +37,7 @@ from oracles import (
     ce_max_all_sensors,
     encode_mask_loop,
     index_histograms,
+    whole_chunk_simulation,
 )
 
 PLUG_IN = "plug-in"
@@ -385,7 +387,10 @@ def test_entropy_rate_matches_mask_loop_histogram(name):
     enc = _Encoder(spec, banks)
     chunks = [
         index_histograms(banks, *encode_mask_loop(spec, banks, x))
-        for x in (_encode_chunk(spec, enc, trials, seed, c)[0] for c in range(2))
+        for x in (
+            np.concatenate([x for _rows, x, _pos in _chunk_blocks(spec, enc, trials, seed, c)])
+            for c in range(2)
+        )
     ]
     want = {}
     for n, bank in banks.items():
@@ -541,6 +546,20 @@ def test_fixed_rate_reports_codebook_rates():
     assert np.allclose(res.empirical_rates, [3.0, 4.0])
 
 
+def test_fixed_rate_banks_of_mixed_sizes_are_rejected():
+    # Sensor 2's codebooks hold 4 and 16 cells, so log2 of its first
+    # codebook's size would misreport its rate; entropy coding measures
+    # rates and takes such banks.
+    spec = chain(3, 2)
+    banks = build_banks(spec, [8, {1: 4, 2: 16}, {1: 16, 2: 4}])
+    for decoder in (PLUG_IN, CE):
+        with pytest.raises(ValueError, match=r"sensor 2: .* one codebook size, got sizes \{1: 4, 2: 16\}"):
+            run_simulation(spec, banks, decoder, trials=1_000, seed=0)
+    entropy = chain(3, 2, regime="entropy-constrained")
+    mixed = build_banks(entropy, [8, {1: 4, 2: 16}, {1: 16, 2: 4}])
+    assert run_simulation(entropy, mixed, PLUG_IN, trials=1_000, seed=0).empirical_rates.shape == (3,)
+
+
 def test_result_csv_row():
     spec = chain(2, 2)
     banks = build_banks(spec, [8, 8])
@@ -617,6 +636,69 @@ def test_simulation_answers_are_frozen(name, decoder):
     assert res.empirical_rates == pytest.approx(rates, rel=1e-12)
 
 
+@functools.cache
+def _edge_design(n, regime):
+    spec = chain(n, 2, regime=regime)
+    return spec, design_network(spec, budget=4.0 * n).banks
+
+
+@pytest.mark.parametrize("regime", ["fixed-rate", "entropy-constrained"])
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_row_blocks_give_the_whole_chunk_answers(n, regime):
+    # Rows per block do not divide a chunk at these N, and the second
+    # chunk is shorter than one block; the answers must still be those of
+    # one whole-chunk block, bit for bit.
+    rows = simulator._BLOCK_CELLS // n
+    assert CHUNK % rows and 1_234 < rows
+    spec, banks = _edge_design(n, regime)
+    trials, seed = CHUNK + 1_234, 5
+    for decoder in (PLUG_IN, CE):
+        fmse, stderr, rates, message_rates = whole_chunk_simulation(
+            spec, banks, decoder, trials, seed
+        )
+        for workers in (1, 2):
+            res = run_simulation(spec, banks, decoder, trials, seed, workers=workers)
+            assert res.empirical_fmse == fmse
+            assert res.stderr == stderr
+            assert np.array_equal(res.empirical_rates, rates)
+    assert measure_entropy_rate(spec, banks, trials, seed) == message_rates
+
+
+def _traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes that tracemalloc sees allocated during one call."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("decoder", [PLUG_IN, CE])
+def test_simulation_memory_is_one_block(decoder):
+    # Whole 65,536-trial chunks at N = 16 peaked at 43.8 MB (CE) and
+    # 27.5 MB (plug-in); row blocks hold a few MB whatever the trial count.
+    spec, banks = _lookup_design("chain16")
+    chunk_bytes = CHUNK * spec.n_sensors * 8
+    short, long = (
+        _traced_peak(run_simulation, spec, banks, decoder, trials=chunks * CHUNK, seed=0)
+        for chunks in (2, 8)
+    )
+    assert max(short, long) < 2 * chunk_bytes
+    assert long < short + CHUNK * 8
+
+
+@pytest.mark.parametrize("decoder", [PLUG_IN, CE])
+def test_decode_memory_is_one_block(decoder):
+    # A 262,144 x 16 index block (32 MiB) peaked at 4x its size under CE
+    # when decoded whole; by row blocks only the answer grows with it.
+    spec, banks = _lookup_design("chain16")
+    sizes = np.array([banks[n][1].size for n in range(1, 17)])
+    indices = np.random.default_rng(4).integers(1, sizes + 1, size=(262_144, 16))
+    peak = _traced_peak(decode, decoder, indices, banks, spec)
+    assert peak < indices.nbytes / 2
+
+
 def test_simulation_never_rechecks_encoder_positions(monkeypatch):
     # The encoder builds every position in range, so a run reads its
     # cells without the checked conversion or the public decode.
@@ -653,7 +735,7 @@ def test_simulation_inputs_are_checked_before_any_work(kw, match, monkeypatch):
         raise AssertionError("work started before the inputs were checked")
 
     monkeypatch.setattr(simulator, "_Encoder", no_work)
-    monkeypatch.setattr(simulator, "_encode_chunk", no_work)
+    monkeypatch.setattr(simulator, "_chunk_blocks", no_work)
     args = {"decoder": PLUG_IN, "trials": 1_000, "seed": 0, **kw}
     with pytest.raises(ValueError, match=match):
         run_simulation(spec, banks, **args)
