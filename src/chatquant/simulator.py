@@ -225,26 +225,35 @@ def replay_codebooks(
 ) -> np.ndarray:
     """Codebook choices the fusion decoder derives from the indices it saw.
 
-    Returns the (trials, N) matrix of incoming chat messages.  By C1-C4
-    this must equal the encoder side's messages on every trial.  Raises
-    ``ValueError`` on indices that are not an (N,) or (trials, N) block of
-    integers, or on an index that is not a cell of the codebook its
-    message selects.
+    Returns the (trials, N) int64 matrix of incoming chat messages.  By
+    C1-C4 this must equal the encoder side's messages on every trial.
+    Raises ``ValueError`` on indices that are not an (N,) or (trials, N)
+    block of integers, or on an index that is not a cell of the codebook
+    its message selects.  The trials are replayed in consecutive row
+    blocks into the returned matrix, so the memory used beyond it is one
+    block's, and the error names a bad entry of the first block holding
+    one.
     """
-    return _Protocol(spec, banks).replay(_index_block(indices, spec.n_sensors))[0]
+    idx = _index_block(indices, spec.n_sensors)
+    proto = _Protocol(spec, banks)
+    out = np.empty(idx.shape, dtype=np.int64)
+    for rows in _row_blocks(*idx.shape):
+        out[rows] = proto.replay(idx[rows].astype(np.int64, copy=False))[0]
+    return out
 
 
 def _integers(values, what: str) -> np.ndarray:
-    """``values`` as int64, or ``ValueError`` if any is not an integer."""
+    """``values`` as an array, not copied, or ``ValueError`` if any is
+    not an integer; callers convert one row block at a time to int64."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got {arr.dtype} values")
-    return arr.astype(np.int64, copy=False)
+    return arr
 
 
 def _index_block(indices, n_sensors: int) -> np.ndarray:
-    """Fusion indices as a (trials, N) int64 block; ``indices`` may be
-    (N,) for one trial."""
+    """Fusion indices as a (trials, N) integer block, not copied;
+    ``indices`` may be (N,) for one trial."""
     idx = np.atleast_2d(_integers(indices, "indices"))
     if idx.ndim != 2 or idx.shape[1] != n_sensors:
         raise ValueError(
@@ -369,11 +378,13 @@ def _ce_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     When K = 1 only the cell with the largest lower edge reaches above
     ``left``, the max is uniform on it, and the answer is the midpoint
     (left + right) / 2 in closed form, taken for the whole block at once.
-    Only trials with K >= 2 are integrated: the integrand is smooth
-    between the sorted upper edges of their K cells and the tail is taken
-    per segment with Gauss-Legendre nodes.  Those trials are grouped by K;
-    the integrand is a polynomial of degree K of the overlapping sensors
-    and the rule is exact.  The cost per trial follows K, not N.
+    Trials with K = 2 are in closed form too (``_ce_max_pair``).  Only
+    trials with K >= 3 are integrated: the integrand is smooth between
+    the sorted upper edges of their K cells and the tail is taken per
+    segment with Gauss-Legendre nodes.  Those trials are grouped by K;
+    the integrand is a polynomial of degree K of the overlapping sensors,
+    and (K + 2) // 2 nodes, the fewest that are exact for degree K, are
+    used.  The cost per trial follows K, not N.
     """
     left = lo.max(axis=1)
     overlap = hi > left[:, None]
@@ -390,10 +401,13 @@ def _ce_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         r = rows[r]
         a = lo[r, c].reshape(-1, k)
         b = hi[r, c].reshape(-1, k)
+        if k == 2:
+            out[rows] = _ce_max_pair(left[rows], a, b)
+            continue
         edges = np.concatenate([left[rows, None], np.sort(b, axis=1)], axis=1)
         half = (edges[:, 1:] - edges[:, :-1]) / 2.0
         mid = (edges[:, 1:] + edges[:, :-1]) / 2.0
-        nodes, weights = _gauss_legendre(max(4, (k + 2) // 2))
+        nodes, weights = _gauss_legendre((k + 2) // 2)
         # t has shape (trials in the group, segments, nodes).
         t = mid[:, :, None] + half[:, :, None] * nodes
         prod = np.ones_like(t)
@@ -403,6 +417,29 @@ def _ce_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         tail = ((1.0 - prod) * weights).sum(axis=2) * half
         out[rows] = left[rows] + tail.sum(axis=1)
     return out
+
+
+def _ce_max_pair(left: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """E[max] for trials with exactly two cells reaching above ``left``,
+    whose edges are the columns of ``a`` and ``b``, in closed form.
+
+    Cell s ends first, at b_s, and cell b last, at b_b; w_s and w_b are
+    their widths.  One of the cells starts at ``left``, the other D below
+    it, so on [left, b_s] the product of CDFs is u (u + D) / (w_s w_b)
+    with u = t - left, and on [b_s, b_b] only cell b's CDF is left:
+    E[max] = left + L - L^2 (L/3 + D/2) / (w_s w_b) + (b_b - b_s)^2 / (2 w_b)
+    with L = b_s - left.  Ties in b make the last term 0.
+    """
+    (a0, a1), (b0, b1) = a.T, b.T
+    first = b0 <= b1
+    w_s = np.where(first, b0 - a0, b1 - a1)
+    w_b = np.where(first, b1 - a1, b0 - a0)
+    b_s = np.minimum(b0, b1)
+    gap = np.maximum(b0, b1) - b_s
+    span = b_s - left
+    below = left - np.minimum(a0, a1)
+    inner = span * span * (span / 3.0 + below / 2.0) / (w_s * w_b)
+    return left + span - inner + gap * gap / (2.0 * w_b)
 
 
 def _check_decoder(decoder: str) -> None:
@@ -452,11 +489,13 @@ def decode(
     sensors = range(1, idx.shape[1] + 1)
     out = np.empty(idx.shape[0])
     for rows in _row_blocks(*idx.shape):
+        block = idx[rows].astype(np.int64, copy=False)
         if incoming is None:
-            pos = proto.replay(idx[rows])[1]
+            pos = proto.replay(block)[1]
         else:
+            messages = incoming[rows].astype(np.int64, copy=False)
             pos = np.column_stack(
-                [cells.index(n, idx[rows, n - 1], incoming[rows, n - 1]) for n in sensors]
+                [cells.index(n, block[:, n - 1], messages[:, n - 1]) for n in sensors]
             )
         out[rows] = _estimate(decoder, cells, pos)
     return float(out[0]) if scalar else out
@@ -481,8 +520,9 @@ def _chunk_blocks(spec: ChatNetworkSpec, proto: _Encoder, trials: int, seed: int
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(c,)))
     )
     for rows in _row_blocks(min(CHUNK, trials - c * CHUNK), spec.n_sensors):
-        drawn = spec.source.sample(rng, (rows.stop - rows.start, spec.n_sensors))
-        x = np.asfortranarray(drawn)
+        # The C-order draw is freed here, before the block is estimated.
+        shape = (rows.stop - rows.start, spec.n_sensors)
+        x = np.asfortranarray(spec.source.sample(rng, shape))
         yield rows, x, proto.positions(x)
 
 

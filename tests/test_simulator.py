@@ -1,9 +1,12 @@
 import functools
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chatquant import simulator
 from chatquant.chatnet import (
@@ -207,6 +210,110 @@ def test_ce_max_ties_at_the_largest_lower_edge():
     assert got[0] == 0.75 and got[2] == 0.875
     assert got[1] == pytest.approx(0.5 + 2.0 / 3.0 * 0.5, abs=1e-15)
     assert got[1] != 0.75
+
+
+def _two_overlap_cells(rng, trials, n):
+    """Random (lo, hi) cell edges in [0, 1] where exactly two cells reach
+    above the largest lower edge, in random columns.  A third of the rows
+    tie the two upper edges and another third the two lower edges; the
+    other cells end at or below the largest lower edge, the first of them
+    exactly on it."""
+    left = 0.1 + 0.8 * rng.random(trials)
+    a = np.column_stack([left, left * rng.random(trials)])
+    b = left[:, None] + (1.0 - left[:, None]) * (0.01 + 0.99 * rng.random((trials, 2)))
+    b[::3, 1] = b[::3, 0]
+    a[1::3, 1] = left[1::3]
+    hi_rest = left[:, None] * (0.05 + 0.95 * rng.random((trials, n - 2)))
+    hi_rest[:, :1] = left[:, None]
+    lo_rest = hi_rest * 0.99 * rng.random((trials, n - 2))
+    order = rng.random((trials, n)).argsort(axis=1)
+    lo = np.take_along_axis(np.concatenate([a, lo_rest], axis=1), order, axis=1)
+    hi = np.take_along_axis(np.concatenate([b, hi_rest], axis=1), order, axis=1)
+    return lo, hi
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_ce_max_two_overlaps_take_no_quadrature(n, monkeypatch):
+    # Every row has K = 2, so the block takes the closed forms only.
+    def no_quadrature(order):
+        raise AssertionError("a K = 2 block needs no quadrature nodes")
+
+    lo, hi = _two_overlap_cells(np.random.default_rng(30 + n), 3_000, n)
+    left = lo.max(axis=1)
+    assert ((hi > left[:, None]).sum(axis=1) == 2).all()
+    monkeypatch.setattr(simulator, "_gauss_legendre", no_quadrature)
+    got = _ce_oracle(lo, hi)
+    assert np.all((got > left) & (got < hi.max(axis=1)))
+
+
+def _exact_ce_max(cells):
+    """E[max | cells] of independent uniform sources as a Fraction: the
+    integral of 1 - prod F_n, a polynomial between sorted upper edges,
+    integrated term by term."""
+    lo = [Fraction(a) for a, _ in cells]
+    hi = [Fraction(b) for _, b in cells]
+    left, right = max(lo), max(hi)
+    ends = sorted({left, right} | {b for b in hi if left < b < right})
+    total = left
+    for s, e in zip(ends, ends[1:]):
+        poly = [Fraction(1)]  # coefficients of t^0, t^1, ...
+        for a, b in zip(lo, hi):
+            if b > s:
+                lin = (-a / (b - a), 1 / (b - a))
+                poly = [
+                    (poly[i] * lin[0] if i < len(poly) else 0)
+                    + (poly[i - 1] * lin[1] if i else 0)
+                    for i in range(len(poly) + 1)
+                ]
+        total += e - s
+        total -= sum(c * (e ** (i + 1) - s ** (i + 1)) / (i + 1) for i, c in enumerate(poly))
+    return total
+
+
+def test_ce_max_two_overlaps_hand_values():
+    # Two cells [0, 1]: E[max] = 2/3.  Two cells [1/2, 1]: 1/2 + 2/3 * 1/2.
+    got = _ce_max(np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([[1.0, 1.0], [1.0, 1.0]]))
+    assert got == pytest.approx([2.0 / 3.0, 5.0 / 6.0], rel=0.0, abs=1e-15)
+    # Unequal widths and a gap between the upper edges: the cell that
+    # ends first starts below the other, then at the largest lower edge;
+    # then a third cell that ends at the largest lower edge.
+    for cells in (
+        [(0.1, 0.7), (0.25, 0.9)],
+        [(0.35, 0.6), (0.05, 0.95)],
+        [(0.1, 0.7), (0.0, 0.25), (0.25, 0.9)],
+    ):
+        want = float(_exact_ce_max(cells))
+        lo, hi = np.array(cells).T
+        got = _ce_max(lo[None], hi[None])[0]
+        assert abs(got - want) <= 4 * np.spacing(want)
+        assert got == _ce_max(lo[None, ::-1], hi[None, ::-1])[0]
+
+
+@st.composite
+def _two_overlap_row(draw):
+    """One row of K = 2 cells: ties in the upper or lower edges, either
+    cell ending first, and up to four cells ending at or below ``left``."""
+    n = draw(st.integers(2, 6))
+    unit = st.floats(0.0, 1.0)
+    left = draw(st.floats(0.05, 0.9))
+    a = [left, left if draw(st.booleans()) else left * draw(unit)]
+    b = [left + (1.0 - left) * draw(st.floats(0.01, 1.0)) for _ in range(2)]
+    if draw(st.booleans()):
+        b[1] = b[0]
+    if draw(st.booleans()):
+        b.reverse()  # the cell starting at left ends first or last
+    hi = [left if draw(st.booleans()) else left * draw(st.floats(0.05, 1.0)) for _ in range(n - 2)]
+    lo = [h * 0.99 * draw(unit) for h in hi]
+    order = draw(st.permutations(range(n)))
+    return np.array([(a + lo)[i] for i in order]), np.array([(b + hi)[i] for i in order])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_two_overlap_row())
+def test_ce_max_two_overlaps_match_all_sensor_oracle(row):
+    lo, hi = row[0][None], row[1][None]
+    assert (hi > lo.max()).sum() == 2
+    _ce_oracle(lo, hi)
 
 
 # Cells of width 1e-9 put the boundaries 0.3, 0.3 + 1e-9 and 0.3 + 2e-9 in
@@ -688,15 +795,45 @@ def test_simulation_memory_is_one_block(decoder):
     assert long < short + CHUNK * 8
 
 
-@pytest.mark.parametrize("decoder", [PLUG_IN, CE])
-def test_decode_memory_is_one_block(decoder):
-    # A 262,144 x 16 index block (32 MiB) peaked at 4x its size under CE
-    # when decoded whole; by row blocks only the answer grows with it.
+def _chain16_indices():
     spec, banks = _lookup_design("chain16")
     sizes = np.array([banks[n][1].size for n in range(1, 17)])
     indices = np.random.default_rng(4).integers(1, sizes + 1, size=(262_144, 16))
-    peak = _traced_peak(decode, decoder, indices, banks, spec)
-    assert peak < indices.nbytes / 2
+    return spec, banks, indices
+
+
+@pytest.mark.parametrize("decoder", [PLUG_IN, CE])
+def test_decode_memory_is_one_block(decoder):
+    # A 262,144 x 16 int64 index block (32 MiB) peaked at 4x its size
+    # under CE when decoded whole; by row blocks only the answer grows
+    # with it.  The same block as int32, converted whole, peaked at 37-39
+    # MB; each row block is converted on its own, under the same bound.
+    spec, banks, indices = _chain16_indices()
+    for block in (indices, indices.astype(np.int32)):
+        peak = _traced_peak(decode, decoder, block, banks, spec)
+        assert peak < indices.nbytes / 2
+
+
+def test_replay_memory_is_one_block():
+    # Replaying the whole block at once peaked at 66 MB: the positions
+    # beside the returned messages.  By row blocks only the answer grows.
+    # The answer is an int64 matrix of the input's shape.
+    spec, banks, indices = _chain16_indices()
+    peak = _traced_peak(replay_codebooks, spec, banks, indices)
+    assert peak - indices.size * 8 < 4 * simulator._BLOCK_CELLS * 8
+
+
+def test_decode_reads_any_integer_type_alike():
+    spec, banks, indices = _chain16_indices()
+    indices = indices[:20_000]
+    incoming = replay_codebooks(spec, banks, indices)
+    assert np.array_equal(replay_codebooks(spec, banks, indices.astype(np.int32)), incoming)
+    for decoder in (PLUG_IN, CE):
+        for messages in (None, incoming):
+            want = decode(decoder, indices, banks, spec, messages)
+            narrow = None if messages is None else messages.astype(np.int32)
+            got = decode(decoder, indices.astype(np.int32), banks, spec, narrow)
+            assert np.array_equal(got, want)
 
 
 def test_simulation_never_rechecks_encoder_positions(monkeypatch):
