@@ -49,19 +49,14 @@ from .allocation import (
     waterfill_kkt,
 )
 from .chatnet import (
-    ChatEdge,
-    ChatGraph,
     ChatNetworkSpec,
     NetworkDesign,
-    Schedule,
     SpecFormatError,
-    Violation,
     build_banks,
     conditional_quantizer_bank,
     design_network,
     out_message_table,
     parse_spec_file,
-    validate_identifiable,
 )
 from .simulator import (
     CONDITIONAL_EXPECTATION,
@@ -86,8 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocationResult",
-    "ChatEdge",
-    "ChatGraph",
     "ChatNetworkSpec",
     "Compressor",
     "CONDITIONAL_EXPECTATION",
@@ -103,13 +96,11 @@ __all__ = [
     "Pdf",
     "PointDensity",
     "Quantizer",
-    "Schedule",
     "SensitivityProfile",
     "SimulationResult",
     "SpecFormatError",
     "SweepSpec",
     "UndefinedDistortionError",
-    "Violation",
     "allocate",
     "allocation_report",
     "binary_entropy",
@@ -138,7 +129,6 @@ __all__ = [
     "standard_figures",
     "sweep_chatting_rate",
     "sweep_partition",
-    "validate_identifiable",
     "waterfill_kkt",
     "write_csv",
 ]

@@ -1,20 +1,22 @@
-"""Chatting-network structure and the serial max-network protocol.
+"""The serial max chain: spec, spec files and design.
 
-A chatting network is a set of sensors feeding a fusion center, plus a
-directed side channel ("chatting") between sensors that the fusion center
-never observes.  For the fusion center to decode, it must be able to
-deduce every sensor's codebook choice from the fusion-link messages alone
-(codebook identifiability): the graph must be acyclic (C1), the schedule
+Sensors 1..N each observe an iid uniform(0, 1) source and transmit to a
+fusion center; with chat, sensor i also sends sensor i + 1 one message
+on a side channel ("chatting") that the fusion center never observes.
+For the fusion center to decode, it must be able to deduce every
+sensor's codebook choice from the fusion-link messages alone (codebook
+identifiability): the chat graph must be acyclic (C1), the schedule
 causal (C2), and quantizers and outgoing messages may depend only on
 received messages and, for outgoing messages, the sensor's own
 *transmitted* codeword (C3/C4) - never on the raw observation.  The
-protocol tables built here enforce C3/C4 by construction.  Every chat
-edge reports the cell of the running max in one shared partition.
+chain is the only topology a spec holds, and its schedule is chain
+order, so C1 and C2 hold by construction; the protocol tables built here
+enforce C3/C4.  Every chat link reports the cell of the running max in
+one shared partition.
 """
 
 from __future__ import annotations
 
-import graphlib
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -46,143 +48,15 @@ from .distortion import (
 )
 
 __all__ = [
-    "ChatEdge",
-    "ChatGraph",
     "ChatNetworkSpec",
     "NetworkDesign",
-    "Schedule",
     "SpecFormatError",
-    "Violation",
     "build_banks",
     "conditional_quantizer_bank",
     "design_network",
     "out_message_table",
     "parse_spec_file",
-    "validate_identifiable",
 ]
-
-
-@dataclass(frozen=True)
-class ChatEdge:
-    """Directed chatting link with its codebook size and cost per bit."""
-
-    src: int
-    dst: int
-    size: int
-    alpha: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValueError(f"self-loop on sensor {self.src}")
-        if self.size < 1:
-            raise ValueError("chat codebook size must be at least 1")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(
-                f"chat cost per bit must be finite and nonnegative, got {self.alpha}"
-            )
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.src, self.dst)
-
-
-@dataclass(frozen=True)
-class ChatGraph:
-    """Directed chatting topology over sensors 1..N."""
-
-    nodes: tuple[int, ...]
-    edges: tuple[ChatEdge, ...]
-
-    def __post_init__(self) -> None:
-        seen = set(self.nodes)
-        if len(seen) != len(self.nodes):
-            raise ValueError("duplicate sensor ids")
-        for e in self.edges:
-            if e.src not in seen or e.dst not in seen:
-                raise ValueError(f"edge {e.key} leaves the node set")
-        if len({e.key for e in self.edges}) != len(self.edges):
-            raise ValueError("duplicate chat edges")
-
-    def edge_into(self, n: int) -> ChatEdge | None:
-        found = [e for e in self.edges if e.dst == n]
-        if len(found) > 1:
-            raise ValueError(f"sensor {n} has multiple incoming chat edges")
-        return found[0] if found else None
-
-    def edges_out_of(self, n: int) -> list[ChatEdge]:
-        return [e for e in self.edges if e.src == n]
-
-    @staticmethod
-    def serial_chain(n_sensors: int, size: int, alpha: float = 0.0) -> "ChatGraph":
-        nodes = tuple(range(1, n_sensors + 1))
-        edges = tuple(
-            ChatEdge(i, i + 1, size, alpha) for i in range(1, n_sensors)
-        )
-        return ChatGraph(nodes, edges)
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Transmission order of the chat edges."""
-
-    order: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.order)) != len(self.order):
-            raise ValueError("schedule repeats an edge")
-
-
-class Violation(NamedTuple):
-    condition: str
-    message: str
-
-
-def validate_identifiable(graph: ChatGraph, schedule: Schedule) -> list[Violation]:
-    """Check the codebook-identifiability conditions on a chat topology.
-
-    C1: the chat graph is acyclic.  C2: the schedule is causal - every
-    message a sensor sends is scheduled after every message it receives.
-    C3 and C4 (codebooks and outgoing messages depend only on received
-    messages and transmitted codewords) hold by construction of the
-    protocol tables and are not data properties.  Violations are returned,
-    not raised.
-    """
-    out: list[Violation] = []
-    ts = graphlib.TopologicalSorter(
-        {n: [e.src for e in graph.edges if e.dst == n] for n in graph.nodes}
-    )
-    try:
-        ts.prepare()
-    except graphlib.CycleError as exc:
-        cycle = exc.args[1]
-        out.append(
-            Violation("C1", f"chat graph has a cycle: {' -> '.join(map(str, cycle))}")
-        )
-
-    scheduled = set(schedule.order)
-    edge_keys = {e.key for e in graph.edges}
-    if scheduled != edge_keys:
-        missing = sorted(edge_keys - scheduled)
-        extra = sorted(scheduled - edge_keys)
-        parts = []
-        if missing:
-            parts.append(f"missing edges {missing}")
-        if extra:
-            parts.append(f"unknown edges {extra}")
-        out.append(Violation("C2", f"schedule does not match the graph: {'; '.join(parts)}"))
-        return out
-
-    position = {key: i for i, key in enumerate(schedule.order)}
-    for e in graph.edges:
-        for incoming in graph.edges:
-            if incoming.dst == e.src and position[incoming.key] > position[e.key]:
-                out.append(
-                    Violation(
-                        "C2",
-                        f"edge {e.key} is scheduled before its input {incoming.key}",
-                    )
-                )
-    return out
 
 
 class SpecFormatError(ValueError):
@@ -194,24 +68,33 @@ class SpecFormatError(ValueError):
         self.key = key
 
 
+class _Link(NamedTuple):
+    size: int
+    alpha: float
+
+
+class _Links(NamedTuple):
+    edges: tuple[_Link, ...]
+
+
 @dataclass(frozen=True)
 class ChatNetworkSpec:
-    """Immutable description of a chatting network.
+    """Immutable description of a serial max chain.
 
-    Sensors observe iid draws from ``source`` (uniform on [0, 1], the
-    only law the closed forms cover), chat over ``graph``
-    following ``schedule``, and transmit to the fusion center over links
-    with per-bit costs ``fusion_alphas``.  ``partition`` holds the
+    Sensors 1..N observe iid draws from ``source`` (uniform on [0, 1],
+    the only law the closed forms cover) and transmit to the fusion
+    center over links with per-bit costs ``fusion_alphas``.  With chat,
+    ``chat_alphas`` holds the per-bit cost of each link i -> i+1, in
+    chain order; it is empty without chat.  ``partition`` holds the
     strictly increasing boundaries of the message cells that every chat
-    edge shares, so each edge's size is ``len(partition) - 1``; a network
-    without chat edges holds (0, 1).
+    link shares, so each message takes ``len(partition) - 1`` values; a
+    network without chat holds (0, 1).
     """
 
     n_sensors: int
     source: Pdf
-    graph: ChatGraph
-    schedule: Schedule
     fusion_alphas: tuple[float, ...]
+    chat_alphas: tuple[float, ...]
     partition: tuple[float, ...]
     regime: str = FIXED_RATE
 
@@ -224,31 +107,33 @@ class ChatNetworkSpec:
             raise ValueError(
                 f"fusion costs must be finite and positive, got {self.fusion_alphas}"
             )
+        if self.chat_alphas and len(self.chat_alphas) != self.n_sensors - 1:
+            raise ValueError(
+                f"need one chat cost per link i -> i+1 ({self.n_sensors - 1}) "
+                f"or none, got {len(self.chat_alphas)}"
+            )
+        if not all(math.isfinite(a) and a >= 0 for a in self.chat_alphas):
+            raise ValueError(
+                f"chat cost per bit must be finite and nonnegative, got {self.chat_alphas}"
+            )
         if self.regime not in (FIXED_RATE, ENTROPY_CONSTRAINED):
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.source != Pdf(0.0, 1.0):
             # Profiles, message laws and max_sensitivity are closed forms
             # for uniform(0, 1) sources only.
             raise ValueError("the source must be uniform on [0, 1]")
-        if set(self.graph.nodes) != set(range(1, self.n_sensors + 1)):
-            raise ValueError("graph nodes must be sensors 1..N")
         t = tuple(float(v) for v in self.partition)
         if len(t) < 2 or any(b <= a for a, b in zip(t, t[1:])):
             raise ValueError(f"partition {t} must be increasing boundaries")
         if abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12:
             raise ValueError(f"partition {t} must cover [0, 1]")
-        if not self.graph.edges and t != (0.0, 1.0):
+        if not self.chat_alphas and t != (0.0, 1.0):
             raise ValueError(
                 f"a network without chat edges has partition (0, 1), got {t}"
             )
-        for e in self.graph.edges:
-            if e.size != len(t) - 1:
-                raise ValueError(
-                    f"edge {e.key} has {e.size} cells, but the shared partition "
-                    f"has {len(t) - 1}"
-                )
         object.__setattr__(self, "partition", t)
         object.__setattr__(self, "fusion_alphas", tuple(float(a) for a in self.fusion_alphas))
+        object.__setattr__(self, "chat_alphas", tuple(float(a) for a in self.chat_alphas))
 
     # -- construction helpers -------------------------------------------
 
@@ -261,65 +146,68 @@ class ChatNetworkSpec:
         regime: str = FIXED_RATE,
         boundaries: Sequence[float] | None = None,
     ) -> "ChatNetworkSpec":
-        """The serial chain computing the max of iid uniform(0,1) sources."""
-        graph = ChatGraph.serial_chain(n_sensors, chat_size, chat_alpha)
-        schedule = Schedule(tuple(e.key for e in graph.edges))
-        if not graph.edges:
+        """The serial chain computing the max of iid uniform(0,1) sources,
+        every link chatting ``chat_size`` cells at ``chat_alpha`` per bit."""
+        if chat_size < 1:
+            raise ValueError("chat codebook size must be at least 1")
+        chat = (chat_alpha,) * (n_sensors - 1)
+        if not chat:
             t = (0.0, 1.0)
         elif boundaries is None:
             t = tuple(np.linspace(0.0, 1.0, chat_size + 1))
         else:
             t = tuple(boundaries)
+            if len(t) != chat_size + 1:
+                raise ValueError(
+                    f"{chat_size} chat cells need {chat_size + 1} boundaries, got {t}"
+                )
         if np.isscalar(fusion_alphas):
             alphas = (float(fusion_alphas),) * n_sensors
         else:
             alphas = tuple(float(a) for a in fusion_alphas)
-        return ChatNetworkSpec(
-            n_sensors,
-            Pdf(0.0, 1.0),
-            graph,
-            schedule,
-            alphas,
-            t,
-            regime,
-        )
+        return ChatNetworkSpec(n_sensors, Pdf(0.0, 1.0), alphas, chat, t, regime)
 
-    def validate(self) -> list[Violation]:
-        return validate_identifiable(self.graph, self.schedule)
+    def receives(self, n: int) -> bool:
+        """Whether sensor n hears a chat message: n > 1 on a chatting chain."""
+        return n > 1 and bool(self.chat_alphas)
 
     def chat_cost(self) -> float:
-        """Cost of one chat round: each edge's per-bit price times its bits."""
-        return sum(e.alpha * np.log2(e.size) for e in self.graph.edges)
+        """Cost of one chat round: each link's per-bit price times its bits."""
+        size = len(self.partition) - 1
+        return sum(a * np.log2(size) for a in self.chat_alphas)
 
-    def is_serial_chain(self) -> bool:
-        want = tuple((i, i + 1) for i in range(1, self.n_sensors))
-        return tuple(sorted(e.key for e in self.graph.edges)) == want
+    @property
+    def graph(self) -> _Links:
+        """One (size, alpha) record per chat link, in chain order.
+
+        Exists only for the benchmark harness, which reads ``.edges``;
+        nothing in the package reads it.
+        """
+        size = len(self.partition) - 1
+        return _Links(tuple(_Link(size, a) for a in self.chat_alphas))
 
     # -- message structure ----------------------------------------------
 
     def message_interval(self, n: int, k: int) -> tuple[float, float]:
         """Interval for the running ancestor max implied by message k at
         sensor n: the message's cell of the partition."""
-        edge = self.graph.edge_into(n)
-        if edge is None:
+        if not self.receives(n):
             if k != 1:
                 raise ValueError(f"sensor {n} receives no messages")
             return (0.0, 1.0)
-        if not (1 <= k <= edge.size):
-            raise ValueError(f"message {k} out of range for edge {edge.key}")
+        if not (1 <= k < len(self.partition)):
+            raise ValueError(f"message {k} out of range for the link into sensor {n}")
         return (self.partition[k - 1], self.partition[k])
 
     def message_probs(self, n: int) -> MessageDistribution:
         """Exact distribution of the message arriving at sensor n."""
-        if self.graph.edge_into(n) is None:
+        if not self.receives(n):
             return MessageDistribution(np.array([1.0]))
-        if not self.is_serial_chain():
-            raise ValueError("message distributions assume the serial chain")
         return serial_max_message_distribution(n, self.partition)
 
     def conditional_profile(self, n: int, k: int) -> SensitivityProfile:
         """Sensitivity of sensor n's quantization error given message k."""
-        if self.graph.edge_into(n) is None:
+        if not self.receives(n):
             return max_sensitivity(self.n_sensors)
         s_l, s_u = self.message_interval(n, k)
         return max_conditional_sensitivity(n, self.n_sensors, s_l, s_u)
@@ -327,10 +215,10 @@ class ChatNetworkSpec:
     # -- rewriting helpers ----------------------------------------------
 
     def with_chat_rate(self, rc: int) -> "ChatNetworkSpec":
-        """Same network with every chat edge at rate rc (uniform cells).
+        """Same network with every chat link at rate rc (uniform cells).
 
         Raises ``ValueError`` unless rc is a nonnegative whole number of
-        bits: an edge of 2**rc cells has no fractional rate.
+        bits: a link of 2**rc cells has no fractional rate.
         """
         if not (np.isfinite(rc) and rc >= 0 and int(rc) == rc):
             raise ValueError(f"chat rate must be a nonnegative integer, got {rc!r}")
@@ -338,15 +226,10 @@ class ChatNetworkSpec:
 
     def with_partition(self, boundaries: Sequence[float]) -> "ChatNetworkSpec":
         """Same network with ``boundaries`` as the partition of every chat
-        edge; a network without chat edges comes back as it is."""
-        if not self.graph.edges:
+        link; a network without chat comes back as it is."""
+        if not self.chat_alphas:
             return self
-        t = tuple(boundaries)
-        graph = ChatGraph(
-            self.graph.nodes,
-            tuple(replace(e, size=len(t) - 1) for e in self.graph.edges),
-        )
-        return replace(self, graph=graph, partition=t)
+        return replace(self, partition=tuple(boundaries))
 
     def with_regime(self, regime: str) -> "ChatNetworkSpec":
         return replace(self, regime=regime)
@@ -363,12 +246,14 @@ class ChatNetworkSpec:
             f"source = uniform {fmt(self.source.lo)} {fmt(self.source.hi)}",
             "fusion_alpha = " + " ".join(fmt(a) for a in self.fusion_alphas),
         ]
+        size = len(self.partition) - 1
         cells = " ".join(fmt(v) for v in self.partition)
-        for e in sorted(self.graph.edges, key=lambda e: e.key):
-            lines.append(f"edge = {e.src} {e.dst} {e.size} {fmt(e.alpha)}")
-            lines.append(f"partition = {e.src} {e.dst} : {cells}")
+        for i, a in enumerate(self.chat_alphas, start=1):
+            lines.append(f"edge = {i} {i + 1} {size} {fmt(a)}")
+            lines.append(f"partition = {i} {i + 1} : {cells}")
         lines.append(
-            "schedule = " + " ".join(f"{i}>{j}" for i, j in self.schedule.order)
+            "schedule = "
+            + " ".join(f"{i}>{i + 1}" for i in range(1, len(self.chat_alphas) + 1))
         )
         return "\n".join(lines) + "\n"
 
@@ -423,18 +308,22 @@ def build_banks(
 def out_message_table(
     spec: ChatNetworkSpec,
     banks: Mapping[int, Mapping[int, Quantizer]],
-    edge: ChatEdge,
+    n: int,
 ) -> np.ndarray:
-    """Chat message sent on ``edge`` as a function of decodable data.
+    """Chat message sensor ``n`` sends to sensor n + 1 as a function of
+    decodable data.
 
-    Entry [k_in - 1, m - 1] is the outgoing message when the sender
+    Entry [k_in - 1, m - 1] is the outgoing message when sensor n
     received message k_in and transmitted fusion codeword m: the max rule
     max(k_in, chat cell of codeword), where cells are left-open.  It reads
     the sender's *codeword*, not its raw observation, so the fusion
-    center can replay every entry (C4).
+    center can replay every entry (C4).  Raises ``ValueError`` when
+    sensor n sends no message.
     """
+    if not (1 <= n < spec.n_sensors and spec.receives(n + 1)):
+        raise ValueError(f"sensor {n} sends no chat message")
     t = np.asarray(spec.partition)
-    sender_bank = banks[edge.src]
+    sender_bank = banks[n]
     n_codes = max(q.size for q in sender_bank.values())
     table = np.zeros((len(sender_bank), n_codes), dtype=np.int64)
     for k_in, q in sender_bank.items():
@@ -560,20 +449,23 @@ def parse_spec_file(text: str) -> ChatNetworkSpec:
 
     Keys: N, computation, regime, source (``uniform lo hi``),
     fusion_alpha (one value, broadcast, or one per sensor), edge
-    (``src dst K alpha``, repeatable), partition
-    (``src dst : b0 b1 ...``, at most one per edge, default uniform),
-    schedule (``i>j ...``, optional, default edge order).  ``#`` starts a
-    comment.  Every edge shares one partition, so edges of different
-    sizes and partitions that differ across edges are rejected.  Raises
-    SpecFormatError naming the offending line and key.
+    (``i i+1 K alpha``, repeatable), partition
+    (``i i+1 : b0 b1 ...``, at most one per edge, default uniform),
+    schedule (``1>2 2>3 ...``, optional).  ``#`` starts a comment.  The
+    edges must form the serial chain: every link i -> i+1 once, or none;
+    a schedule, when given, lists them in chain order.  Every edge shares
+    one partition, so edges of different sizes and partitions that differ
+    across edges are rejected.  Raises SpecFormatError naming the
+    offending line and key; an edge back to an earlier sensor names C1,
+    and a schedule out of chain order names C2.
     """
     n_sensors: int | None = None
     regime = FIXED_RATE
     source_args: tuple[float, float] = (0.0, 1.0)
     fusion_alpha: list[float] | None = None
-    edges: list[tuple[int, ChatEdge]] = []
+    edges: list[tuple[int, int, int, int, float]] = []
     partitions: dict[tuple[int, int], tuple[int, tuple[float, ...]]] = {}
-    schedule: tuple[tuple[int, int], ...] | None = None
+    schedule: tuple[int, tuple[tuple[int, int], ...]] | None = None
 
     def fail(line_no: int, key: str, msg: str):
         raise SpecFormatError(line_no, key, msg)
@@ -608,14 +500,16 @@ def parse_spec_file(text: str) -> ChatNetworkSpec:
                 parts = value.split()
                 if len(parts) != 4:
                     fail(line_no, key, "expected 'src dst K alpha'")
-                edges.append(
-                    (
+                size, alpha = int(parts[2]), float(parts[3])
+                if size < 1:
+                    fail(line_no, key, "chat codebook size must be at least 1")
+                if not (math.isfinite(alpha) and alpha >= 0):
+                    fail(
                         line_no,
-                        ChatEdge(
-                            int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-                        ),
+                        key,
+                        f"chat cost per bit must be finite and nonnegative, got {alpha}",
                     )
-                )
+                edges.append((line_no, int(parts[0]), int(parts[1]), size, alpha))
             elif key == "partition":
                 head, _, tail = value.partition(":")
                 pair = head.split()
@@ -632,7 +526,7 @@ def parse_spec_file(text: str) -> ChatNetworkSpec:
                     if not b:
                         fail(line_no, key, f"expected 'i>j', got {item!r}")
                     hops.append((int(a), int(b)))
-                schedule = tuple(hops)
+                schedule = (line_no, tuple(hops))
             else:
                 fail(line_no, key, "unknown key")
         except SpecFormatError:
@@ -649,51 +543,73 @@ def parse_spec_file(text: str) -> ChatNetworkSpec:
     if len(fusion_alpha) != n_sensors:
         raise SpecFormatError(0, "fusion_alpha", "need one cost per sensor")
 
-    # One edge line at a time, so a graph error names its line.
-    graph = ChatGraph(tuple(range(1, n_sensors + 1)), ())
-    for line_no, e in edges:
-        try:
-            graph = replace(graph, edges=graph.edges + (e,))
-        except ValueError as exc:
-            raise SpecFormatError(line_no, "edge", str(exc)) from exc
-    edge_objs = graph.edges
-    for key, (line_no, _t) in partitions.items():
-        if key not in {e.key for e in edge_objs}:
-            raise SpecFormatError(line_no, "partition", f"no edge {key}")
-    partition = (0.0, 1.0)
-    first = edge_objs[0] if edge_objs else None
-    for line_no, e in edges:
-        if e.size != first.size:
-            raise SpecFormatError(
+    # link[i] is the (line, size, alpha) of the edge i -> i+1.
+    link: dict[int, tuple[int, int, float]] = {}
+    for line_no, i, j, size, alpha in edges:
+        if not (1 <= i <= n_sensors and 1 <= j <= n_sensors):
+            fail(line_no, "edge", f"edge {(i, j)} leaves the node set")
+        if j <= i:
+            fail(
                 line_no,
                 "edge",
-                f"edge {e.key} has {e.size} cells, but edge {first.key} has "
-                f"{first.size}; every chat edge shares one partition",
+                f"C1: edge {(i, j)} runs back to an earlier sensor; the chat "
+                "chain has only the links i -> i+1, so it stays acyclic",
             )
-        default = tuple(np.linspace(0.0, 1.0, e.size + 1).tolist())
-        line_no, t = partitions.get(e.key, (line_no, default))
-        if len(t) != e.size + 1:
-            raise SpecFormatError(
-                line_no, "partition", f"edge {e.key} needs {e.size + 1} boundaries"
+        if j != i + 1:
+            fail(line_no, "edge", f"edge {(i, j)} is not a chain link i -> i+1")
+        if i in link:
+            fail(line_no, "edge", f"duplicate chat edges {(i, j)}")
+        link[i] = (line_no, size, alpha)
+    chain = sorted(link)
+    if chain and len(chain) != n_sensors - 1:
+        missing = [(i, i + 1) for i in range(1, n_sensors) if i not in link]
+        fail(
+            edges[0][0],
+            "edge",
+            f"the chat chain needs every link i -> i+1 or none; missing {missing}",
+        )
+    for key, (line_no, _t) in partitions.items():
+        if key[1] != key[0] + 1 or key[0] not in link:
+            fail(line_no, "partition", f"no edge {key}")
+    partition = (0.0, 1.0)
+    for i in chain:
+        line_no, size, _alpha = link[i]
+        if size != link[1][1]:
+            fail(
+                line_no,
+                "edge",
+                f"edge {(i, i + 1)} has {size} cells, but edge (1, 2) has "
+                f"{link[1][1]}; every chat edge shares one partition",
             )
-        if e is first:
+        default = tuple(np.linspace(0.0, 1.0, size + 1).tolist())
+        line_no, t = partitions.get((i, i + 1), (line_no, default))
+        if len(t) != size + 1:
+            fail(line_no, "partition", f"edge {(i, i + 1)} needs {size + 1} boundaries")
+        if i == 1:
             partition = t
         elif t != partition:
-            raise SpecFormatError(
+            fail(
                 line_no,
                 "partition",
-                f"edge {e.key} has partition {t}, but edge {first.key} has "
+                f"edge {(i, i + 1)} has partition {t}, but edge (1, 2) has "
                 f"{partition}; every chat edge shares one partition",
             )
-    if schedule is None:
-        schedule = tuple(e.key for e in edge_objs)
+    if schedule is not None:
+        line_no, hops = schedule
+        order = tuple((i, i + 1) for i in chain)
+        if hops != order:
+            fmt = lambda pairs: " ".join(f"{i}>{j}" for i, j in pairs) or "(empty)"
+            fail(
+                line_no,
+                "schedule",
+                f"C2: schedule {fmt(hops)} is not the chain order {fmt(order)}",
+            )
     try:
         return ChatNetworkSpec(
             n_sensors,
             Pdf(*source_args),
-            graph,
-            Schedule(schedule),
             tuple(fusion_alpha),
+            tuple(link[i][2] for i in chain),
             partition,
             regime,
         )

@@ -113,11 +113,11 @@ def optimal_density_entropy(profile: SensitivityProfile) -> PointDensity:
 
 def _rate_array(spec: "ChatNetworkSpec", rates) -> np.ndarray:
     """``rates`` as an (N, K) array of the rate of every (sensor, message)
-    pair, K the message count of a chat edge (1 without chat).
+    pair, K the message count of a chat link (1 without chat).
 
     ``rates`` holds one entry per sensor: a rate, which fills the
     sensor's row, or under entropy coding a sequence of one rate per
-    message the sensor can receive (K behind a chat edge, else 1).
+    message the sensor can receive (K if it hears chat, else 1).
     Raises ValueError for another count or shape and for a non-finite
     rate.
     """
@@ -137,7 +137,7 @@ def _rate_array(spec: "ChatNetworkSpec", rates) -> np.ndarray:
                     f"sensor {n}: fixed-rate coding takes one rate per "
                     f"sensor, got {r}"
                 )
-            want = out.shape[1] if spec.graph.edge_into(n) is not None else 1
+            want = out.shape[1] if spec.receives(n) else 1
             if np.ndim(r) != 1 or len(r) != want:
                 raise ValueError(
                     f"sensor {n}: need one rate per message ({want}), got {r}"
@@ -158,11 +158,10 @@ def _chat_constants(
     its active region [s_l, 1]: of the cube root of gamma^2 under fixed
     rate, of log2 gamma^2 under entropy coding.  ``partitions`` is a
     (G, K+1) array of partitions of the spec's chat chain; None takes
-    the spec's own (G = 1), and raises, as ``message_probs`` does, for
-    networks without a closed-form message law.
+    the spec's own (G = 1).
 
     Returns (probs, dont_care, *constants), each shaped (G, N, K), K the
-    message count of a chat edge (1 without chat).  A sensor that
+    message count of a chat link (1 without chat).  A sensor that
     receives nothing has message 1 only, with probability 1.  dont_care
     is 1 where message k leaves a don't-care zone [0, t_{k-1}].  The
     constants are the one-third quasi-norm of gamma^2 under fixed rate,
@@ -175,13 +174,9 @@ def _chat_constants(
         raise ValueError(f"unknown regime {regime!r}")
     n_sensors = spec.n_sensors
     if partitions is None:
-        for n in range(1, n_sensors + 1):
-            spec.message_probs(n)
         partitions = [spec.partition]
     t = np.asarray(partitions, dtype=float)
-    receives = np.array(
-        [spec.graph.edge_into(n) is not None for n in range(1, n_sensors + 1)]
-    )
+    receives = np.array([spec.receives(n) for n in range(1, n_sensors + 1)])
     probs = np.zeros((t.shape[0], n_sensors, t.shape[1] - 1))
     probs[:, ~receives, 0] = 1.0
     for n in np.flatnonzero(receives) + 1:

@@ -86,19 +86,16 @@ class SimulationResult:
 class _Protocol:
     """Chat message tables along the serial chain.
 
-    ``sends[e.key]`` holds, at the table position of each cell of the
-    sender's codebooks (see ``_CellTable``), the message sent on edge
-    ``e`` when the sender transmits that cell, so a chat hop is one gather.
+    ``sends[n]`` holds, at the table position of each cell of sensor n's
+    codebooks (see ``_CellTable``), the message sensor n sends to sensor
+    n + 1 when it transmits that cell, so a chat hop is one gather.
     """
 
     def __init__(self, spec: ChatNetworkSpec, banks: Mapping[int, Mapping[int, Quantizer]]):
-        if spec.graph.edges and not spec.is_serial_chain():
-            raise ValueError("simulation supports the serial chatting chain")
         if set(banks) != set(range(1, spec.n_sensors + 1)):
             raise ValueError("need one codebook bank per sensor")
         for n in range(1, spec.n_sensors + 1):
-            edge = spec.graph.edge_into(n)
-            want = 1 if edge is None else edge.size
+            want = len(spec.partition) - 1 if spec.receives(n) else 1
             if set(banks[n]) != set(range(1, want + 1)):
                 raise ValueError(
                     f"sensor {n}: bank must cover messages 1..{want}"
@@ -106,8 +103,9 @@ class _Protocol:
         self.spec = spec
         self.cells = _CellTable(banks)
         self.sends = {
-            e.key: self.cells.spread(e.src, out_message_table(spec, banks, e))
-            for e in spec.graph.edges
+            n: self.cells.spread(n, out_message_table(spec, banks, n))
+            for n in range(1, spec.n_sensors)
+            if spec.receives(n + 1)
         }
 
     def replay(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,8 +120,8 @@ class _Protocol:
         pos = np.empty(indices.shape, dtype=np.int64, order="F")
         for n in range(1, spec.n_sensors + 1):
             pos[:, n - 1] = self.cells.index(n, indices[:, n - 1], incoming[:, n - 1])
-            for e in spec.graph.edges_out_of(n):
-                incoming[:, e.dst - 1] = self.sends[e.key][pos[:, n - 1]]
+            if n in self.sends:
+                incoming[:, n] = self.sends[n][pos[:, n - 1]]
         return incoming, pos
 
 
@@ -144,9 +142,9 @@ class _Encoder(_Protocol):
     ``_buckets``, so the start is never past x's cell and falls short by
     at most the interior boundaries x's bucket holds; ``steps[n-1]``, the
     most any bucket of the sensor holds, lands every x on the cell
-    ``Quantizer.quantize`` gives.  ``hops[n]``, for a sensor n that hears
-    more than one message, is the key offset (message - 1) * scale at each
-    position of its sender, sensor n - 1.
+    ``Quantizer.quantize`` gives.  ``hops[n]``, for a sensor n whose
+    message to sensor n + 1 takes more than one value, is the key offset
+    (message - 1) * scale of the receiver at each position of sensor n.
     """
 
     def __init__(self, spec: ChatNetworkSpec, banks: Mapping[int, Mapping[int, Quantizer]]):
@@ -165,8 +163,11 @@ class _Encoder(_Protocol):
         every = np.arange(cells.lower.size, dtype=np.int64)
         self.cell_no = every % cells.stride + 1
         self.message_of = every % cells.row // cells.stride + 1
-        edges = spec.graph.edges
-        self.hops = {e.dst: (self.sends[e.key] - 1) * scale for e in edges if e.size > 1}
+        self.hops = {
+            n: (send - 1) * scale
+            for n, send in self.sends.items()
+            if len(spec.partition) > 2
+        }
         self.starts: list[np.ndarray] = []
         self.steps: list[int] = []
         for n in range(1, spec.n_sensors + 1):
@@ -191,8 +192,8 @@ class _Encoder(_Protocol):
         for n in range(1, self.spec.n_sensors + 1):
             x_col = x[:, n - 1]
             key = _buckets(x_col, self.scale)
-            if n in self.hops:
-                key += self.hops[n][pos[:, n - 2]]
+            if n - 1 in self.hops:
+                key += self.hops[n - 1][pos[:, n - 2]]
             col = self.starts[n - 1][key]
             for _ in range(self.steps[n - 1]):
                 col += self.upper[col] < x_col
@@ -226,7 +227,8 @@ def replay_codebooks(
     """Codebook choices the fusion decoder derives from the indices it saw.
 
     Returns the (trials, N) int64 matrix of incoming chat messages.  By
-    C1-C4 this must equal the encoder side's messages on every trial.
+    C1-C4, which the chain and its tables hold by construction, this
+    must equal the encoder side's messages on every trial.
     Raises ``ValueError`` on indices that are not an (N,) or (trials, N)
     block of integers, or on an index that is not a cell of the codebook
     its message selects.  The trials are replayed in consecutive row
@@ -242,19 +244,13 @@ def replay_codebooks(
     return out
 
 
-def _integers(values, what: str) -> np.ndarray:
-    """``values`` as an array, not copied, or ``ValueError`` if any is
-    not an integer; callers convert one row block at a time to int64."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be integers, got {arr.dtype} values")
-    return arr
-
-
 def _index_block(indices, n_sensors: int) -> np.ndarray:
-    """Fusion indices as a (trials, N) integer block, not copied;
-    ``indices`` may be (N,) for one trial."""
-    idx = np.atleast_2d(_integers(indices, "indices"))
+    """Fusion indices as a (trials, N) integer block, not copied, or
+    ``ValueError``; ``indices`` may be (N,) for one trial.  Callers
+    convert one row block at a time to int64."""
+    idx = np.atleast_2d(np.asarray(indices))
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers, got {idx.dtype} values")
     if idx.ndim != 2 or idx.shape[1] != n_sensors:
         raise ValueError(
             f"indices must be (N,) or (trials, N) with N = {n_sensors}, "
@@ -272,17 +268,17 @@ class _CellTable:
     receives and ``stride`` the largest codebook size plus one.  A block
     of positions, one per (trial, sensor), then reads any cell property
     with one gather.  The encoder builds positions in range; ``index``
-    turns untrusted messages and indices into positions and rejects those
-    outside the banks, so a lookup never reads a pad or a neighbouring
-    codebook.
+    turns replayed messages and untrusted indices into positions and
+    rejects indices outside the banks, so a lookup never reads a pad or a
+    neighbouring codebook.
     """
 
     def __init__(self, banks: Mapping[int, Mapping[int, Quantizer]]):
         sensors = range(1, len(banks) + 1)
-        self.n_messages = [len(banks[n]) for n in sensors]
         self.smallest = [min(q.size for q in banks[n].values()) for n in sensors]
         self.stride = max(q.size for bank in banks.values() for q in bank.values()) + 1
-        self.sizes = np.zeros((len(banks), max(self.n_messages)), dtype=np.int64)
+        n_messages = max(len(bank) for bank in banks.values())
+        self.sizes = np.zeros((len(banks), n_messages), dtype=np.int64)
         bounds = np.zeros(self.sizes.shape + (self.stride,))
         codewords = np.zeros_like(bounds)
         is_cell = np.zeros(bounds.shape, dtype=bool)
@@ -317,15 +313,10 @@ class _CellTable:
         """Table positions of cells ``m`` of the codebooks that messages
         ``k`` select at sensor ``n``, all 1-based.
 
-        Raises ``ValueError`` when a message is not in the sensor's bank or
-        an index is not a cell of the codebook its message selects.
+        The messages are replayed from checked cells, so each is in the
+        sensor's bank.  Raises ``ValueError`` when an index is not a cell
+        of the codebook its message selects.
         """
-        if k.min(initial=1) < 1 or k.max(initial=1) > self.n_messages[n - 1]:
-            bad = k[(k < 1) | (k > self.n_messages[n - 1])][0]
-            raise ValueError(
-                f"sensor {n}: incoming message {bad} is not in its bank "
-                f"1..{self.n_messages[n - 1]}"
-            )
         pos = k * self.stride
         pos += m
         pos += (n - 1) * self.row - self.stride - 1
@@ -458,46 +449,28 @@ def decode(
     indices: np.ndarray,
     banks: Mapping[int, Mapping[int, Quantizer]],
     spec: ChatNetworkSpec,
-    incoming: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Decode fusion indices into an estimate of the max.
 
-    ``indices`` is (N,) for one trial or (trials, N); the incoming chat
-    messages are replayed from the indices when not supplied.  The
-    plug-in decoder takes the max of the per-cell codewords; the
-    conditional-expectation decoder returns E[max | cells] in closed form.
-    Raises ``ValueError`` for an unknown decoder, indices of another shape,
-    non-integer indices or messages, or a message or index outside the
-    banks.  The trials are checked and estimated in consecutive row
-    blocks, so the memory used beyond the answer is one block's, and the
-    error names a bad entry of the first block holding one.
+    ``indices`` is (N,) for one trial or (trials, N).  The fusion center
+    never observes the chat, so the incoming messages are replayed from
+    the indices.  The plug-in decoder takes the max of the per-cell
+    codewords; the conditional-expectation decoder returns E[max | cells]
+    in closed form.  Raises ``ValueError`` for an unknown decoder, indices
+    of another shape, non-integer indices, or an index that is not a cell
+    of the codebook its replayed message selects.  The trials are checked
+    and estimated in consecutive row blocks, so the memory used beyond the
+    answer is one block's, and the error names a bad entry of the first
+    block holding one.
     """
     _check_decoder(decoder)
     idx = _index_block(indices, spec.n_sensors)
     scalar = np.asarray(indices).ndim == 1
-    if incoming is None:
-        proto = _Protocol(spec, banks)
-        cells = proto.cells
-    else:
-        incoming = np.atleast_2d(_integers(incoming, "incoming messages"))
-        if incoming.shape != idx.shape:
-            raise ValueError(
-                f"incoming messages have shape {incoming.shape}, "
-                f"indices {idx.shape}"
-            )
-        cells = _CellTable(banks)
-    sensors = range(1, idx.shape[1] + 1)
+    proto = _Protocol(spec, banks)
     out = np.empty(idx.shape[0])
     for rows in _row_blocks(*idx.shape):
-        block = idx[rows].astype(np.int64, copy=False)
-        if incoming is None:
-            pos = proto.replay(block)[1]
-        else:
-            messages = incoming[rows].astype(np.int64, copy=False)
-            pos = np.column_stack(
-                [cells.index(n, block[:, n - 1], messages[:, n - 1]) for n in sensors]
-            )
-        out[rows] = _estimate(decoder, cells, pos)
+        pos = proto.replay(idx[rows].astype(np.int64, copy=False))[1]
+        out[rows] = _estimate(decoder, proto.cells, pos)
     return float(out[0]) if scalar else out
 
 

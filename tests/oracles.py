@@ -213,10 +213,14 @@ def ce_max_all_sensors(cdf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def encode_mask_loop(spec, banks, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fusion indices and incoming chat messages of a (trials, N) block,
     both 1-based, by a boolean mask per (sensor, message) and a 2-D table
-    lookup per chat edge."""
+    lookup per chat link, walked in chain order."""
     from chatquant.chatnet import out_message_table
 
-    tables = {e.key: out_message_table(spec, banks, e) for e in spec.graph.edges}
+    tables = {
+        n: out_message_table(spec, banks, n)
+        for n in range(1, spec.n_sensors)
+        if spec.receives(n + 1)
+    }
     trials = x.shape[0]
     indices = np.zeros((trials, spec.n_sensors), dtype=np.int64)
     incoming = np.ones((trials, spec.n_sensors), dtype=np.int64)
@@ -227,8 +231,8 @@ def encode_mask_loop(spec, banks, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
             if rows.any():
                 col[rows] = q.quantize(x[rows, n - 1])
         indices[:, n - 1] = col
-        for e in spec.graph.edges_out_of(n):
-            incoming[:, e.dst - 1] = tables[e.key][incoming[:, n - 1] - 1, col - 1]
+        if n in tables:
+            incoming[:, n] = tables[n][incoming[:, n - 1] - 1, col - 1]
     return indices, incoming
 
 
@@ -449,7 +453,7 @@ def repair_budget_loop(sizes, min_sizes, alphas, consts, budget: float) -> np.nd
 class ChatState:
     """Outcome of one chat round.
 
-    ``messages`` maps each edge to the transmitted index; ``intervals``
+    ``messages`` maps each link (i, i+1) to the transmitted index; ``intervals``
     maps each sensor to the interval known to contain the running maximum
     of its ancestors ((0, 1] when nothing was received).
     """
@@ -472,21 +476,19 @@ def _cell_of(value: float, t: Sequence[float]) -> int:
 def serial_max_chat_round(spec, x: Sequence[float]) -> ChatState:
     """One chat round of the serial max network on raw observations.
 
-    Sensor i sends the cell of max(x_1..x_i) in the spec's partition.
-    This is the reference semantics of the chat content; the simulator
-    sends ``out_message_table``'s codeword-driven messages instead, which
-    the fusion center can replay.
+    Sensor i sends the cell of max(x_1..x_i) in the spec's partition,
+    in chain order.  This is the reference semantics of the chat content;
+    the simulator sends ``out_message_table``'s codeword-driven messages
+    instead, which the fusion center can replay.
     """
-    if not spec.is_serial_chain():
-        raise ValueError("the raw chat round is defined for the serial chain")
     x = np.asarray(x, dtype=float)
     if x.size != spec.n_sensors:
         raise ValueError("need one observation per sensor")
     t = spec.partition
     messages: dict[tuple[int, int], int] = {}
     intervals: dict[int, tuple[float, float]] = {1: (0.0, 1.0)}
-    for i, n in spec.schedule.order:
+    for i in range(1, len(spec.chat_alphas) + 1):
         k = _cell_of(float(x[:i].max()), t)
-        messages[(i, n)] = k
-        intervals[n] = (t[k - 1], t[k])
+        messages[(i, i + 1)] = k
+        intervals[i + 1] = (t[k - 1], t[k])
     return ChatState(messages, intervals)

@@ -26,7 +26,12 @@ import numpy as np
 import pytest
 
 from chatquant.allocation import waterfill_kkt
-from chatquant.chatnet import ChatNetworkSpec, design_network, parse_spec_file
+from chatquant.chatnet import (
+    ChatNetworkSpec,
+    SpecFormatError,
+    design_network,
+    parse_spec_file,
+)
 from chatquant.distortion import FIXED_RATE, ENTROPY_CONSTRAINED, closed_form_max_nochat
 from chatquant.experiments import (
     SweepSpec,
@@ -250,20 +255,26 @@ def test_criterion_5_sensitivity_oracles(capsys):
 
 
 def test_criterion_6_identifiability_and_replay(capsys):
-    """The serial chain validates, bad topologies are rejected with the
+    """The serial chain parses, bad topologies fail at parse with the
     right condition ids, and codebook replay from fusion indices alone is
     mismatch-free over 1e5 rounds."""
     spec = ChatNetworkSpec.serial_max(4, 2)
-    chain_ok = spec.validate() == []
-    cyclic = parse_spec_file(
+    chain_ok = parse_spec_file(spec.canonical_text()) == spec
+
+    def parse_error(text):
+        try:
+            parse_spec_file(text)
+        except SpecFormatError as exc:
+            return str(exc)
+        return "parsed"
+
+    cyclic = parse_error(
         "N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\nedge = 3 1 2 0\n"
         "schedule = 1>2 2>3 3>1\n"
     )
-    cyclic_ids = [v.condition for v in cyclic.validate()]
-    acausal = parse_spec_file(
+    acausal = parse_error(
         "N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\nschedule = 2>3 1>2\n"
     )
-    acausal_ids = [v.condition for v in acausal.validate()]
 
     banks = design_network(spec, budget=16.0).banks
     x = np.random.default_rng(123).random((100_000, 4))
@@ -272,18 +283,18 @@ def test_criterion_6_identifiability_and_replay(capsys):
     mismatches = int(np.count_nonzero(replayed != incoming))
     ok = (
         chain_ok
-        and "C1" in cyclic_ids
-        and "C2" in acausal_ids
+        and "C1" in cyclic
+        and "C2" in acausal
         and mismatches == 0
     )
     report(
         capsys, 6, ok,
-        f"chain valid {chain_ok}, cycle {cyclic_ids}, acausal {acausal_ids}, "
+        f"chain valid {chain_ok}, cycle [{cyclic}], acausal [{acausal}], "
         f"{mismatches} replay mismatches in 100000 rounds",
     )
     assert chain_ok
-    assert "C1" in cyclic_ids
-    assert "C2" in acausal_ids
+    assert "C1" in cyclic
+    assert "C2" in acausal
     assert mismatches == 0
 
 

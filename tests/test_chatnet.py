@@ -8,20 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chatquant.chatnet import (
-    ChatEdge,
-    ChatGraph,
     ChatNetworkSpec,
-    Schedule,
     SpecFormatError,
     _repair_budget,
     build_banks,
     design_network,
     out_message_table,
     parse_spec_file,
-    validate_identifiable,
 )
 from chatquant.allocation import InfeasibleBudgetError
 from chatquant.distortion import predict
+from chatquant.probcore import Pdf
 from oracles import repair_budget_loop, serial_max_chat_round
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -31,64 +28,82 @@ def chain(n, size, **kw):
     return ChatNetworkSpec.serial_max(n, size, **kw)
 
 
-# -- graph and schedule primitives -------------------------------------------
+# -- the chain: links, topology and schedule -----------------------------------
 
 
 def test_edge_validation():
-    with pytest.raises(ValueError):
-        ChatEdge(1, 1, 2)
-    with pytest.raises(ValueError):
-        ChatEdge(1, 2, 0)
-    with pytest.raises(ValueError):
-        ChatEdge(1, 2, 2, alpha=-0.5)
-    for bad in (math.nan, math.inf, -math.inf):
+    # A link's size and per-bit cost are checked in the spec and in files.
+    with pytest.raises(ValueError, match="at least 1"):
+        chain(3, 0)
+    with pytest.raises(SpecFormatError, match="at least 1"):
+        parse_spec_file("N = 2\nedge = 1 2 0 0\n")
+    for bad in (-0.5, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            ChatEdge(1, 2, 2, alpha=bad)
+            chain(3, 2, chat_alpha=bad)
+        with pytest.raises(SpecFormatError, match="finite and nonnegative"):
+            parse_spec_file(f"N = 2\nedge = 1 2 2 {bad}\n")
+    with pytest.raises(SpecFormatError, match="C1") as err:
+        parse_spec_file("N = 2\nedge = 1 1 2 0\n")
+    assert (err.value.line, err.value.key) == (2, "edge")
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        ChatGraph((1, 1), ())
-    with pytest.raises(ValueError):
-        ChatGraph((1, 2), (ChatEdge(1, 3, 2),))
-    with pytest.raises(ValueError):
-        ChatGraph((1, 2), (ChatEdge(1, 2, 2), ChatEdge(1, 2, 4)))
-    fan_in = ChatGraph((1, 2, 3), (ChatEdge(1, 3, 2), ChatEdge(2, 3, 2)))
-    with pytest.raises(ValueError):
-        fan_in.edge_into(3)
+    # Only the chain's links i -> i+1, each once, every one of them or none.
+    cases = [
+        ("N = 2\nedge = 1 3 2 0\n", 2, "leaves the node set"),
+        ("N = 2\nedge = 1 2 2 0\nedge = 1 2 4 0\n", 3, "duplicate chat edges"),
+        ("N = 3\nedge = 1 3 2 0\nedge = 2 3 2 0\n", 2, r"\(1, 3\) is not a chain link"),
+        ("N = 3\nedge = 1 2 2 0\nedge = 1 3 2 0\n", 3, r"\(1, 3\) is not a chain link"),
+        ("N = 3\nedge = 2 3 2 0\n", 2, r"missing \[\(1, 2\)\]"),
+        ("N = 4\nedge = 3 4 2 0\nedge = 1 2 2 0\n", 2, r"missing \[\(2, 3\)\]"),
+    ]
+    for text, line, match in cases:
+        with pytest.raises(SpecFormatError, match=match) as err:
+            parse_spec_file(text)
+        assert (err.value.line, err.value.key) == (line, "edge")
+    # The links may come in any line order; the chain is the same.
+    shuffled = parse_spec_file("N = 3\nedge = 2 3 2 0.5\nedge = 1 2 2 0.25\n")
+    assert shuffled.chat_alphas == (0.25, 0.5)
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        Schedule(((1, 2), (1, 2)))
+    with pytest.raises(SpecFormatError, match="C2") as err:
+        parse_spec_file("N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\nschedule = 1>2 1>2\n")
+    assert (err.value.line, err.value.key) == (4, "schedule")
+    with pytest.raises(SpecFormatError, match="C2"):
+        parse_spec_file("N = 2\nschedule = 1>2\n")
 
 
 def test_identifiable_chain_is_clean():
     spec = chain(4, 2)
-    assert validate_identifiable(spec.graph, spec.schedule) == []
+    assert [spec.receives(n) for n in range(1, 5)] == [False, True, True, True]
+    assert spec.chat_alphas == (0.0,) * 3
+    assert "schedule = 1>2 2>3 3>4\n" in spec.canonical_text()
+    assert parse_spec_file(spec.canonical_text()) == spec
+    silent = parse_spec_file("N = 3\n")
+    assert not any(silent.receives(n) for n in range(1, 4))
 
 
 def test_identifiable_flags_cycle():
-    graph = ChatGraph((1, 2), (ChatEdge(1, 2, 2), ChatEdge(2, 1, 2)))
-    schedule = Schedule(((1, 2), (2, 1)))
-    conditions = {v.condition for v in validate_identifiable(graph, schedule)}
-    assert "C1" in conditions
+    text = "N = 2\nedge = 1 2 2 0\nedge = 2 1 2 0\nschedule = 1>2 2>1\n"
+    with pytest.raises(SpecFormatError, match=r"C1: edge \(2, 1\)") as err:
+        parse_spec_file(text)
+    assert (err.value.line, err.value.key) == (3, "edge")
 
 
 def test_identifiable_flags_acausal_schedule():
-    spec = chain(3, 2)
-    bad = Schedule(((2, 3), (1, 2)))
-    violations = validate_identifiable(spec.graph, bad)
-    assert [v.condition for v in violations] == ["C2"]
-    assert "(2, 3)" in violations[0].message
+    text = "N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\nschedule = 2>3 1>2\n"
+    with pytest.raises(SpecFormatError, match="C2: schedule 2>3 1>2") as err:
+        parse_spec_file(text)
+    assert (err.value.line, err.value.key) == (4, "schedule")
 
 
 def test_identifiable_flags_schedule_mismatch():
-    spec = chain(3, 2)
-    partial = Schedule(((1, 2),))
-    violations = validate_identifiable(spec.graph, partial)
-    assert violations[0].condition == "C2"
-    assert "missing" in violations[0].message
+    for hops in ("1>2", "1>2 2>3 3>4", "1>3 2>3", ""):
+        text = f"N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\nschedule = {hops}\n"
+        with pytest.raises(SpecFormatError, match="C2: .* chain order 1>2 2>3") as err:
+            parse_spec_file(text)
+        assert (err.value.line, err.value.key) == (4, "schedule")
 
 
 # -- spec construction and accessors ------------------------------------------
@@ -96,42 +111,28 @@ def test_identifiable_flags_schedule_mismatch():
 
 def test_serial_max_defaults():
     spec = chain(3, 4)
-    assert spec.is_serial_chain()
+    assert spec.chat_alphas == (0.0, 0.0)
     assert spec.partition == (0.0, 0.25, 0.5, 0.75, 1.0)
-    assert spec.schedule.order == ((1, 2), (2, 3))
-    assert spec.validate() == []
+    assert "schedule = 1>2 2>3\n" in spec.canonical_text()
+    assert chain(1, 4).chat_alphas == ()
 
 
 def test_spec_field_validation():
     good = chain(2, 2)
     with pytest.raises(ValueError):
-        ChatNetworkSpec(
-            2, good.source, good.graph, good.schedule, (1.0,), good.partition
-        )
+        ChatNetworkSpec(2, good.source, (1.0,), good.chat_alphas, good.partition)
     with pytest.raises(ValueError):
-        ChatNetworkSpec(
-            2, good.source, good.graph, good.schedule, (1.0, -1.0), good.partition
-        )
+        ChatNetworkSpec(2, good.source, (1.0, -1.0), good.chat_alphas, good.partition)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
-            ChatNetworkSpec(
-                2, good.source, good.graph, good.schedule, (1.0, bad), good.partition
-            )
+            ChatNetworkSpec(2, good.source, (1.0, bad), good.chat_alphas, good.partition)
     with pytest.raises(ValueError):
         chain(2, 2, regime="variable-rate")
     with pytest.raises(ValueError):
-        ChatNetworkSpec(
-            2, good.source, good.graph, good.schedule, (1.0, 1.0), ()
-        )
-    with pytest.raises(ValueError):
-        ChatNetworkSpec(
-            2,
-            good.source,
-            good.graph,
-            good.schedule,
-            (1.0, 1.0),
-            (0.0, 1.0),  # two boundaries cannot cut two cells
-        )
+        ChatNetworkSpec(2, good.source, (1.0, 1.0), good.chat_alphas, ())
+    # One chat cost per link i -> i+1, or none.
+    with pytest.raises(ValueError, match="one chat cost per link"):
+        ChatNetworkSpec(3, good.source, (1.0,) * 3, (0.0,), good.partition)
 
 
 def test_message_interval_and_probs():
@@ -148,18 +149,11 @@ def test_message_interval_and_probs():
 
 
 def test_spec_rejects_edge_sizes_other_than_the_partition():
-    # Every edge reports a cell of the one partition, so it has that many
+    # Every link reports a cell of the one partition, so it has that many
     # messages.
-    edges = (ChatEdge(1, 2, 2), ChatEdge(2, 3, 4))
-    with pytest.raises(ValueError, match=r"edge \(2, 3\) has 4 cells"):
-        ChatNetworkSpec(
-            3,
-            chain(3, 2).source,
-            ChatGraph((1, 2, 3), edges),
-            Schedule(((1, 2), (2, 3))),
-            (1.0, 1.0, 1.0),
-            (0.0, 0.5, 1.0),
-        )
+    with pytest.raises(ValueError, match="2 chat cells need 3 boundaries"):
+        chain(3, 2, boundaries=(0.0, 0.25, 0.5, 1.0))
+    assert chain(3, 3, boundaries=(0.0, 0.25, 0.5, 1.0)).partition == (0.0, 0.25, 0.5, 1.0)
 
 
 def test_spec_without_chat_edges_holds_the_unit_partition():
@@ -241,7 +235,8 @@ def test_chat_round_reports_running_max_cell(xs, rc):
     spec = chain(4, 2**rc)
     t = np.asarray(spec.partition)
     state = serial_max_chat_round(spec, xs)
-    for i, j in spec.schedule.order:
+    for i in range(1, 4):
+        j = i + 1
         running = max(xs[:i])
         k = int(np.searchsorted(t, running, side="left"))
         assert state.messages[(i, j)] == max(k, 1)
@@ -250,26 +245,18 @@ def test_chat_round_reports_running_max_cell(xs, rc):
 def test_chat_round_validation():
     with pytest.raises(ValueError):
         serial_max_chat_round(chain(3, 2), [0.1, 0.2])
-    fan_out = ChatNetworkSpec(
-        3,
-        chain(3, 2).source,
-        ChatGraph((1, 2, 3), (ChatEdge(1, 2, 2), ChatEdge(1, 3, 2))),
-        Schedule(((1, 2), (1, 3))),
-        (1.0, 1.0, 1.0),
-        (0.0, 0.5, 1.0),
-    )
-    with pytest.raises(ValueError):
-        serial_max_chat_round(fan_out, [0.1, 0.2, 0.3])
+    # A fan-out has no spec to run a round on: it fails at parse.
+    with pytest.raises(SpecFormatError, match="not a chain link"):
+        parse_spec_file("N = 3\nedge = 1 2 2 0\nedge = 1 3 2 0\n")
 
 
 def test_rewriting_helpers():
     spec = chain(4, 2)
     fast = spec.with_chat_rate(3)
-    assert all(e.size == 8 for e in fast.graph.edges)
     assert fast.partition == tuple(np.linspace(0.0, 1.0, 9))
+    assert fast.chat_alphas == spec.chat_alphas
     skew = spec.with_partition([0.0, 0.7, 1.0])
     assert skew.partition == (0.0, 0.7, 1.0)
-    assert skew.graph.edges[0].size == 2
     ec = spec.with_regime("entropy-constrained")
     assert ec.regime == "entropy-constrained"
     with pytest.raises(ValueError):
@@ -323,8 +310,128 @@ FROZEN_SAMPLE_HASHES = {
 @pytest.mark.parametrize("name,digest", sorted(FROZEN_SAMPLE_HASHES.items()))
 def test_sample_specs_parse_and_hash(name, digest):
     spec = parse_spec_file((SPEC_DIR / name).read_text())
-    assert spec.validate() == []
+    assert parse_spec_file(spec.canonical_text()) == spec
     assert spec.spec_hash() == digest
+
+
+def chain_text(n, size, regime, boundaries=None, fusion=None):
+    """A spec file of the N-sensor chain; link i costs 0.01 i per bit."""
+    lines = [f"N = {n}", f"regime = {regime}"]
+    if fusion is not None:
+        lines.append("fusion_alpha = " + " ".join(str(a) for a in fusion))
+    if size is not None:
+        for i in range(1, n):
+            lines.append(f"edge = {i} {i + 1} {size} {0.01 * i:g}")
+            if boundaries is not None:
+                cells = " ".join(map(str, boundaries))
+                lines.append(f"partition = {i} {i + 1} : {cells}")
+    return "\n".join(lines) + "\n"
+
+
+FR, EC = "fixed-rate", "entropy-constrained"
+
+# spec_hash of chain_text(*key), frozen from the general chat-graph spec
+# that the chain replaced.
+FROZEN_GRID_HASHES = {
+    (1, None, FR, None, None): "09ede20f0527353c",
+    (2, None, FR, None, None): "8a7539fc2e628c81",
+    (2, 1, FR, None, None): "1ee5f476b036762b",
+    (2, 2, FR, None, None): "f28339064885fdbe",
+    (2, 4, FR, None, None): "647fc67417ce76b3",
+    (3, None, FR, None, None): "5fe9ecf7a77b985c",
+    (3, 1, FR, None, None): "0d77489bb7e5b3c0",
+    (3, 2, FR, None, None): "2133fb22e44582d6",
+    (3, 4, FR, None, None): "757eba8b28fffb27",
+    (6, None, FR, None, None): "fe46209d048090db",
+    (6, 1, FR, None, None): "87dbbe1fbb7d0941",
+    (6, 2, FR, None, None): "2af785e994d4bf9d",
+    (6, 4, FR, None, None): "b452320f9b4f8f12",
+    (1, None, EC, None, None): "128a5882b5f5acdd",
+    (2, None, EC, None, None): "66047ba58f439b54",
+    (2, 1, EC, None, None): "223c20e9ec3a7932",
+    (2, 2, EC, None, None): "b4e0bd508639329e",
+    (2, 4, EC, None, None): "506876ad91831d20",
+    (3, None, EC, None, None): "de16a7ed5d8c300a",
+    (3, 1, EC, None, None): "411d8b17687d1440",
+    (3, 2, EC, None, None): "429e20d9a4726079",
+    (3, 4, EC, None, None): "68a63c58793569e4",
+    (6, None, EC, None, None): "b3099ef21b55f209",
+    (6, 1, EC, None, None): "efa837d45bba235a",
+    (6, 2, EC, None, None): "7108cb953c7797e1",
+    (6, 4, EC, None, None): "5dedfddec87b979a",
+    (3, 2, FR, (0, 0.7, 1), None): "bdf62bfb130aae97",
+    (6, 4, EC, (0, 0.1, 0.25, 0.9, 1), (1, 2, 0.5, 1, 1, 3)): "b85ab1e95750fdeb",
+}
+
+
+@pytest.mark.parametrize("key", list(FROZEN_GRID_HASHES))
+def test_grid_spec_hashes_are_frozen(key):
+    n, size, regime, boundaries, fusion = key
+    parsed = parse_spec_file(chain_text(*key))
+    assert parsed.spec_hash() == FROZEN_GRID_HASHES[key]
+    # The same chain built field by field hashes alike.
+    if size is None:
+        chat, t = (), (0.0, 1.0)
+    else:
+        chat = tuple(0.01 * i for i in range(1, n))
+        t = boundaries or np.linspace(0.0, 1.0, size + 1)
+    built = ChatNetworkSpec(
+        n, parsed.source, fusion or (1.0,) * n, chat, tuple(t), regime
+    )
+    assert built == parsed
+    assert built.spec_hash() == FROZEN_GRID_HASHES[key]
+
+
+def test_one_cell_chat_and_no_chat_hash_apart():
+    for n in (2, 3, 6):
+        silent = parse_spec_file(chain_text(n, None, FR))
+        one_cell = parse_spec_file(chain_text(n, 1, FR))
+        assert silent.partition == one_cell.partition == (0.0, 1.0)
+        assert silent != one_cell
+        assert silent.spec_hash() != one_cell.spec_hash()
+        assert one_cell.receives(2) and not silent.receives(2)
+
+
+@st.composite
+def chains(draw):
+    n = draw(st.integers(1, 8))
+    positive = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+    fusion = tuple(draw(st.lists(positive, min_size=n, max_size=n)))
+    regime = draw(st.sampled_from([FR, EC]))
+    if n == 1 or draw(st.booleans()):
+        return ChatNetworkSpec(n, Pdf(0.0, 1.0), fusion, (), (0.0, 1.0), regime)
+    costs = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
+    chat = tuple(draw(st.lists(costs, min_size=n - 1, max_size=n - 1)))
+    inner = draw(st.lists(st.floats(1e-6, 1 - 1e-6), max_size=7, unique=True))
+    t = (0.0, *sorted(inner), 1.0)
+    return ChatNetworkSpec(n, Pdf(0.0, 1.0), fusion, chat, t, regime)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains())
+def test_canonical_text_round_trips_every_chain(spec):
+    again = parse_spec_file(spec.canonical_text())
+    assert again == spec
+    assert again.spec_hash() == spec.spec_hash()
+
+
+@pytest.mark.parametrize(
+    "name", [*sorted(FROZEN_SAMPLE_HASHES), "chain16", "no-chat", "costs-differ"]
+)
+def test_benchmark_chat_cost_matches_chat_cost(name):
+    # The benchmark harness sums its own chat cost over ``graph.edges``;
+    # it must equal the package's, bit for bit.
+    if name in FROZEN_SAMPLE_HASHES:
+        spec = parse_spec_file((SPEC_DIR / name).read_text())
+    elif name == "chain16":
+        spec = ChatNetworkSpec.serial_max(16, 2, 0.0, 1.0, "fixed-rate")
+    elif name == "no-chat":
+        spec = parse_spec_file("N = 3\n")
+    else:
+        spec = parse_spec_file(chain_text(6, 4, EC))
+    harness = sum(e.alpha * np.log2(e.size) for e in spec.graph.edges)
+    assert float(harness).hex() == float(spec.chat_cost()).hex()
+    assert len(spec.graph.edges) == len(spec.chat_alphas)
 
 
 def test_parse_errors_name_line_and_key():
@@ -349,7 +456,8 @@ def test_parse_comments_and_defaults():
         "N = 2  # tiny\n# full-line comment\nedge = 1 2 2 0\n"
     )
     assert spec.partition == (0.0, 0.5, 1.0)
-    assert spec.schedule.order == ((1, 2),)
+    assert spec.chat_alphas == (0.0,)
+    assert "schedule = 1>2\n" in spec.canonical_text()
     assert spec.fusion_alphas == (1.0, 1.0)
 
 
@@ -375,9 +483,9 @@ def test_bank_pins_dont_care_codeword():
 
 def assert_max_rule(spec, banks):
     t = np.asarray(spec.partition)
-    for edge in spec.graph.edges:
-        table = out_message_table(spec, banks, edge)
-        for k_in, q in banks[edge.src].items():
+    for n in range(1, len(spec.chat_alphas) + 1):
+        table = out_message_table(spec, banks, n)
+        for k_in, q in banks[n].items():
             for m in range(1, q.size + 1):
                 j = max(int(np.searchsorted(t, q.codewords[m - 1], side="left")), 1)
                 assert table[k_in - 1, m - 1] == max(k_in, j)
@@ -407,9 +515,16 @@ def test_out_message_table_is_max_rule_on_designs(name):
 def test_out_message_table_entries_in_range():
     spec = chain(4, 4)
     banks = build_banks(spec, [6] * 4)
-    for edge in spec.graph.edges:
-        table = out_message_table(spec, banks, edge)
-        assert table.min() >= 1 and table.max() <= edge.size
+    for n in range(1, 4):
+        table = out_message_table(spec, banks, n)
+        assert table.min() >= 1 and table.max() <= 4
+    # Only a sender with a receiver has a table.
+    for n in (0, 4):
+        with pytest.raises(ValueError, match=f"sensor {n} sends no chat message"):
+            out_message_table(spec, banks, n)
+    silent = parse_spec_file("N = 2\n")
+    with pytest.raises(ValueError, match="sensor 1 sends no chat message"):
+        out_message_table(silent, build_banks(silent, [4, 4]), 1)
 
 
 # -- end-to-end design ----------------------------------------------------------

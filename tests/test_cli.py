@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from chatquant.chatnet import ChatNetworkSpec
 from chatquant.cli import main
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -32,8 +33,66 @@ def test_validate_reports_violations(tmp_path, capsys):
     bad.write_text(
         "N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\nschedule = 2>3 1>2\n"
     )
-    assert main(["validate", "--spec", str(bad)]) == 1
-    assert "C2" in capsys.readouterr().out
+    assert main(["validate", "--spec", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("spec error: line 4, key 'schedule': C2")
+    assert captured.out == ""
+
+
+# Chat topologies other than the serial chain, each with where its spec
+# error points and the identifiability condition it breaks, if any.
+NON_CHAIN_CASES = {
+    "fan-out": ("N = 3\nedge = 1 2 2 0\nedge = 1 3 2 0\n", "line 3, key 'edge'", None),
+    "partial chain": ("N = 3\nedge = 2 3 2 0\n", "line 2, key 'edge'", None),
+    "cycle": (
+        "N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\nedge = 3 1 2 0\n"
+        "schedule = 1>2 2>3 3>1\n",
+        "line 4, key 'edge'",
+        "C1",
+    ),
+    "schedule out of order": (
+        "N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\nschedule = 2>3 1>2\n",
+        "line 4, key 'schedule'",
+        "C2",
+    ),
+    "schedule names an absent edge": (
+        "N = 3\nedge = 1 2 2 0\nedge = 2 3 2 0\nschedule = 1>2 2>3 1>3\n",
+        "line 4, key 'schedule'",
+        "C2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_CHAIN_CASES))
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate"],
+        ["predict", "--budget", "12"],
+        ["design", "--budget", "12"],
+        ["simulate", "--budget", "12", "--trials", "1000"],
+    ],
+)
+def test_non_chain_specs_are_spec_errors(case, command, tmp_path, capsys):
+    text, where, condition = NON_CHAIN_CASES[case]
+    spec = tmp_path / "spec.txt"
+    spec.write_text(text)
+    assert main([command[0], "--spec", str(spec), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    named = "" if condition is None else f"{condition}: "
+    assert captured.err.startswith(f"spec error: {where}: {named}")
+    # Rejected at parse: nothing was computed or printed.
+    assert captured.out == ""
+
+
+def test_alpha_c_replaces_every_link_cost_of_a_spec(capsys):
+    max4 = str(SPEC_DIR / "max4_chat.txt")
+    assert main(["validate", "--spec", max4, "--alpha-c", "0.5"]) == 0
+    want = ChatNetworkSpec.serial_max(4, 4, 0.5).spec_hash()
+    assert f"hash {want}" in capsys.readouterr().out
+    silent = str(SPEC_DIR / "max2_nochat.txt")
+    assert main(["validate", "--spec", silent, "--alpha-c", "0.5"]) == 0
+    assert "hash 8a7539fc2e628c81" in capsys.readouterr().out
 
 
 def test_malformed_spec_is_usage_error(tmp_path, capsys):

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from chatquant import simulator
 from chatquant.chatnet import (
-    ChatEdge,
-    ChatGraph,
     ChatNetworkSpec,
-    Schedule,
+    SpecFormatError,
     build_banks,
     design_network,
     parse_spec_file,
@@ -386,8 +384,9 @@ def test_cell_lookup_matches_mask_loop_oracle(name):
     assert np.array_equal(cells.lower[pos], lo)
     assert np.array_equal(cells.upper[pos], hi)
     assert np.array_equal(cells.codewords[pos], cw)
-    assert np.array_equal(decode(PLUG_IN, indices, banks, spec, incoming), cw.max(axis=1))
-    assert np.array_equal(decode(CE, indices, banks, spec, incoming), _ce_max(lo, hi))
+    assert np.array_equal(replay_codebooks(spec, banks, indices), incoming)
+    assert np.array_equal(decode(PLUG_IN, indices, banks, spec), cw.max(axis=1))
+    assert np.array_equal(decode(CE, indices, banks, spec), _ce_max(lo, hi))
 
 
 def _edge_inputs(banks, n):
@@ -467,7 +466,6 @@ def test_estimates_from_encoder_positions_equal_decode(name):
     for decoder in (PLUG_IN, CE):
         got = _estimate(decoder, enc.cells, pos)
         assert np.array_equal(got, want[decoder])
-        assert np.array_equal(got, decode(decoder, indices, banks, spec, incoming))
         assert np.array_equal(got, decode(decoder, indices, banks, spec))
 
 
@@ -515,32 +513,23 @@ def test_decode_rejects_out_of_range_input(decoder):
     banks = design_network(spec, budget=16.0).banks
     size = {n: banks[n][1].size for n in banks}
     ok = [1, 1, 1, 1]
-    assert np.isfinite(decode(decoder, ok, banks, spec, ok))
+    assert np.isfinite(decode(decoder, ok, banks, spec))
     with pytest.raises(ValueError, match="shape"):
         decode(decoder, [1, 1, 1], banks, spec)
     with pytest.raises(ValueError, match="shape"):
         decode(decoder, np.ones((2, 2, 4), dtype=int), banks, spec)
-    with pytest.raises(ValueError, match="shape"):
-        decode(decoder, [ok, ok], banks, spec, [ok])
-    for bad in (0, 5, -1):
-        with pytest.raises(ValueError, match="sensor 2: incoming message"):
-            decode(decoder, ok, banks, spec, [1, bad, 1, 1])
-    for incoming in (ok, None):
-        for bad in (0, -1, size[3] + 1, 10**6):
-            with pytest.raises(ValueError, match="sensor 3: index"):
-                decode(decoder, [1, 1, bad, 1], banks, spec, incoming)
+    for bad in (0, -1, size[3] + 1, 10**6):
+        with pytest.raises(ValueError, match="sensor 3: index"):
+            decode(decoder, [1, 1, bad, 1], banks, spec)
     # One bad trial among good ones is found too.
     block = np.ones((50, 4), dtype=np.int64)
     block[37, 3] = size[4] + 1
     with pytest.raises(ValueError, match="sensor 4: index"):
-        decode(decoder, block, banks, spec, np.ones_like(block))
-    # Non-integers are rejected, not truncated to a valid cell or message.
-    for incoming in (ok, None):
-        for bad in ([1.9, 1, 1, 1], [1, 1, np.nan, 1], [1.0, 1, 1, 1]):
-            with pytest.raises(ValueError, match="indices must be integers"):
-                decode(decoder, bad, banks, spec, incoming)
-    with pytest.raises(ValueError, match="incoming messages must be integers"):
-        decode(decoder, ok, banks, spec, [1, 1.5, 1, 1])
+        decode(decoder, block, banks, spec)
+    # Non-integers are rejected, not truncated to a valid cell.
+    for bad in ([1.9, 1, 1, 1], [1, 1, np.nan, 1], [1.0, 1, 1, 1]):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            decode(decoder, bad, banks, spec)
     with pytest.raises(ValueError, match="indices must be integers"):
         replay_codebooks(spec, banks, [[2.7, 1, 1, 1]])
 
@@ -691,16 +680,9 @@ def test_simulation_input_validation():
         run_simulation(spec, {1: banks[1]}, PLUG_IN, trials=10)
     with pytest.raises(ValueError):
         run_simulation(spec, {1: banks[1], 2: {1: banks[2][1]}}, PLUG_IN, trials=10)
-    fan_out = ChatNetworkSpec(
-        3,
-        spec.source,
-        ChatGraph((1, 2, 3), (ChatEdge(1, 2, 2), ChatEdge(1, 3, 2))),
-        Schedule(((1, 2), (1, 3))),
-        (1.0, 1.0, 1.0),
-        (0.0, 0.5, 1.0),
-    )
-    with pytest.raises(ValueError):
-        run_simulation(fan_out, build_banks(fan_out, [4, 4, 4]), PLUG_IN, trials=10)
+    # A fan-out has no spec to simulate: it fails at parse.
+    with pytest.raises(SpecFormatError, match="not a chain link"):
+        parse_spec_file("N = 3\nedge = 1 2 2 0\nedge = 1 3 2 0\n")
 
 
 # run_simulation answers at 131,072 trials and seed 0, recorded before the
@@ -829,11 +811,8 @@ def test_decode_reads_any_integer_type_alike():
     incoming = replay_codebooks(spec, banks, indices)
     assert np.array_equal(replay_codebooks(spec, banks, indices.astype(np.int32)), incoming)
     for decoder in (PLUG_IN, CE):
-        for messages in (None, incoming):
-            want = decode(decoder, indices, banks, spec, messages)
-            narrow = None if messages is None else messages.astype(np.int32)
-            got = decode(decoder, indices.astype(np.int32), banks, spec, narrow)
-            assert np.array_equal(got, want)
+        want = decode(decoder, indices, banks, spec)
+        assert np.array_equal(decode(decoder, indices.astype(np.int32), banks, spec), want)
 
 
 def test_simulation_never_rechecks_encoder_positions(monkeypatch):
