@@ -84,9 +84,10 @@ class AllocationResult:
         ]
 
 
-def _objective(betas, alphas, b, weights) -> float:
+def _terms(betas, alphas, b, weights) -> np.ndarray:
+    """Each link's distortion term w * beta * 2^(-2 b / alpha)."""
     w = 1.0 if weights is None else weights
-    return float(np.sum(w * betas * 2.0 ** (-2.0 * b / alphas)))
+    return w * betas * 2.0 ** (-2.0 * b / alphas)
 
 
 def waterfill_kkt(
@@ -120,26 +121,45 @@ def waterfill_kkt(
         raise ValueError("betas, alphas and weights must be 1-D and of one length")
     if betas.size == 0:
         raise ValueError("need at least one link to allocate over")
+    _check_links(*given)
+    b = _shares(betas, alphas, budget, w)
+    objective = float(np.sum(_terms(betas, alphas, b, w)))
+    return AllocationResult(b, b / alphas, objective, alphas, w)
+
+
+def _check_links(*given: np.ndarray) -> None:
     if not all(np.isfinite(a).all() for a in given):
         raise ValueError("betas, alphas and weights must be finite")
     if any((a <= 0).any() for a in given):
         raise ValueError("betas, alphas and weights must be positive")
 
+
+def _shares(
+    betas: np.ndarray, alphas: np.ndarray, budget: float, w: np.ndarray | None
+) -> np.ndarray:
+    """``waterfill_kkt``'s cost shares for the links along the last axis,
+    one water level per row; ``alphas`` and ``w`` broadcast to
+    ``betas``.  Every row is computed as the 1-D problem would be."""
+    alphas = np.broadcast_to(alphas, betas.shape)
     log_ratio = np.log2(betas / alphas)
-    order = np.argsort(-log_ratio, kind="stable")
+    order = np.argsort(-log_ratio, axis=-1, kind="stable")
     # Logs are shifted so the largest ratio sits at 0: an active share is
     # then a difference of numbers of the budget's size, not of the log2 r
     # themselves, and a small budget is still spent to rounding.
-    d = log_ratio - log_ratio[order[0]]
-    sorted_d = d[order]
-    wa = (alphas if w is None else w * alphas)[order]
-    levels = (np.cumsum(wa * sorted_d) - 2.0 * budget) / np.cumsum(wa)
+    d = log_ratio - np.take_along_axis(log_ratio, order[..., :1], axis=-1)
+    sorted_d = np.take_along_axis(d, order, axis=-1)
+    wa = np.take_along_axis(alphas if w is None else w * alphas, order, axis=-1)
+    levels = (np.cumsum(wa * sorted_d, axis=-1) - 2.0 * budget) / np.cumsum(wa, axis=-1)
     # Each L_{j+1} lies between L_j and r_{j+1}, so "r_j above L_j" holds
     # for a prefix of j; with no budget it holds for none and L = r_1.
-    feasible = np.flatnonzero(sorted_d > levels)
-    level = levels[feasible[-1]] if feasible.size else 0.0
-    b = np.maximum(0.0, alphas / 2.0 * (d - level))
-    return AllocationResult(b, b / alphas, _objective(betas, alphas, b, w), alphas, w)
+    feasible = sorted_d > levels
+    last = feasible.shape[-1] - 1 - np.argmax(feasible[..., ::-1], axis=-1)
+    level = np.where(
+        feasible.any(axis=-1),
+        np.take_along_axis(levels, last[..., None], axis=-1)[..., 0],
+        0.0,
+    )
+    return np.maximum(0.0, alphas / 2.0 * (d - level[..., None]))
 
 
 def _fusion_budget(spec: "ChatNetworkSpec", budget: float) -> float:
@@ -186,11 +206,11 @@ def _allocate_from(
     if spec.regime == FIXED_RATE:
         probs, _dc, norms = constants
         return waterfill_kkt(_betas(probs, norms), spec.fusion_alphas, remaining)
-    probs, _dc, coeffs, masses, gates = constants
+    probs = constants[0]
     n, k = np.nonzero(probs > 0.0)
     true_alphas = np.asarray(spec.fusion_alphas, dtype=float)[n]
-    betas = coeffs[n, k] * 2.0 ** (2.0 * gates[n, k] / masses[n, k])
-    res = waterfill_kkt(betas, true_alphas * masses[n, k], remaining, probs[n, k])
+    betas, alphas, weights = _entropy_links(true_alphas, constants, n, k)
+    res = waterfill_kkt(betas, alphas, remaining, weights)
     labels = tuple(zip((n + 1).tolist(), (k + 1).tolist()))
     return AllocationResult(
         res.b,
@@ -200,6 +220,55 @@ def _allocate_from(
         res.weights,
         labels,
     )
+
+
+def _entropy_links(
+    true_alphas: np.ndarray,
+    constants: tuple[np.ndarray, ...],
+    n: np.ndarray,
+    k: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients, effective costs alpha_n * P(A) and weights of the
+    entropy-coded links (n, k), 0-based, from (..., N, K) constants;
+    ``true_alphas`` holds alpha_n of each link."""
+    probs, _dc, coeffs, masses, gates = constants
+    masses = masses[..., n, k]
+    betas = coeffs[..., n, k] * 2.0 ** (2.0 * gates[..., n, k] / masses)
+    return betas, true_alphas * masses, probs[..., n, k]
+
+
+def _grid_distortions(
+    spec: "ChatNetworkSpec", remaining: float, constants: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """``_allocate_from(spec, remaining, [c[g] for c in constants])
+    .predicted_distortion`` for every g of (G, N, K) constants, bit for
+    bit, as one water-fill of (G, L) arrays.
+
+    Grid points are grouped by their live (sensor, message) pairs, one
+    group whenever no message probability rounds to 0.  Each row's terms
+    are summed as their own 1-D array: a sum along axis 1 of the (G, L)
+    array adds in another order and can move the last bit.
+    """
+    probs = constants[0]
+    alphas = np.asarray(spec.fusion_alphas, dtype=float)
+    if spec.regime == FIXED_RATE:
+        groups = [(slice(None), _betas(probs, constants[2]), alphas, None)]
+    else:
+        live, which = np.unique(
+            (probs > 0.0).reshape(probs.shape[0], -1), axis=0, return_inverse=True
+        )
+        groups = []
+        for i, pattern in enumerate(live):
+            rows = np.flatnonzero(which == i)
+            n, k = np.nonzero(pattern.reshape(probs.shape[1:]))
+            at_rows = tuple(c[rows] for c in constants)
+            groups.append((rows, *_entropy_links(alphas[n], at_rows, n, k)))
+    out = np.empty(probs.shape[0])
+    for rows, betas, link_alphas, w in groups:
+        _check_links(betas, link_alphas, *(() if w is None else (w,)))
+        b = _shares(betas, link_alphas, remaining, w)
+        out[rows] = [np.sum(row) for row in _terms(betas, link_alphas, b, w)]
+    return out
 
 
 def chat_budget_search(

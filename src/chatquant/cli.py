@@ -39,7 +39,7 @@ from .experiments import (
     sweep_partition,
     write_csv,
 )
-from .simulator import CONDITIONAL_EXPECTATION, PLUG_IN, run_simulation
+from .simulator import CHUNK, CONDITIONAL_EXPECTATION, PLUG_IN, run_simulation
 
 __all__ = ["main"]
 
@@ -299,7 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="simulation workers, the calling thread included; capped at "
+        f"the number of {CHUNK:,}-trial chunks",
+    )
     p.add_argument(
         "--decoder",
         choices=(PLUG_IN, CONDITIONAL_EXPECTATION),

@@ -14,7 +14,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .allocation import InfeasibleBudgetError, _allocate_from, _fusion_budget, allocate
+from .allocation import (
+    InfeasibleBudgetError,
+    _fusion_budget,
+    _grid_distortions,
+    allocate,
+)
 from .chatnet import ChatNetworkSpec, design_network
 from .distortion import (
     ENTROPY_CONSTRAINED,
@@ -173,18 +178,14 @@ def _partition_grid(
     """Predicted fMSE of ``allocate(spec.with_partition((0, p1, 1)), budget)``
     at every p1 in ``p1s``.
 
-    The constants of every grid point come from one integration pass;
-    each point then costs one water-fill.
+    The constants of every grid point come from one integration pass and
+    their water levels from one water-fill of (G, L) arrays.
     """
     one_bit = spec.with_partition((0.0, 0.5, 1.0))
     remaining = _fusion_budget(one_bit, budget)
     grid = np.column_stack([np.zeros_like(p1s), p1s, np.ones_like(p1s)])
     consts = _chat_constants(one_bit, one_bit.regime, grid)
-    allocs = (
-        _allocate_from(one_bit, remaining, [c[g] for c in consts])
-        for g in range(p1s.size)
-    )
-    return np.array([a.predicted_distortion for a in allocs])
+    return _grid_distortions(one_bit, remaining, consts)
 
 
 def _require_step(step: float) -> None:

@@ -2,19 +2,20 @@
 
 Trials are drawn in fixed-size chunks, each chunk seeded from its own
 substream of the master seed, so results are bit-identical regardless of
-how chunks are scheduled across workers.  A chunk goes through sampler,
-encoder and estimator in consecutive row blocks of a fixed number of
-(trial, sensor) cells, so a worker holds one block of draws, positions
-and cell edges whatever the trial count.  The chat protocol runs on the
-codeword-driven message tables, which the fusion decoder replays exactly;
-the conditional-expectation decoder therefore conditions on precisely the
-information the decoder really has.
+how chunks are scheduled across workers.  The calling thread is one of
+the workers, and there are never more workers than chunks.  A chunk
+goes through sampler, encoder and estimator in consecutive row blocks of
+a fixed number of (trial, sensor) cells, so a worker holds one block of
+draws, positions and cell edges whatever the trial count.  The chat
+protocol runs on the codeword-driven message tables, which the fusion
+decoder replays exactly; the conditional-expectation decoder therefore
+conditions on precisely the information the decoder really has.
 """
 
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -499,6 +500,39 @@ def _chunk_blocks(spec: ChatNetworkSpec, proto: _Encoder, trials: int, seed: int
         yield rows, x, proto.positions(x)
 
 
+def _run_chunks(one_chunk, n_chunks: int, workers: int) -> list:
+    """``[one_chunk(c) for c in range(n_chunks)]`` on W = min(workers,
+    n_chunks) workers.
+
+    Worker w runs chunks w, w + W, ... in turn.  The calling thread is
+    worker 0, so only W - 1 threads start, and none for one worker or one
+    chunk.  An exception raised in any worker stops the others after
+    their current chunk and is raised here once all have ended.
+    """
+    n_workers = min(workers, n_chunks)
+    parts: list = [None] * n_chunks
+    failures: list[BaseException] = []
+
+    def work(w: int) -> None:
+        try:
+            for c in range(w, n_chunks, n_workers):
+                if failures:
+                    return
+                parts[c] = one_chunk(c)
+        except BaseException as exc:  # raised by the calling thread below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if failures:
+        raise failures[0]
+    return parts
+
+
 def run_simulation(
     spec: ChatNetworkSpec,
     banks: Mapping[int, Mapping[int, Quantizer]],
@@ -512,11 +546,13 @@ def run_simulation(
 
     Per trial: draw the sources, run the chat protocol, quantize with the
     message-selected codebooks, decode, and accumulate the squared error
-    of the max.  Fixed ``seed`` gives bit-identical results for any
-    ``workers``.  Raises ``ValueError`` for an unknown decoder, a trial
-    count, seed or worker count that is not an integer in range, or a
-    fixed-rate bank whose codebooks differ in size by message (its rate,
-    log2 of the size, would be no single number).
+    of the max.  ``workers`` counts the calling thread, which runs chunks
+    too, and is capped at the chunk count, so ``workers=W`` starts
+    min(W, chunks) - 1 threads.  Fixed ``seed`` gives bit-identical
+    results for any ``workers``.  Raises ``ValueError`` for an unknown
+    decoder, a trial count, seed or worker count that is not an integer in
+    range, or a fixed-rate bank whose codebooks differ in size by message
+    (its rate, log2 of the size, would be no single number).
     """
     _check_decoder(decoder)
     _check_count(trials, "trials", 1)
@@ -545,11 +581,7 @@ def run_simulation(
         err **= 2
         return float(err.sum()), float((err**2).sum()), counts
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_chunk, range(n_chunks)))
-    else:
-        parts = [one_chunk(c) for c in range(n_chunks)]
+    parts = _run_chunks(one_chunk, n_chunks, workers)
 
     total = sum(p[0] for p in parts)
     total_sq = sum(p[1] for p in parts)

@@ -3,10 +3,12 @@ import csv
 import numpy as np
 import pytest
 
+from chatquant.allocation import _allocate_from, _fusion_budget
 from chatquant.chatnet import ChatNetworkSpec
-from chatquant.distortion import closed_form_max_nochat
+from chatquant.distortion import _chat_constants, closed_form_max_nochat
 from chatquant.experiments import (
     SweepSpec,
+    _partition_grid,
     allocation_report,
     optimize_partition,
     run_scenarios,
@@ -149,6 +151,43 @@ def test_partition_grid_matches_per_point_loop(n, regime):
         got = np.array([r["predicted_fmse"] for r in rows])
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert [r["p1"] for r in rows] == [float(p1) for p1 in p1s]
+
+
+def _per_point_grid(spec, budget, p1s):
+    """``_partition_grid`` point by point: the same constants, one
+    ``_allocate_from`` per grid point."""
+    one_bit = spec.with_partition((0.0, 0.5, 1.0))
+    remaining = _fusion_budget(one_bit, budget)
+    grid = np.column_stack([np.zeros_like(p1s), p1s, np.ones_like(p1s)])
+    consts = _chat_constants(one_bit, one_bit.regime, grid)
+    return np.array(
+        [
+            _allocate_from(one_bit, remaining, [c[g] for c in consts]).predicted_distortion
+            for g in range(p1s.size)
+        ]
+    )
+
+
+@pytest.mark.parametrize("regime", [FR, EC])
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_partition_grid_water_levels_are_per_point_bit_for_bit(n, regime):
+    # One water-fill over the whole (G, L) grid gives each point's
+    # one-point allocation, to the last bit.
+    spec = ChatNetworkSpec.serial_max(n, 2, 0.0, 1.0, regime)
+    for step in (0.01, 0.05):
+        p1s = np.arange(step, 1.0, step)
+        got = _partition_grid(spec, 4.0 * n, p1s)
+        assert np.array_equal(got, _per_point_grid(spec, 4.0 * n, p1s))
+
+
+def test_partition_grid_with_a_dead_message():
+    # p1 = 1e-200 makes message 1 of sensor 3 round to probability 0, so
+    # that grid point water-fills fewer entropy-coded links than the rest.
+    spec = ChatNetworkSpec.serial_max(3, 2, 0.0, 1.0, EC)
+    p1s = np.array([0.3, 1e-200, 0.5])
+    got = _partition_grid(spec, 12.0, p1s)
+    assert np.array_equal(got, _per_point_grid(spec, 12.0, p1s))
+    assert np.array_equal(got, partition_grid_loop(spec, 12.0, p1s))
 
 
 def test_partition_step_must_be_inside_unit_interval():

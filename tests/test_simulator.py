@@ -1,4 +1,6 @@
 import functools
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -74,6 +76,111 @@ def test_worker_count_is_invisible():
             assert solo.empirical_fmse == pooled.empirical_fmse
             assert solo.stderr == pooled.stderr
             assert np.array_equal(solo.empirical_rates, pooled.empirical_rates)
+
+
+    # Workers that do not divide the chunks, and more workers than chunks;
+    # the last of four chunks holds 17 trials.
+    trials = 3 * CHUNK + 17
+    for spec, banks in (
+        (fixed, build_banks(fixed, [8, 8])),
+        (entropy, design_network(entropy, budget=12.0).banks),
+    ):
+        for decoder in (PLUG_IN, CE):
+            solo = run_simulation(spec, banks, decoder, trials=trials, seed=9, workers=1)
+            for workers in (3, 7):
+                pooled = run_simulation(
+                    spec, banks, decoder, trials=trials, seed=9, workers=workers
+                )
+                assert solo.empirical_fmse == pooled.empirical_fmse
+                assert solo.stderr == pooled.stderr
+                assert np.array_equal(solo.empirical_rates, pooled.empirical_rates)
+
+
+class _InlineThread:
+    """Stands in for ``threading.Thread``: counts the threads a run asks
+    for and runs each target in the calling thread when started."""
+
+    started = 0
+
+    def __init__(self, target, args=()):
+        self._run = functools.partial(target, *args)
+
+    def start(self):
+        type(self).started += 1
+        self._run()
+
+    def join(self, timeout=None):
+        pass
+
+
+@pytest.mark.parametrize("workers", [1, 2, 7, 64])
+def test_calling_thread_is_a_worker(workers, monkeypatch):
+    # The caller is worker 0 and workers are capped at the chunk count,
+    # so a run starts min(workers, chunks) - 1 threads.
+    spec = chain(2, 2)
+    banks = build_banks(spec, [8, 8])
+    monkeypatch.setattr(simulator.threading, "Thread", _InlineThread)
+    for chunks, trials in ((1, 1_000), (2, CHUNK + 10), (3, 2 * CHUNK + 10)):
+        want = run_simulation(spec, banks, PLUG_IN, trials=trials, seed=2)
+        _InlineThread.started = 0
+        got = run_simulation(spec, banks, PLUG_IN, trials=trials, seed=2, workers=workers)
+        assert _InlineThread.started == min(workers, chunks) - 1
+        assert got.empirical_fmse == want.empirical_fmse
+        assert got.stderr == want.stderr
+
+
+def test_caller_runs_chunk_zero(monkeypatch):
+    spec = chain(2, 2)
+    banks = build_banks(spec, [8, 8])
+    ran_on = {}
+    blocks = simulator._chunk_blocks
+
+    def recorded(spec, proto, trials, seed, c):
+        ran_on[c] = threading.get_ident()
+        return blocks(spec, proto, trials, seed, c)
+
+    monkeypatch.setattr(simulator, "_chunk_blocks", recorded)
+    run_simulation(spec, banks, PLUG_IN, trials=2 * CHUNK + 10, seed=0, workers=2)
+    # Worker 0 runs chunks 0 and 2, worker 1 chunk 1.
+    caller = threading.get_ident()
+    assert ran_on[0] == caller and ran_on[2] == caller
+    assert ran_on[1] != caller
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_worker_errors_reach_the_caller(workers, monkeypatch):
+    spec = chain(2, 2)
+    banks = build_banks(spec, [8, 8])
+    blocks = simulator._chunk_blocks
+
+    def failing(spec, proto, trials, seed, c):
+        if c == 1:
+            raise RuntimeError("chunk 1 failed")
+        return blocks(spec, proto, trials, seed, c)
+
+    monkeypatch.setattr(simulator, "_chunk_blocks", failing)
+    running = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk 1 failed"):
+        run_simulation(spec, banks, CE, trials=3 * CHUNK, seed=0, workers=workers)
+    # Every worker thread has ended when the error reaches the caller.
+    assert threading.active_count() == running
+
+
+def test_workers_under_fast_thread_switching():
+    # More workers than cores, switching threads as often as the
+    # interpreter allows: every chunk's part still lands in its slot.
+    spec = chain(2, 2)
+    banks = build_banks(spec, [8, 8])
+    trials = 6 * CHUNK
+    want = run_simulation(spec, banks, CE, trials=trials, seed=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = run_simulation(spec, banks, CE, trials=trials, seed=3, workers=5)
+            assert (got.empirical_fmse, got.stderr) == (want.empirical_fmse, want.stderr)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
