@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -510,6 +511,42 @@ def test_out_message_table_is_max_rule_on_designs(name):
     else:
         design = design_network(chain(6, 4, regime="entropy-constrained"), budget=30.0)
     assert_max_rule(design.spec, design.banks)
+
+
+def frozen_bank_designs():
+    """Banks of the shipped specs, of the benchmark and test chains, and of
+    one-cell partitions on both sides of the optimum, in a fixed order."""
+    ec = "entropy-constrained"
+    for name, budget in (("max4_chat.txt", 16.0), ("max2_nochat.txt", 4.0),
+                         ("max5_entropy.txt", 25.0)):
+        yield design_network(parse_spec_file((SPEC_DIR / name).read_text()), budget=budget).banks
+    for spec, budget in (
+        (chain(16, 2), 64.0),
+        (chain(8, 4, chat_alpha=0.01), 32.0),
+        (chain(6, 4, regime=ec), 30.0),
+        (chain(4, 8), 40.0),
+        (chain(5, 2, regime=ec, boundaries=(0.0, 0.7, 1.0)), 25.0),
+        (chain(10, 2, regime=ec, boundaries=(0.0, 0.2, 1.0)), 50.0),
+        (chain(3, 2, boundaries=(0.0, 0.93, 1.0)), 9.0),
+    ):
+        yield design_network(spec, budget=budget).banks
+    yield build_banks(parse_spec_file("N = 1\n"), [256])
+
+
+def test_bank_digests_are_frozen():
+    # Every codebook bit for bit: one SHA-256 over the boundaries,
+    # codewords and don't-care cells of every (sensor, message) pair.
+    digest = hashlib.sha256()
+    for banks in frozen_bank_designs():
+        for n in sorted(banks):
+            for k in sorted(banks[n]):
+                q = banks[n][k]
+                digest.update(q.boundaries.tobytes())
+                digest.update(q.codewords.tobytes())
+                digest.update(repr(sorted(q.dont_care_cells)).encode())
+    assert digest.hexdigest() == (
+        "a5e6ff66a75b0ac0a917a125cb66fddc2fee0a01aea37462a0c667a921d868a2"
+    )
 
 
 def test_out_message_table_entries_in_range():
