@@ -15,11 +15,8 @@ from .probcore import (
     integrate_adaptive,
 )
 from .quantizer import (
-    Compressor,
     InfeasibleCodebookError,
-    PointDensity,
     Quantizer,
-    build_fixed_rate_quantizer,
     output_entropy,
 )
 from .sensitivity import (
@@ -34,11 +31,8 @@ from .distortion import (
     FIXED_RATE,
     DistortionReport,
     InfeasibleRateError,
-    UndefinedDistortionError,
     closed_form_max_nochat,
     fixed_rate_betas,
-    optimal_density_entropy,
-    optimal_density_fixed_rate,
     predict,
 )
 from .allocation import (
@@ -53,7 +47,6 @@ from .chatnet import (
     NetworkDesign,
     SpecFormatError,
     build_banks,
-    conditional_quantizer_bank,
     design_network,
     out_message_table,
     parse_spec_file,
@@ -82,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationResult",
     "ChatNetworkSpec",
-    "Compressor",
     "CONDITIONAL_EXPECTATION",
     "DistortionReport",
     "ENTROPY_CONSTRAINED",
@@ -94,21 +86,17 @@ __all__ = [
     "NetworkDesign",
     "PLUG_IN",
     "Pdf",
-    "PointDensity",
     "Quantizer",
     "SensitivityProfile",
     "SimulationResult",
     "SpecFormatError",
     "SweepSpec",
-    "UndefinedDistortionError",
     "allocate",
     "allocation_report",
     "binary_entropy",
     "build_banks",
-    "build_fixed_rate_quantizer",
     "chat_budget_search",
     "closed_form_max_nochat",
-    "conditional_quantizer_bank",
     "decode",
     "design_network",
     "fixed_rate_betas",
@@ -116,8 +104,6 @@ __all__ = [
     "max_conditional_sensitivity",
     "max_sensitivity",
     "measure_entropy_rate",
-    "optimal_density_entropy",
-    "optimal_density_fixed_rate",
     "out_message_table",
     "output_entropy",
     "parse_spec_file",

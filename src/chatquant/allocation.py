@@ -164,9 +164,13 @@ def _shares(
 
 def _fusion_budget(spec: "ChatNetworkSpec", budget: float) -> float:
     """The budget left for the fusion links once every chat edge is
-    charged its per-bit price times its message bits."""
+    charged its per-bit price times its message bits.  Raises
+    InfeasibleBudgetError for a budget that is not positive, and for one
+    that chatting exhausts."""
     if not np.isfinite(budget):
         raise ValueError(f"budget must be finite, got {budget}")
+    if budget <= 0:
+        raise InfeasibleBudgetError(f"budget must be positive, got {budget:g}")
     chat_cost = spec.chat_cost()
     remaining = budget - chat_cost
     if remaining <= 0:

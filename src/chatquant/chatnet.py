@@ -26,7 +26,7 @@ import numpy as np
 
 from .allocation import AllocationResult, _allocate_from, _fusion_budget
 from .probcore import Pdf
-from .quantizer import Quantizer, build_fixed_rate_quantizer
+from .quantizer import Quantizer, _row_quantizer
 from .sensitivity import (
     MessageDistribution,
     SensitivityProfile,
@@ -43,8 +43,6 @@ from .distortion import (
     _fixed_rate_terms,
     _rate_array,
     _spec_constants,
-    optimal_density_entropy,
-    optimal_density_fixed_rate,
 )
 
 __all__ = [
@@ -52,7 +50,6 @@ __all__ = [
     "NetworkDesign",
     "SpecFormatError",
     "build_banks",
-    "conditional_quantizer_bank",
     "design_network",
     "out_message_table",
     "parse_spec_file",
@@ -261,48 +258,48 @@ class ChatNetworkSpec:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
-def conditional_quantizer_bank(
-    spec: ChatNetworkSpec,
-    n: int,
-    size: int | Mapping[int, int],
-) -> dict[int, Quantizer]:
-    """Build sensor n's codebooks, one per incoming message.
-
-    Each codebook is the companding quantizer for the regime-optimal
-    point density of the conditional sensitivity.  Messages k >= 2 induce
-    a don't-care interval below the revealed lower bound; its single
-    codeword is pinned to that bound (the only reconstruction that can
-    never overstate the maximum).  ``size`` may vary per message (a
-    mapping), which entropy-coded designs use.
-    """
-    bank: dict[int, Quantizer] = {}
-    for k in range(1, spec.message_probs(n).size + 1):
-        prof = spec.conditional_profile(n, k)
-        if spec.regime == FIXED_RATE:
-            density = optimal_density_fixed_rate(prof)
-        else:
-            density = optimal_density_entropy(prof)
-        size_k = size[k] if isinstance(size, Mapping) else int(size)
-        q = build_fixed_rate_quantizer(density, size_k, prof.zero_zones)
-        if q.dont_care_cells:
-            cw = q.codewords.copy()
-            for c in q.dont_care_cells:
-                cw[c - 1] = q.boundaries[c]  # upper edge of the zone
-            q = Quantizer(q.boundaries, cw, q.dont_care_cells)
-        bank[k] = q
-    return bank
-
-
 def build_banks(
     spec: ChatNetworkSpec, sizes: Sequence[int | Mapping[int, int]]
 ) -> dict[int, dict[int, Quantizer]]:
-    """Codebook banks for every sensor, indexed [sensor][message]."""
+    """Codebook banks for every sensor, indexed [sensor][message].
+
+    ``sizes`` holds one entry per sensor: the size of every codebook the
+    sensor holds, or a mapping from each message it can receive to that
+    codebook's size, which entropy-coded designs use.  Each codebook is
+    the compander of the regime-optimal point density of its (sensor,
+    message) row.  Raises ValueError naming the sensor and message for a
+    size that is not an integer (True is not one) and for a mapping that
+    misses a message or sizes one the sensor cannot receive.
+    """
     if len(sizes) != spec.n_sensors:
         raise ValueError("need one codebook size per sensor")
-    return {
-        n: conditional_quantizer_bank(spec, n, sizes[n - 1])
-        for n in range(1, spec.n_sensors + 1)
-    }
+    root = np.cbrt if spec.regime == FIXED_RATE else np.sqrt
+    t = spec.partition
+    last = spec.n_sensors
+    banks: dict[int, dict[int, Quantizer]] = {}
+    for n, size in enumerate(sizes, start=1):
+        heard = spec.receives(n)
+        messages = range(1, len(t) if heard else 2)
+        per_message = size if isinstance(size, Mapping) else dict.fromkeys(messages, size)
+        extra = [k for k in per_message if k not in messages]
+        if extra:
+            raise ValueError(
+                f"sensor {n}, message {extra[0]!r}: a size for a message "
+                f"the sensor cannot receive (it receives 1..{len(messages)})"
+            )
+        banks[n] = {}
+        for k in messages:
+            if k not in per_message:
+                raise ValueError(f"sensor {n}, message {k}: no codebook size")
+            size_k = per_message[k]
+            if isinstance(size_k, bool) or not isinstance(size_k, (int, np.integer)):
+                raise ValueError(
+                    f"sensor {n}, message {k}: codebook size must be an integer, "
+                    f"got {size_k!r}"
+                )
+            row = (n - 1, last - n, t[k - 1], t[k]) if heard else (0, last - 1, 0.0, 0.0)
+            banks[n][k] = _row_quantizer(*row, root, int(size_k))
+    return banks
 
 
 def out_message_table(

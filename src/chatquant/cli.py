@@ -29,7 +29,6 @@ from .distortion import (
     ENTROPY_CONSTRAINED,
     FIXED_RATE,
     InfeasibleRateError,
-    UndefinedDistortionError,
     predict,
 )
 from .experiments import (
@@ -353,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpecFormatError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleBudgetError, InfeasibleRateError, UndefinedDistortionError) as exc:
+    except (InfeasibleBudgetError, InfeasibleRateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -1,4 +1,4 @@
-"""High-resolution distortion prediction and the optimal point density.
+"""High-resolution distortion prediction.
 
 Covers the functional MSE of a max network without chatting and the
 chatting forms in which each sensor selects a codebook from the received
@@ -20,8 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .probcore import _LOG_FLOOR, binary_entropy, integrate_adaptive
-from .quantizer import PointDensity
-from .sensitivity import SensitivityProfile, _max_gamma_sq
+from .sensitivity import _max_gamma_sq
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chatnet import ChatNetworkSpec
@@ -29,20 +28,13 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DistortionReport",
     "InfeasibleRateError",
-    "UndefinedDistortionError",
     "closed_form_max_nochat",
     "fixed_rate_betas",
-    "optimal_density_entropy",
-    "optimal_density_fixed_rate",
     "predict",
 ]
 
 FIXED_RATE = "fixed-rate"
 ENTROPY_CONSTRAINED = "entropy-constrained"
-
-
-class UndefinedDistortionError(ValueError):
-    """The point density vanishes on a set of positive probability."""
 
 
 class InfeasibleRateError(ValueError):
@@ -78,37 +70,6 @@ class DistortionReport:
             (n + 1, -1, float(t)) for n, t in enumerate(self.per_sensor_terms)
         ]
         return rows
-
-
-def _profile_density(profile: SensitivityProfile, root, empty: str) -> PointDensity:
-    """Point density proportional to ``root(gamma^2)``, zero on the
-    profile's zero zones and normalized over the rest."""
-    lo, hi = profile.support
-
-    def shaped(x: np.ndarray) -> np.ndarray:
-        return root(np.maximum(profile(np.asarray(x, dtype=float)), 0.0))
-
-    try:
-        return PointDensity.from_proportional(
-            shaped, lo, hi, profile.zero_zones, profile.breakpoints
-        )
-    except ValueError as exc:
-        raise UndefinedDistortionError(empty) from exc
-
-
-def optimal_density_fixed_rate(profile: SensitivityProfile) -> PointDensity:
-    """Fixed-rate optimal point density, proportional to (gamma^2 f)^(1/3),
-    that is gamma^(2/3) for the uniform source."""
-    return _profile_density(
-        profile, np.cbrt, "sensitivity-weighted density has no mass"
-    )
-
-
-def optimal_density_entropy(profile: SensitivityProfile) -> PointDensity:
-    """Entropy-constrained optimal point density, proportional to gamma."""
-    return _profile_density(
-        profile, np.sqrt, "sensitivity profile vanishes almost everywhere"
-    )
 
 
 def _rate_array(spec: "ChatNetworkSpec", rates) -> np.ndarray:

@@ -29,6 +29,7 @@ from chatquant.allocation import waterfill_kkt
 from chatquant.chatnet import (
     ChatNetworkSpec,
     SpecFormatError,
+    build_banks,
     design_network,
     parse_spec_file,
 )
@@ -40,7 +41,6 @@ from chatquant.experiments import (
     sweep_partition,
 )
 from chatquant.probcore import REL_TOL
-from chatquant.quantizer import PointDensity, build_fixed_rate_quantizer
 from chatquant.sensitivity import (
     max_conditional_sensitivity,
     serial_max_message_distribution,
@@ -68,8 +68,8 @@ def test_criterion_1_uniform_mse_baseline(capsys):
     """8-bit uniform quantizer on U(0,1): MSE within 1% of 2^-16/12."""
     t0 = time.time()
     spec = parse_spec_file("N = 1\n")
-    q = build_fixed_rate_quantizer(PointDensity.uniform(), 256)
-    res = run_simulation(spec, {1: {1: q}}, PLUG_IN, TRIALS, 0)
+    banks = build_banks(spec, [256])
+    res = run_simulation(spec, banks, PLUG_IN, TRIALS, 0)
     expected = 2.0**-16 / 12.0
     rel = abs(res.empirical_fmse - expected) / expected
     elapsed = time.time() - t0

@@ -482,6 +482,26 @@ def test_bank_pins_dont_care_codeword():
     assert bank[2].boundaries[1] == pytest.approx(0.5)
 
 
+def test_build_banks_rejects_sizes_it_would_bend():
+    # A fractional or boolean size, a missing message and one the sensor
+    # cannot receive each name the sensor and the message.
+    fixed = chain(3, 2)
+    entropy = chain(3, 2, regime="entropy-constrained")
+    cases = [
+        (fixed, [3.9, 4, 4], r"sensor 1, message 1: .*integer, got 3\.9"),
+        (fixed, [4, True, 4], r"sensor 2, message 1: .*integer, got True"),
+        (entropy, [4, {1: 4}, {1: 4, 2: 4}], r"sensor 2, message 2: no codebook size"),
+        (entropy, [4, {1: 4, 2: 4, 3: 4}, 4], r"sensor 2, message 3: .*cannot receive"),
+        (entropy, [{1: 4, 2: 4}, 4, 4], r"sensor 1, message 2: .*cannot receive"),
+    ]
+    for spec, sizes, match in cases:
+        with pytest.raises(ValueError, match=match):
+            build_banks(spec, sizes)
+    # Integers of any kind, and per-message mappings, still build.
+    banks = build_banks(entropy, [np.int64(4), {1: 4, 2: 6}, {2: 5, 1: 3}])
+    assert [q.size for q in banks[3].values()] == [3, 5]
+
+
 def assert_max_rule(spec, banks):
     t = np.asarray(spec.partition)
     for n in range(1, len(spec.chat_alphas) + 1):

@@ -208,6 +208,14 @@ def test_allocate_infeasible_budget(capsys):
     assert "exhausts the budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_allocate_nonpositive_budget(budget, capsys):
+    # Said before any chat is charged, even on a network without chat.
+    code = main(["allocate", "-N", "3", "--budget", budget])
+    assert code == 1
+    assert f"budget must be positive, got {budget}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("budget", ["nan", "inf"])
 @pytest.mark.parametrize("regime", ["fixed-rate", "entropy-constrained"])
 def test_allocate_non_finite_budget(budget, regime, capsys):

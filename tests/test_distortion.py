@@ -8,15 +8,11 @@ from chatquant.distortion import (
     ENTROPY_CONSTRAINED,
     DistortionReport,
     InfeasibleRateError,
-    UndefinedDistortionError,
     _spec_constants,
     closed_form_max_nochat,
     fixed_rate_betas,
-    optimal_density_entropy,
-    optimal_density_fixed_rate,
     predict,
 )
-from chatquant.sensitivity import SensitivityProfile, max_sensitivity
 
 from oracles import (
     entropy_coding_tables_quad,
@@ -44,32 +40,6 @@ def test_hr_mse_uniform():
     spec = ChatNetworkSpec.serial_max(1, 1)
     for rate, mse in ((2.0, 1.0 / 192.0), (0.0, 1.0 / 12.0)):
         assert predict(spec, [rate]).total == pytest.approx(mse)
-
-
-# -- optimal densities ----------------------------------------------------
-
-
-def test_optimal_density_fixed_rate_shape():
-    # gamma^2 = x^2 over a uniform source: lambda proportional to x^(2/3).
-    dens = optimal_density_fixed_rate(max_sensitivity(3))
-    xs = np.array([0.2, 0.5, 0.9])
-    want = (5.0 / 3.0) * xs ** (2.0 / 3.0)
-    assert np.allclose(dens(xs), want, rtol=1e-9)
-
-
-def test_optimal_density_entropy_shape():
-    # lambda proportional to gamma: for gamma^2 = x^2 that is 2x.
-    dens = optimal_density_entropy(max_sensitivity(3))
-    xs = np.array([0.25, 0.5, 1.0])
-    assert np.allclose(dens(xs), 2.0 * xs, rtol=1e-9)
-
-
-def test_optimal_density_rejects_empty_profile():
-    dead = SensitivityProfile((0.0, 1.0), lambda x: np.zeros_like(x))
-    with pytest.raises(UndefinedDistortionError):
-        optimal_density_entropy(dead)
-    with pytest.raises(UndefinedDistortionError):
-        optimal_density_fixed_rate(dead)
 
 
 # -- fixed-rate network forms ----------------------------------------------

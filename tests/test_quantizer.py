@@ -3,89 +3,71 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chatquant.chatnet import ChatNetworkSpec, build_banks, parse_spec_file
 from chatquant.probcore import Pdf
 from chatquant.quantizer import (
-    Compressor,
     InfeasibleCodebookError,
-    PointDensity,
     Quantizer,
-    build_fixed_rate_quantizer,
     output_entropy,
 )
 
+EC = "entropy-constrained"
 
-def linear_density():
-    return PointDensity.from_proportional(lambda x: 2.0 * np.asarray(x), 0.0, 1.0)
-
-
-def test_point_density_normalized():
-    d = linear_density()
-    assert d(1.0) == pytest.approx(2.0, rel=1e-6)
-    assert d(0.25) == pytest.approx(0.5, rel=1e-6)
+# Codebooks are built one (sensor, message) row at a time by build_banks;
+# these pin its rows to their closed forms.
 
 
-def test_point_density_zero_zone():
-    d = PointDensity.from_proportional(
-        lambda x: np.where(np.asarray(x) < 0.5, 0.0, 1.0),
-        0.0,
-        1.0,
-        zero_zones=((0.0, 0.5),),
-    )
-    assert d(0.25) == 0.0
-    assert d(0.75) == pytest.approx(2.0, rel=1e-6)
-    assert d.active_intervals() == [(0.5, 1.0)]
+def row(spec, n, k, size):
+    """Sensor n's codebook for message k, every codebook of ``size`` cells."""
+    return build_banks(spec, [size] * spec.n_sensors)[n][k]
 
 
-def test_compressor_roundtrip():
-    c = Compressor(linear_density())
-    # c(x) = x^2 for lambda = 2x.
-    xs = np.linspace(0.0, 1.0, 33)
-    assert np.allclose(c(xs), xs**2, atol=1e-4)
-    assert np.allclose(c.inverse(c(xs)), xs, atol=1e-4)
+def single(size):
+    """The one sensor of N = 1: a flat profile, so a uniform quantizer."""
+    return row(parse_spec_file("N = 1\n"), 1, 1, size)
 
 
 def test_build_uniform():
-    q = build_fixed_rate_quantizer(PointDensity.uniform(0.0, 1.0), 4)
-    assert np.allclose(q.boundaries, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert np.allclose(q.codewords, [0.125, 0.375, 0.625, 0.875])
+    q = single(4)
+    assert np.array_equal(q.boundaries, np.arange(5) / 4)
+    assert np.array_equal(q.codewords, (2 * np.arange(1, 5) - 1) / 8)
+    assert q.dont_care_cells == frozenset()
 
 
 def test_build_companded():
-    # lambda = 2x, K = 2: boundary at mass 1/2 -> sqrt(1/2); codewords at
-    # mass 1/4 and 3/4 -> 1/2 and sqrt(3)/2.
-    q = build_fixed_rate_quantizer(linear_density(), 2)
-    assert q.boundaries[1] == pytest.approx(np.sqrt(0.5), abs=1e-4)
-    assert q.codewords[0] == pytest.approx(0.5, abs=1e-4)
-    assert q.codewords[1] == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-4)
+    # Sensor 1 of N = 3 hears nothing: gamma^2 = x^2, so the point density
+    # is x^(2/3) at fixed rate and x under entropy coding, with cumulative
+    # mass x^(5/3) and x^2.
+    size = 16
+    i = np.arange(size + 1)
+    levels = (2 * np.arange(1, size + 1) - 1) / (2 * size)
+    for regime, power in (("fixed-rate", 3 / 5), (EC, 1 / 2)):
+        q = row(parse_spec_file(f"N = 3\nregime = {regime}\n"), 1, 1, size)
+        assert np.allclose(q.boundaries, (i / size) ** power, rtol=0, atol=1e-6)
+        assert np.allclose(q.codewords, levels**power, rtol=0, atol=1e-6)
 
 
 def test_build_with_dont_care():
-    d = PointDensity.from_proportional(
-        lambda x: np.where(np.asarray(x) < 0.5, 0.0, 1.0),
-        0.0,
-        1.0,
-        zero_zones=((0.0, 0.5),),
-    )
-    q = build_fixed_rate_quantizer(d, 4, dont_care=((0.0, 0.5),))
+    # Message 2 of (0, 1/2, 1) at sensor 2 of N = 2: gamma^2 vanishes on
+    # [0, 1/2] and ramps as 2x - 1 above, so at fixed rate the granular
+    # mass grows as (2x - 1)^(4/3).
+    q = row(ChatNetworkSpec.serial_max(2, 2), 2, 2, 4)
     assert q.dont_care_cells == frozenset({1})
-    assert q.boundaries[1] == pytest.approx(0.5)
-    # Three granular cells share the active half.
-    assert np.allclose(q.boundaries[1:], [0.5, 4.0 / 6.0, 5.0 / 6.0, 1.0])
+    assert q.cell_interval(1) == (0.0, 0.5)
+    assert q.codewords[0] == 0.5
+    i = np.arange(4)
+    want = (1 + (i / 3) ** 0.75) / 2
+    assert np.allclose(q.boundaries[1:], want, rtol=0, atol=1e-6)
 
 
 def test_build_infeasible():
-    d = PointDensity.from_proportional(
-        lambda x: np.where(np.asarray(x) < 0.5, 0.0, 1.0),
-        0.0,
-        1.0,
-        zero_zones=((0.0, 0.5),),
-    )
-    with pytest.raises(InfeasibleCodebookError):
-        build_fixed_rate_quantizer(d, 1, dont_care=((0.0, 0.5),))
+    # The don't-care cell leaves no granular cell in a one-cell codebook.
+    with pytest.raises(InfeasibleCodebookError, match="size 1"):
+        row(ChatNetworkSpec.serial_max(2, 2), 2, 2, 1)
 
 
 def test_quantize_cells_left_open():
-    q = build_fixed_rate_quantizer(PointDensity.uniform(0.0, 1.0), 4)
+    q = single(4)
     # Cells are (t_{k-1}, t_k]: a boundary value belongs to the lower cell.
     assert q.quantize(0.25) == 1
     assert q.quantize(0.2500001) == 2
@@ -110,7 +92,7 @@ def test_reconstruct():
 
 
 def test_text_roundtrip():
-    q = build_fixed_rate_quantizer(linear_density(), 3, dont_care=None)
+    q = row(ChatNetworkSpec.serial_max(3, 2), 3, 2, 5)
     q2 = Quantizer.from_text(q.to_text())
     assert np.array_equal(q.boundaries, q2.boundaries)
     assert np.array_equal(q.codewords, q2.codewords)
@@ -128,7 +110,7 @@ def test_output_entropy():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=64))
 def test_uniform_build_any_size(size):
-    q = build_fixed_rate_quantizer(PointDensity.uniform(0.0, 1.0), size)
+    q = single(size)
     assert q.size == size
     widths = np.diff(q.boundaries)
     assert np.allclose(widths, 1.0 / size)
@@ -140,7 +122,7 @@ def test_uniform_build_any_size(size):
     st.floats(min_value=0.05, max_value=0.95),
 )
 def test_quantize_reconstruct_stays_in_cell(size, x):
-    q = build_fixed_rate_quantizer(linear_density(), size)
+    q = row(parse_spec_file(f"N = 3\nregime = {EC}\n"), 1, 1, size)
     k = int(q.quantize(x))
     lo, hi = q.cell_interval(k)
     assert lo < x <= hi or (k == 1 and x <= hi)
