@@ -19,13 +19,7 @@ from .quantizer import (
     Quantizer,
     output_entropy,
 )
-from .sensitivity import (
-    MessageDistribution,
-    SensitivityProfile,
-    max_conditional_sensitivity,
-    max_sensitivity,
-    serial_max_message_distribution,
-)
+from .sensitivity import SensitivityProfile
 from .distortion import (
     ENTROPY_CONSTRAINED,
     FIXED_RATE,
@@ -82,7 +76,6 @@ __all__ = [
     "InfeasibleBudgetError",
     "InfeasibleCodebookError",
     "InfeasibleRateError",
-    "MessageDistribution",
     "NetworkDesign",
     "PLUG_IN",
     "Pdf",
@@ -101,8 +94,6 @@ __all__ = [
     "design_network",
     "fixed_rate_betas",
     "integrate_adaptive",
-    "max_conditional_sensitivity",
-    "max_sensitivity",
     "measure_entropy_rate",
     "out_message_table",
     "output_entropy",
@@ -111,7 +102,6 @@ __all__ = [
     "replay_codebooks",
     "run_scenarios",
     "run_simulation",
-    "serial_max_message_distribution",
     "standard_figures",
     "sweep_chatting_rate",
     "sweep_partition",

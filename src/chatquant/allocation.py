@@ -162,15 +162,19 @@ def _shares(
     return np.maximum(0.0, alphas / 2.0 * (d - level[..., None]))
 
 
-def _fusion_budget(spec: "ChatNetworkSpec", budget: float) -> float:
-    """The budget left for the fusion links once every chat edge is
-    charged its per-bit price times its message bits.  Raises
-    InfeasibleBudgetError for a budget that is not positive, and for one
-    that chatting exhausts."""
+def _check_budget(budget: float) -> None:
+    """ValueError unless the budget is finite, InfeasibleBudgetError unless positive."""
     if not np.isfinite(budget):
         raise ValueError(f"budget must be finite, got {budget}")
     if budget <= 0:
         raise InfeasibleBudgetError(f"budget must be positive, got {budget:g}")
+
+
+def _fusion_budget(spec: "ChatNetworkSpec", budget: float) -> float:
+    """The budget left for the fusion links once every chat edge is
+    charged its per-bit price times its message bits.  Raises as
+    ``_check_budget``, and InfeasibleBudgetError once chatting exhausts it."""
+    _check_budget(budget)
     chat_cost = spec.chat_cost()
     remaining = budget - chat_cost
     if remaining <= 0:
@@ -283,12 +287,14 @@ def chat_budget_search(
     Each candidate chat rate is allocated by ``allocate`` in the spec's
     regime.  Returns the chat rate with the smallest predicted fMSE and
     its allocation.  Candidates that consume the whole budget are
-    skipped; if none survives, the budget is infeasible.  An empty grid
-    or a candidate that is not a nonnegative integer raises
-    ``ValueError``.
+    skipped; if none survives, the budget is infeasible.  A budget that
+    is not positive raises InfeasibleBudgetError before any candidate;
+    an empty grid, a non-finite budget or a candidate that is not a
+    nonnegative integer raises ``ValueError``.
     """
     if len(rc_grid) == 0:
         raise ValueError("the chat-rate grid is empty: no candidate to search")
+    _check_budget(budget)
     best: tuple[int, AllocationResult] | None = None
     for rc in rc_grid:
         chatting = spec.with_chat_rate(rc)

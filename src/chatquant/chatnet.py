@@ -27,13 +27,7 @@ import numpy as np
 from .allocation import AllocationResult, _allocate_from, _fusion_budget
 from .probcore import Pdf
 from .quantizer import Quantizer, _row_quantizer
-from .sensitivity import (
-    MessageDistribution,
-    SensitivityProfile,
-    max_conditional_sensitivity,
-    max_sensitivity,
-    serial_max_message_distribution,
-)
+from .sensitivity import SensitivityProfile
 from .distortion import (
     ENTROPY_CONSTRAINED,
     FIXED_RATE,
@@ -116,8 +110,8 @@ class ChatNetworkSpec:
         if self.regime not in (FIXED_RATE, ENTROPY_CONSTRAINED):
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.source != Pdf(0.0, 1.0):
-            # Profiles, message laws and max_sensitivity are closed forms
-            # for uniform(0, 1) sources only.
+            # Profiles and message laws are closed forms for uniform(0, 1)
+            # sources only.
             raise ValueError("the source must be uniform on [0, 1]")
         t = tuple(float(v) for v in self.partition)
         if len(t) < 2 or any(b <= a for a, b in zip(t, t[1:])):
@@ -185,9 +179,14 @@ class ChatNetworkSpec:
 
     # -- message structure ----------------------------------------------
 
+    def _check_sensor(self, n: int) -> None:
+        if not (1 <= n <= self.n_sensors):
+            raise ValueError(f"sensor {n} out of range 1..{self.n_sensors}")
+
     def message_interval(self, n: int, k: int) -> tuple[float, float]:
         """Interval for the running ancestor max implied by message k at
         sensor n: the message's cell of the partition."""
+        self._check_sensor(n)
         if not self.receives(n):
             if k != 1:
                 raise ValueError(f"sensor {n} receives no messages")
@@ -196,18 +195,21 @@ class ChatNetworkSpec:
             raise ValueError(f"message {k} out of range for the link into sensor {n}")
         return (self.partition[k - 1], self.partition[k])
 
-    def message_probs(self, n: int) -> MessageDistribution:
-        """Exact distribution of the message arriving at sensor n."""
+    def message_probs(self, n: int) -> np.ndarray:
+        """Exact probabilities of the messages 1..K arriving at sensor n:
+        cell (t_{k-1}, t_k] of max(X_1..X_{n-1}) has t_k^(n-1) -
+        t_{k-1}^(n-1), and a sensor that hears nothing has message 1 only."""
+        self._check_sensor(n)
         if not self.receives(n):
-            return MessageDistribution(np.array([1.0]))
-        return serial_max_message_distribution(n, self.partition)
+            return np.array([1.0])
+        return np.diff(np.asarray(self.partition) ** (n - 1))
 
     def conditional_profile(self, n: int, k: int) -> SensitivityProfile:
         """Sensitivity of sensor n's quantization error given message k."""
-        if not self.receives(n):
-            return max_sensitivity(self.n_sensors)
         s_l, s_u = self.message_interval(n, k)
-        return max_conditional_sensitivity(n, self.n_sensors, s_l, s_u)
+        if not self.receives(n):
+            return SensitivityProfile(0, self.n_sensors - 1)
+        return SensitivityProfile(n - 1, self.n_sensors - n, s_l, s_u)
 
     # -- rewriting helpers ----------------------------------------------
 
@@ -274,12 +276,9 @@ def build_banks(
     if len(sizes) != spec.n_sensors:
         raise ValueError("need one codebook size per sensor")
     root = np.cbrt if spec.regime == FIXED_RATE else np.sqrt
-    t = spec.partition
-    last = spec.n_sensors
     banks: dict[int, dict[int, Quantizer]] = {}
     for n, size in enumerate(sizes, start=1):
-        heard = spec.receives(n)
-        messages = range(1, len(t) if heard else 2)
+        messages = range(1, len(spec.partition) if spec.receives(n) else 2)
         per_message = size if isinstance(size, Mapping) else dict.fromkeys(messages, size)
         extra = [k for k in per_message if k not in messages]
         if extra:
@@ -297,8 +296,7 @@ def build_banks(
                     f"sensor {n}, message {k}: codebook size must be an integer, "
                     f"got {size_k!r}"
                 )
-            row = (n - 1, last - n, t[k - 1], t[k]) if heard else (0, last - 1, 0.0, 0.0)
-            banks[n][k] = _row_quantizer(*row, root, int(size_k))
+            banks[n][k] = _row_quantizer(spec.conditional_profile(n, k), root, int(size_k))
     return banks
 
 

@@ -141,7 +141,7 @@ def _chat_constants(
     probs = np.zeros((t.shape[0], n_sensors, t.shape[1] - 1))
     probs[:, ~receives, 0] = 1.0
     for n in np.flatnonzero(receives) + 1:
-        # As serial_max_message_distribution: t_k^(n-1) - t_{k-1}^(n-1).
+        # As spec.message_probs: t_k^(n-1) - t_{k-1}^(n-1).
         probs[:, n - 1] = np.diff(t ** (n - 1), axis=1)
     dont_care = (receives[:, None] & (t[:, None, :-1] > 0.0)).astype(int)
 
@@ -316,12 +316,13 @@ def closed_form_max_nochat(n_sensors: int, budget: float, regime: str) -> float:
     """Distortion-cost trade-off for the chat-free max network.
 
     Equal unit-cost links split the budget evenly, R_n = C/N over iid
-    uniform(0,1) sources.
+    uniform(0,1) sources.  Raises ValueError for a sensor count that is
+    not an integer >= 1 (True is not one) or a budget not finite and >= 0.
     """
-    if n_sensors < 1:
-        raise ValueError("need at least one sensor")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    if isinstance(n_sensors, bool) or not isinstance(n_sensors, (int, np.integer)) or n_sensors < 1:
+        raise ValueError(f"need an integer sensor count >= 1, got {n_sensors!r}")
+    if not (np.isfinite(budget) and budget >= 0):
+        raise ValueError(f"budget must be finite and nonnegative, got {budget}")
     if regime == FIXED_RATE:
         const = (n_sensors / 12.0) * (3.0 / (n_sensors + 2.0)) ** 3
     elif regime == ENTROPY_CONSTRAINED:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .allocation import (
     InfeasibleBudgetError,
+    _check_budget,
     _fusion_budget,
     _grid_distortions,
     allocate,
@@ -102,12 +103,14 @@ def sweep_chatting_rate(
 
     Every chat edge is charged alpha_c per bit; the rest of the budget is
     allocated optimally across fusion links.  Rows where chatting alone
-    exhausts the budget are kept and flagged infeasible.  Simulation
+    exhausts the budget are kept and flagged infeasible; a budget that is
+    not positive raises InfeasibleBudgetError before any row.  Simulation
     designs real integer-size codebooks under the same budget, so its
     predicted column can differ slightly from the continuous-rate one.
     """
     if sweep.variable != "Rc":
         raise ValueError("sweep_chatting_rate expects a chat-rate sweep")
+    _check_budget(sweep.budget)
     rows = []
     for rc in sweep.values:
         rc = int(rc)
@@ -159,6 +162,7 @@ def sweep_partition(sweep: SweepSpec) -> list[dict]:
     base = ChatNetworkSpec.serial_max(
         sweep.n_sensors, 2, 0.0, sweep.fusion_alpha, sweep.regime
     )
+    _check_budget(sweep.budget)
     nochat = closed_form_max_nochat(sweep.n_sensors, sweep.budget, sweep.regime)
     p1s = np.array([float(p1) for p1 in sweep.values])
     return [
@@ -211,6 +215,7 @@ def run_scenarios(
     """
     _require_step(p1_step)
     budget = budget_per_sensor * n_sensors
+    _check_budget(budget)
     rows = []
     for regime in regimes:
         spec = ChatNetworkSpec.serial_max(n_sensors, 2, 0.0, 1.0, regime)

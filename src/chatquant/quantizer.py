@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .probcore import Pdf, integrate_adaptive
-from .sensitivity import _max_gamma_sq
+from .sensitivity import SensitivityProfile
 
 __all__ = [
     "InfeasibleCodebookError",
@@ -101,25 +101,20 @@ class Quantizer:
 
 
 def _row_quantizer(
-    anc: int,
-    rest: int,
-    s_l: float,
-    s_u: float,
+    profile: SensitivityProfile,
     root: Callable[[np.ndarray], np.ndarray],
     size: int,
 ) -> Quantizer:
     """The ``size``-cell compander of one (sensor, message) row.
 
-    The row's sensor has ``anc`` sensors before it and ``rest`` after,
-    and its message puts the incoming max in [s_l, s_u] (a sensor that
-    hears nothing has anc = 0, s_l = s_u = 0).  The point density is
-    ``root`` of the squared sensitivity: np.cbrt at fixed rate, np.sqrt
-    under entropy coding.  It vanishes on [0, s_l], which becomes one
-    don't-care cell when s_l > 0; its codeword is s_l, the only
-    reconstruction that can never overstate the maximum.  The other G
-    cells have edges at multiples of 1/G of the cumulative mass and
-    codewords at odd multiples of 1/(2G).
+    The point density is ``root`` of the row's squared sensitivity
+    ``profile``: np.cbrt at fixed rate, np.sqrt under entropy coding.  It
+    vanishes on [0, s_l], which becomes one don't-care cell when s_l > 0;
+    its codeword is s_l, the only reconstruction that can never overstate
+    the maximum.  The other G cells have edges at multiples of 1/G of the
+    cumulative mass and codewords at odd multiples of 1/(2G).
     """
+    s_l, s_u = profile.s_l, profile.s_u
     granular = size - (s_l > 0)
     if granular < 1:
         raise InfeasibleCodebookError(
@@ -129,7 +124,7 @@ def _row_quantizer(
     seams = [v for v in (s_l, s_u) if 0.0 < v < 1.0]
 
     def density(x: np.ndarray) -> np.ndarray:
-        return root(np.maximum(_max_gamma_sq(x, anc, rest, s_l, s_u), 0.0))
+        return root(np.maximum(profile(x), 0.0))
 
     pieces = [0.0, *seams, 1.0]
     xs = np.unique(np.concatenate(

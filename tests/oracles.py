@@ -323,42 +323,33 @@ def _density(pdf):
 
 
 def _messages(spec, n: int):
-    probs = spec.message_probs(n).probabilities
+    probs = spec.message_probs(n)
     for k, p in enumerate(probs, start=1):
         if p > 0.0:
             yield k, float(p), spec.conditional_profile(n, k)
 
 
-def _active_regions(profile) -> list[tuple[float, float]]:
-    """The profile's support minus its zero zones."""
-    out, cursor = [], profile.support[0]
-    for a, b in profile.zero_zones:
-        if a > cursor:
-            out.append((cursor, a))
-        cursor = max(cursor, b)
-    if cursor < profile.support[1]:
-        out.append((cursor, profile.support[1]))
-    return out
+def _over_active(fn, prof) -> float:
+    """Integral of ``fn`` by scalar quad over the row's active region
+    [s_l, 1], split at s_u: gamma^2 vanishes on [0, s_l]."""
+    return quad_integral(fn, prof.s_l, 1.0, (prof.s_u,))
 
 
 def fixed_rate_message_norms_quad(spec) -> list[tuple[np.ndarray, ...]]:
     """(probs, quasi-norms, don't-care counts) over every sensor's
     messages: norm = (int_A (gamma^2 f)^(1/3))^3 by scalar quad, A the
-    message's active region, and the count that of its zero zones."""
+    message's active region, and the count 1 where A leaves a zone
+    [0, s_l] with s_l > 0."""
     f = _density(spec.source)
     out = []
     for n in range(1, spec.n_sensors + 1):
-        probs = spec.message_probs(n).probabilities
+        probs = spec.message_probs(n)
         norms = np.zeros_like(probs)
         dont_care = np.zeros(probs.size, dtype=int)
         for k, _p, prof in _messages(spec, n):
             root = lambda x: max(float(prof(x) * f(x)), 0.0) ** (1.0 / 3.0)
-            s = sum(
-                quad_integral(root, a, b, prof.breakpoints)
-                for a, b in _active_regions(prof)
-            )
-            norms[k - 1] = s**3
-            dont_care[k - 1] = sum(1 for a, b in prof.zero_zones if b > a)
+            norms[k - 1] = _over_active(root, prof) ** 3
+            dont_care[k - 1] = int(prof.s_l > 0)
         out.append((probs, norms, dont_care))
     return out
 
@@ -381,22 +372,15 @@ def entropy_coding_tables_quad(spec) -> list[tuple[np.ndarray, ...]]:
     f = _density(spec.source)
     out = []
     for n in range(1, spec.n_sensors + 1):
-        probs = spec.message_probs(n).probabilities
+        probs = spec.message_probs(n)
         consts = np.zeros_like(probs)
         masses = np.ones_like(probs)
         gates = np.zeros_like(probs)
         for k, _p, prof in _messages(spec, n):
-            regions = _active_regions(prof)
-
-            def over_a(fn):
-                return sum(
-                    quad_integral(fn, a, b, prof.breakpoints) for a, b in regions
-                )
-
-            mass = over_a(lambda x: float(f(x)))
-            f_log_f = over_a(lambda x: float(f(x)) * math.log2(float(f(x))))
-            log_g2 = over_a(
-                lambda x: float(f(x)) * math.log2(max(float(prof(x)), 1e-300))
+            mass = _over_active(lambda x: float(f(x)), prof)
+            f_log_f = _over_active(lambda x: float(f(x)) * math.log2(float(f(x))), prof)
+            log_g2 = _over_active(
+                lambda x: float(f(x)) * math.log2(max(float(prof(x)), 1e-300)), prof
             )
             h = math.log2(mass) - f_log_f / mass
             consts[k - 1] = mass / 12.0 * 2.0 ** (2.0 * h + log_g2 / mass)

@@ -41,10 +41,6 @@ from chatquant.experiments import (
     sweep_partition,
 )
 from chatquant.probcore import REL_TOL
-from chatquant.sensitivity import (
-    max_conditional_sensitivity,
-    serial_max_message_distribution,
-)
 from chatquant.simulator import PLUG_IN, _Encoder, replay_codebooks, run_simulation
 
 from oracles import (
@@ -214,19 +210,18 @@ def test_criterion_5_sensitivity_oracles(capsys):
     worst_ratio = 0.0
     runs = 0
     for n, n_sensors, cells in ((2, 2, 2), (3, 4, 2), (4, 4, 4)):
-        t = np.linspace(0.0, 1.0, cells + 1)
-        probs = serial_max_message_distribution(n, t).probabilities
+        spec = ChatNetworkSpec.serial_max(n_sensors, cells)
+        probs = spec.message_probs(n)
         for k in range(1, cells + 1):
             if probs[k - 1] <= 0.0:
                 continue
-            sampler = conditional_max_sampler(n, n_sensors, t[k - 1], t[k])
+            prof = spec.conditional_profile(n, k)
+            sampler = conditional_max_sampler(n, n_sensors, prof.s_l, prof.s_u)
             means, stderr = sensitivity_monte_carlo(
                 max_partial, sampler, n, grid, 10_000,
                 seed=100 * n + 10 * n_sensors + k,
             )
-            closed = np.asarray(
-                max_conditional_sensitivity(n, n_sensors, t[k - 1], t[k])(grid)
-            )
+            closed = np.asarray(prof(grid))
             rms_dev = float(np.sqrt(np.mean((means - closed) ** 2)))
             pooled = float(np.sqrt(np.mean(stderr**2)))
             worst_ratio = max(worst_ratio, rms_dev / pooled)
@@ -235,12 +230,11 @@ def test_criterion_5_sensitivity_oracles(capsys):
     # sum_k p_k gamma2_{n|k} must reassemble the unconditional profile.
     worst_mix = 0.0
     for n, n_sensors, cells in ((2, 2, 2), (3, 4, 2), (4, 4, 4)):
-        t = np.linspace(0.0, 1.0, cells + 1)
-        probs = serial_max_message_distribution(n, t).probabilities
+        spec = ChatNetworkSpec.serial_max(n_sensors, cells)
+        probs = spec.message_probs(n)
         mix = np.zeros_like(grid)
         for k in range(1, cells + 1):
-            prof = max_conditional_sensitivity(n, n_sensors, t[k - 1], t[k])
-            mix += probs[k - 1] * np.asarray(prof(grid))
+            mix += probs[k - 1] * np.asarray(spec.conditional_profile(n, k)(grid))
         worst_mix = max(worst_mix, float(np.max(np.abs(mix - grid ** (n_sensors - 1)))))
     elapsed = time.time() - t0
     ok = worst_ratio <= 3.0 and worst_mix <= 1e-6 and elapsed < 300.0

@@ -295,6 +295,16 @@ def test_chat_budget_search_infeasible():
         chat_budget_search(spec, 16.0, (4, 5))
 
 
+@pytest.mark.parametrize("budget", [-5.0, 0.0])
+def test_chat_budget_search_nonpositive_budget(budget):
+    # Said before any candidate is charged its chat, as allocate says it.
+    spec = ChatNetworkSpec.serial_max(3, 2, chat_alpha=0.01)
+    with pytest.raises(InfeasibleBudgetError, match=f"budget must be positive, got {budget:g}"):
+        chat_budget_search(spec, budget, range(3))
+    with pytest.raises(ValueError, match="finite"):
+        chat_budget_search(spec, float("nan"), range(3))
+
+
 def test_chat_budget_search_rejects_empty_grid():
     spec = ChatNetworkSpec.serial_max(4, 2, chat_alpha=0.01)
     with pytest.raises(ValueError, match="grid is empty") as exc:

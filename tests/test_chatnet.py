@@ -18,8 +18,8 @@ from chatquant.chatnet import (
     parse_spec_file,
 )
 from chatquant.allocation import InfeasibleBudgetError
-from chatquant.distortion import predict
-from chatquant.probcore import Pdf
+from chatquant.distortion import FIXED_RATE, _spec_constants, predict
+from chatquant.probcore import Pdf, integrate_adaptive
 from oracles import repair_budget_loop, serial_max_chat_round
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -144,9 +144,24 @@ def test_message_interval_and_probs():
     assert spec.message_interval(3, 2) == (0.5, 1.0)
     with pytest.raises(ValueError):
         spec.message_interval(3, 5)
-    assert np.allclose(spec.message_probs(1).probabilities, [1.0])
+    assert np.allclose(spec.message_probs(1), [1.0])
     # Message into sensor 3 reports the cell of max(X1, X2).
-    assert np.allclose(spec.message_probs(3).probabilities, [0.25, 0.75])
+    assert np.allclose(spec.message_probs(3), [0.25, 0.75])
+
+
+@pytest.mark.parametrize("n", [0, -1, 4, 9])
+def test_sensor_numbers_out_of_range_raise(n):
+    spec = chain(3, 2)
+    for call in (
+        lambda: spec.message_probs(n),
+        lambda: spec.message_interval(n, 1),
+        lambda: spec.conditional_profile(n, 1),
+    ):
+        with pytest.raises(ValueError, match=f"sensor {n} out of range 1..3"):
+            call()
+    # The same on a chain without chat, where no sensor hears a message.
+    with pytest.raises(ValueError, match=f"sensor {n} out of range 1..3"):
+        parse_spec_file("N = 3\n").message_probs(n)
 
 
 def test_spec_rejects_edge_sizes_other_than_the_partition():
@@ -664,12 +679,40 @@ def test_design_budget_too_small():
         design_network(chain(3, 2, chat_alpha=10.0), budget=16.0)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        chain(4, 2),
+        chain(8, 4, chat_alpha=0.01),
+        chain(5, 2, boundaries=(0.0, 0.7, 1.0)),
+        parse_spec_file("N = 1\n"),
+    ],
+    ids=["N4K2", "N8K4", "N5p0.7", "N1"],
+)
+def test_codebook_rows_are_the_constants_rows(spec):
+    # The row a codebook is built from integrates, over its active region
+    # [s_l, 1], to the fixed-rate norm the prediction uses, and leaves a
+    # don't-care cell exactly where the prediction counts one.
+    probs, dont_care, norms = _spec_constants(spec, FIXED_RATE)
+    live = 0
+    for n in range(1, spec.n_sensors + 1):
+        for k in np.flatnonzero(probs[n - 1] > 0.0) + 1:
+            prof = spec.conditional_profile(n, k)
+            root = integrate_adaptive(
+                lambda x: np.cbrt(prof(x)), prof.s_l, 1.0, (prof.s_u,)
+            )
+            assert root**3 == pytest.approx(norms[n - 1, k - 1], rel=1e-12, abs=0)
+            assert dont_care[n - 1, k - 1] == int(prof.s_l > 0)
+            live += 1
+    assert live == sum(spec.message_probs(n).size for n in range(1, spec.n_sensors + 1))
+
+
 def test_design_entropy_sizes_cover_gates():
     spec = chain(4, 2, regime="entropy-constrained")
     design = design_network(spec, budget=16.0)
     for n, row in enumerate(design.sizes, start=1):
         for k, size in enumerate(row, start=1):
-            dc = len(spec.conditional_profile(n, k).zero_zones)
+            dc = int(spec.conditional_profile(n, k).s_l > 0)
             assert size >= dc + 1
     want = predict(
         spec,

@@ -216,6 +216,17 @@ def test_allocate_nonpositive_budget(budget, capsys):
     assert f"budget must be positive, got {budget}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["-3", "0"])
+@pytest.mark.parametrize("command", ["sweep-rc", "sweep-p1", "scenarios"])
+def test_sweeps_nonpositive_budget(command, budget, capsys):
+    # The same error and exit code as allocate, not a table of infeasible rows.
+    code = main([command, "-N", "3", "--budget", budget])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"budget must be positive, got {budget}" in captured.err
+    assert "infeasible" not in captured.out
+
+
 @pytest.mark.parametrize("budget", ["nan", "inf"])
 @pytest.mark.parametrize("regime", ["fixed-rate", "entropy-constrained"])
 def test_allocate_non_finite_budget(budget, regime, capsys):

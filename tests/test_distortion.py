@@ -276,6 +276,16 @@ def test_closed_form_validation():
         closed_form_max_nochat(3, -1.0, "fixed-rate")
     with pytest.raises(ValueError):
         closed_form_max_nochat(3, 10.0, "variable-rate")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            closed_form_max_nochat(3, bad, "fixed-rate")
+    for count in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            closed_form_max_nochat(count, 10.0, "fixed-rate")
+    # Budget 0 is valid, and so is a numpy integer count.
+    assert closed_form_max_nochat(np.int64(3), 0.0, "fixed-rate") == pytest.approx(
+        (3 / 12.0) * (3.0 / 5.0) ** 3
+    )
 
 
 def test_closed_form_monotone_in_budget():

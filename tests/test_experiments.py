@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from chatquant.allocation import _allocate_from, _fusion_budget
+from chatquant.allocation import InfeasibleBudgetError, _allocate_from, _fusion_budget
 from chatquant.chatnet import ChatNetworkSpec
 from chatquant.distortion import _chat_constants, closed_form_max_nochat
 from chatquant.experiments import (
@@ -84,6 +84,13 @@ def test_chat_rate_sweep_flags_infeasible():
     assert rows[1]["feasible"] is False
     assert rows[1]["predicted_fmse"] is None
     assert rows[1]["Rc"] == 4
+
+
+@pytest.mark.parametrize("per_sensor", [-1.0, 0.0])
+def test_chat_rate_sweep_nonpositive_budget(per_sensor):
+    sweep = SweepSpec("Rc", (0, 1, 2), 3, per_sensor, 0.01, 1.0, FR)
+    with pytest.raises(InfeasibleBudgetError, match="budget must be positive"):
+        sweep_chatting_rate(sweep)
 
 
 def test_chat_rate_sweep_simulated():

@@ -3,68 +3,80 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chatquant.sensitivity import (
-    max_conditional_sensitivity,
-    max_sensitivity,
-    serial_max_message_distribution,
-)
+from chatquant.chatnet import ChatNetworkSpec, parse_spec_file
+from chatquant.quantizer import _row_quantizer
+from chatquant.sensitivity import SensitivityProfile
 
 from oracles import conditional_max_sampler, max_partial, sensitivity_monte_carlo
 
 
 def test_max_sensitivity_power_law():
-    prof = max_sensitivity(4)
+    prof = SensitivityProfile(0, 3)
     xs = np.array([0.0, 0.5, 1.0])
     assert np.allclose(prof(xs), xs**3)
-    assert max_sensitivity(1)(0.3) == 1.0
+    assert SensitivityProfile(0, 0)(0.3) == 1.0
+    # Every sensor of a chain without chat, and the first of a chatting
+    # one, hears nothing and holds the row (0, N - 1).
+    assert ChatNetworkSpec.serial_max(4, 2).conditional_profile(1, 1) == prof
+    nochat = parse_spec_file("N = 4\n")
+    assert all(nochat.conditional_profile(n, 1) == prof for n in range(1, 5))
+    assert parse_spec_file("N = 1\n").conditional_profile(1, 1) == SensitivityProfile(0, 0)
 
 
 def test_conditional_pieces():
     # n=2 of N=3, received interval [0.25, 0.5].
-    prof = max_conditional_sensitivity(2, 3, 0.25, 0.5)
+    prof = SensitivityProfile(1, 1, 0.25, 0.5)
     assert prof(0.1) == 0.0
     # Ramp piece: (x - 0.25)/0.25 * x at x = 0.375.
     assert prof(0.375) == pytest.approx((0.375 - 0.25) / 0.25 * 0.375)
     # Above the interval: plain x^{N-n}.
     assert prof(0.75) == pytest.approx(0.75)
-    assert prof.zero_zones == ((0.0, 0.25),)
-    assert prof.breakpoints == (0.25, 0.5)
+    # The spec's row of sensor 2, message 2 of the quarters partition.
+    assert ChatNetworkSpec.serial_max(3, 4).conditional_profile(2, 2) == prof
+    # [0, s_l] is the row's one don't-care cell.
+    assert _row_quantizer(prof, np.cbrt, 4).dont_care_cells == frozenset({1})
 
 
 def test_conditional_first_message_has_no_zone():
-    prof = max_conditional_sensitivity(3, 4, 0.0, 0.5)
-    assert prof.zero_zones == ()
+    prof = SensitivityProfile(2, 1, 0.0, 0.5)
     assert prof(0.25) == pytest.approx((0.25**2 / 0.5**2) * 0.25)
+    assert ChatNetworkSpec.serial_max(4, 2).conditional_profile(3, 1) == prof
+    assert _row_quantizer(prof, np.cbrt, 4).dont_care_cells == frozenset()
 
 
 def test_conditional_validation():
-    with pytest.raises(ValueError):
-        max_conditional_sensitivity(1, 3, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        max_conditional_sensitivity(2, 3, 0.5, 0.5)
+    # The first sensor hears no message, so it has no cell.
+    with pytest.raises(ValueError, match="hears no message"):
+        SensitivityProfile(0, 2, 0.0, 0.5)
+    for cell in ((0.5, 0.5), (0.0, 0.0), (0.5, 0.25), (-0.1, 0.5), (0.5, 1.5)):
+        with pytest.raises(ValueError, match="degenerate or outside"):
+            SensitivityProfile(1, 1, *cell)
+    for anc, rest in ((-1, 2), (1, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SensitivityProfile(anc, rest, 0.0, 0.5)
 
 
 def test_total_expectation_identity():
     # sum_k p_k gamma2_{n|k}(x) = gamma2_n(x) for every x.
     for n, n_sensors, cells in ((2, 2, 2), (3, 4, 2), (4, 4, 4)):
-        t = np.linspace(0.0, 1.0, cells + 1)
-        probs = serial_max_message_distribution(n, t).probabilities
+        spec = ChatNetworkSpec.serial_max(n_sensors, cells)
+        probs = spec.message_probs(n)
         xs = np.linspace(0.001, 0.999, 301)
         mix = np.zeros_like(xs)
         for k in range(1, cells + 1):
-            prof = max_conditional_sensitivity(n, n_sensors, t[k - 1], t[k])
-            mix += probs[k - 1] * np.asarray(prof(xs))
+            mix += probs[k - 1] * np.asarray(spec.conditional_profile(n, k)(xs))
         assert np.allclose(mix, xs ** (n_sensors - 1), atol=1e-6)
 
 
 def test_message_distribution():
-    d = serial_max_message_distribution(3, [0.0, 0.5, 1.0])
-    assert np.allclose(d.probabilities, [0.25, 0.75])
-    assert d.entropy() == pytest.approx(0.8112781244591328)
+    spec = ChatNetworkSpec.serial_max(3, 2)
+    probs = spec.message_probs(3)
+    assert isinstance(probs, np.ndarray)
+    assert np.allclose(probs, [0.25, 0.75])
+    # The first sensor hears nothing: message 1 for sure.
+    assert spec.message_probs(1).tolist() == [1.0]
     with pytest.raises(ValueError):
-        serial_max_message_distribution(1, [0.0, 1.0])
-    with pytest.raises(ValueError):
-        serial_max_message_distribution(2, [0.0, 0.5, 0.4, 1.0])
+        ChatNetworkSpec.serial_max(3, 3, boundaries=[0.0, 0.5, 0.4, 1.0])
 
 
 @settings(max_examples=20, deadline=None)
@@ -73,9 +85,9 @@ def test_message_distribution():
     st.integers(min_value=1, max_value=6),
 )
 def test_message_distribution_sums_to_one(n, cells):
-    t = np.linspace(0.0, 1.0, cells + 1)
-    d = serial_max_message_distribution(n, t)
-    assert d.probabilities.sum() == pytest.approx(1.0)
+    probs = ChatNetworkSpec.serial_max(n, cells).message_probs(n)
+    assert probs.size == cells
+    assert probs.sum() == pytest.approx(1.0)
 
 
 def test_monte_carlo_recovers_unconditional_profile():
@@ -101,7 +113,7 @@ def test_monte_carlo_conditional_matches_closed_form():
     means, stderr = sensitivity_monte_carlo(
         max_partial, sampler, n, grid, 4_000, seed=3
     )
-    closed = np.asarray(max_conditional_sensitivity(n, n_sensors, s_l, s_u)(grid))
+    closed = np.asarray(SensitivityProfile(n - 1, n_sensors - n, s_l, s_u)(grid))
     dev = np.abs(means - closed)
     assert np.all(dev <= 5.0 * np.maximum(stderr, 1e-12))
 
