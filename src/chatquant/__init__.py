@@ -15,9 +15,10 @@ from .probcore import (
     integrate_adaptive,
 )
 from .quantizer import (
+    MAX_CODEBOOK_SIZE,
+    CodebookTable,
     InfeasibleCodebookError,
     Quantizer,
-    output_entropy,
 )
 from .sensitivity import SensitivityProfile
 from .distortion import (
@@ -70,12 +71,14 @@ __all__ = [
     "AllocationResult",
     "ChatNetworkSpec",
     "CONDITIONAL_EXPECTATION",
+    "CodebookTable",
     "DistortionReport",
     "ENTROPY_CONSTRAINED",
     "FIXED_RATE",
     "InfeasibleBudgetError",
     "InfeasibleCodebookError",
     "InfeasibleRateError",
+    "MAX_CODEBOOK_SIZE",
     "NetworkDesign",
     "PLUG_IN",
     "Pdf",
@@ -96,7 +99,6 @@ __all__ = [
     "integrate_adaptive",
     "measure_entropy_rate",
     "out_message_table",
-    "output_entropy",
     "parse_spec_file",
     "predict",
     "replay_codebooks",

@@ -26,12 +26,13 @@ import numpy as np
 
 from .allocation import AllocationResult, _allocate_from, _fusion_budget
 from .probcore import Pdf
-from .quantizer import Quantizer, _row_quantizer
+from .quantizer import MAX_CODEBOOK_SIZE, CodebookTable, _reject_rows, _row_quantizer
 from .sensitivity import SensitivityProfile
 from .distortion import (
     ENTROPY_CONSTRAINED,
     FIXED_RATE,
     DistortionReport,
+    InfeasibleRateError,
     _entropy_report,
     _fixed_rate_report,
     _fixed_rate_terms,
@@ -262,74 +263,86 @@ class ChatNetworkSpec:
 
 def build_banks(
     spec: ChatNetworkSpec, sizes: Sequence[int | Mapping[int, int]]
-) -> dict[int, dict[int, Quantizer]]:
-    """Codebook banks for every sensor, indexed [sensor][message].
+) -> CodebookTable:
+    """The table of every codebook, one row per (sensor, message).
 
     ``sizes`` holds one entry per sensor: the size of every codebook the
     sensor holds, or a mapping from each message it can receive to that
     codebook's size, which entropy-coded designs use.  Each codebook is
-    the compander of the regime-optimal point density of its (sensor,
-    message) row.  Raises ValueError naming the sensor and message for a
-    size that is not an integer (True is not one) and for a mapping that
-    misses a message or sizes one the sensor cannot receive.
+    the compander of the regime-optimal point density of its row.  Raises
+    ValueError naming the sensor and message for a size that is not an
+    integer (True is not one) and for a mapping that misses a message or
+    sizes one the sensor cannot receive, ``InfeasibleRateError`` for a
+    size outside 1..``MAX_CODEBOOK_SIZE``, and ``InfeasibleCodebookError``
+    for one that leaves a don't-care row no granular cell.
     """
     if len(sizes) != spec.n_sensors:
         raise ValueError("need one codebook size per sensor")
-    root = np.cbrt if spec.regime == FIXED_RATE else np.sqrt
-    banks: dict[int, dict[int, Quantizer]] = {}
+    live = _live_rows(spec)
+    n_cells = np.zeros(live.shape, dtype=np.int64)
     for n, size in enumerate(sizes, start=1):
-        messages = range(1, len(spec.partition) if spec.receives(n) else 2)
+        messages = range(1, int(live[n - 1].sum()) + 1)
         per_message = size if isinstance(size, Mapping) else dict.fromkeys(messages, size)
-        extra = [k for k in per_message if k not in messages]
-        if extra:
-            raise ValueError(
-                f"sensor {n}, message {extra[0]!r}: a size for a message "
-                f"the sensor cannot receive (it receives 1..{len(messages)})"
-            )
-        banks[n] = {}
-        for k in messages:
-            if k not in per_message:
-                raise ValueError(f"sensor {n}, message {k}: no codebook size")
-            size_k = per_message[k]
+        for k, size_k in per_message.items():
+            if k not in messages:
+                raise ValueError(
+                    f"sensor {n}, message {k!r}: a size for a message "
+                    f"the sensor cannot receive (it receives 1..{len(messages)})"
+                )
             if isinstance(size_k, bool) or not isinstance(size_k, (int, np.integer)):
                 raise ValueError(
                     f"sensor {n}, message {k}: codebook size must be an integer, "
                     f"got {size_k!r}"
                 )
-            banks[n][k] = _row_quantizer(spec.conditional_profile(n, k), root, int(size_k))
-    return banks
+            if not 1 <= size_k <= MAX_CODEBOOK_SIZE:
+                raise InfeasibleRateError(
+                    f"sensor {n}, message {k}: codebook size {size_k} is not in "
+                    f"1..{MAX_CODEBOOK_SIZE}, the largest codebook"
+                )
+            n_cells[n - 1, k - 1] = size_k
+    _reject_rows(live & (n_cells == 0), n_cells, "no codebook size")
+    root = np.cbrt if spec.regime == FIXED_RATE else np.sqrt
+    edges = np.zeros(n_cells.shape + (n_cells.max() + 1,))
+    codewords = np.zeros_like(edges)
+    dont_care = np.zeros(n_cells.shape, dtype=bool)
+    for n, k in np.argwhere(n_cells).tolist():
+        size = int(n_cells[n, k])
+        profile = spec.conditional_profile(n + 1, k + 1)
+        edges[n, k, : size + 1], codewords[n, k, :size] = _row_quantizer(profile, root, size)
+        dont_care[n, k] = profile.s_l > 0
+    return CodebookTable(n_cells, edges, codewords, dont_care)
 
 
-def out_message_table(
-    spec: ChatNetworkSpec,
-    banks: Mapping[int, Mapping[int, Quantizer]],
-    n: int,
-) -> np.ndarray:
+def _live_rows(spec: ChatNetworkSpec) -> np.ndarray:
+    """(N, K) mask of the (sensor, message) rows that hold a codebook:
+    message 1 of every sensor, every message of a sensor that hears chat."""
+    hears = np.array([spec.receives(n) for n in range(1, spec.n_sensors + 1)])
+    return hears[:, None] | (np.arange(len(spec.partition) - 1) == 0)
+
+
+def out_message_table(spec: ChatNetworkSpec, table: CodebookTable, n: int) -> np.ndarray:
     """Chat message sensor ``n`` sends to sensor n + 1 as a function of
-    decodable data.
+    decodable data, laid out as sensor n's (K, S + 1) block of ``table``.
 
     Entry [k_in - 1, m - 1] is the outgoing message when sensor n
     received message k_in and transmitted fusion codeword m: the max rule
-    max(k_in, chat cell of codeword), where cells are left-open.  It reads
-    the sender's *codeword*, not its raw observation, so the fusion
-    center can replay every entry (C4).  Raises ``ValueError`` when
-    sensor n sends no message.
+    max(k_in, chat cell of codeword), where cells are left-open; it is 0
+    where row k_in has no cell m.  It reads the sender's *codeword*, not
+    its raw observation, so the fusion center can replay every entry
+    (C4).  Raises ``ValueError`` when sensor n sends no message.
     """
     if not (1 <= n < spec.n_sensors and spec.receives(n + 1)):
         raise ValueError(f"sensor {n} sends no chat message")
     t = np.asarray(spec.partition)
-    sender_bank = banks[n]
-    n_codes = max(q.size for q in sender_bank.values())
-    table = np.zeros((len(sender_bank), n_codes), dtype=np.int64)
-    for k_in, q in sender_bank.items():
-        cells = np.searchsorted(t, q.codewords, side="left").clip(1, t.size - 1)
-        table[k_in - 1, : q.size] = np.maximum(cells, k_in)
-    return table
+    cells = np.searchsorted(t, table.codewords[n - 1], side="left").clip(1, t.size - 1)
+    out = np.maximum(cells, np.arange(1, cells.shape[0] + 1)[:, None])
+    out[np.arange(table.stride) >= table.sizes[n - 1, :, None]] = 0
+    return out
 
 
 @dataclass(frozen=True)
 class NetworkDesign:
-    """Concrete quantizer banks realizing an allocation.
+    """Concrete codebooks realizing an allocation.
 
     ``sizes`` holds the integer codebook sizes actually built (per sensor
     for fixed rate, per sensor per message under entropy coding);
@@ -339,7 +352,7 @@ class NetworkDesign:
 
     spec: ChatNetworkSpec
     sizes: tuple
-    banks: dict[int, dict[int, Quantizer]]
+    banks: CodebookTable
     allocation: AllocationResult | None
     predicted: DistortionReport
 
@@ -360,7 +373,9 @@ def design_network(
     ``distortion.predict`` takes, and raise as it does: ``ValueError`` for
     another shape or a non-finite rate, ``InfeasibleRateError`` for a
     fixed rate that buys less than one granular cell beside the
-    don't-care cells.
+    don't-care cells.  Either way, a rate whose codebook would hold more
+    than ``MAX_CODEBOOK_SIZE`` cells raises ``InfeasibleRateError``
+    before any codebook is built.
     """
     if (budget is None) == (rates is None):
         raise ValueError("give either a budget or explicit rates")
@@ -381,7 +396,7 @@ def design_network(
             target = alloc.rates
         alphas = np.asarray(spec.fusion_alphas)
         min_sizes = dont_care.max(axis=1) + 1
-        sizes = np.maximum(np.rint(2.0**target).astype(int), min_sizes)
+        sizes = np.maximum(_codebook_sizes(target[:, None])[:, 0], min_sizes)
         if alloc is not None:
             sizes = _repair_budget(sizes, min_sizes, alphas, consts, remaining)
         banks = build_banks(spec, [int(s) for s in sizes])
@@ -397,7 +412,7 @@ def design_network(
     else:
         rate_table = np.ones(dont_care.shape)
         rate_table[consts[0] > 0.0] = alloc.rates
-    table = np.maximum(np.rint(2.0**rate_table).astype(int), dont_care + 1)
+    table = np.maximum(_codebook_sizes(rate_table), dont_care + 1)
     sizes = tuple(
         tuple(row[: spec.message_probs(n).size].tolist())
         for n, row in enumerate(table, start=1)
@@ -405,6 +420,16 @@ def design_network(
     banks = build_banks(spec, [dict(enumerate(row, start=1)) for row in sizes])
     predicted = _entropy_report(*consts, rate_table)
     return NetworkDesign(spec, sizes, banks, alloc, predicted)
+
+
+def _codebook_sizes(rates: np.ndarray) -> np.ndarray:
+    """Integer sizes rint(2^rate) of an (N, K) rate table, checked against
+    ``MAX_CODEBOOK_SIZE`` before the cast."""
+    with np.errstate(over="ignore"):
+        sizes = np.rint(2.0**rates)
+    _reject_rows(sizes > MAX_CODEBOOK_SIZE, sizes, "its rate asks for {size:.6g} cells, more than "
+                 f"the largest codebook of {MAX_CODEBOOK_SIZE} cells", InfeasibleRateError)
+    return sizes.astype(int)
 
 
 def _repair_budget(

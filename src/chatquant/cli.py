@@ -165,9 +165,8 @@ def _cmd_design(args) -> int:
     if args.banks_dir:
         outdir = Path(args.banks_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        for n, bank in design.banks.items():
-            for k, q in bank.items():
-                (outdir / f"sensor{n}_msg{k}.txt").write_text(q.to_text())
+        for n, k in design.banks.rows():
+            (outdir / f"sensor{n}_msg{k}.txt").write_text(design.banks.codebook(n, k).to_text())
         print(f"banks written to {outdir}")
     return 0
 

@@ -17,14 +17,13 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .chatnet import ChatNetworkSpec, out_message_table
+from .chatnet import ChatNetworkSpec, _live_rows, out_message_table
 from .distortion import ENTROPY_CONSTRAINED
 from .probcore import binary_entropy
-from .quantizer import Quantizer
+from .quantizer import CodebookTable, _reject_rows
 
 __all__ = [
     "CHUNK",
@@ -87,27 +86,53 @@ class SimulationResult:
 class _Protocol:
     """Chat message tables along the serial chain.
 
-    ``sends[n]`` holds, at the table position of each cell of sensor n's
-    codebooks (see ``_CellTable``), the message sensor n sends to sensor
-    n + 1 when it transmits that cell, so a chat hop is one gather.
+    ``sends`` holds, at the table position of each cell of a sending
+    sensor's codebooks, the message the sensor sends on when it transmits
+    that cell, so a chat hop is one gather.  Raises ``ValueError`` naming
+    the first (sensor, message) row that holds a codebook where the spec
+    has no such message, or none where it has.
     """
 
-    def __init__(self, spec: ChatNetworkSpec, banks: Mapping[int, Mapping[int, Quantizer]]):
-        if set(banks) != set(range(1, spec.n_sensors + 1)):
-            raise ValueError("need one codebook bank per sensor")
-        for n in range(1, spec.n_sensors + 1):
-            want = len(spec.partition) - 1 if spec.receives(n) else 1
-            if set(banks[n]) != set(range(1, want + 1)):
-                raise ValueError(
-                    f"sensor {n}: bank must cover messages 1..{want}"
-                )
+    def __init__(self, spec: ChatNetworkSpec, table: CodebookTable):
+        live = _live_rows(spec)
+        if table.sizes.shape != live.shape:
+            raise ValueError(f"{table.sizes.shape} table rows do not fit a {live.shape} chain")
+        _reject_rows((table.sizes > 0) != live, table.sizes, "codebook and spec disagree")
         self.spec = spec
-        self.cells = _CellTable(banks)
-        self.sends = {
-            n: self.cells.spread(n, out_message_table(spec, banks, n))
-            for n in range(1, spec.n_sensors)
-            if spec.receives(n + 1)
-        }
+        self.table = table
+        self.smallest = table.sizes.min(axis=1, where=live, initial=table.stride)
+        self.senders = frozenset(n for n in range(1, spec.n_sensors) if spec.receives(n + 1))
+        sends = np.zeros(table.edges.shape, dtype=np.int64)
+        for n in self.senders:
+            sends[n - 1] = out_message_table(spec, table, n)
+        self.sends = sends.reshape(-1)
+
+    def index(self, n: int, m: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Table positions of cells ``m`` of the codebooks that messages
+        ``k`` select at sensor ``n``, all 1-based.
+
+        The messages are replayed from checked cells, so each selects a
+        codebook of the sensor.  Raises ``ValueError`` when an index is
+        not a cell of the codebook its message selects.
+        """
+        table = self.table
+        stride = table.stride
+        pos = k * stride
+        pos += m
+        pos += (n - 1) * table.sizes.shape[1] * stride - stride - 1
+        top = m.max(initial=1)
+        # An index within every codebook of the sensor is a cell whatever
+        # the message; only a larger one needs the table.
+        if m.min(initial=1) >= 1 and (
+            top <= self.smallest[n - 1] or (top < stride and table.is_cell[pos].all())
+        ):
+            return pos
+        size = table.sizes[n - 1, k - 1]
+        t = np.flatnonzero((m < 1) | (m > size))[0]
+        raise ValueError(
+            f"sensor {n}: index {m[t]} is not a cell of codebook {k[t]} "
+            f"(cells 1..{size[t]})"
+        )
 
     def replay(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Incoming messages recomputed from fusion indices alone, and the
@@ -116,13 +141,12 @@ class _Protocol:
         Raises ``ValueError`` at the first sensor, in chain order, whose
         index is not a cell of the codebook its replayed message selects.
         """
-        spec = self.spec
         incoming = np.ones_like(indices)
         pos = np.empty(indices.shape, dtype=np.int64, order="F")
-        for n in range(1, spec.n_sensors + 1):
-            pos[:, n - 1] = self.cells.index(n, indices[:, n - 1], incoming[:, n - 1])
-            if n in self.sends:
-                incoming[:, n] = self.sends[n][pos[:, n - 1]]
+        for n in range(1, self.spec.n_sensors + 1):
+            pos[:, n - 1] = self.index(n, indices[:, n - 1], incoming[:, n - 1])
+            if n in self.senders:
+                incoming[:, n] = self.sends[pos[:, n - 1]]
         return incoming, pos
 
 
@@ -143,47 +167,39 @@ class _Encoder(_Protocol):
     ``_buckets``, so the start is never past x's cell and falls short by
     at most the interior boundaries x's bucket holds; ``steps[n-1]``, the
     most any bucket of the sensor holds, lands every x on the cell
-    ``Quantizer.quantize`` gives.  ``hops[n]``, for a sensor n whose
-    message to sensor n + 1 takes more than one value, is the key offset
-    (message - 1) * scale of the receiver at each position of sensor n.
+    ``Quantizer.quantize`` gives.  ``hop``, on a chain whose messages take
+    more than one value, is the key offset (message - 1) * scale of the
+    receiver at each position of a sender.
     """
 
-    def __init__(self, spec: ChatNetworkSpec, banks: Mapping[int, Mapping[int, Quantizer]]):
-        super().__init__(spec, banks)
-        cells = self.cells
-        narrowest = min(
-            np.diff(q.boundaries).min() for bank in banks.values() for q in bank.values()
-        )
+    def __init__(self, spec: ChatNetworkSpec, table: CodebookTable):
+        super().__init__(spec, table)
+        n_sensors, n_messages, stride = table.edges.shape
+        narrowest = np.diff(table.lower).min(where=table.is_cell[:-1], initial=np.inf)
         scale = 1
         while scale < _MAX_BUCKETS and scale * narrowest < 1.0:
             scale *= 2
         self.scale = scale
-        self.upper = np.full(cells.lower.size, np.inf)
+        # Cells 1..size-1 of a row end at its interior boundaries.
+        inner = (np.arange(stride) < table.sizes[..., None] - 1).reshape(-1)
+        self.upper = np.full(inner.size, np.inf)
+        self.upper[:-1] = np.where(inner[:-1], table.upper, np.inf)
         # Position p holds cell p % stride + 1 of the codebook that message
         # p % row // stride + 1 selects.
-        every = np.arange(cells.lower.size, dtype=np.int64)
-        self.cell_no = every % cells.stride + 1
-        self.message_of = every % cells.row // cells.stride + 1
-        self.hops = {
-            n: (send - 1) * scale
-            for n, send in self.sends.items()
-            if len(spec.partition) > 2
-        }
-        self.starts: list[np.ndarray] = []
-        self.steps: list[int] = []
-        for n in range(1, spec.n_sensors + 1):
-            starts = np.empty(len(banks[n]) * scale, dtype=np.int64)
-            steps = 0
-            for k, q in banks[n].items():
-                first = cells.position(n, k)
-                self.upper[first : first + q.size - 1] = q.boundaries[1:-1]
-                inner = _buckets(q.boundaries[1:-1], scale)
-                starts[(k - 1) * scale : k * scale] = first + np.searchsorted(
-                    inner, np.arange(scale), side="left"
-                )
-                steps = max(steps, int(np.bincount(inner).max(initial=0)))
-            self.starts.append(starts)
-            self.steps.append(steps)
+        every = np.arange(inner.size, dtype=np.int64)
+        self.cell_no = every % stride + 1
+        self.message_of = every % (n_messages * stride) // stride + 1
+        self.hop = (self.sends - 1) * scale if n_messages > 1 else None
+        # hist[row, b]: interior boundaries of each (sensor, message) row
+        # in bucket b; starts count those in lower buckets.
+        rows = n_sensors * n_messages
+        at = np.flatnonzero(inner)
+        key = _buckets(table.upper[at], scale)
+        key += at // stride * scale
+        hist = np.bincount(key, minlength=rows * scale).reshape(rows, scale)
+        first = np.arange(rows)[:, None] * stride
+        self.starts = (first + np.cumsum(hist, axis=1) - hist).reshape(n_sensors, -1)
+        self.steps = hist.reshape(n_sensors, -1).max(axis=1).tolist()
 
     def positions(self, x: np.ndarray) -> np.ndarray:
         """Table positions of the cells a (trials, N) observation block
@@ -193,8 +209,8 @@ class _Encoder(_Protocol):
         for n in range(1, self.spec.n_sensors + 1):
             x_col = x[:, n - 1]
             key = _buckets(x_col, self.scale)
-            if n - 1 in self.hops:
-                key += self.hops[n - 1][pos[:, n - 2]]
+            if n > 1 and self.hop is not None:
+                key += self.hop[pos[:, n - 2]]
             col = self.starts[n - 1][key]
             for _ in range(self.steps[n - 1]):
                 col += self.upper[col] < x_col
@@ -221,9 +237,7 @@ def _buckets(x: np.ndarray, scale: int) -> np.ndarray:
 
 
 def replay_codebooks(
-    spec: ChatNetworkSpec,
-    banks: Mapping[int, Mapping[int, Quantizer]],
-    indices: np.ndarray,
+    spec: ChatNetworkSpec, table: CodebookTable, indices: np.ndarray
 ) -> np.ndarray:
     """Codebook choices the fusion decoder derives from the indices it saw.
 
@@ -238,7 +252,7 @@ def replay_codebooks(
     one.
     """
     idx = _index_block(indices, spec.n_sensors)
-    proto = _Protocol(spec, banks)
+    proto = _Protocol(spec, table)
     out = np.empty(idx.shape, dtype=np.int64)
     for rows in _row_blocks(*idx.shape):
         out[rows] = proto.replay(idx[rows].astype(np.int64, copy=False))[0]
@@ -260,96 +274,20 @@ def _index_block(indices, n_sensors: int) -> np.ndarray:
     return idx
 
 
-class _CellTable:
-    """Every codebook of a bank set padded into flat lookup tables.
-
-    Cell m of the codebook that message k selects at sensor n sits at
-    position ``(n-1)*K*stride + (k-1)*stride + m-1`` of ``lower``,
-    ``upper`` and ``codewords``, with K the most messages any sensor
-    receives and ``stride`` the largest codebook size plus one.  A block
-    of positions, one per (trial, sensor), then reads any cell property
-    with one gather.  The encoder builds positions in range; ``index``
-    turns replayed messages and untrusted indices into positions and
-    rejects indices outside the banks, so a lookup never reads a pad or a
-    neighbouring codebook.
-    """
-
-    def __init__(self, banks: Mapping[int, Mapping[int, Quantizer]]):
-        sensors = range(1, len(banks) + 1)
-        self.smallest = [min(q.size for q in banks[n].values()) for n in sensors]
-        self.stride = max(q.size for bank in banks.values() for q in bank.values()) + 1
-        n_messages = max(len(bank) for bank in banks.values())
-        self.sizes = np.zeros((len(banks), n_messages), dtype=np.int64)
-        bounds = np.zeros(self.sizes.shape + (self.stride,))
-        codewords = np.zeros_like(bounds)
-        is_cell = np.zeros(bounds.shape, dtype=bool)
-        for n, bank in banks.items():
-            for k, q in bank.items():
-                self.sizes[n - 1, k - 1] = q.size
-                bounds[n - 1, k - 1, : q.size + 1] = q.boundaries
-                codewords[n - 1, k - 1, : q.size] = q.codewords
-                is_cell[n - 1, k - 1, : q.size] = True
-        self.lower = bounds.ravel()
-        # Cell m ends at boundary m, the next entry of the same row.
-        self.upper = self.lower[1:]
-        self.codewords = codewords.ravel()
-        self.is_cell = is_cell.ravel()
-        self.row = self.sizes.shape[1] * self.stride
-
-    def position(self, n: int, k: int) -> int:
-        """Table position of cell 1 of the codebook message ``k`` selects
-        at sensor ``n``."""
-        return (n - 1) * self.row + (k - 1) * self.stride
-
-    def spread(self, n: int, table: np.ndarray) -> np.ndarray:
-        """A (message, cell) table of sensor ``n``, entry [k-1, m-1] moved
-        to the position of cell m of codebook k; zero elsewhere."""
-        out = np.zeros(self.lower.size, dtype=table.dtype)
-        first = self.position(n, 1)
-        block = out[first : first + self.row].reshape(-1, self.stride)
-        block[: table.shape[0], : table.shape[1]] = table
-        return out
-
-    def index(self, n: int, m: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Table positions of cells ``m`` of the codebooks that messages
-        ``k`` select at sensor ``n``, all 1-based.
-
-        The messages are replayed from checked cells, so each is in the
-        sensor's bank.  Raises ``ValueError`` when an index is not a cell
-        of the codebook its message selects.
-        """
-        pos = k * self.stride
-        pos += m
-        pos += (n - 1) * self.row - self.stride - 1
-        top = m.max(initial=1)
-        # An index within every codebook of the sensor is a cell whatever
-        # the message; only a larger one needs the table.
-        if m.min(initial=1) >= 1 and (
-            top <= self.smallest[n - 1]
-            or (top < self.stride and self.is_cell[pos].all())
-        ):
-            return pos
-        size = self.sizes[n - 1, k - 1]
-        t = np.flatnonzero((m < 1) | (m > size))[0]
-        raise ValueError(
-            f"sensor {n}: index {m[t]} is not a cell of codebook {k[t]} "
-            f"(cells 1..{size[t]})"
-        )
-
-    def counts(self, pos: np.ndarray) -> np.ndarray:
-        """How often each cell occurs in a block of positions, as an
-        (N, K, stride) table: [n-1, k-1, m-1] counts cell m of the codebook
-        message k selects at sensor n."""
-        hist = np.bincount(pos.ravel(order="K"), minlength=self.lower.size)
-        return hist.reshape(self.sizes.shape + (self.stride,))
+def _counts(table: CodebookTable, pos: np.ndarray) -> np.ndarray:
+    """How often each cell occurs in a block of positions, as an
+    (N, K, S + 1) table: [n-1, k-1, m-1] counts cell m of the codebook
+    message k selects at sensor n."""
+    hist = np.bincount(pos.ravel(order="K"), minlength=table.lower.size)
+    return hist.reshape(table.edges.shape)
 
 
-def _estimate(decoder: str, cells: _CellTable, pos: np.ndarray) -> np.ndarray:
+def _estimate(decoder: str, table: CodebookTable, pos: np.ndarray) -> np.ndarray:
     """Each trial's estimate of the max from its cells' table positions:
     the largest codeword (plug-in) or E[max | cells]."""
     if decoder == PLUG_IN:
-        return cells.codewords[pos].max(axis=1)
-    return _ce_max(cells.lower[pos], cells.upper[pos])
+        return table.cell_codewords[pos].max(axis=1)
+    return _ce_max(table.lower[pos], table.upper[pos])
 
 
 @functools.cache
@@ -448,7 +386,7 @@ def _check_count(value, what: str, least: int) -> None:
 def decode(
     decoder: str,
     indices: np.ndarray,
-    banks: Mapping[int, Mapping[int, Quantizer]],
+    table: CodebookTable,
     spec: ChatNetworkSpec,
 ) -> float | np.ndarray:
     """Decode fusion indices into an estimate of the max.
@@ -467,11 +405,11 @@ def decode(
     _check_decoder(decoder)
     idx = _index_block(indices, spec.n_sensors)
     scalar = np.asarray(indices).ndim == 1
-    proto = _Protocol(spec, banks)
+    proto = _Protocol(spec, table)
     out = np.empty(idx.shape[0])
     for rows in _row_blocks(*idx.shape):
         pos = proto.replay(idx[rows].astype(np.int64, copy=False))[1]
-        out[rows] = _estimate(decoder, proto.cells, pos)
+        out[rows] = _estimate(decoder, table, pos)
     return float(out[0]) if scalar else out
 
 
@@ -535,7 +473,7 @@ def _run_chunks(one_chunk, n_chunks: int, workers: int) -> list:
 
 def run_simulation(
     spec: ChatNetworkSpec,
-    banks: Mapping[int, Mapping[int, Quantizer]],
+    table: CodebookTable,
     decoder: str = CONDITIONAL_EXPECTATION,
     trials: int = 100_000,
     seed: int = 0,
@@ -551,33 +489,29 @@ def run_simulation(
     min(W, chunks) - 1 threads.  Fixed ``seed`` gives bit-identical
     results for any ``workers``.  Raises ``ValueError`` for an unknown
     decoder, a trial count, seed or worker count that is not an integer in
-    range, or a fixed-rate bank whose codebooks differ in size by message
-    (its rate, log2 of the size, would be no single number).
+    range, a table whose rows do not fit the spec, or a fixed-rate sensor
+    whose codebooks differ in size by message (its rate, log2 of the
+    size, would be no single number).
     """
     _check_decoder(decoder)
     _check_count(trials, "trials", 1)
     _check_count(seed, "seed", 0)
     _check_count(workers, "workers", 1)
-    proto = _Encoder(spec, banks)
-    cells = proto.cells
+    proto = _Encoder(spec, table)
     n_chunks = (trials + CHUNK - 1) // CHUNK
     entropy = spec.regime == ENTROPY_CONSTRAINED
+    sizes = table.sizes
     if not entropy:
-        for n in range(1, spec.n_sensors + 1):
-            sizes = {k: q.size for k, q in banks[n].items()}
-            if len(set(sizes.values())) > 1:
-                raise ValueError(
-                    f"sensor {n}: a fixed-rate bank needs one codebook size, "
-                    f"got sizes {sizes} by message"
-                )
+        _reject_rows((sizes != sizes[:, :1]) & (sizes > 0), sizes, "a fixed-rate sensor needs "
+                     "one codebook size, not {size} cells here and another for message 1")
 
     def one_chunk(c: int) -> tuple[float, float, np.ndarray | int]:
         err = np.empty(min(CHUNK, trials - c * CHUNK))
         counts = 0
         for rows, x, pos in _chunk_blocks(spec, proto, trials, seed, c):
-            np.subtract(x.max(axis=1), _estimate(decoder, cells, pos), out=err[rows])
+            np.subtract(x.max(axis=1), _estimate(decoder, table, pos), out=err[rows])
             if entropy:
-                counts = counts + cells.counts(pos)
+                counts = counts + _counts(table, pos)
         err **= 2
         return float(err.sum()), float((err**2).sum()), counts
 
@@ -592,11 +526,9 @@ def run_simulation(
     stderr = np.sqrt(var / trials)
 
     if entropy:
-        rates = _sensor_rates(banks, sum(p[2] for p in parts))
+        rates = _sensor_rates(table, sum(p[2] for p in parts))
     else:
-        rates = np.array(
-            [np.log2(banks[n][1].size) for n in range(1, spec.n_sensors + 1)]
-        )
+        rates = np.log2(sizes[:, 0])
     return SimulationResult(
         trials,
         float(mean),
@@ -609,32 +541,27 @@ def run_simulation(
     )
 
 
-def _message_rates(
-    banks: Mapping[int, Mapping[int, Quantizer]], counts: np.ndarray
-) -> dict[tuple[int, int], float]:
+def _message_rates(table: CodebookTable, counts: np.ndarray) -> dict[tuple[int, int], float]:
     """Indicator-then-index rate of every (sensor, message) codebook from
-    an (N, K, stride) cell count table; 0 for a codebook never used."""
+    an (N, K, S + 1) cell count table; 0 for a codebook never used."""
     out = {}
-    for n in range(1, counts.shape[0] + 1):
-        for k, q in banks[n].items():
-            hist = counts[n - 1, k - 1, : q.size]
-            active = np.ones(q.size, dtype=bool)
-            active[[c - 1 for c in q.dont_care_cells]] = False
-            out[(n, k)] = _split_entropy(hist, active) if hist.sum() else 0.0
+    for n, k in table.rows():
+        size = table.sizes[n - 1, k - 1]
+        hist = counts[n - 1, k - 1, :size]
+        active = np.ones(size, dtype=bool)
+        active[0] = not table.dont_care[n - 1, k - 1]
+        out[(n, k)] = _split_entropy(hist, active) if hist.sum() else 0.0
     return out
 
 
-def _sensor_rates(
-    banks: Mapping[int, Mapping[int, Quantizer]], counts: np.ndarray
-) -> np.ndarray:
+def _sensor_rates(table: CodebookTable, counts: np.ndarray) -> np.ndarray:
     """Each sensor's message rates weighted by how often each message
     arrived; every sensor hears a message on every trial."""
-    per_msg = _message_rates(banks, counts)
     heard = counts.sum(axis=2)
+    weights = heard / heard.sum(axis=1, keepdims=True)
     rates = np.zeros(len(heard))
-    for n, bank in banks.items():
-        weights = heard[n - 1] / heard[n - 1].sum()
-        rates[n - 1] = sum(weights[k - 1] * per_msg[(n, k)] for k in bank)
+    for (n, k), rate in _message_rates(table, counts).items():
+        rates[n - 1] += weights[n - 1, k - 1] * rate
     return rates
 
 
@@ -664,7 +591,7 @@ def _split_entropy(hist: np.ndarray, active: np.ndarray) -> float:
 
 def measure_entropy_rate(
     spec: ChatNetworkSpec,
-    banks: Mapping[int, Mapping[int, Quantizer]],
+    table: CodebookTable,
     trials: int = 100_000,
     seed: int = 0,
 ) -> dict[tuple[int, int], float]:
@@ -678,10 +605,10 @@ def measure_entropy_rate(
     """
     _check_count(trials, "trials", 1)
     _check_count(seed, "seed", 0)
-    proto = _Encoder(spec, banks)
+    proto = _Encoder(spec, table)
     counts = sum(
-        proto.cells.counts(pos)
+        _counts(table, pos)
         for c in range((trials + CHUNK - 1) // CHUNK)
         for _rows, _x, pos in _chunk_blocks(spec, proto, trials, seed, c)
     )
-    return _message_rates(banks, counts)
+    return _message_rates(table, counts)

@@ -9,7 +9,9 @@ conditional-expectation oracle multiplies every sensor's conditional CDF
 instead of only the overlapping ones, the high-resolution constants
 are integrated pointwise by scipy's adaptive ``quad``, the encoder and
 cell lookup mask each (sensor, message) pair's rows in turn where the
-simulator gathers from padded tables, the index histograms are keyed by
+simulator gathers from the padded codebook table, the chat tables
+search each codebook's codewords in turn where ``out_message_table``
+searches the sender's whole block at once, the index histograms are keyed by
 (message, index) one sensor at a time where the simulator counts table
 positions of all sensors at once, the whole-chunk simulation draws,
 encodes and estimates each chunk as one block where the simulator
@@ -210,17 +212,61 @@ def ce_max_all_sensors(cdf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return left + tail.sum(axis=1)
 
 
-def encode_mask_loop(spec, banks, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def bank_table(banks):
+    """The ``CodebookTable`` of hand-made codebooks ``{n: {k: Quantizer}}``:
+    each row padded to the largest size, and cell 1 a don't-care cell
+    where the codebook says so."""
+    from chatquant.quantizer import CodebookTable
+
+    shape = (max(banks), max(max(bank) for bank in banks.values()))
+    stride = max(q.size for bank in banks.values() for q in bank.values()) + 1
+    sizes = np.zeros(shape, dtype=np.int64)
+    edges = np.zeros(shape + (stride,))
+    codewords = np.zeros_like(edges)
+    dont_care = np.zeros(shape, dtype=bool)
+    for n, bank in banks.items():
+        for k, q in bank.items():
+            if q.dont_care_cells - {1}:
+                raise ValueError("only cell 1 can be a don't-care cell")
+            sizes[n - 1, k - 1] = q.size
+            edges[n - 1, k - 1, : q.size + 1] = q.boundaries
+            codewords[n - 1, k - 1, : q.size] = q.codewords
+            dont_care[n - 1, k - 1] = bool(q.dont_care_cells)
+    return CodebookTable(sizes, edges, codewords, dont_care)
+
+
+def codebooks(table) -> dict:
+    """Every codebook of a table as ``{n: {k: Quantizer}}``."""
+    out: dict = {}
+    for n, k in table.rows():
+        out.setdefault(n, {})[k] = table.codebook(n, k)
+    return out
+
+
+def out_message_loop(spec, table, n: int) -> np.ndarray:
+    """Chat messages of sensor ``n`` to sensor n + 1, one codebook at a
+    time: entry [k_in - 1, m - 1] is max(k_in, chat cell of codeword m of
+    the codebook message k_in selects), for a (messages of n, largest
+    size of n) table that is 0 past each codebook's cells."""
+    t = np.asarray(spec.partition)
+    bank = codebooks(table)[n]
+    out = np.zeros((len(bank), max(q.size for q in bank.values())), dtype=np.int64)
+    for k_in, q in bank.items():
+        cells = np.searchsorted(t, q.codewords, side="left").clip(1, t.size - 1)
+        out[k_in - 1, : q.size] = np.maximum(cells, k_in)
+    return out
+
+
+def encode_mask_loop(spec, table, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fusion indices and incoming chat messages of a (trials, N) block,
     both 1-based, by a boolean mask per (sensor, message) and a 2-D table
     lookup per chat link, walked in chain order."""
-    from chatquant.chatnet import out_message_table
-
     tables = {
-        n: out_message_table(spec, banks, n)
+        n: out_message_loop(spec, table, n)
         for n in range(1, spec.n_sensors)
         if spec.receives(n + 1)
     }
+    banks = codebooks(table)
     trials = x.shape[0]
     indices = np.zeros((trials, spec.n_sensors), dtype=np.int64)
     incoming = np.ones((trials, spec.n_sensors), dtype=np.int64)
@@ -236,15 +282,15 @@ def encode_mask_loop(spec, banks, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return indices, incoming
 
 
-def cell_bounds_mask_loop(banks, indices: np.ndarray, incoming: np.ndarray):
+def cell_bounds_mask_loop(table, indices: np.ndarray, incoming: np.ndarray):
     """Per-trial cell edges and codewords, all (trials, N), by a boolean
     mask per (sensor, message)."""
     trials, n_sensors = indices.shape
     lo = np.full((trials, n_sensors), np.nan)
     hi = np.full((trials, n_sensors), np.nan)
     cw = np.full((trials, n_sensors), np.nan)
-    for n in range(1, n_sensors + 1):
-        for k, q in banks[n].items():
+    for n, bank in codebooks(table).items():
+        for k, q in bank.items():
             rows = incoming[:, n - 1] == k
             m = indices[rows, n - 1]
             lo[rows, n - 1] = q.boundaries[m - 1]
@@ -253,19 +299,19 @@ def cell_bounds_mask_loop(banks, indices: np.ndarray, incoming: np.ndarray):
     return lo, hi, cw
 
 
-def index_histograms(banks, indices: np.ndarray, incoming: np.ndarray) -> dict:
+def index_histograms(table, indices: np.ndarray, incoming: np.ndarray) -> dict:
     """Per sensor n, a (messages, largest codebook size) table whose entry
     [k-1, m-1] counts the trials where message k arrived and index m was
     sent, keyed (k - 1) * width + m - 1 and counted by ``np.bincount``."""
     out = {}
-    for n, bank in banks.items():
+    for n, bank in codebooks(table).items():
         shape = (len(bank), max(q.size for q in bank.values()))
         key = (incoming[:, n - 1] - 1) * shape[1] + indices[:, n - 1] - 1
         out[n] = np.bincount(key, minlength=shape[0] * shape[1]).reshape(shape)
     return out
 
 
-def whole_chunk_simulation(spec, banks, decoder: str, trials: int, seed: int):
+def whole_chunk_simulation(spec, table, decoder: str, trials: int, seed: int):
     """``run_simulation``'s fMSE, stderr and rates, and
     ``measure_entropy_rate``'s rates, with each chunk drawn, encoded and
     estimated whole, as one (chunk, N) block.
@@ -274,13 +320,14 @@ def whole_chunk_simulation(spec, banks, decoder: str, trials: int, seed: int):
     """
     from chatquant.simulator import (
         CHUNK,
+        _counts,
         _Encoder,
         _estimate,
         _message_rates,
         _sensor_rates,
     )
 
-    enc = _Encoder(spec, banks)
+    enc = _Encoder(spec, table)
     total = total_sq = counts = 0
     for c in range((trials + CHUNK - 1) // CHUNK):
         size = min(CHUNK, trials - c * CHUNK)
@@ -289,19 +336,19 @@ def whole_chunk_simulation(spec, banks, decoder: str, trials: int, seed: int):
         )
         x = np.asfortranarray(spec.source.sample(rng, (size, spec.n_sensors)))
         pos = enc.positions(x)
-        err = (x.max(axis=1) - _estimate(decoder, enc.cells, pos)) ** 2
+        err = (x.max(axis=1) - _estimate(decoder, table, pos)) ** 2
         total += float(err.sum())
         total_sq += float((err**2).sum())
-        counts = counts + enc.cells.counts(pos)
+        counts = counts + _counts(table, pos)
     mean = total / trials
     var = max(total_sq / trials - mean**2, 0.0)
     if trials > 1:
         var *= trials / (trials - 1)
     if spec.regime == "entropy-constrained":
-        rates = _sensor_rates(banks, counts)
+        rates = _sensor_rates(table, counts)
     else:
-        rates = np.array([np.log2(banks[n][1].size) for n in range(1, spec.n_sensors + 1)])
-    return mean, np.sqrt(var / trials), rates, _message_rates(banks, counts)
+        rates = np.array([np.log2(table.codebook(n, 1).size) for n in range(1, spec.n_sensors + 1)])
+    return mean, np.sqrt(var / trials), rates, _message_rates(table, counts)
 
 
 def quad_integral(fn, lo: float, hi: float, points=()) -> float:

@@ -18,9 +18,10 @@ from chatquant.chatnet import (
     parse_spec_file,
 )
 from chatquant.allocation import InfeasibleBudgetError
-from chatquant.distortion import FIXED_RATE, _spec_constants, predict
+from chatquant.distortion import FIXED_RATE, InfeasibleRateError, _spec_constants, predict
 from chatquant.probcore import Pdf, integrate_adaptive
-from oracles import repair_budget_loop, serial_max_chat_round
+from chatquant.quantizer import MAX_CODEBOOK_SIZE
+from oracles import out_message_loop, repair_budget_loop, serial_max_chat_round
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -490,11 +491,12 @@ def test_parse_rejects_sources_other_than_unit_uniform(source):
 
 def test_bank_pins_dont_care_codeword():
     spec = chain(5, 2)
-    bank = build_banks(spec, [4] * 5)[2]
-    assert bank[1].dont_care_cells == frozenset()
-    assert bank[2].dont_care_cells == frozenset({1})
-    assert bank[2].codewords[0] == pytest.approx(0.5)
-    assert bank[2].boundaries[1] == pytest.approx(0.5)
+    table = build_banks(spec, [4] * 5)
+    assert table.dont_care.tolist() == [[False, False]] + [[False, True]] * 4
+    assert table.codebook(2, 1).dont_care_cells == frozenset()
+    assert table.codebook(2, 2).dont_care_cells == frozenset({1})
+    assert table.codewords[1, 1, 0] == pytest.approx(0.5)
+    assert table.edges[1, 1, 1] == pytest.approx(0.5)
 
 
 def test_build_banks_rejects_sizes_it_would_bend():
@@ -513,19 +515,41 @@ def test_build_banks_rejects_sizes_it_would_bend():
         with pytest.raises(ValueError, match=match):
             build_banks(spec, sizes)
     # Integers of any kind, and per-message mappings, still build.
-    banks = build_banks(entropy, [np.int64(4), {1: 4, 2: 6}, {2: 5, 1: 3}])
-    assert [q.size for q in banks[3].values()] == [3, 5]
+    table = build_banks(entropy, [np.int64(4), {1: 4, 2: 6}, {2: 5, 1: 3}])
+    assert table.sizes.tolist() == [[4, 0], [4, 6], [3, 5]]
+    # Below one cell, and above the largest codebook, a size is refused
+    # before any codebook is built.
+    with pytest.raises(InfeasibleRateError, match="sensor 2, message 1: codebook size 0 is not in"):
+        build_banks(fixed, [4, 0, 4])
+    with pytest.raises(InfeasibleRateError, match=f"sensor 3, message 2: .*{MAX_CODEBOOK_SIZE}"):
+        build_banks(entropy, [4, 4, {1: 4, 2: MAX_CODEBOOK_SIZE + 1}])
 
 
-def assert_max_rule(spec, banks):
+def test_build_banks_table_rows():
+    # One row per (sensor, message) of the chain: sensor 1 hears nothing,
+    # so only its message-1 row holds a codebook, padded like the rest.
+    table = build_banks(chain(3, 4), [5, 6, 7])
+    assert table.sizes.tolist() == [[5, 0, 0, 0], [6] * 4, [7] * 4]
+    assert table.edges.shape == table.codewords.shape == (3, 4, 8)
+    assert table.rows() == [(1, 1)] + [(n, k) for n in (2, 3) for k in range(1, 5)]
+    assert not table.edges[0, 1:].any() and not table.edges[1, :, 7:].any()
+    assert not table.edges.flags.writeable
+    with pytest.raises(ValueError, match="sensor 1, message 2: no codebook"):
+        table.codebook(1, 2)
+
+
+def assert_max_rule(spec, table):
     t = np.asarray(spec.partition)
     for n in range(1, len(spec.chat_alphas) + 1):
-        table = out_message_table(spec, banks, n)
-        for k_in, q in banks[n].items():
-            for m in range(1, q.size + 1):
-                j = max(int(np.searchsorted(t, q.codewords[m - 1], side="left")), 1)
-                assert table[k_in - 1, m - 1] == max(k_in, j)
-            assert not table[k_in - 1, q.size :].any()
+        block = out_message_table(spec, table, n)
+        assert block.shape == table.edges.shape[1:]
+        for k_in in range(1, block.shape[0] + 1):
+            size = table.sizes[n - 1, k_in - 1]
+            for m in range(1, size + 1):
+                cw = table.codewords[n - 1, k_in - 1, m - 1]
+                j = max(int(np.searchsorted(t, cw, side="left")), 1)
+                assert block[k_in - 1, m - 1] == max(k_in, j)
+            assert not block[k_in - 1, size:].any()
 
 
 def test_out_message_table_is_max_rule():
@@ -549,12 +573,14 @@ def test_out_message_table_is_max_rule_on_designs(name):
 
 
 def frozen_bank_designs():
-    """Banks of the shipped specs, of the benchmark and test chains, and of
-    one-cell partitions on both sides of the optimum, in a fixed order."""
+    """(spec, codebook table) of the shipped specs, of the benchmark and
+    test chains, and of one-cell partitions on both sides of the optimum,
+    in a fixed order."""
     ec = "entropy-constrained"
     for name, budget in (("max4_chat.txt", 16.0), ("max2_nochat.txt", 4.0),
                          ("max5_entropy.txt", 25.0)):
-        yield design_network(parse_spec_file((SPEC_DIR / name).read_text()), budget=budget).banks
+        spec = parse_spec_file((SPEC_DIR / name).read_text())
+        yield spec, design_network(spec, budget=budget).banks
     for spec, budget in (
         (chain(16, 2), 64.0),
         (chain(8, 4, chat_alpha=0.01), 32.0),
@@ -564,36 +590,54 @@ def frozen_bank_designs():
         (chain(10, 2, regime=ec, boundaries=(0.0, 0.2, 1.0)), 50.0),
         (chain(3, 2, boundaries=(0.0, 0.93, 1.0)), 9.0),
     ):
-        yield design_network(spec, budget=budget).banks
-    yield build_banks(parse_spec_file("N = 1\n"), [256])
+        yield spec, design_network(spec, budget=budget).banks
+    spec = parse_spec_file("N = 1\n")
+    yield spec, build_banks(spec, [256])
 
 
 def test_bank_digests_are_frozen():
     # Every codebook bit for bit: one SHA-256 over the boundaries,
-    # codewords and don't-care cells of every (sensor, message) pair.
+    # codewords and don't-care cells of every (sensor, message) row, in
+    # (sensor, message) order.
     digest = hashlib.sha256()
-    for banks in frozen_bank_designs():
-        for n in sorted(banks):
-            for k in sorted(banks[n]):
-                q = banks[n][k]
-                digest.update(q.boundaries.tobytes())
-                digest.update(q.codewords.tobytes())
-                digest.update(repr(sorted(q.dont_care_cells)).encode())
+    for _spec, table in frozen_bank_designs():
+        for n, k in table.rows():
+            size = table.sizes[n - 1, k - 1]
+            digest.update(table.edges[n - 1, k - 1, : size + 1].tobytes())
+            digest.update(table.codewords[n - 1, k - 1, :size].tobytes())
+            digest.update(b"[1]" if table.dont_care[n - 1, k - 1] else b"[]")
     assert digest.hexdigest() == (
         "a5e6ff66a75b0ac0a917a125cb66fddc2fee0a01aea37462a0c667a921d868a2"
     )
 
 
+def test_out_message_table_equals_per_codebook_loop():
+    # One search of the sender's whole block against the partition gives
+    # what searching each codebook's codewords in turn gives, on every
+    # live cell of every frozen-digest design.
+    senders = 0
+    for spec, table in frozen_bank_designs():
+        for n in range(1, len(spec.chat_alphas) + 1):
+            block = out_message_table(spec, table, n)
+            want = out_message_loop(spec, table, n)
+            live = np.arange(table.stride) < table.sizes[n - 1, :, None]
+            assert np.array_equal(block[: want.shape[0], : want.shape[1]], want)
+            assert not block[~live].any()
+            senders += 1
+    assert senders > 30
+
+
 def test_out_message_table_entries_in_range():
     spec = chain(4, 4)
-    banks = build_banks(spec, [6] * 4)
+    table = build_banks(spec, [6] * 4)
     for n in range(1, 4):
-        table = out_message_table(spec, banks, n)
-        assert table.min() >= 1 and table.max() <= 4
+        block = out_message_table(spec, table, n)
+        live = block[np.arange(table.stride) < table.sizes[n - 1, :, None]]
+        assert live.min() >= 1 and live.max() <= 4
     # Only a sender with a receiver has a table.
     for n in (0, 4):
         with pytest.raises(ValueError, match=f"sensor {n} sends no chat message"):
-            out_message_table(spec, banks, n)
+            out_message_table(spec, table, n)
     silent = parse_spec_file("N = 2\n")
     with pytest.raises(ValueError, match="sensor 1 sends no chat message"):
         out_message_table(silent, build_banks(silent, [4, 4]), 1)
@@ -621,7 +665,24 @@ def test_design_fixed_rate_budget():
     want = predict(spec, np.log2(design.sizes))
     assert design.predicted.total == pytest.approx(want.total, rel=1e-12)
     assert design.allocation is not None
-    assert set(design.banks) == {1, 2, 3, 4}
+    assert design.banks.rows() == [(1, 1)] + [(n, k) for n in (2, 3, 4) for k in (1, 2)]
+
+
+def test_design_refuses_codebooks_above_the_cap():
+    # rint(2^rate) is checked against the largest codebook before any
+    # cast: at the cap a rate builds, and one cell more is refused with
+    # the sensor, the message and the cap named, in both regimes.
+    one = parse_spec_file("N = 1\n")
+    assert design_network(one, rates=[20.0]).sizes == (MAX_CODEBOOK_SIZE,)
+    with pytest.raises(InfeasibleRateError, match=f"sensor 1, message 1: .*{MAX_CODEBOOK_SIZE}"):
+        design_network(one, rates=[math.log2(MAX_CODEBOOK_SIZE + 1)])
+    entropy = chain(2, 2, regime="entropy-constrained")
+    with pytest.raises(InfeasibleRateError, match=f"sensor 2, message 2: .*{MAX_CODEBOOK_SIZE}"):
+        design_network(entropy, rates=[4.0, [4.0, 21.0]])
+    # Budgets whose allocations ask for about 2^100 and 2^30 cells.
+    for budget in (200.0, 60.0):
+        with pytest.raises(InfeasibleRateError, match=f"sensor 1, message 1: .*{MAX_CODEBOOK_SIZE}"):
+            design_network(chain(2, 2), budget=budget)
 
 
 def test_repair_budget_matches_one_sensor_at_a_time():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -339,6 +340,47 @@ def test_design_prints_sizes_and_dumps_banks(tmp_path, capsys):
         "sensor3_msg1.txt",
         "sensor3_msg2.txt",
     ]
+    # Boundaries, codewords and don't-care cells, one line each, with
+    # every file the same bytes as when each row was its own object.
+    assert (banks / "sensor2_msg2.txt").read_text().splitlines()[2] == "1"
+    assert (banks / "sensor2_msg1.txt").read_text().endswith("\n\n")
+    digest = hashlib.sha256(b"".join((banks / name).read_bytes() for name in files))
+    assert digest.hexdigest() == (
+        "ae5aebe96ad0be93750fa83bbf256e67a809863dbf0d44f8c46f210db35c9daf"
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["design", "-N", "2", "--budget", "200"],
+        ["design", "-N", "2", "--budget", "60"],
+        ["simulate", "-N", "2", "--budget", "60", "--trials", "1000"],
+        ["design", "-N", "2", "--budget", "130", "--regime", "entropy-constrained"],
+        ["design", "-N", "1", "--rates", "20.5"],
+    ],
+)
+def test_codebooks_above_the_cap_exit_1(args, capsys):
+    # Rates of about 100 and 30 bits once cast to garbage sizes or asked
+    # for GiBs of codebook; now the largest codebook is named instead.
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sensor 1, message 1: its rate asks for")
+    assert "largest codebook of 1048576 cells" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+def test_simulate_at_2_to_the_16_cells(capsys):
+    # A don't-care row of 2^16 cells builds, and the run meets the
+    # prediction (1.5151e-11) within a percent.
+    args = ["simulate", "-N", "2", "--budget", "32", "--trials", "65536", "--decoder", "plug-in"]
+    assert main(args) == 0
+    values = {
+        line.split()[0]: float(line.split()[2])
+        for line in capsys.readouterr().out.splitlines()
+        if "fMSE" in line
+    }
+    assert values["empirical"] == pytest.approx(values["predicted"], rel=0.01)
 
 
 def test_design_with_rates(capsys):

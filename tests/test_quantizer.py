@@ -4,12 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chatquant.chatnet import ChatNetworkSpec, build_banks, parse_spec_file
-from chatquant.probcore import Pdf
-from chatquant.quantizer import (
-    InfeasibleCodebookError,
-    Quantizer,
-    output_entropy,
-)
+from chatquant.distortion import InfeasibleRateError
+from chatquant.quantizer import MAX_CODEBOOK_SIZE, CodebookTable, InfeasibleCodebookError
 
 EC = "entropy-constrained"
 
@@ -19,7 +15,7 @@ EC = "entropy-constrained"
 
 def row(spec, n, k, size):
     """Sensor n's codebook for message k, every codebook of ``size`` cells."""
-    return build_banks(spec, [size] * spec.n_sensors)[n][k]
+    return build_banks(spec, [size] * spec.n_sensors).codebook(n, k)
 
 
 def single(size):
@@ -53,7 +49,7 @@ def test_build_with_dont_care():
     # mass grows as (2x - 1)^(4/3).
     q = row(ChatNetworkSpec.serial_max(2, 2), 2, 2, 4)
     assert q.dont_care_cells == frozenset({1})
-    assert q.cell_interval(1) == (0.0, 0.5)
+    assert (q.boundaries[0], q.boundaries[1]) == (0.0, 0.5)
     assert q.codewords[0] == 0.5
     i = np.arange(4)
     want = (1 + (i / 3) ** 0.75) / 2
@@ -62,7 +58,7 @@ def test_build_with_dont_care():
 
 def test_build_infeasible():
     # The don't-care cell leaves no granular cell in a one-cell codebook.
-    with pytest.raises(InfeasibleCodebookError, match="size 1"):
+    with pytest.raises(InfeasibleCodebookError, match="sensor 2, message 2: .*size 1"):
         row(ChatNetworkSpec.serial_max(2, 2), 2, 2, 1)
 
 
@@ -76,35 +72,81 @@ def test_quantize_cells_left_open():
     assert np.array_equal(q.quantize(np.array([0.1, 0.6])), [1, 3])
 
 
+def one_row(edges, codewords, dont_care=False):
+    """A table of one sensor holding one codebook."""
+    return CodebookTable([[len(codewords)]], [[edges]], [[[*codewords, 0.0]]], [[dont_care]])
+
+
 def test_quantizer_validation():
-    with pytest.raises(ValueError):
-        Quantizer(boundaries=(0.0, 0.5, 0.4), codewords=(0.2, 0.6))
-    with pytest.raises(ValueError):
-        Quantizer(boundaries=(0.0, 0.5, 1.0), codewords=(0.2, 0.45))
+    with pytest.raises(ValueError, match="sensor 1, message 1: edges must be strictly increasing"):
+        one_row((0.0, 0.5, 0.4), (0.2, 0.6))
+    with pytest.raises(ValueError, match="sensor 1, message 1: codewords must lie within"):
+        one_row((0.0, 0.5, 1.0), (0.2, 0.45))
     # Codeword exactly on a cell edge is regular.
-    Quantizer(boundaries=(0.0, 0.5, 1.0), codewords=(0.5, 0.75))
+    one_row((0.0, 0.5, 1.0), (0.5, 0.75))
 
 
-def test_reconstruct():
-    q = Quantizer(boundaries=(0.0, 0.5, 1.0), codewords=(0.25, 0.75))
-    assert q.reconstruct(1) == 0.25
-    assert np.array_equal(q.reconstruct(np.array([2, 1])), [0.75, 0.25])
+def test_table_rejects_malformed_rows():
+    # Each fault is reported at its (sensor, message) row.
+    table = build_banks(ChatNetworkSpec.serial_max(2, 2), [4, 4])
+    fields = ("sizes", "edges", "codewords", "dont_care")
+
+    def altered(name, index, value):
+        arrays = {f: np.array(getattr(table, f)) for f in fields}
+        arrays[name][index] = value
+        return CodebookTable(*(arrays[f] for f in fields))
+
+    edge = table.edges[1, 1, 1]
+    cases = [
+        (("edges", (1, 1, 2), edge), ValueError, "sensor 2, message 2: edges must be strictly increasing"),
+        (("edges", (0, 0, 4), 0.5), ValueError, "sensor 1, message 1: edges must be strictly increasing"),
+        (("codewords", (1, 0, 3), 1.5), ValueError, "sensor 2, message 1: codewords must lie within their cells"),
+        (("codewords", (1, 1, 0), np.nan), ValueError, "sensor 2, message 2: codewords must lie"),
+        (("sizes", (1, 1), 1), InfeasibleCodebookError, "sensor 2, message 2: codebook of size 1 leaves no granular cell"),
+        (("dont_care", (0, 1), True), InfeasibleCodebookError, "sensor 1, message 2: codebook of size 0"),
+        (("sizes", (0, 0), 0), ValueError, "sensor 1, message 1: no cell"),
+        (("sizes", (1, 0), 5), ValueError, r"sensor 2, message 1: size 5 is not in 0\.\.4"),
+        (("sizes", (1, 0), -1), ValueError, r"sensor 2, message 1: size -1 is not in 0\.\.4"),
+    ]
+    for change, error, match in cases:
+        with pytest.raises(error, match=match):
+            altered(*change)
+    with pytest.raises(ValueError, match=r"need \(N, K\) sizes"):
+        CodebookTable(table.sizes, table.edges[:, :1], table.codewords, table.dont_care)
+    # The table keeps its own read-only copies.
+    sizes = np.array(table.sizes)
+    copy = CodebookTable(sizes, table.edges, table.codewords, table.dont_care)
+    sizes[0, 0] = 2
+    assert copy.sizes[0, 0] == 4 and not copy.sizes.flags.writeable
 
 
-def test_text_roundtrip():
-    q = row(ChatNetworkSpec.serial_max(3, 2), 3, 2, 5)
-    q2 = Quantizer.from_text(q.to_text())
-    assert np.array_equal(q.boundaries, q2.boundaries)
-    assert np.array_equal(q.codewords, q2.codewords)
-    assert q.dont_care_cells == q2.dont_care_cells
+def test_dont_care_row_builds_past_2_to_the_15():
+    # The mass grid starts at s_l.  From 0, levels below the first grid
+    # interval's mass interpolated across the don't-care zone [0, s_l],
+    # and this row failed to build with codewords outside their cells.
+    q = build_banks(ChatNetworkSpec.serial_max(4, 2), [1 << 16] * 4).codebook(4, 2)
+    assert q.size == 1 << 16 and q.dont_care_cells == frozenset({1})
+    assert np.all(np.diff(q.boundaries) > 0)
+    assert np.all(q.codewords >= q.boundaries[:-1]) and np.all(q.codewords <= q.boundaries[1:])
+    assert q.boundaries[1] == q.codewords[0] == 0.5
 
 
-def test_output_entropy():
-    q = Quantizer(boundaries=(0.0, 0.5, 0.75, 1.0), codewords=(0.25, 0.625, 0.875))
-    assert output_entropy(q, Pdf(0.0, 1.0)) == pytest.approx(1.5, rel=1e-6)
-    # Quantizer narrower than the source: tails fold into the end cells.
-    q2 = Quantizer(boundaries=(0.25, 0.5, 0.75), codewords=(0.375, 0.625))
-    assert output_entropy(q2, Pdf(0.0, 1.0)) == pytest.approx(1.0, rel=1e-6)
+@pytest.mark.parametrize("regime", ["fixed-rate", EC])
+def test_every_row_type_builds_up_to_the_cap(regime):
+    # Sensor 1 hears nothing, sensor 2 hears message 1 and the don't-care
+    # message 2 of one-bit chat: each builds with every codeword inside
+    # its cell around 2^15-2^17 cells and at the largest codebook.
+    spec = ChatNetworkSpec.serial_max(2, 2, regime=regime)
+    for size in (1 << 15, 3 << 15, 1 << 17, MAX_CODEBOOK_SIZE):
+        table = build_banks(spec, [size, size])
+        for n, k in ((1, 1), (2, 1), (2, 2)):
+            q = table.codebook(n, k)
+            assert q.size == size and q.boundaries[-1] == 1.0
+            assert np.all(np.diff(q.boundaries) > 0)
+            assert np.all(q.codewords >= q.boundaries[:-1])
+            assert np.all(q.codewords <= q.boundaries[1:])
+    with pytest.raises(InfeasibleRateError, match=f"sensor 1, message 1: .*{MAX_CODEBOOK_SIZE}"):
+        build_banks(spec, [MAX_CODEBOOK_SIZE + 1, 4])
 
 
 @settings(max_examples=30, deadline=None)
@@ -124,6 +166,6 @@ def test_uniform_build_any_size(size):
 def test_quantize_reconstruct_stays_in_cell(size, x):
     q = row(parse_spec_file(f"N = 3\nregime = {EC}\n"), 1, 1, size)
     k = int(q.quantize(x))
-    lo, hi = q.cell_interval(k)
+    lo, hi = q.boundaries[k - 1], q.boundaries[k]
     assert lo < x <= hi or (k == 1 and x <= hi)
-    assert lo <= q.reconstruct(k) <= hi
+    assert lo <= q.codewords[k - 1] <= hi

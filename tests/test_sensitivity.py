@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chatquant.chatnet import ChatNetworkSpec, parse_spec_file
+from chatquant.chatnet import ChatNetworkSpec, build_banks, parse_spec_file
 from chatquant.quantizer import _row_quantizer
 from chatquant.sensitivity import SensitivityProfile
 
@@ -33,15 +33,19 @@ def test_conditional_pieces():
     assert prof(0.75) == pytest.approx(0.75)
     # The spec's row of sensor 2, message 2 of the quarters partition.
     assert ChatNetworkSpec.serial_max(3, 4).conditional_profile(2, 2) == prof
-    # [0, s_l] is the row's one don't-care cell.
-    assert _row_quantizer(prof, np.cbrt, 4).dont_care_cells == frozenset({1})
+    # [0, s_l] is the row's one don't-care cell, with codeword s_l.
+    edges, codewords = _row_quantizer(prof, np.cbrt, 4)
+    assert edges[:2].tolist() == [0.0, 0.25] and codewords[0] == 0.25
+    assert build_banks(ChatNetworkSpec.serial_max(3, 4), [4] * 3).dont_care[1, 1]
 
 
 def test_conditional_first_message_has_no_zone():
     prof = SensitivityProfile(2, 1, 0.0, 0.5)
     assert prof(0.25) == pytest.approx((0.25**2 / 0.5**2) * 0.25)
     assert ChatNetworkSpec.serial_max(4, 2).conditional_profile(3, 1) == prof
-    assert _row_quantizer(prof, np.cbrt, 4).dont_care_cells == frozenset()
+    edges, codewords = _row_quantizer(prof, np.cbrt, 4)
+    assert edges.size == 5 and edges[0] == 0.0 and codewords[0] > 0.0
+    assert not build_banks(ChatNetworkSpec.serial_max(4, 2), [4] * 4).dont_care[2, 0]
 
 
 def test_conditional_validation():

@@ -18,7 +18,7 @@ from chatquant.chatnet import (
     design_network,
     parse_spec_file,
 )
-from chatquant.quantizer import Quantizer
+from chatquant.quantizer import CodebookTable, Quantizer
 from chatquant.simulator import (
     CHUNK,
     decode,
@@ -27,8 +27,9 @@ from chatquant.simulator import (
     run_simulation,
 )
 from chatquant.simulator import (
-    _CellTable,
+    _counts,
     _Encoder,
+    _Protocol,
     _ce_max,
     _chunk_blocks,
     _estimate,
@@ -36,8 +37,10 @@ from chatquant.simulator import (
 )
 
 from oracles import (
+    bank_table,
     cell_bounds_mask_loop,
     ce_max_all_sensors,
+    codebooks,
     encode_mask_loop,
     index_histograms,
     whole_chunk_simulation,
@@ -54,10 +57,10 @@ def chain(n, size, **kw):
 
 def test_seed_reproducibility():
     spec = chain(3, 2)
-    banks = build_banks(spec, [8, 8, 8])
-    a = run_simulation(spec, banks, PLUG_IN, trials=20_000, seed=42)
-    b = run_simulation(spec, banks, PLUG_IN, trials=20_000, seed=42)
-    c = run_simulation(spec, banks, PLUG_IN, trials=20_000, seed=43)
+    table = build_banks(spec, [8, 8, 8])
+    a = run_simulation(spec, table, PLUG_IN, trials=20_000, seed=42)
+    b = run_simulation(spec, table, PLUG_IN, trials=20_000, seed=42)
+    c = run_simulation(spec, table, PLUG_IN, trials=20_000, seed=43)
     assert a.empirical_fmse == b.empirical_fmse
     assert a.empirical_fmse != c.empirical_fmse
 
@@ -66,13 +69,13 @@ def test_worker_count_is_invisible():
     fixed = chain(2, 2)
     entropy = chain(3, 2, regime="entropy-constrained")
     trials = 2 * CHUNK + 1_000
-    for spec, banks in (
+    for spec, table in (
         (fixed, build_banks(fixed, [8, 8])),
         (entropy, design_network(entropy, budget=12.0).banks),
     ):
         for decoder in (PLUG_IN, CE):
-            solo = run_simulation(spec, banks, decoder, trials=trials, seed=9, workers=1)
-            pooled = run_simulation(spec, banks, decoder, trials=trials, seed=9, workers=4)
+            solo = run_simulation(spec, table, decoder, trials=trials, seed=9, workers=1)
+            pooled = run_simulation(spec, table, decoder, trials=trials, seed=9, workers=4)
             assert solo.empirical_fmse == pooled.empirical_fmse
             assert solo.stderr == pooled.stderr
             assert np.array_equal(solo.empirical_rates, pooled.empirical_rates)
@@ -81,15 +84,15 @@ def test_worker_count_is_invisible():
     # Workers that do not divide the chunks, and more workers than chunks;
     # the last of four chunks holds 17 trials.
     trials = 3 * CHUNK + 17
-    for spec, banks in (
+    for spec, table in (
         (fixed, build_banks(fixed, [8, 8])),
         (entropy, design_network(entropy, budget=12.0).banks),
     ):
         for decoder in (PLUG_IN, CE):
-            solo = run_simulation(spec, banks, decoder, trials=trials, seed=9, workers=1)
+            solo = run_simulation(spec, table, decoder, trials=trials, seed=9, workers=1)
             for workers in (3, 7):
                 pooled = run_simulation(
-                    spec, banks, decoder, trials=trials, seed=9, workers=workers
+                    spec, table, decoder, trials=trials, seed=9, workers=workers
                 )
                 assert solo.empirical_fmse == pooled.empirical_fmse
                 assert solo.stderr == pooled.stderr
@@ -118,12 +121,12 @@ def test_calling_thread_is_a_worker(workers, monkeypatch):
     # The caller is worker 0 and workers are capped at the chunk count,
     # so a run starts min(workers, chunks) - 1 threads.
     spec = chain(2, 2)
-    banks = build_banks(spec, [8, 8])
+    table = build_banks(spec, [8, 8])
     monkeypatch.setattr(simulator.threading, "Thread", _InlineThread)
     for chunks, trials in ((1, 1_000), (2, CHUNK + 10), (3, 2 * CHUNK + 10)):
-        want = run_simulation(spec, banks, PLUG_IN, trials=trials, seed=2)
+        want = run_simulation(spec, table, PLUG_IN, trials=trials, seed=2)
         _InlineThread.started = 0
-        got = run_simulation(spec, banks, PLUG_IN, trials=trials, seed=2, workers=workers)
+        got = run_simulation(spec, table, PLUG_IN, trials=trials, seed=2, workers=workers)
         assert _InlineThread.started == min(workers, chunks) - 1
         assert got.empirical_fmse == want.empirical_fmse
         assert got.stderr == want.stderr
@@ -131,7 +134,7 @@ def test_calling_thread_is_a_worker(workers, monkeypatch):
 
 def test_caller_runs_chunk_zero(monkeypatch):
     spec = chain(2, 2)
-    banks = build_banks(spec, [8, 8])
+    table = build_banks(spec, [8, 8])
     ran_on = {}
     blocks = simulator._chunk_blocks
 
@@ -140,7 +143,7 @@ def test_caller_runs_chunk_zero(monkeypatch):
         return blocks(spec, proto, trials, seed, c)
 
     monkeypatch.setattr(simulator, "_chunk_blocks", recorded)
-    run_simulation(spec, banks, PLUG_IN, trials=2 * CHUNK + 10, seed=0, workers=2)
+    run_simulation(spec, table, PLUG_IN, trials=2 * CHUNK + 10, seed=0, workers=2)
     # Worker 0 runs chunks 0 and 2, worker 1 chunk 1.
     caller = threading.get_ident()
     assert ran_on[0] == caller and ran_on[2] == caller
@@ -150,7 +153,7 @@ def test_caller_runs_chunk_zero(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_worker_errors_reach_the_caller(workers, monkeypatch):
     spec = chain(2, 2)
-    banks = build_banks(spec, [8, 8])
+    table = build_banks(spec, [8, 8])
     blocks = simulator._chunk_blocks
 
     def failing(spec, proto, trials, seed, c):
@@ -161,7 +164,7 @@ def test_worker_errors_reach_the_caller(workers, monkeypatch):
     monkeypatch.setattr(simulator, "_chunk_blocks", failing)
     running = threading.active_count()
     with pytest.raises(RuntimeError, match="chunk 1 failed"):
-        run_simulation(spec, banks, CE, trials=3 * CHUNK, seed=0, workers=workers)
+        run_simulation(spec, table, CE, trials=3 * CHUNK, seed=0, workers=workers)
     # Every worker thread has ended when the error reaches the caller.
     assert threading.active_count() == running
 
@@ -170,14 +173,14 @@ def test_workers_under_fast_thread_switching():
     # More workers than cores, switching threads as often as the
     # interpreter allows: every chunk's part still lands in its slot.
     spec = chain(2, 2)
-    banks = build_banks(spec, [8, 8])
+    table = build_banks(spec, [8, 8])
     trials = 6 * CHUNK
-    want = run_simulation(spec, banks, CE, trials=trials, seed=3)
+    want = run_simulation(spec, table, CE, trials=trials, seed=3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            got = run_simulation(spec, banks, CE, trials=trials, seed=3, workers=5)
+            got = run_simulation(spec, table, CE, trials=trials, seed=3, workers=5)
             assert (got.empirical_fmse, got.stderr) == (want.empirical_fmse, want.stderr)
     finally:
         sys.setswitchinterval(interval)
@@ -186,26 +189,26 @@ def test_workers_under_fast_thread_switching():
 @pytest.mark.parametrize("workers", [0, -3])
 def test_worker_count_below_one_is_rejected(workers):
     spec = chain(2, 2)
-    banks = build_banks(spec, [8, 8])
+    table = build_banks(spec, [8, 8])
     with pytest.raises(ValueError, match="worker"):
-        run_simulation(spec, banks, PLUG_IN, trials=1_000, seed=0, workers=workers)
+        run_simulation(spec, table, PLUG_IN, trials=1_000, seed=0, workers=workers)
 
 
 def test_trial_count_extends_the_stream():
     # The first chunk is shared, so short and long runs agree on it.
     spec = chain(2, 2)
-    banks = build_banks(spec, [8, 8])
-    short = run_simulation(spec, banks, PLUG_IN, trials=CHUNK, seed=3)
-    long = run_simulation(spec, banks, PLUG_IN, trials=2 * CHUNK, seed=3)
+    table = build_banks(spec, [8, 8])
+    short = run_simulation(spec, table, PLUG_IN, trials=CHUNK, seed=3)
+    long = run_simulation(spec, table, PLUG_IN, trials=2 * CHUNK, seed=3)
     assert short.empirical_fmse != long.empirical_fmse
     assert short.trials == CHUNK and long.trials == 2 * CHUNK
 
 
 def test_conditional_expectation_dominates_plug_in():
     spec = chain(3, 2)
-    banks = build_banks(spec, [8, 8, 8])
-    pi = run_simulation(spec, banks, PLUG_IN, trials=100_000, seed=1)
-    ce = run_simulation(spec, banks, CE, trials=100_000, seed=1)
+    table = build_banks(spec, [8, 8, 8])
+    pi = run_simulation(spec, table, PLUG_IN, trials=100_000, seed=1)
+    ce = run_simulation(spec, table, CE, trials=100_000, seed=1)
     assert ce.empirical_fmse < pi.empirical_fmse
 
 
@@ -213,14 +216,14 @@ def test_ce_decoder_closed_form_cell():
     # Two sensors, both reporting the cell (0, 1/2]: E[max] = 1/3 exactly.
     spec = parse_spec_file("N = 2\n")
     q = Quantizer((0.0, 0.5, 1.0), (0.25, 0.75))
-    banks = {1: {1: q}, 2: {1: q}}
-    assert decode(CE, [1, 1], banks, spec) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert decode(PLUG_IN, [1, 1], banks, spec) == pytest.approx(0.25)
+    table = bank_table({1: {1: q}, 2: {1: q}})
+    assert decode(CE, [1, 1], table, spec) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert decode(PLUG_IN, [1, 1], table, spec) == pytest.approx(0.25)
     # Mixed cells: the max is the high sensor's value unless the low one
     # passes it, E[max | X1 in (1/2,1], X2 in (0,1/2]] = E[X1] = 3/4.
-    assert decode(CE, [2, 1], banks, spec) == pytest.approx(0.75, abs=1e-12)
+    assert decode(CE, [2, 1], table, spec) == pytest.approx(0.75, abs=1e-12)
     with pytest.raises(ValueError):
-        decode("maximum-likelihood", [1, 1], banks, spec)
+        decode("maximum-likelihood", [1, 1], table, spec)
 
 
 def _cells(rng, trials, n):
@@ -445,7 +448,7 @@ CHAIN_DESIGNS = {
 @functools.cache
 def _lookup_design(name):
     if name == "tight":
-        return chain(2, 2), {1: {1: TIGHT}, 2: {1: TIGHT, 2: HALVES}}
+        return chain(2, 2), bank_table({1: {1: TIGHT}, 2: {1: TIGHT, 2: HALVES}})
     if name in SPEC_DESIGNS:
         file, budget = SPEC_DESIGNS[name]
         spec = parse_spec_file((SPEC_DIR / file).read_text())
@@ -457,9 +460,10 @@ def _lookup_design(name):
 
 @pytest.mark.parametrize("name", ["max5_entropy", "chain16"])
 def test_cell_lookup_matches_mask_loop_oracle(name):
-    # max5_entropy's banks hold codebooks of 100+ and 7 cells for the two
+    # max5_entropy's table holds codebooks of 100+ and 7 cells for the two
     # messages of one sensor; chain16 is a fixed-rate N=16 chain.
-    spec, banks = _lookup_design(name)
+    spec, table = _lookup_design(name)
+    banks = codebooks(table)
     n = spec.n_sensors
     rng = np.random.default_rng(7)
     x = rng.random((40_000, n))
@@ -473,33 +477,32 @@ def test_cell_lookup_matches_mask_loop_oracle(name):
         rows = rng.permutation(x.shape[0])[: 8 * special.size]
         x[rows, s - 1] = np.tile(special, 8)
 
-    indices, incoming = _Encoder(spec, banks).encode(x)
-    want_idx, want_inc = encode_mask_loop(spec, banks, x)
+    indices, incoming = _Encoder(spec, table).encode(x)
+    want_idx, want_inc = encode_mask_loop(spec, table, x)
     assert indices.flags.f_contiguous and incoming.flags.f_contiguous
     assert np.array_equal(indices, want_idx)
     assert np.array_equal(incoming, want_inc)
     for s in range(1, n + 1):
-        top = max(q.size for q in banks[s].values())
-        assert (indices[:, s - 1] == top).any()
+        assert (indices[:, s - 1] == table.sizes[s - 1].max()).any()
 
-    cells = _CellTable(banks)
+    proto = _Protocol(spec, table)
     pos = np.stack(
-        [cells.index(s, indices[:, s - 1], incoming[:, s - 1]) for s in range(1, n + 1)],
+        [proto.index(s, indices[:, s - 1], incoming[:, s - 1]) for s in range(1, n + 1)],
         axis=1,
     )
-    lo, hi, cw = cell_bounds_mask_loop(banks, indices, incoming)
-    assert np.array_equal(cells.lower[pos], lo)
-    assert np.array_equal(cells.upper[pos], hi)
-    assert np.array_equal(cells.codewords[pos], cw)
-    assert np.array_equal(replay_codebooks(spec, banks, indices), incoming)
-    assert np.array_equal(decode(PLUG_IN, indices, banks, spec), cw.max(axis=1))
-    assert np.array_equal(decode(CE, indices, banks, spec), _ce_max(lo, hi))
+    lo, hi, cw = cell_bounds_mask_loop(table, indices, incoming)
+    assert np.array_equal(table.lower[pos], lo)
+    assert np.array_equal(table.upper[pos], hi)
+    assert np.array_equal(table.cell_codewords[pos], cw)
+    assert np.array_equal(replay_codebooks(spec, table, indices), incoming)
+    assert np.array_equal(decode(PLUG_IN, indices, table, spec), cw.max(axis=1))
+    assert np.array_equal(decode(CE, indices, table, spec), _ce_max(lo, hi))
 
 
-def _edge_inputs(banks, n):
+def _edge_inputs(table, n):
     """Every boundary of sensor n's codebooks with its neighbours on both
     sides, and inputs outside [0, 1] that clamp to the end cells."""
-    edges = np.concatenate([q.boundaries for q in banks[n].values()])
+    edges = np.concatenate([q.boundaries for q in codebooks(table)[n].values()])
     outside = [-np.inf, -1.0, -1e-300, np.nextafter(1.0, 2.0), 2.0, np.inf]
     return np.concatenate(
         [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), outside]
@@ -515,14 +518,14 @@ def _boundary_block(name):
     incoming message the upstream columns send: rows drawn per message are
     copied, which keeps their messages, and take the inputs in the
     sensor's column."""
-    spec, banks = _lookup_design(name)
+    spec, table = _lookup_design(name)
     n = spec.n_sensors
     rng = np.random.default_rng(5)
     x = rng.random((20_000, n))
     copies = 4
     for s in range(1, n + 1):
-        values = _edge_inputs(banks, s)
-        k_col = encode_mask_loop(spec, banks, x)[1][:, s - 1]
+        values = _edge_inputs(table, s)
+        k_col = encode_mask_loop(spec, table, x)[1][:, s - 1]
         blocks = [x]
         for k in np.unique(k_col):
             block = x[rng.choice(np.flatnonzero(k_col == k), copies * values.size)]
@@ -534,11 +537,11 @@ def _boundary_block(name):
 
 @pytest.mark.parametrize("name", BOUNDARY_DESIGNS)
 def test_encode_matches_mask_loop_at_every_boundary(name):
-    spec, banks = _lookup_design(name)
-    enc = _Encoder(spec, banks)
+    spec, table = _lookup_design(name)
+    enc = _Encoder(spec, table)
     # Bucket count: the smallest power of two at or above 1 / narrowest
     # cell, at most 4096.
-    narrowest = min(np.diff(q.boundaries).min() for b in banks.values() for q in b.values())
+    narrowest = min(np.diff(q.boundaries).min() for b in codebooks(table).values() for q in b.values())
     assert enc.scale & (enc.scale - 1) == 0
     assert enc.scale == 4096 or enc.scale * narrowest >= 1.0
     assert enc.scale == 1 or enc.scale * narrowest < 2.0
@@ -547,7 +550,7 @@ def test_encode_matches_mask_loop_at_every_boundary(name):
 
     x = _boundary_block(name)
     indices, incoming = enc.encode(x)
-    want_idx, want_inc = encode_mask_loop(spec, banks, x)
+    want_idx, want_inc = encode_mask_loop(spec, table, x)
     assert np.array_equal(indices, want_idx)
     assert np.array_equal(incoming, want_inc)
 
@@ -557,33 +560,33 @@ def test_estimates_from_encoder_positions_equal_decode(name):
     # The simulator estimates straight from the encoder's positions; they
     # must be the positions that the checked path builds from the indices
     # and messages, and give decode's answers bit for bit.
-    spec, banks = _lookup_design(name)
+    spec, table = _lookup_design(name)
     n = spec.n_sensors
-    enc = _Encoder(spec, banks)
+    enc = _Encoder(spec, table)
     x = _boundary_block(name) if name in BOUNDARY_DESIGNS else (
         np.random.default_rng(6).random((30_000, n))
     )
     pos = enc.positions(np.asfortranarray(x))
     indices, incoming = enc.encode(x)
     assert pos.flags.f_contiguous
-    checked = [enc.cells.index(s, indices[:, s - 1], incoming[:, s - 1]) for s in range(1, n + 1)]
+    checked = [enc.index(s, indices[:, s - 1], incoming[:, s - 1]) for s in range(1, n + 1)]
     assert np.array_equal(pos, np.stack(checked, axis=1))
-    lo, hi, cw = cell_bounds_mask_loop(banks, indices, incoming)
+    lo, hi, cw = cell_bounds_mask_loop(table, indices, incoming)
     want = {PLUG_IN: cw.max(axis=1), CE: _ce_max(lo, hi)}
     for decoder in (PLUG_IN, CE):
-        got = _estimate(decoder, enc.cells, pos)
+        got = _estimate(decoder, table, pos)
         assert np.array_equal(got, want[decoder])
-        assert np.array_equal(got, decode(decoder, indices, banks, spec))
+        assert np.array_equal(got, decode(decoder, indices, table, spec))
 
 
 @pytest.mark.parametrize("name", ["max5_entropy", "entropy3", "entropy6_rc2", "max4_chat", "tight"])
 def test_counts_from_positions_match_keyed_histograms(name):
-    spec, banks = _lookup_design(name)
-    enc = _Encoder(spec, banks)
+    spec, table = _lookup_design(name)
+    enc = _Encoder(spec, table)
     x = np.random.default_rng(8).random((50_000, spec.n_sensors))
     indices, incoming = enc.encode(x)
-    counts = enc.cells.counts(enc.positions(np.asfortranarray(x)))
-    keyed = index_histograms(banks, indices, incoming)
+    counts = _counts(table, enc.positions(np.asfortranarray(x)))
+    keyed = index_histograms(table, indices, incoming)
     assert counts.sum() == x.size
     for n, hist in keyed.items():
         assert np.array_equal(counts[n - 1, : hist.shape[0], : hist.shape[1]], hist)
@@ -593,19 +596,19 @@ def test_counts_from_positions_match_keyed_histograms(name):
 def test_entropy_rate_matches_mask_loop_histogram(name):
     # measure_entropy_rate counts what the bucket encoder emits; the same
     # chunks encoded by the mask-loop oracle give the same rates exactly.
-    spec, banks = _lookup_design(name)
+    spec, table = _lookup_design(name)
     trials, seed = CHUNK + 5_000, 3
-    rates = measure_entropy_rate(spec, banks, trials=trials, seed=seed)
-    enc = _Encoder(spec, banks)
+    rates = measure_entropy_rate(spec, table, trials=trials, seed=seed)
+    enc = _Encoder(spec, table)
     chunks = [
-        index_histograms(banks, *encode_mask_loop(spec, banks, x))
+        index_histograms(table, *encode_mask_loop(spec, table, x))
         for x in (
             np.concatenate([x for _rows, x, _pos in _chunk_blocks(spec, enc, trials, seed, c)])
             for c in range(2)
         )
     ]
     want = {}
-    for n, bank in banks.items():
+    for n, bank in codebooks(table).items():
         for k, q in bank.items():
             hist = sum(h[n][k - 1, : q.size] for h in chunks)
             active = np.ones(q.size, dtype=bool)
@@ -617,47 +620,47 @@ def test_entropy_rate_matches_mask_loop_histogram(name):
 @pytest.mark.parametrize("decoder", [PLUG_IN, CE])
 def test_decode_rejects_out_of_range_input(decoder):
     spec = parse_spec_file((SPEC_DIR / "max4_chat.txt").read_text())
-    banks = design_network(spec, budget=16.0).banks
-    size = {n: banks[n][1].size for n in banks}
+    table = design_network(spec, budget=16.0).banks
+    size = {n: table.sizes[n - 1, 0] for n in range(1, 5)}
     ok = [1, 1, 1, 1]
-    assert np.isfinite(decode(decoder, ok, banks, spec))
+    assert np.isfinite(decode(decoder, ok, table, spec))
     with pytest.raises(ValueError, match="shape"):
-        decode(decoder, [1, 1, 1], banks, spec)
+        decode(decoder, [1, 1, 1], table, spec)
     with pytest.raises(ValueError, match="shape"):
-        decode(decoder, np.ones((2, 2, 4), dtype=int), banks, spec)
+        decode(decoder, np.ones((2, 2, 4), dtype=int), table, spec)
     for bad in (0, -1, size[3] + 1, 10**6):
         with pytest.raises(ValueError, match="sensor 3: index"):
-            decode(decoder, [1, 1, bad, 1], banks, spec)
+            decode(decoder, [1, 1, bad, 1], table, spec)
     # One bad trial among good ones is found too.
     block = np.ones((50, 4), dtype=np.int64)
     block[37, 3] = size[4] + 1
     with pytest.raises(ValueError, match="sensor 4: index"):
-        decode(decoder, block, banks, spec)
+        decode(decoder, block, table, spec)
     # Non-integers are rejected, not truncated to a valid cell.
     for bad in ([1.9, 1, 1, 1], [1, 1, np.nan, 1], [1.0, 1, 1, 1]):
         with pytest.raises(ValueError, match="indices must be integers"):
-            decode(decoder, bad, banks, spec)
+            decode(decoder, bad, table, spec)
     with pytest.raises(ValueError, match="indices must be integers"):
-        replay_codebooks(spec, banks, [[2.7, 1, 1, 1]])
+        replay_codebooks(spec, table, [[2.7, 1, 1, 1]])
 
 
 def test_replay_reports_the_first_bad_index():
     # Sensor 2's second codebook has 7 cells; index 50 would replay a pad
     # as sensor 3's message, but the index itself is what is reported.
     spec = parse_spec_file((SPEC_DIR / "max5_entropy.txt").read_text())
-    banks = design_network(spec, budget=25.0).banks
-    assert banks[2][2].size < 50 <= banks[2][1].size
-    top = banks[1][1].size
+    table = design_network(spec, budget=25.0).banks
+    assert table.sizes[1, 1] < 50 <= table.sizes[1, 0]
+    top = table.sizes[0, 0]
     bad = [top, 50, 1, 1, 1]
     with pytest.raises(ValueError, match="sensor 2: index 50 is not a cell of codebook 2"):
-        replay_codebooks(spec, banks, [bad])
+        replay_codebooks(spec, table, [bad])
     for decoder in (PLUG_IN, CE):
         with pytest.raises(ValueError, match="sensor 2: index 50 is not a cell of codebook 2"):
-            decode(decoder, bad, banks, spec)
+            decode(decoder, bad, table, spec)
     # Index 0 and one past the last cell are caught before any gather.
     for m in (0, top + 1):
         with pytest.raises(ValueError, match="sensor 1: index"):
-            replay_codebooks(spec, banks, [[m, 1, 1, 1, 1]])
+            replay_codebooks(spec, table, [[m, 1, 1, 1, 1]])
 
 
 def test_silent_chat_equals_no_chat():
@@ -677,15 +680,15 @@ def test_chat_messages_track_codeword_cells():
     # Along the chain the incoming message must equal the running max of
     # the chat cells of the transmitted codewords, per the table rule.
     spec = chain(4, 4)
-    banks = build_banks(spec, [8, 8, 8, 8])
-    proto = _Encoder(spec, banks)
+    table = build_banks(spec, [8, 8, 8, 8])
+    proto = _Encoder(spec, table)
     rng = np.random.default_rng(11)
     x = rng.random((5_000, 4))
     indices, incoming = proto.encode(x)
     t = np.asarray(spec.partition)
     cw_cell = np.zeros_like(indices)
-    for n in range(1, 5):
-        for k, q in banks[n].items():
+    for n, bank in codebooks(table).items():
+        for k, q in bank.items():
             rows = incoming[:, n - 1] == k
             cws = np.asarray(q.codewords)[indices[rows, n - 1] - 1]
             cells = np.maximum(np.searchsorted(t, cws, side="left"), 1)
@@ -696,12 +699,12 @@ def test_chat_messages_track_codeword_cells():
 
 def test_replay_matches_encoder():
     spec = chain(4, 2)
-    banks = build_banks(spec, [8, 8, 8, 8])
-    proto = _Encoder(spec, banks)
+    table = build_banks(spec, [8, 8, 8, 8])
+    proto = _Encoder(spec, table)
     rng = np.random.default_rng(2)
     x = rng.random((20_000, 4))
     indices, incoming = proto.encode(x)
-    replayed = replay_codebooks(spec, banks, indices)
+    replayed = replay_codebooks(spec, table, indices)
     assert np.array_equal(replayed, incoming)
 
 
@@ -712,7 +715,7 @@ def test_entropy_rate_split_coding_example():
     edges = (0.0, 0.5) + tuple(0.5 + (i + 1) / 16.0 for i in range(8))
     codewords = (0.5,) + tuple(0.5 + (2 * i + 1) / 32.0 for i in range(8))
     q = Quantizer(edges, codewords, frozenset({1}))
-    rates = measure_entropy_rate(spec, {1: {1: q}}, trials=100_000, seed=1)
+    rates = measure_entropy_rate(spec, bank_table({1: {1: q}}), trials=100_000, seed=1)
     assert rates[(1, 1)] == pytest.approx(2.5, abs=0.02)
 
 
@@ -738,26 +741,26 @@ def test_entropy_regime_reports_measured_rates():
     assert res.empirical_rates.shape == (3,)
     assert np.all(res.empirical_rates > 0)
     # Entropy coding never spends more than the flat index length.
-    flat = [np.log2(max(q.size for q in design.banks[n].values())) for n in (1, 2, 3)]
+    flat = np.log2(design.banks.sizes.max(axis=1))
     assert np.all(res.empirical_rates <= np.asarray(flat) + 1e-9)
 
 
 def test_fixed_rate_reports_codebook_rates():
     spec = chain(2, 2)
-    banks = build_banks(spec, [8, 16])
-    res = run_simulation(spec, banks, PLUG_IN, trials=1_000, seed=0)
+    table = build_banks(spec, [8, 16])
+    res = run_simulation(spec, table, PLUG_IN, trials=1_000, seed=0)
     assert np.allclose(res.empirical_rates, [3.0, 4.0])
 
 
 def test_fixed_rate_banks_of_mixed_sizes_are_rejected():
     # Sensor 2's codebooks hold 4 and 16 cells, so log2 of its first
     # codebook's size would misreport its rate; entropy coding measures
-    # rates and takes such banks.
+    # rates and takes such table.
     spec = chain(3, 2)
-    banks = build_banks(spec, [8, {1: 4, 2: 16}, {1: 16, 2: 4}])
+    table = build_banks(spec, [8, {1: 4, 2: 16}, {1: 16, 2: 4}])
     for decoder in (PLUG_IN, CE):
-        with pytest.raises(ValueError, match=r"sensor 2: .* one codebook size, got sizes \{1: 4, 2: 16\}"):
-            run_simulation(spec, banks, decoder, trials=1_000, seed=0)
+        with pytest.raises(ValueError, match=r"sensor 2, message 2: .* one codebook size, not 16 cells"):
+            run_simulation(spec, table, decoder, trials=1_000, seed=0)
     entropy = chain(3, 2, regime="entropy-constrained")
     mixed = build_banks(entropy, [8, {1: 4, 2: 16}, {1: 16, 2: 4}])
     assert run_simulation(entropy, mixed, PLUG_IN, trials=1_000, seed=0).empirical_rates.shape == (3,)
@@ -765,8 +768,8 @@ def test_fixed_rate_banks_of_mixed_sizes_are_rejected():
 
 def test_result_csv_row():
     spec = chain(2, 2)
-    banks = build_banks(spec, [8, 8])
-    res = run_simulation(spec, banks, PLUG_IN, trials=1_000, seed=0)
+    table = build_banks(spec, [8, 8])
+    res = run_simulation(spec, table, PLUG_IN, trials=1_000, seed=0)
     row = res.csv_row(2, 1, 8.0)
     assert row[0] == spec.spec_hash()
     assert row[1] == "fixed-rate"
@@ -777,16 +780,38 @@ def test_result_csv_row():
 
 def test_simulation_input_validation():
     spec = chain(2, 2)
-    banks = build_banks(spec, [8, 8])
+    table = build_banks(spec, [8, 8])
     for trials in (0, -5):
         with pytest.raises(ValueError, match="trial"):
-            run_simulation(spec, banks, PLUG_IN, trials=trials)
+            run_simulation(spec, table, PLUG_IN, trials=trials)
         with pytest.raises(ValueError, match="trial"):
-            measure_entropy_rate(spec, banks, trials=trials)
-    with pytest.raises(ValueError):
-        run_simulation(spec, {1: banks[1]}, PLUG_IN, trials=10)
-    with pytest.raises(ValueError):
-        run_simulation(spec, {1: banks[1], 2: {1: banks[2][1]}}, PLUG_IN, trials=10)
+            measure_entropy_rate(spec, table, trials=trials)
+    # A table whose rows do not fit the spec: another sensor count, and a
+    # message the sensor never hears or a codebook the spec needs.
+    with pytest.raises(ValueError, match=r"\(2, 2\) table rows do not fit a \(3, 2\) chain"):
+        run_simulation(chain(3, 2), table, PLUG_IN, trials=10)
+    silent = build_banks(chain(2, 1), [8, 8])
+    with pytest.raises(ValueError, match=r"\(2, 1\) table rows do not fit a \(2, 2\) chain"):
+        run_simulation(spec, silent, PLUG_IN, trials=10)
+    # Sensor 1 given a copy of its codebook for message 2, and sensor 2's
+    # message-2 row emptied.
+    edges, codewords = np.array(table.edges), np.array(table.codewords)
+    edges[0, 1], codewords[0, 1] = edges[0, 0], codewords[0, 0]
+    for (n, k), size, match in (
+        ((0, 1), 8, "sensor 1, message 2: codebook and spec disagree"),
+        ((1, 1), 0, "sensor 2, message 2: codebook and spec disagree"),
+    ):
+        sizes = np.array(table.sizes)
+        sizes[n, k] = size
+        bad = CodebookTable(sizes, edges, codewords, table.dont_care & (sizes > 1))
+        for run in (
+            lambda: run_simulation(spec, bad, PLUG_IN, trials=10),
+            lambda: measure_entropy_rate(spec, bad, trials=10),
+            lambda: decode(PLUG_IN, [1, 1], bad, spec),
+            lambda: replay_codebooks(spec, bad, [1, 1]),
+        ):
+            with pytest.raises(ValueError, match=match):
+                run()
     # A fan-out has no spec to simulate: it fails at parse.
     with pytest.raises(SpecFormatError, match="not a chain link"):
         parse_spec_file("N = 3\nedge = 1 2 2 0\nedge = 1 3 2 0\n")
@@ -824,9 +849,9 @@ FROZEN_RUNS = {
 @pytest.mark.parametrize("decoder", [PLUG_IN, CE])
 @pytest.mark.parametrize("name", sorted(FROZEN_RUNS))
 def test_simulation_answers_are_frozen(name, decoder):
-    spec, banks = _lookup_design(name)
+    spec, table = _lookup_design(name)
     runs, rates = FROZEN_RUNS[name]
-    res = run_simulation(spec, banks, decoder, trials=2 * CHUNK, seed=0)
+    res = run_simulation(spec, table, decoder, trials=2 * CHUNK, seed=0)
     assert res.empirical_fmse == pytest.approx(runs[decoder][0], rel=1e-12)
     assert res.stderr == pytest.approx(runs[decoder][1], rel=1e-12)
     assert res.empirical_rates == pytest.approx(rates, rel=1e-12)
@@ -846,18 +871,18 @@ def test_row_blocks_give_the_whole_chunk_answers(n, regime):
     # one whole-chunk block, bit for bit.
     rows = simulator._BLOCK_CELLS // n
     assert CHUNK % rows and 1_234 < rows
-    spec, banks = _edge_design(n, regime)
+    spec, table = _edge_design(n, regime)
     trials, seed = CHUNK + 1_234, 5
     for decoder in (PLUG_IN, CE):
         fmse, stderr, rates, message_rates = whole_chunk_simulation(
-            spec, banks, decoder, trials, seed
+            spec, table, decoder, trials, seed
         )
         for workers in (1, 2):
-            res = run_simulation(spec, banks, decoder, trials, seed, workers=workers)
+            res = run_simulation(spec, table, decoder, trials, seed, workers=workers)
             assert res.empirical_fmse == fmse
             assert res.stderr == stderr
             assert np.array_equal(res.empirical_rates, rates)
-    assert measure_entropy_rate(spec, banks, trials, seed) == message_rates
+    assert measure_entropy_rate(spec, table, trials, seed) == message_rates
 
 
 def _traced_peak(fn, *args, **kwargs) -> int:
@@ -874,10 +899,10 @@ def _traced_peak(fn, *args, **kwargs) -> int:
 def test_simulation_memory_is_one_block(decoder):
     # Whole 65,536-trial chunks at N = 16 peaked at 43.8 MB (CE) and
     # 27.5 MB (plug-in); row blocks hold a few MB whatever the trial count.
-    spec, banks = _lookup_design("chain16")
+    spec, table = _lookup_design("chain16")
     chunk_bytes = CHUNK * spec.n_sensors * 8
     short, long = (
-        _traced_peak(run_simulation, spec, banks, decoder, trials=chunks * CHUNK, seed=0)
+        _traced_peak(run_simulation, spec, table, decoder, trials=chunks * CHUNK, seed=0)
         for chunks in (2, 8)
     )
     assert max(short, long) < 2 * chunk_bytes
@@ -885,10 +910,10 @@ def test_simulation_memory_is_one_block(decoder):
 
 
 def _chain16_indices():
-    spec, banks = _lookup_design("chain16")
-    sizes = np.array([banks[n][1].size for n in range(1, 17)])
+    spec, table = _lookup_design("chain16")
+    sizes = table.sizes[:, 0]
     indices = np.random.default_rng(4).integers(1, sizes + 1, size=(262_144, 16))
-    return spec, banks, indices
+    return spec, table, indices
 
 
 @pytest.mark.parametrize("decoder", [PLUG_IN, CE])
@@ -897,9 +922,9 @@ def test_decode_memory_is_one_block(decoder):
     # under CE when decoded whole; by row blocks only the answer grows
     # with it.  The same block as int32, converted whole, peaked at 37-39
     # MB; each row block is converted on its own, under the same bound.
-    spec, banks, indices = _chain16_indices()
+    spec, table, indices = _chain16_indices()
     for block in (indices, indices.astype(np.int32)):
-        peak = _traced_peak(decode, decoder, block, banks, spec)
+        peak = _traced_peak(decode, decoder, block, table, spec)
         assert peak < indices.nbytes / 2
 
 
@@ -907,19 +932,19 @@ def test_replay_memory_is_one_block():
     # Replaying the whole block at once peaked at 66 MB: the positions
     # beside the returned messages.  By row blocks only the answer grows.
     # The answer is an int64 matrix of the input's shape.
-    spec, banks, indices = _chain16_indices()
-    peak = _traced_peak(replay_codebooks, spec, banks, indices)
+    spec, table, indices = _chain16_indices()
+    peak = _traced_peak(replay_codebooks, spec, table, indices)
     assert peak - indices.size * 8 < 4 * simulator._BLOCK_CELLS * 8
 
 
 def test_decode_reads_any_integer_type_alike():
-    spec, banks, indices = _chain16_indices()
+    spec, table, indices = _chain16_indices()
     indices = indices[:20_000]
-    incoming = replay_codebooks(spec, banks, indices)
-    assert np.array_equal(replay_codebooks(spec, banks, indices.astype(np.int32)), incoming)
+    incoming = replay_codebooks(spec, table, indices)
+    assert np.array_equal(replay_codebooks(spec, table, indices.astype(np.int32)), incoming)
     for decoder in (PLUG_IN, CE):
-        want = decode(decoder, indices, banks, spec)
-        assert np.array_equal(decode(decoder, indices.astype(np.int32), banks, spec), want)
+        want = decode(decoder, indices, table, spec)
+        assert np.array_equal(decode(decoder, indices.astype(np.int32), table, spec), want)
 
 
 def test_simulation_never_rechecks_encoder_positions(monkeypatch):
@@ -928,12 +953,12 @@ def test_simulation_never_rechecks_encoder_positions(monkeypatch):
     def checked(*args, **kwargs):
         raise AssertionError("the simulation re-checked its own positions")
 
-    monkeypatch.setattr(_CellTable, "index", checked)
+    monkeypatch.setattr(_Protocol, "index", checked)
     monkeypatch.setattr(simulator, "decode", checked)
     for name in ("max4_chat", "max5_entropy"):
-        spec, banks = _lookup_design(name)
+        spec, table = _lookup_design(name)
         for decoder in (PLUG_IN, CE):
-            run_simulation(spec, banks, decoder, trials=CHUNK + 10, seed=1, workers=2)
+            run_simulation(spec, table, decoder, trials=CHUNK + 10, seed=1, workers=2)
     measure_entropy_rate(*_lookup_design("max5_entropy"), trials=1_000, seed=1)
 
 
@@ -952,7 +977,7 @@ def test_simulation_never_rechecks_encoder_positions(monkeypatch):
 )
 def test_simulation_inputs_are_checked_before_any_work(kw, match, monkeypatch):
     spec = chain(2, 2)
-    banks = build_banks(spec, [8, 8])
+    table = build_banks(spec, [8, 8])
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the inputs were checked")
@@ -961,15 +986,15 @@ def test_simulation_inputs_are_checked_before_any_work(kw, match, monkeypatch):
     monkeypatch.setattr(simulator, "_chunk_blocks", no_work)
     args = {"decoder": PLUG_IN, "trials": 1_000, "seed": 0, **kw}
     with pytest.raises(ValueError, match=match):
-        run_simulation(spec, banks, **args)
+        run_simulation(spec, table, **args)
     if "decoder" not in kw and "workers" not in kw:
         with pytest.raises(ValueError, match=match):
-            measure_entropy_rate(spec, banks, trials=args["trials"], seed=args["seed"])
+            measure_entropy_rate(spec, table, trials=args["trials"], seed=args["seed"])
 
 
 def test_integer_likes_are_accepted():
     spec = chain(2, 2)
-    banks = build_banks(spec, [8, 8])
-    a = run_simulation(spec, banks, PLUG_IN, trials=np.int64(1_000), seed=np.uint32(4))
-    b = run_simulation(spec, banks, PLUG_IN, trials=1_000, seed=4)
+    table = build_banks(spec, [8, 8])
+    a = run_simulation(spec, table, PLUG_IN, trials=np.int64(1_000), seed=np.uint32(4))
+    b = run_simulation(spec, table, PLUG_IN, trials=1_000, seed=4)
     assert a.empirical_fmse == b.empirical_fmse
