@@ -51,7 +51,6 @@ from .simulator import (
     PLUG_IN,
     SimulationResult,
     decode,
-    measure_entropy_rate,
     replay_codebooks,
     run_simulation,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "design_network",
     "fixed_rate_betas",
     "integrate_adaptive",
-    "measure_entropy_rate",
     "out_message_table",
     "parse_spec_file",
     "predict",

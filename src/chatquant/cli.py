@@ -191,7 +191,8 @@ def _cmd_simulate(args) -> int:
     print(f"spent rates {rates_str}")
     if args.out:
         header = ["spec_hash", "regime", "Rc", "C", "N", "fmse", "stderr", "predicted"]
-        row = result.csv_row(spec.n_sensors, None, args.budget)
+        rc = float(np.log2(len(spec.partition) - 1)) if spec.chat_alphas else None
+        row = result.csv_row(spec.n_sensors, rc, args.budget)
         write_csv(args.out, [dict(zip(header, row))], {})
     return 0
 

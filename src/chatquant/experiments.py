@@ -322,12 +322,7 @@ def write_csv(
     return path
 
 
-def standard_figures(
-    outdir: str | Path,
-    simulate: bool = False,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> list[Path]:
+def standard_figures(outdir: str | Path) -> list[Path]:
     """Emit the full set of study CSVs into ``outdir``.
 
     fig5a/b sweep the chat rate across network sizes, fig5c/d across
@@ -343,9 +338,7 @@ def standard_figures(
             sweep = SweepSpec(
                 "Rc", (0, 1, 2, 3), n, 4.0, 0.01, 1.0, regime
             )
-            for row in sweep_chatting_rate(
-                sweep, simulate=simulate and regime == FIXED_RATE, trials=trials, seed=seed
-            ):
+            for row in sweep_chatting_rate(sweep):
                 rows.append({"N": n, **row})
         written.append(
             write_csv(outdir / f"{name}.csv", rows, {"study": "fmse-vs-chat-rate", "C": "4N", "alpha_c": 0.01, "regime": regime})
@@ -355,9 +348,7 @@ def standard_figures(
         rows = []
         for alpha_c in (0.0, 0.01, 0.1, 1.0):
             sweep = SweepSpec("Rc", (0, 1, 2, 3), 4, 4.0, alpha_c, 1.0, regime)
-            for row in sweep_chatting_rate(
-                sweep, simulate=simulate and regime == FIXED_RATE, trials=trials, seed=seed
-            ):
+            for row in sweep_chatting_rate(sweep):
                 rows.append({"alpha_c": alpha_c, **row})
         written.append(
             write_csv(outdir / f"{name}.csv", rows, {"study": "fmse-vs-chat-rate", "N": 4, "C": 16, "regime": regime})

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -54,63 +54,32 @@ def _de_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _DE_NODES = tuple(_de_nodes(level) for level in range(_DE_LEVELS + 1))
 
 
-def integrate_adaptive(
-    fn: Callable[..., np.ndarray],
-    lo: float | np.ndarray,
-    hi: float | None = None,
-    breakpoints: Sequence[float] = (),
-) -> float | np.ndarray:
-    """Integrate one function, or rows of them, with the tanh-sinh rule.
+def integrate_adaptive(fn: Callable, edges: np.ndarray) -> np.ndarray:
+    """Integrate rows of functions at once with the tanh-sinh rule.
 
-    Each level evaluates the integrand once, on the new nodes of every
-    piece between edges, and halves the step, until two levels agree on
-    every piece of a row to ABS_TOL / REL_TOL.  The nodes crowd towards
-    the piece ends without reaching them, so integrable endpoint
-    singularities (a cube root or a logarithm of a zero) need no special
-    treatment.
-
-    ``integrate_adaptive(fn, lo, hi, breakpoints)`` integrates ``fn``, a
-    vectorized map of a 1-D array of abscissas to values (a scalar result
-    is broadcast), over [lo, hi] split at the interior ``breakpoints``
-    (kinks, piece seams), and returns a float.  lo <= hi must be finite.
-
-    ``integrate_adaptive(fn, edges)`` integrates R rows at once: ``edges``
-    is an (R, P+1) array whose row r holds the nondecreasing piece edges
-    of integral r, and ``fn(x, rows)`` maps an (len(rows), P, nodes) block
-    of abscissas, rows ``rows`` of ``edges``, to values of that shape (or
-    one that broadcasts to it).  Each row stops at its own level and drops
-    out of later ones; a zero-width piece contributes exactly 0, so rows
-    with fewer pieces are padded with them.  Returns the R integrals.
+    ``edges`` is an (R, P+1) array whose row r holds the finite,
+    nondecreasing piece edges (kinks, piece seams) of integral r, and
+    ``fn(x, rows)`` maps an (len(rows), P, nodes) block of abscissas, rows
+    ``rows`` of ``edges``, to values of that shape (or one that broadcasts
+    to it).  Each level evaluates the integrand once, on the new nodes of
+    every piece of every unsettled row, and halves the step; a row stops
+    once two levels agree on each of its pieces to ABS_TOL / REL_TOL and
+    drops out of later levels.  The nodes crowd towards the piece ends
+    without reaching them, so integrable endpoint singularities (a cube
+    root or a logarithm of a zero) need no special treatment.  A
+    zero-width piece contributes exactly 0, so rows with fewer pieces are
+    padded with them.  Returns the R integrals.
 
     A non-finite sum is returned as it is; a finite one that has not
     settled after the last level raises ValueError.
     """
-    if hi is None:
-        edges = np.asarray(lo, dtype=float)
-        if edges.ndim != 2 or edges.shape[1] < 2:
-            raise ValueError(f"row edges must be (R, P+1), P >= 1, not {edges.shape}")
-        if not np.isfinite(edges).all():
-            raise ValueError("integration limits must be finite")
-        if np.any(np.diff(edges, axis=1) < 0):
-            raise ValueError("row edges must be nondecreasing")
-        return _integrate_rows(fn, edges)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"integration limits must be finite, got [{lo}, {hi}]")
-    if hi < lo:
-        raise ValueError(f"empty integration range [{lo}, {hi}]")
-    if hi == lo:
-        return 0.0
-    edges = np.array([[lo, *sorted(p for p in set(breakpoints) if lo < p < hi), hi]])
-
-    def row(x: np.ndarray, _rows: np.ndarray) -> np.ndarray:
-        vals = np.asarray(fn(x.ravel()), dtype=float)
-        return np.broadcast_to(vals, (x.size,)).reshape(x.shape)
-
-    return float(_integrate_rows(row, edges)[0])
-
-
-def _integrate_rows(fn: Callable, edges: np.ndarray) -> np.ndarray:
-    """The tanh-sinh levels of ``integrate_adaptive`` over rows of edges."""
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 2 or edges.shape[1] < 2:
+        raise ValueError(f"row edges must be (R, P+1), P >= 1, not {edges.shape}")
+    if not np.isfinite(edges).all():
+        raise ValueError("integration limits must be finite")
+    if np.any(np.diff(edges, axis=1) < 0):
+        raise ValueError("row edges must be nondecreasing")
     a, b = edges[:, :-1, None], edges[:, 1:, None]
     half = 0.5 * (b - a)
     acc = np.zeros(half.shape[:2])
@@ -193,7 +162,8 @@ class Pdf:
 
 
 def __getattr__(name: str):
-    # perfbench/spans.py patches probcore.quad to count its calls.
+    # perfbench/spans.py patches probcore.quad to count its calls; scipy
+    # comes with the test extra, which the traced benchmark needs.
     if name == "quad":
         from scipy.integrate import quad
 

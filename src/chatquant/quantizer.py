@@ -135,6 +135,19 @@ class CodebookTable:
         """The 1-based (sensor, message) rows that hold a codebook, in order."""
         return [(n + 1, k + 1) for n, k in np.argwhere(self.sizes > 0).tolist()]
 
+    def cell_entropy(self) -> np.ndarray:
+        """Index entropy in bits of every codebook, as an (N, K) array; 0
+        for a row without one.
+
+        Sensor n's source is uniform on [0, 1] and independent of the
+        message it hears, a function of the codewords of sensors 1..n-1
+        alone.  Given the message, each cell's probability is therefore
+        its width, edges[m] - edges[m - 1] for m = 1..size, the
+        don't-care cell [0, s_l] counting as one cell of width s_l.
+        """
+        cell = np.arange(self.stride - 1) < self.sizes[..., None]
+        return _entropy_bits(np.where(cell, np.diff(self.edges, axis=2), 0.0))
+
     def codebook(self, n: int, k: int) -> Quantizer:
         """Row (n, k) as a ``Quantizer``; ``ValueError`` for a row without one."""
         if (n, k) not in self.rows():
@@ -156,6 +169,17 @@ def _reject_rows(bad: np.ndarray, sizes: np.ndarray, what: str, error=ValueError
         raise error(f"sensor {n + 1}, message {k + 1}: " + what.format(size=sizes[n, k]))
 
 
+def _entropy_bits(weights: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of ``weights`` along the last axis,
+    normalized by the row's total; 0 for an all-zero row."""
+    weights = np.asarray(weights, dtype=float)
+    total = weights.sum(axis=-1, keepdims=True)
+    p = np.divide(weights, total, out=np.zeros_like(weights), where=total > 0)
+    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    # 0.0 - h, not -h, so an all-zero row reads +0.
+    return 0.0 - (p * log_p).sum(axis=-1)
+
+
 def _row_quantizer(
     profile: SensitivityProfile,
     root: Callable[[np.ndarray], np.ndarray],
@@ -174,12 +198,11 @@ def _row_quantizer(
     """
     s_l, s_u = profile.s_l, profile.s_u
     granular = size - (s_l > 0)
-    seams = [v for v in (s_l, s_u) if 0.0 < v < 1.0]
 
     def density(x: np.ndarray) -> np.ndarray:
         return root(np.maximum(profile(x), 0.0))
 
-    pieces = [s_l, *(v for v in seams if v > s_l), 1.0]
+    pieces = [s_l, *([s_u] if s_l < s_u < 1.0 else []), 1.0]
     xs = np.unique(np.concatenate(
         [np.linspace(a, b, _MASS_GRID + 1) for a, b in zip(pieces[:-1], pieces[1:])]
     ))
@@ -187,7 +210,8 @@ def _row_quantizer(
     # seam belongs to one side only and must not leak into the other.
     # Dividing by the integrated mass is redundant, as the total below
     # normalizes again, but it keeps every codebook bit for bit.
-    mids = density(0.5 * (xs[:-1] + xs[1:])) / integrate_adaptive(density, s_l, 1.0, seams)
+    mass = integrate_adaptive(lambda x, _rows: density(x), np.array([pieces]))[0]
+    mids = density(0.5 * (xs[:-1] + xs[1:])) / mass
     cum = np.concatenate([[0.0], np.cumsum(np.diff(xs) * mids)])
     cum = np.maximum.accumulate(cum / cum[-1])
     keep = np.concatenate([[True], np.diff(cum) > 0])

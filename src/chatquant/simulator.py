@@ -22,14 +22,12 @@ import numpy as np
 
 from .chatnet import ChatNetworkSpec, _live_rows, out_message_table
 from .distortion import ENTROPY_CONSTRAINED
-from .probcore import binary_entropy
-from .quantizer import CodebookTable, _reject_rows
+from .quantizer import CodebookTable, _entropy_bits, _reject_rows
 
 __all__ = [
     "CHUNK",
     "SimulationResult",
     "decode",
-    "measure_entropy_rate",
     "replay_codebooks",
     "run_simulation",
 ]
@@ -54,9 +52,13 @@ CONDITIONAL_EXPECTATION = "conditional-expectation"
 class SimulationResult:
     """Empirical fMSE with its standard error and the rates actually spent.
 
-    ``empirical_rates`` holds log2 of the codebook sizes in the fixed-rate
-    regime and measured index entropies (don't-care indicator included)
-    under entropy coding.
+    ``empirical_rates`` holds, per sensor, log2 of the codebook size in
+    the fixed-rate regime.  Under entropy coding it holds the measured
+    rate: the plug-in entropy of the index each codebook emitted, averaged
+    over the messages by how often each arrived.  Flagging the don't-care
+    cell first and then coding the index given the flag costs the same, by
+    the chain rule; ``CodebookTable.cell_entropy`` is the exact index
+    entropy given the message.
     """
 
     trials: int
@@ -526,7 +528,10 @@ def run_simulation(
     stderr = np.sqrt(var / trials)
 
     if entropy:
-        rates = _sensor_rates(table, sum(p[2] for p in parts))
+        # Each row's plug-in index entropy, weighted by how often its
+        # message arrived; every sensor hears one on every trial.
+        counts = sum(p[2] for p in parts)
+        rates = (counts.sum(axis=2) * _entropy_bits(counts)).sum(axis=1) / trials
     else:
         rates = np.log2(sizes[:, 0])
     return SimulationResult(
@@ -539,76 +544,3 @@ def run_simulation(
         spec.regime,
         spec.spec_hash(),
     )
-
-
-def _message_rates(table: CodebookTable, counts: np.ndarray) -> dict[tuple[int, int], float]:
-    """Indicator-then-index rate of every (sensor, message) codebook from
-    an (N, K, S + 1) cell count table; 0 for a codebook never used."""
-    out = {}
-    for n, k in table.rows():
-        size = table.sizes[n - 1, k - 1]
-        hist = counts[n - 1, k - 1, :size]
-        active = np.ones(size, dtype=bool)
-        active[0] = not table.dont_care[n - 1, k - 1]
-        out[(n, k)] = _split_entropy(hist, active) if hist.sum() else 0.0
-    return out
-
-
-def _sensor_rates(table: CodebookTable, counts: np.ndarray) -> np.ndarray:
-    """Each sensor's message rates weighted by how often each message
-    arrived; every sensor hears a message on every trial."""
-    heard = counts.sum(axis=2)
-    weights = heard / heard.sum(axis=1, keepdims=True)
-    rates = np.zeros(len(heard))
-    for (n, k), rate in _message_rates(table, counts).items():
-        rates[n - 1] += weights[n - 1, k - 1] * rate
-    return rates
-
-
-def _split_entropy(hist: np.ndarray, active: np.ndarray) -> float:
-    """Rate of indicator-then-index coding from an index histogram.
-
-    One bit stream flags whether the index is a don't-care cell; the index
-    itself is entropy-coded conditioned on that flag.  The rate is
-    H_B(P(active)) + P(active) H(index | active)
-                   + P(!active) H(index | !active).
-    """
-    total = float(hist.sum())
-    p_active = float(hist[active].sum()) / total
-
-    def cond_entropy(sub: np.ndarray) -> float:
-        s = float(sub.sum())
-        if s == 0:
-            return 0.0
-        p = sub[sub > 0] / s
-        return float(-(p * np.log2(p)).sum())
-
-    rate = binary_entropy(p_active)
-    rate += p_active * cond_entropy(hist[active])
-    rate += (1.0 - p_active) * cond_entropy(hist[~active])
-    return rate
-
-
-def measure_entropy_rate(
-    spec: ChatNetworkSpec,
-    table: CodebookTable,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> dict[tuple[int, int], float]:
-    """Empirical per-(sensor, message) transmission rates under
-    indicator-then-index entropy coding.
-
-    Plug-in entropies of the emitted streams; an ideal entropy coder would
-    meet these rates, a practical one approaches them from above.  Raises
-    ``ValueError`` for a trial count or seed that is not an integer in
-    range.
-    """
-    _check_count(trials, "trials", 1)
-    _check_count(seed, "seed", 0)
-    proto = _Encoder(spec, table)
-    counts = sum(
-        _counts(table, pos)
-        for c in range((trials + CHUNK - 1) // CHUNK)
-        for _rows, _x, pos in _chunk_blocks(spec, proto, trials, seed, c)
-    )
-    return _message_rates(table, counts)

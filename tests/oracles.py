@@ -13,13 +13,15 @@ simulator gathers from the padded codebook table, the chat tables
 search each codebook's codewords in turn where ``out_message_table``
 searches the sender's whole block at once, the index histograms are keyed by
 (message, index) one sensor at a time where the simulator counts table
-positions of all sensors at once, the whole-chunk simulation draws,
-encodes and estimates each chunk as one block where the simulator
-streams it through row blocks, the partition grid is allocated
-one spec at a time where the sweeps integrate every point's constants in
-one pass, the budget repair scores one sensor at a time where the
-design scores all at once, and the chat round reads the raw
-observations where the protocol tables read transmitted codewords.
+positions of all sensors at once, the index entropy flags the don't-care
+cell and then codes the index given the flag, one codebook at a time,
+where the package takes the plain entropy of every row at once, the
+whole-chunk simulation draws, encodes and estimates each chunk as one
+block where the simulator streams it through row blocks, the partition
+grid is allocated one spec at a time where the sweeps integrate every
+point's constants in one pass, the budget repair scores one sensor at a
+time where the design scores all at once, and the chat round reads the
+raw observations where the protocol tables read transmitted codewords.
 """
 
 from __future__ import annotations
@@ -311,21 +313,56 @@ def index_histograms(table, indices: np.ndarray, incoming: np.ndarray) -> dict:
     return out
 
 
-def whole_chunk_simulation(spec, table, decoder: str, trials: int, seed: int):
-    """``run_simulation``'s fMSE, stderr and rates, and
-    ``measure_entropy_rate``'s rates, with each chunk drawn, encoded and
-    estimated whole, as one (chunk, N) block.
+def split_entropy(hist: np.ndarray, active: np.ndarray) -> float:
+    """Rate of indicator-then-index coding from an index histogram.
 
-    Returns (fMSE, stderr, empirical rates, per-(sensor, message) rates).
+    One bit stream flags whether the index is a don't-care cell; the index
+    itself is entropy-coded conditioned on that flag.  The rate is
+    H_B(P(active)) + P(active) H(index | active)
+                   + P(!active) H(index | !active).
     """
-    from chatquant.simulator import (
-        CHUNK,
-        _counts,
-        _Encoder,
-        _estimate,
-        _message_rates,
-        _sensor_rates,
-    )
+    from chatquant.probcore import binary_entropy
+
+    total = float(hist.sum())
+    p_active = float(hist[active].sum()) / total
+
+    def cond_entropy(sub: np.ndarray) -> float:
+        s = float(sub.sum())
+        if s == 0:
+            return 0.0
+        p = sub[sub > 0] / s
+        return float(-(p * np.log2(p)).sum())
+
+    rate = binary_entropy(p_active)
+    rate += p_active * cond_entropy(hist[active])
+    rate += (1.0 - p_active) * cond_entropy(hist[~active])
+    return rate
+
+
+def row_entropies(table, counts: np.ndarray) -> np.ndarray:
+    """Each (sensor, message) row's ``split_entropy`` from an (N, K, S + 1)
+    cell count table, with its don't-care cell flagged, as an (N, K)
+    array; 0 for a row without a codebook or never used."""
+    out = np.zeros(table.sizes.shape)
+    for n, k in table.rows():
+        size = table.sizes[n - 1, k - 1]
+        active = np.ones(size, dtype=bool)
+        active[0] = not table.dont_care[n - 1, k - 1]
+        hist = counts[n - 1, k - 1, :size]
+        out[n - 1, k - 1] = split_entropy(hist, active) if hist.sum() else 0.0
+    return out
+
+
+def whole_chunk_simulation(spec, table, decoder: str, trials: int, seed: int):
+    """``run_simulation``'s fMSE, stderr and rates with each chunk drawn,
+    encoded and estimated whole, as one (chunk, N) block.
+
+    The rates are log2 of the codebook sizes at fixed rate.  Under entropy
+    coding they are each sensor's ``row_entropies`` of the whole-chunk cell
+    counts, summed one message at a time, weighted by how often each
+    message arrived.
+    """
+    from chatquant.simulator import CHUNK, _counts, _Encoder, _estimate
 
     enc = _Encoder(spec, table)
     total = total_sq = counts = 0
@@ -345,10 +382,13 @@ def whole_chunk_simulation(spec, table, decoder: str, trials: int, seed: int):
     if trials > 1:
         var *= trials / (trials - 1)
     if spec.regime == "entropy-constrained":
-        rates = _sensor_rates(table, counts)
+        heard, entropies = counts.sum(axis=2), row_entropies(table, counts)
+        rates = np.zeros(spec.n_sensors)
+        for n, k in table.rows():
+            rates[n - 1] += heard[n - 1, k - 1] / trials * entropies[n - 1, k - 1]
     else:
         rates = np.array([np.log2(table.codebook(n, 1).size) for n in range(1, spec.n_sensors + 1)])
-    return mean, np.sqrt(var / trials), rates, _message_rates(table, counts)
+    return mean, np.sqrt(var / trials), rates
 
 
 def quad_integral(fn, lo: float, hi: float, points=()) -> float:

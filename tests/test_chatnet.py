@@ -759,8 +759,8 @@ def test_codebook_rows_are_the_constants_rows(spec):
     for n in range(1, spec.n_sensors + 1):
         for k in np.flatnonzero(probs[n - 1] > 0.0) + 1:
             prof = spec.conditional_profile(n, k)
-            root = integrate_adaptive(
-                lambda x: np.cbrt(prof(x)), prof.s_l, 1.0, (prof.s_u,)
+            (root,) = integrate_adaptive(
+                lambda x, _rows: np.cbrt(prof(x)), np.array([[prof.s_l, prof.s_u, 1.0]])
             )
             assert root**3 == pytest.approx(norms[n - 1, k - 1], rel=1e-12, abs=0)
             assert dont_care[n - 1, k - 1] == int(prof.s_l > 0)

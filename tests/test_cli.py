@@ -409,6 +409,24 @@ def test_simulate_reports_everything(tmp_path, capsys):
     assert float(rows[0]["fmse"]) == pytest.approx(emp, rel=1e-6)
 
 
+def test_simulate_out_fills_the_chat_rate(tmp_path, capsys):
+    # Rc is log2 of the chain's message count, and blank without chat; a
+    # second run overwrites the file, which holds one row.
+    def rows(args):
+        out_csv = tmp_path / "sim.csv"
+        for _ in range(2):
+            assert main(["simulate", *args, "--trials", "2000", "--out", str(out_csv)]) == 0
+        return list(csv.DictReader(
+            l for l in out_csv.read_text().splitlines() if not l.startswith("#")
+        ))
+
+    chatty = rows(["-N", "3", "--chat-rate", "1", "--budget", "12"])
+    assert len(chatty) == 1 and float(chatty[0]["Rc"]) == 1.0
+    silent = rows(["--spec", str(SPEC_DIR / "max2_nochat.txt"), "--budget", "4"])
+    assert len(silent) == 1 and silent[0]["Rc"] == ""
+    capsys.readouterr()
+
+
 def test_simulate_seed_stability(capsys):
     args = ["simulate", "-N", "2", "--budget", "8", "--trials", "2000",
             "--decoder", "plug-in"]

@@ -14,39 +14,42 @@ from chatquant.probcore import (
 )
 
 
+def one_row(fn, edges):
+    """``fn`` of one array of abscissas integrated over the pieces between
+    ``edges``, as the one row of a rows call."""
+    (got,) = integrate_adaptive(lambda x, _rows: fn(x), np.array([edges], dtype=float))
+    return got
+
+
 def test_integrate_polynomial():
-    assert integrate_adaptive(lambda x: 3 * x**2, 0.0, 1.0) == pytest.approx(1.0)
-    assert integrate_adaptive(lambda x: x, 0.0, 0.0) == 0.0
+    assert one_row(lambda x: 3 * x**2, [0.0, 1.0]) == pytest.approx(1.0)
+    assert one_row(lambda x: x, [0.0, 0.0]) == 0.0
     # Integrable singularities at an end need no breakpoint or split.
     for fn, lo, hi, exact in (
         (np.log, 0.0, 1.0, -1.0),
         (lambda x: x**-0.5, 0.0, 1.0, 2.0),
         (lambda x: np.cbrt(x - 0.3), 0.3, 1.0, 0.75 * 0.7 ** (4.0 / 3.0)),
     ):
-        assert integrate_adaptive(fn, lo, hi) == pytest.approx(exact, rel=1e-9)
+        assert one_row(fn, [lo, hi]) == pytest.approx(exact, rel=1e-9)
     for lo, hi in ((1.0, 0.0), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)):
         with pytest.raises(ValueError):
-            integrate_adaptive(lambda x: x, lo, hi)
+            one_row(lambda x: x, [lo, hi])
 
 
 def test_integrate_with_kink():
     # |x - 1/3| has a kink; splitting there keeps the quadrature honest.
     fn = lambda x: abs(x - 1.0 / 3.0)
     exact = (1.0 / 3.0) ** 2 / 2 + (2.0 / 3.0) ** 2 / 2
-    assert integrate_adaptive(fn, 0.0, 1.0, breakpoints=(1.0 / 3.0,)) == pytest.approx(
-        exact, abs=1e-9
-    )
+    assert one_row(fn, [0.0, 1.0 / 3.0, 1.0]) == pytest.approx(exact, abs=1e-9)
     # A zero piece settles at once; the peaked one next to it needs more levels.
     w = 0.01
     peak = lambda x: np.where(x < 0.3, 0.0, w / ((x - 0.65) ** 2 + w**2))
     exact = 2.0 * math.atan(0.35 / w)
-    assert integrate_adaptive(peak, 0.0, 1.0, breakpoints=(0.3,)) == pytest.approx(
-        exact, rel=1e-9
-    )
+    assert one_row(peak, [0.0, 0.3, 1.0]) == pytest.approx(exact, rel=1e-9)
     # A jump with no breakpoint never settles: raise, not a wrong answer.
     step = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="settle"):
-        integrate_adaptive(step, 0.0, 1.0)
+        one_row(step, [0.0, 1.0])
 
 
 # Row integrands: kind 0 is a smooth polynomial, kind 1 a cube root that
@@ -103,18 +106,6 @@ def test_rows_match_one_row_calls(batch):
         )
         assert one.shape == (1,)
         assert got[r] == pytest.approx(one[0], rel=1e-15, abs=0.0)
-
-
-def test_one_row_is_the_scalar_call():
-    # The scalar call is the one-row case of the same loop, bit for bit.
-    fn = lambda x: np.cbrt(np.abs(x - 0.3)) + np.log(x)
-    for edges, (lo, hi, bps) in (
-        ([0.0, 0.3, 0.6, 1.0], (0.0, 1.0, (0.6, 0.3, 1.0))),
-        ([0.2, 0.3, 0.9], (0.2, 0.9, (0.3, 0.3))),
-        ([0.3, 0.9], (0.3, 0.9, ())),
-    ):
-        (got,) = integrate_adaptive(lambda x, rows: fn(x), np.array([edges]))
-        assert got == integrate_adaptive(fn, lo, hi, bps)
 
 
 def test_rows_non_finite_row_comes_back_as_is():

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from chatquant.chatnet import ChatNetworkSpec, build_banks, parse_spec_file
 from chatquant.distortion import InfeasibleRateError
-from chatquant.quantizer import MAX_CODEBOOK_SIZE, CodebookTable, InfeasibleCodebookError
+from chatquant.quantizer import (
+    MAX_CODEBOOK_SIZE,
+    CodebookTable,
+    InfeasibleCodebookError,
+    _entropy_bits,
+)
+
+from oracles import split_entropy
 
 EC = "entropy-constrained"
 
@@ -118,6 +125,49 @@ def test_table_rejects_malformed_rows():
     copy = CodebookTable(sizes, table.edges, table.codewords, table.dont_care)
     sizes[0, 0] = 2
     assert copy.sizes[0, 0] == 4 and not copy.sizes.flags.writeable
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 1 << 20])
+def test_cell_entropy_of_equal_cells_is_log2_size(size):
+    edges = np.linspace(0.0, 1.0, size + 1)
+    table = one_row(edges, 0.5 * (edges[:-1] + edges[1:]))
+    assert table.cell_entropy().shape == (1, 1)
+    assert table.cell_entropy()[0, 0] == pytest.approx(np.log2(size), rel=1e-12, abs=1e-12)
+
+
+def test_cell_entropy_counts_the_dont_care_cell():
+    # Half the mass in the don't-care cell [0, 1/2], the rest in eight
+    # cells of 1/16: H_B(1/2) + (1/2) log2 8 = 2.5 bits.
+    edges = (0.0, 0.5) + tuple(0.5 + (i + 1) / 16.0 for i in range(8))
+    codewords = (0.5,) + tuple(0.5 + (2 * i + 1) / 32.0 for i in range(8))
+    table = one_row(edges, codewords, dont_care=True)
+    assert table.cell_entropy()[0, 0] == pytest.approx(2.5, abs=1e-12)
+
+
+def test_cell_entropy_of_a_row_without_codebook_is_zero():
+    # Sensor 1 hears nothing, so its message-2 row holds no codebook.
+    table = build_banks(ChatNetworkSpec.serial_max(2, 2), [8, 8])
+    got = table.cell_entropy()
+    assert table.sizes[0, 1] == 0 and got[0, 1] == 0.0
+    assert np.all(got[table.sizes > 0] > 0.0)
+
+
+def test_entropy_bits_is_the_indicator_then_index_rate():
+    # By the chain rule, flagging the don't-care cell first and coding the
+    # index given the flag costs the plain index entropy.
+    rng = np.random.default_rng(5)
+    hists = [rng.integers(0, 50, size) for size in (1, 2, 9, 300) for _ in range(5)]
+    hists += [np.array([0, 0, 7]), np.array([7, 0, 0, 0]), rng.random(40)]
+    for hist in hists:
+        for dont_care in (False, True):
+            active = np.ones(hist.size, dtype=bool)
+            active[0] = not dont_care
+            assert _entropy_bits(hist) == pytest.approx(
+                split_entropy(hist, active), rel=1e-12, abs=1e-12
+            )
+    # Rows along the last axis; an all-zero row reads 0.
+    block = np.stack([hists[5], np.zeros(2), [3, 3]])
+    assert np.array_equal(_entropy_bits(block), [_entropy_bits(hists[5]), 0.0, 1.0])
 
 
 def test_dont_care_row_builds_past_2_to_the_15():
