@@ -55,7 +55,6 @@ from .simulator import (
     run_simulation,
 )
 from .experiments import (
-    SweepSpec,
     allocation_report,
     run_scenarios,
     standard_figures,
@@ -85,7 +84,6 @@ __all__ = [
     "SensitivityProfile",
     "SimulationResult",
     "SpecFormatError",
-    "SweepSpec",
     "allocate",
     "allocation_report",
     "binary_entropy",

@@ -279,6 +279,30 @@ def _grid_distortions(
     return out
 
 
+def _chat_rate_allocations(
+    spec: "ChatNetworkSpec", budget: float, rcs: Sequence[int]
+) -> list[tuple[int, AllocationResult | None]]:
+    """``allocate(spec.with_chat_rate(rc), budget)`` for every rc in ``rcs``,
+    None where chatting exhausts the budget.
+
+    The grid is checked before any allocation: an empty grid or a rate
+    that is not a nonnegative integer raises ``ValueError``, and the
+    budget raises as ``_check_budget``.
+    """
+    if len(rcs) == 0:
+        raise ValueError("the chat-rate grid is empty")
+    chatting = [spec.with_chat_rate(rc) for rc in rcs]
+    _check_budget(budget)
+    out: list[tuple[int, AllocationResult | None]] = []
+    for rc, at_rate in zip(rcs, chatting):
+        try:
+            alloc = allocate(at_rate, budget)
+        except InfeasibleBudgetError:
+            alloc = None
+        out.append((int(rc), alloc))
+    return out
+
+
 def chat_budget_search(
     spec: "ChatNetworkSpec", budget: float, rc_grid: Sequence[int]
 ) -> tuple[int, AllocationResult]:
@@ -286,26 +310,20 @@ def chat_budget_search(
 
     Each candidate chat rate is allocated by ``allocate`` in the spec's
     regime.  Returns the chat rate with the smallest predicted fMSE and
-    its allocation.  Candidates that consume the whole budget are
-    skipped; if none survives, the budget is infeasible.  A budget that
-    is not positive raises InfeasibleBudgetError before any candidate;
-    an empty grid, a non-finite budget or a candidate that is not a
-    nonnegative integer raises ``ValueError``.
+    its allocation; the first best rate wins a tie.  Candidates that
+    consume the whole budget are skipped; if none survives, the budget
+    is infeasible.  A budget that is not positive raises
+    InfeasibleBudgetError before any candidate; an empty grid, a
+    non-finite budget or a candidate that is not a nonnegative integer
+    raises ``ValueError``.
     """
-    if len(rc_grid) == 0:
-        raise ValueError("the chat-rate grid is empty: no candidate to search")
-    _check_budget(budget)
-    best: tuple[int, AllocationResult] | None = None
-    for rc in rc_grid:
-        chatting = spec.with_chat_rate(rc)
-        try:
-            res = allocate(chatting, budget)
-        except InfeasibleBudgetError:
-            continue
-        if best is None or res.predicted_distortion < best[1].predicted_distortion:
-            best = (int(rc), res)
-    if best is None:
+    feasible = [
+        (rc, res)
+        for rc, res in _chat_rate_allocations(spec, budget, rc_grid)
+        if res is not None
+    ]
+    if not feasible:
         raise InfeasibleBudgetError(
             f"chatting exhausts the budget {budget:g} at every candidate rate"
         )
-    return best
+    return min(feasible, key=lambda pair: pair[1].predicted_distortion)

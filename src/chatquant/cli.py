@@ -32,7 +32,6 @@ from .distortion import (
     predict,
 )
 from .experiments import (
-    SweepSpec,
     run_scenarios,
     sweep_chatting_rate,
     sweep_partition,
@@ -197,51 +196,45 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _sweep_network(args, variable: str, alpha_c: float) -> tuple[ChatNetworkSpec, dict]:
+    """The serial max chain a sweep command runs on, and its CSV header."""
+    alpha_n = 1.0 if args.fusion_alpha is None else args.fusion_alpha
+    regime = args.regime or FIXED_RATE
+    spec = ChatNetworkSpec.serial_max(args.sensors, 2, alpha_c, alpha_n, regime)
+    params = {
+        "variable": variable,
+        "N": args.sensors,
+        "C": args.budget,
+        "alpha_c": alpha_c,
+        "alpha_n": alpha_n,
+        "regime": regime,
+    }
+    return spec, params
+
+
 def _cmd_sweep_rc(args) -> int:
-    sweep = SweepSpec(
-        "Rc",
-        tuple(range(args.rc_max + 1)),
-        args.sensors,
-        _sensor_budget(args),
-        0.0 if args.alpha_c is None else args.alpha_c,
-        1.0 if args.fusion_alpha is None else args.fusion_alpha,
-        args.regime or FIXED_RATE,
-    )
-    rows = sweep_chatting_rate(
-        sweep, simulate=args.simulate, trials=args.trials, seed=args.seed
-    )
+    alpha_c = 0.0 if args.alpha_c is None else args.alpha_c
+    spec, params = _sweep_network(args, "Rc", alpha_c)
+    rows = sweep_chatting_rate(spec, args.budget, range(args.rc_max + 1))
     if args.out:
-        write_csv(args.out, rows, sweep.params())
+        write_csv(args.out, rows, params)
     else:
         for r in rows:
             if not r["feasible"]:
                 print(f"Rc {r['Rc']}: infeasible")
-            elif r["empirical_fmse"] is None:
-                print(f"Rc {r['Rc']}: predicted {r['predicted_fmse']:.6e}")
             else:
-                print(
-                    f"Rc {r['Rc']}: predicted {r['predicted_fmse']:.6e} "
-                    f"empirical {r['empirical_fmse']:.6e}"
-                )
+                print(f"Rc {r['Rc']}: predicted {r['predicted_fmse']:.6e}")
     return 0
 
 
 def _cmd_sweep_p1(args) -> int:
     if not (math.isfinite(args.step) and 0.0 < args.step < 1.0):
         raise ValueError(f"--step must be inside (0, 1), got {args.step}")
-    grid = tuple(np.round(np.arange(args.step, 1.0, args.step), 10))
-    sweep = SweepSpec(
-        "p1",
-        grid,
-        args.sensors,
-        _sensor_budget(args),
-        0.0,
-        1.0 if args.fusion_alpha is None else args.fusion_alpha,
-        args.regime or FIXED_RATE,
-    )
-    rows = sweep_partition(sweep)
+    spec, params = _sweep_network(args, "p1", 0.0)
+    grid = np.round(np.arange(args.step, 1.0, args.step), 10)
+    rows = sweep_partition(spec, args.budget, grid)
     if args.out:
-        write_csv(args.out, rows, sweep.params())
+        write_csv(args.out, rows, params)
     else:
         for r in rows:
             print(f"p1 {r['p1']:.2f}: ratio {r['ratio']:.4f}")
@@ -313,16 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path)
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("sweep-rc", help="distortion against the chat rate")
+    p = sub.add_parser("sweep-rc", help="predicted distortion against the chat rate")
     p.add_argument("-N", "--sensors", type=int, required=True)
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--rc-max", type=int, default=3)
     p.add_argument("--alpha-c", type=float)
     p.add_argument("--fusion-alpha", type=float)
     p.add_argument("--regime", choices=(FIXED_RATE, ENTROPY_CONSTRAINED))
-    p.add_argument("--simulate", action="store_true")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path)
     p.set_defaults(fn=_cmd_sweep_rc)
 

@@ -1,27 +1,33 @@
 """Scripted studies over the serial max network.
 
 Each function returns plain row dicts and can serialize them to CSV with
-a parameter header, one file per study.  Nothing here plots; the CSVs
-are the deliverable.
+a parameter header, one file per study.  The sweeps and searches take a
+network, a budget and a grid: ``sweep_chatting_rate(spec, budget, rcs)``
+and ``chat_budget_search`` run each chat rate as
+``spec.with_chat_rate(rc)``, ``sweep_partition(spec, budget, p1s)`` and
+``optimize_partition`` each boundary as
+``spec.with_partition((0, p1, 1))``.  They predict only; a sweep point
+is simulated by ``run_simulation`` on its ``design_network``.  Nothing
+here plots; the CSVs are the deliverable.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .allocation import (
-    InfeasibleBudgetError,
+    _chat_rate_allocations,
     _check_budget,
     _fusion_budget,
     _grid_distortions,
     allocate,
 )
-from .chatnet import ChatNetworkSpec, design_network
+from .chatnet import ChatNetworkSpec
 from .distortion import (
     ENTROPY_CONSTRAINED,
     FIXED_RATE,
@@ -30,10 +36,8 @@ from .distortion import (
     fixed_rate_betas,
     predict,
 )
-from .simulator import CONDITIONAL_EXPECTATION, run_simulation
 
 __all__ = [
-    "SweepSpec",
     "allocation_report",
     "run_scenarios",
     "standard_figures",
@@ -43,128 +47,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A family of serial max networks with one swept variable.
-
-    ``variable`` names the swept axis, the chat rate "Rc" or the one-bit
-    partition boundary "p1", and ``values`` its points; the remaining
-    fields stay fixed across the family, and the budget is
-    budget_per_sensor * N.
-    """
-
-    variable: str
-    values: tuple
-    n_sensors: int = 4
-    budget_per_sensor: float = 4.0
-    alpha_c: float = 0.01
-    fusion_alpha: float = 1.0
-    regime: str = FIXED_RATE
-
-    def __post_init__(self) -> None:
-        if self.variable not in ("Rc", "p1"):
-            raise ValueError(f"unknown sweep variable {self.variable!r}")
-        if self.n_sensors < 1:
-            raise ValueError("need at least one sensor")
-        if not np.isfinite(self.budget_per_sensor):
-            raise ValueError("the budget must be finite")
-        if not self.values:
-            raise ValueError("sweep needs at least one value")
-        if self.variable == "p1" and not all(0 < v < 1 for v in self.values):
-            raise ValueError("partition boundaries must be inside (0, 1)")
-        if self.variable == "Rc" and not all(
-            np.isfinite(v) and int(v) == v and v >= 0 for v in self.values
-        ):
-            raise ValueError("chat rates must be nonnegative integers")
-
-    @property
-    def budget(self) -> float:
-        return self.budget_per_sensor * self.n_sensors
-
-    def params(self) -> dict:
-        return {
-            "variable": self.variable,
-            "N": self.n_sensors,
-            "C": self.budget,
-            "alpha_c": self.alpha_c,
-            "alpha_n": self.fusion_alpha,
-            "regime": self.regime,
-        }
-
-
 def sweep_chatting_rate(
-    sweep: SweepSpec,
-    simulate: bool = False,
-    trials: int = 100_000,
-    seed: int = 0,
-    decoder: str = CONDITIONAL_EXPECTATION,
+    spec: ChatNetworkSpec, budget: float, rcs: Sequence[int]
 ) -> list[dict]:
-    """Predicted (and optionally simulated) fMSE against the chat rate.
+    """Predicted fMSE of ``spec.with_chat_rate(rc)`` at ``budget`` for
+    every rc in ``rcs``.
 
-    Every chat edge is charged alpha_c per bit; the rest of the budget is
-    allocated optimally across fusion links.  Rows where chatting alone
-    exhausts the budget are kept and flagged infeasible; a budget that is
-    not positive raises InfeasibleBudgetError before any row.  Simulation
-    designs real integer-size codebooks under the same budget, so its
-    predicted column can differ slightly from the continuous-rate one.
+    Every chat edge is charged its per-bit price; the rest of the budget
+    is allocated optimally across fusion links, as ``chat_budget_search``
+    does for the same grid.  Rows where chatting alone exhausts the
+    budget are kept and flagged infeasible.  An empty grid or a rate that
+    is not a nonnegative integer raises ValueError, and a budget that is
+    not positive InfeasibleBudgetError, before any row.
     """
-    if sweep.variable != "Rc":
-        raise ValueError("sweep_chatting_rate expects a chat-rate sweep")
-    _check_budget(sweep.budget)
-    rows = []
-    for rc in sweep.values:
-        rc = int(rc)
-        spec = ChatNetworkSpec.serial_max(
-            sweep.n_sensors,
-            2**rc,
-            sweep.alpha_c,
-            sweep.fusion_alpha,
-            sweep.regime,
-        )
-        try:
-            alloc = allocate(spec, sweep.budget)
-        except InfeasibleBudgetError:
-            alloc = None
-        row = {
+    return [
+        {
             "Rc": rc,
             "feasible": alloc is not None,
             "predicted_fmse": None if alloc is None else alloc.predicted_distortion,
-            "empirical_fmse": None,
-            "stderr": None,
         }
-        if alloc is not None and simulate and sweep.regime == FIXED_RATE:
-            design = design_network(spec, budget=sweep.budget)
-            sim = run_simulation(
-                spec,
-                design.banks,
-                decoder,
-                trials,
-                seed,
-                predicted=design.predicted.total,
-            )
-            row["empirical_fmse"] = sim.empirical_fmse
-            row["stderr"] = sim.stderr
-            row["predicted_fmse"] = design.predicted.total
-        rows.append(row)
-    return rows
+        for rc, alloc in _chat_rate_allocations(spec, budget, rcs)
+    ]
 
 
-def sweep_partition(sweep: SweepSpec) -> list[dict]:
+def sweep_partition(
+    spec: ChatNetworkSpec, budget: float, p1s: Sequence[float]
+) -> list[dict]:
     """fMSE ratio against the no-chat baseline as the single one-bit
     partition boundary moves.
 
-    Chatting is free here (the cost model of the study) and the chat rate
-    is one bit, so the network differs from the no-chat one only through
-    the conditional sensitivities.  Ratios above 1 mean chatting hurts.
+    Each row is ``spec.with_partition((0, p1, 1))`` at ``budget``, and
+    the baseline is the same network without chat at the same budget.
+    Ratios above 1 mean chatting hurts.  An empty grid or a boundary
+    outside (0, 1) raises ValueError before any allocation.
     """
-    if sweep.variable != "p1":
-        raise ValueError("sweep_partition expects a p1 sweep")
-    base = ChatNetworkSpec.serial_max(
-        sweep.n_sensors, 2, 0.0, sweep.fusion_alpha, sweep.regime
-    )
-    _check_budget(sweep.budget)
-    nochat = closed_form_max_nochat(sweep.n_sensors, sweep.budget, sweep.regime)
-    p1s = np.array([float(p1) for p1 in sweep.values])
+    p1s = np.array([float(p1) for p1 in p1s])
+    if p1s.size == 0:
+        raise ValueError("the partition grid is empty")
+    if not np.all((p1s > 0.0) & (p1s < 1.0)):
+        raise ValueError("partition boundaries must be inside (0, 1)")
+    _check_budget(budget)
+    nochat = _nochat_fmse(spec, budget)
     return [
         {
             "p1": float(p1),
@@ -172,8 +95,21 @@ def sweep_partition(sweep: SweepSpec) -> list[dict]:
             "nochat_fmse": nochat,
             "ratio": float(d) / nochat,
         }
-        for p1, d in zip(p1s, _partition_grid(base, sweep.budget, p1s))
+        for p1, d in zip(p1s, _partition_grid(spec, budget, p1s))
     ]
+
+
+def _nochat_fmse(spec: ChatNetworkSpec, budget: float) -> float:
+    """Predicted fMSE of the spec's network without chat at ``budget``.
+
+    When every fusion link costs alpha this is the closed form at
+    budget / alpha; otherwise the chat-free twin is allocated.
+    """
+    alphas = set(spec.fusion_alphas)
+    if len(alphas) == 1:
+        return closed_form_max_nochat(spec.n_sensors, budget / alphas.pop(), spec.regime)
+    twin = replace(spec, chat_alphas=(), partition=(0.0, 1.0))
+    return allocate(twin, budget).predicted_distortion
 
 
 def _partition_grid(
@@ -332,13 +268,12 @@ def standard_figures(outdir: str | Path) -> list[Path]:
     outdir = Path(outdir)
     written = []
 
+    rcs = (0, 1, 2, 3)
     for name, regime in (("fig5a", FIXED_RATE), ("fig5b", ENTROPY_CONSTRAINED)):
         rows = []
         for n in (2, 3, 4, 5):
-            sweep = SweepSpec(
-                "Rc", (0, 1, 2, 3), n, 4.0, 0.01, 1.0, regime
-            )
-            for row in sweep_chatting_rate(sweep):
+            spec = ChatNetworkSpec.serial_max(n, 2, 0.01, 1.0, regime)
+            for row in sweep_chatting_rate(spec, 4.0 * n, rcs):
                 rows.append({"N": n, **row})
         written.append(
             write_csv(outdir / f"{name}.csv", rows, {"study": "fmse-vs-chat-rate", "C": "4N", "alpha_c": 0.01, "regime": regime})
@@ -347,19 +282,19 @@ def standard_figures(outdir: str | Path) -> list[Path]:
     for name, regime in (("fig5c", FIXED_RATE), ("fig5d", ENTROPY_CONSTRAINED)):
         rows = []
         for alpha_c in (0.0, 0.01, 0.1, 1.0):
-            sweep = SweepSpec("Rc", (0, 1, 2, 3), 4, 4.0, alpha_c, 1.0, regime)
-            for row in sweep_chatting_rate(sweep):
+            spec = ChatNetworkSpec.serial_max(4, 2, alpha_c, 1.0, regime)
+            for row in sweep_chatting_rate(spec, 16.0, rcs):
                 rows.append({"alpha_c": alpha_c, **row})
         written.append(
             write_csv(outdir / f"{name}.csv", rows, {"study": "fmse-vs-chat-rate", "N": 4, "C": 16, "regime": regime})
         )
 
-    p1_grid = tuple(np.round(np.concatenate([[0.01], np.arange(0.05, 1.0, 0.05), [0.99]]), 2))
+    p1_grid = np.round(np.concatenate([[0.01], np.arange(0.05, 1.0, 0.05), [0.99]]), 2)
     for name, regime in (("fig6a", FIXED_RATE), ("fig6b", ENTROPY_CONSTRAINED)):
         rows = []
         for n in (2, 3, 5, 10):
-            sweep = SweepSpec("p1", p1_grid, n, 4.0, 0.0, 1.0, regime)
-            for row in sweep_partition(sweep):
+            spec = ChatNetworkSpec.serial_max(n, 2, 0.0, 1.0, regime)
+            for row in sweep_partition(spec, 4.0 * n, p1_grid):
                 rows.append({"N": n, **row})
         written.append(
             write_csv(outdir / f"{name}.csv", rows, {"study": "fmse-ratio-vs-partition", "C": "4N", "Rc": 1, "alpha_c": 0.0, "regime": regime})

@@ -78,9 +78,9 @@ class CodebookTable:
     ``sizes[n-1, k-1]`` counts the cells of the codebook message k selects
     at sensor n, 0 for a message n cannot receive; K is the chain's message
     count, 1 without chat.  Row (n, k) of the (N, K, S + 1) ``edges`` and
-    ``codewords``, S the largest size, holds size + 1 edges and size
-    codewords, then zeros; ``dont_care`` marks the rows whose cell 1 is the
-    don't-care cell [0, s_l].  Cell m of row (n, k) is entry
+    ``codewords``, S the largest size, holds size + 1 edges from 0 to 1
+    and size codewords, then zeros; ``dont_care`` marks the rows whose
+    cell 1 is the don't-care cell [0, s_l].  Cell m of row (n, k) is entry
     (n-1)*K*(S+1) + (k-1)*(S+1) + m-1 of the flat views ``lower``,
     ``upper``, ``cell_codewords`` and ``is_cell``.  The arrays are
     read-only copies; a row that breaks a check below raises ``ValueError``
@@ -117,6 +117,9 @@ class CodebookTable:
             _reject_rows(bad, sizes, what)
         _reject_rows(dont_care & (sizes < 2), sizes, "codebook of size {size} leaves no granular "
                      "cell beside its don't-care cell", InfeasibleCodebookError)
+        last = np.take_along_axis(edges, sizes[..., None], axis=2)[..., 0]
+        _reject_rows((sizes > 0) & ((edges[..., 0] != 0.0) | (last != 1.0)), sizes,
+                     "edges must span [0, 1]")
         flat = edges.reshape(-1)
         for name, value in (
             ("sizes", sizes), ("edges", edges), ("codewords", codewords),

@@ -35,7 +35,6 @@ from chatquant.chatnet import (
 )
 from chatquant.distortion import FIXED_RATE, ENTROPY_CONSTRAINED, closed_form_max_nochat
 from chatquant.experiments import (
-    SweepSpec,
     run_scenarios,
     sweep_chatting_rate,
     sweep_partition,
@@ -101,15 +100,18 @@ def test_criterion_3_chatting_fixed_rate(capsys):
     """Chat-rate sweep at N=4, C=16, alpha_c=0.01: every simulated point
     within 5% of its prediction, and the free-chat curve strictly falls."""
     t0 = time.time()
-    sweep = SweepSpec("Rc", (0, 1, 2, 3), 4, 4.0, 0.01, 1.0, FIXED_RATE)
-    rows = sweep_chatting_rate(
-        sweep, simulate=True, trials=TRIALS, seed=0, decoder=PLUG_IN
+    spec = ChatNetworkSpec.serial_max(4, 2, 0.01, 1.0, FIXED_RATE)
+    rows = sweep_chatting_rate(spec, 16.0, range(4))
+    rels = []
+    for rc in range(4):
+        chatting = spec.with_chat_rate(rc)
+        design = design_network(chatting, budget=16.0)
+        predicted = design.predicted.total
+        sim = run_simulation(chatting, design.banks, PLUG_IN, TRIALS, 0, predicted=predicted)
+        rels.append(abs(sim.empirical_fmse - predicted) / predicted)
+    free = sweep_chatting_rate(
+        ChatNetworkSpec.serial_max(4, 2, 0.0, 1.0, FIXED_RATE), 16.0, range(4)
     )
-    rels = [
-        abs(r["empirical_fmse"] - r["predicted_fmse"]) / r["predicted_fmse"]
-        for r in rows
-    ]
-    free = sweep_chatting_rate(SweepSpec("Rc", (0, 1, 2, 3), 4, 4.0, 0.0, 1.0, FIXED_RATE))
     pred = [r["predicted_fmse"] for r in free]
     decreasing = bool(np.all(np.diff(pred) < 0))
     elapsed = time.time() - t0
@@ -329,15 +331,18 @@ def test_criterion_7_partition_qualitative_claims(capsys):
     """
     consistency = 0.0
     for regime in (FIXED_RATE, ENTROPY_CONSTRAINED):
-        part = sweep_partition(SweepSpec("p1", (0.5,), 4, 4.0, 0.0, 1.0, regime))
-        rate = sweep_chatting_rate(SweepSpec("Rc", (1,), 4, 4.0, 0.0, 1.0, regime))
+        spec = ChatNetworkSpec.serial_max(4, 2, 0.0, 1.0, regime)
+        part = sweep_partition(spec, 16.0, (0.5,))
+        rate = sweep_chatting_rate(spec, 16.0, (1,))
         consistency = max(
             consistency,
             abs(part[0]["predicted_fmse"] - rate[0]["predicted_fmse"])
             / rate[0]["predicted_fmse"],
         )
 
-    hurt = sweep_partition(SweepSpec("p1", (0.2,), 10, 4.0, 0.0, 1.0, ENTROPY_CONSTRAINED))
+    hurt = sweep_partition(
+        ChatNetworkSpec.serial_max(10, 2, 0.0, 1.0, ENTROPY_CONSTRAINED), 40.0, (0.2,)
+    )
     hurt_ratio = hurt[0]["ratio"]
 
     # devs[regime, end, N]: |ratio - 1| per decade k, coarsest first.
@@ -346,7 +351,8 @@ def test_criterion_7_partition_qualitative_claims(capsys):
     for regime, ks in decades.items():
         for n in range(2, 11):
             p1s = tuple(p for k in ks for p in (10.0**-k, 1.0 - 10.0**-k))
-            rows = sweep_partition(SweepSpec("p1", p1s, n, 4.0, 0.0, 1.0, regime))
+            spec = ChatNetworkSpec.serial_max(n, 2, 0.0, 1.0, regime)
+            rows = sweep_partition(spec, 4.0 * n, p1s)
             dev = [abs(r["ratio"] - 1.0) for r in rows]
             devs[regime, "p1->0", n] = dev[0::2]
             devs[regime, "p1->1", n] = dev[1::2]

@@ -529,6 +529,30 @@ def test_sweep_rc_stdout_and_csv(tmp_path, capsys):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("command", ["sweep-rc", "sweep-p1"])
+def test_sweeps_use_the_budget_as_given(command, tmp_path, capsys):
+    # Not split over the sensors and multiplied back: 0.9 / 3 * 3 is
+    # 0.8999999999999999.
+    out = tmp_path / "sweep.csv"
+    assert main([command, "-N", "3", "--budget", "0.9", "--out", str(out)]) == 0
+    assert "# C = 0.9\n" in out.read_text()
+
+
+def test_sweep_p1_baseline_pays_the_fusion_cost(capsys):
+    args = ["sweep-p1", "-N", "4", "--budget", "16", "--fusion-alpha", "2", "--step", "0.25"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "p1 0.25: ratio 0.8807", "p1 0.50: ratio 0.8203", "p1 0.75: ratio 0.9213",
+    ]
+
+
+def test_sweep_rc_has_no_simulation_flags(capsys):
+    for flag in ("--simulate", "--trials=10", "--seed=1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-rc", "-N", "3", "--budget", "12", flag])
+        assert exc.value.code == 2
+
+
 def test_sweep_p1(capsys):
     assert main(["sweep-p1", "-N", "3", "--budget", "12", "--step", "0.25"]) == 0
     out = capsys.readouterr().out

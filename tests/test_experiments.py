@@ -1,13 +1,20 @@
 import csv
+import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from chatquant.allocation import InfeasibleBudgetError, _allocate_from, _fusion_budget
+from chatquant.allocation import (
+    InfeasibleBudgetError,
+    _allocate_from,
+    _fusion_budget,
+    allocate,
+    chat_budget_search,
+)
 from chatquant.chatnet import ChatNetworkSpec
 from chatquant.distortion import _chat_constants, closed_form_max_nochat
 from chatquant.experiments import (
-    SweepSpec,
     _partition_grid,
     allocation_report,
     optimize_partition,
@@ -24,51 +31,56 @@ FR = "fixed-rate"
 EC = "entropy-constrained"
 
 
+def chain(n, alpha_c=0.0, regime=FR, fusion_alpha=1.0):
+    """The serial max chain the sweeps run on: one-bit chat at alpha_c."""
+    return ChatNetworkSpec.serial_max(n, 2, alpha_c, fusion_alpha, regime)
+
+
 def test_sweep_spec_validation():
-    # Only the chat rate and the partition boundary have a sweep function.
-    for variable in ("K", "alpha_c", "N"):
-        with pytest.raises(ValueError, match="unknown sweep variable"):
-            SweepSpec(variable, (1, 2))
-    with pytest.raises(ValueError):
-        SweepSpec("Rc", ())
-    with pytest.raises(ValueError):
-        SweepSpec("p1", (0.0, 0.5))
-    with pytest.raises(ValueError):
-        SweepSpec("Rc", (0, 1.5))
-    for bad in (float("inf"), float("-inf"), float("nan")):
-        with pytest.raises(ValueError, match="nonnegative integers"):
-            SweepSpec("Rc", (0, bad))
-    with pytest.raises(ValueError):
-        SweepSpec("Rc", (0, 1), budget_per_sensor=float("nan"))
+    # Each sweep checks its grid and budget before any allocation.
+    spec = chain(4, 0.01)
+    with pytest.raises(ValueError, match="grid is empty"):
+        sweep_chatting_rate(spec, 16.0, ())
+    with pytest.raises(ValueError, match="grid is empty"):
+        sweep_partition(spec, 16.0, ())
+    for bad in (0.0, 1.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"inside \(0, 1\)"):
+            sweep_partition(spec, 16.0, (0.5, bad))
+    for bad in (1.5, -1, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            sweep_chatting_rate(spec, 16.0, (0, bad))
+    # A bad grid is named even when the budget is bad too.
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        sweep_chatting_rate(spec, float("nan"), (0, 1.5))
+    for sweep, grid in ((sweep_chatting_rate, (0, 1)), (sweep_partition, (0.5,))):
+        with pytest.raises(ValueError, match="finite"):
+            sweep(spec, float("nan"), grid)
     for n_sensors in (0, -1):
         with pytest.raises(ValueError, match="need at least one sensor"):
-            SweepSpec("Rc", (0, 1), n_sensors=n_sensors)
-    sweep = SweepSpec("Rc", (0, 1), n_sensors=5, budget_per_sensor=3.0)
-    assert sweep.budget == 15.0
-    assert sweep.params()["C"] == 15.0
-    assert sweep.params()["variable"] == "Rc"
+            chain(n_sensors)
+    # A whole number given as a float is a valid rate.
+    assert sweep_chatting_rate(spec, 16.0, (1.0,)) == sweep_chatting_rate(spec, 16.0, (1,))
 
 
 def test_sweeps_reject_non_finite_link_costs():
+    # The sweeps take their costs from the spec, which refuses these.
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="chat cost per bit must be finite"):
-            sweep_chatting_rate(SweepSpec("Rc", (0, 1), alpha_c=bad))
+            chain(4, alpha_c=bad)
         with pytest.raises(ValueError, match="fusion costs must be finite"):
-            sweep_chatting_rate(SweepSpec("Rc", (0, 1), fusion_alpha=bad))
-        with pytest.raises(ValueError, match="fusion costs must be finite"):
-            sweep_partition(SweepSpec("p1", (0.5,), fusion_alpha=bad))
+            chain(4, fusion_alpha=bad)
 
 
 def test_sweep_functions_check_variable():
-    with pytest.raises(ValueError):
-        sweep_chatting_rate(SweepSpec("p1", (0.5,)))
-    with pytest.raises(ValueError):
-        sweep_partition(SweepSpec("Rc", (1,)))
+    # A partition boundary is no chat rate, and a chat rate no boundary.
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        sweep_chatting_rate(chain(4), 16.0, (0.5,))
+    with pytest.raises(ValueError, match=r"inside \(0, 1\)"):
+        sweep_partition(chain(4), 16.0, (1,))
 
 
 def test_chat_rate_sweep_frozen_fixed_rate():
-    sweep = SweepSpec("Rc", (0, 1, 2, 3), 4, 4.0, 0.0, 1.0, FR)
-    rows = sweep_chatting_rate(sweep)
+    rows = sweep_chatting_rate(chain(4), 16.0, (0, 1, 2, 3))
     got = [r["predicted_fmse"] for r in rows]
     want = (1.627604e-4, 1.335093e-4, 1.188706e-4, 1.098236e-4)
     assert np.allclose(got, want, rtol=1e-5)
@@ -79,7 +91,7 @@ def test_chat_rate_sweep_frozen_fixed_rate():
 
 
 def test_chat_rate_sweep_flags_infeasible():
-    rows = sweep_chatting_rate(SweepSpec("Rc", (0, 4), 4, 4.0, 2.0, 1.0, FR))
+    rows = sweep_chatting_rate(chain(4, 2.0), 16.0, (0, 4))
     assert rows[0]["feasible"] is True
     assert rows[1]["feasible"] is False
     assert rows[1]["predicted_fmse"] is None
@@ -88,55 +100,82 @@ def test_chat_rate_sweep_flags_infeasible():
 
 @pytest.mark.parametrize("per_sensor", [-1.0, 0.0])
 def test_chat_rate_sweep_nonpositive_budget(per_sensor):
-    sweep = SweepSpec("Rc", (0, 1, 2), 3, per_sensor, 0.01, 1.0, FR)
     with pytest.raises(InfeasibleBudgetError, match="budget must be positive"):
-        sweep_chatting_rate(sweep)
+        sweep_chatting_rate(chain(3, 0.01), 3 * per_sensor, (0, 1, 2))
 
 
-def test_chat_rate_sweep_simulated():
-    rows = sweep_chatting_rate(
-        SweepSpec("Rc", (1,), 3, 4.0, 0.0, 1.0, FR), simulate=True, trials=20_000
-    )
-    (row,) = rows
-    assert row["empirical_fmse"] is not None and row["stderr"] is not None
-    assert abs(row["empirical_fmse"] - row["predicted_fmse"]) < 0.15 * row["predicted_fmse"]
+@pytest.mark.parametrize("regime", [FR, EC])
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("alpha_c", [0.0, 0.1])
+def test_chat_budget_search_picks_the_best_sweep_row(n, regime, alpha_c):
+    # The search and the sweep read one loop over chat rates: the search
+    # returns the feasible row of smallest prediction, to the last bit.
+    spec = chain(n, alpha_c, regime)
+    budget, rcs = 4.0 * n, (0, 1, 2, 3)
+    rows = [r for r in sweep_chatting_rate(spec, budget, rcs) if r["feasible"]]
+    best = min(rows, key=lambda r: r["predicted_fmse"])
+    rc, res = chat_budget_search(spec, budget, rcs)
+    assert rc == best["Rc"]
+    assert res.predicted_distortion == best["predicted_fmse"]
 
 
-def test_chat_rate_sweep_entropy_is_prediction_only():
-    rows = sweep_chatting_rate(
-        SweepSpec("Rc", (0, 1), 3, 4.0, 0.0, 1.0, EC), simulate=True, trials=1_000
-    )
-    assert all(r["empirical_fmse"] is None for r in rows)
-    assert rows[1]["predicted_fmse"] < rows[0]["predicted_fmse"]
+@pytest.mark.parametrize("regime", [FR, EC])
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("alpha_c", [0.0, 0.1])
+def test_optimize_partition_picks_the_best_sweep_row(n, regime, alpha_c):
+    spec, budget, step = chain(n, alpha_c, regime), 4.0 * n, 0.05
+    rows = sweep_partition(spec, budget, np.arange(step, 1.0, step))
+    best = min(rows, key=lambda r: r["predicted_fmse"])
+    assert optimize_partition(spec, budget, step) == (best["p1"], best["predicted_fmse"])
 
 
 def test_partition_sweep_consistency_with_rate_sweep():
     # The uniform boundary must reproduce the one-bit chat-rate row: same
     # network, same allocation path.
     for regime in (FR, EC):
-        part = sweep_partition(SweepSpec("p1", (0.5,), 4, 4.0, 0.0, 1.0, regime))
-        rate = sweep_chatting_rate(SweepSpec("Rc", (1,), 4, 4.0, 0.0, 1.0, regime))
+        part = sweep_partition(chain(4, regime=regime), 16.0, (0.5,))
+        rate = sweep_chatting_rate(chain(4, regime=regime), 16.0, (1,))
         assert part[0]["predicted_fmse"] == pytest.approx(
             rate[0]["predicted_fmse"], rel=1e-12
         )
 
 
 def test_partition_sweep_columns():
-    rows = sweep_partition(SweepSpec("p1", (0.3, 0.5), 4, 4.0, 0.0, 1.0, FR))
+    rows = sweep_partition(chain(4), 16.0, (0.3, 0.5))
     for row in rows:
         assert row["ratio"] == pytest.approx(
             row["predicted_fmse"] / row["nochat_fmse"], rel=1e-12
         )
-        assert row["nochat_fmse"] == pytest.approx(
-            closed_form_max_nochat(4, 16.0, FR), rel=1e-12
-        )
+        assert row["nochat_fmse"] == closed_form_max_nochat(4, 16.0, FR)
     assert rows[1]["ratio"] < 1.0
+
+
+@pytest.mark.parametrize(
+    "regime, want",
+    [(FR, (0.8807, 0.8203, 0.9213)), (EC, (1.7383, 0.9726, 0.6003))],
+)
+def test_partition_sweep_baseline_pays_the_fusion_cost(regime, want):
+    # At two units per fusion bit the baseline is the chat-free network at
+    # the same cost, not the unit-cost closed form (ratios 14.09, 13.12,
+    # 14.74 at fixed rate and 27.81, 15.56, 9.61 under entropy coding).
+    spec = chain(4, regime=regime, fusion_alpha=2.0)
+    rows = sweep_partition(spec, 16.0, (0.25, 0.5, 0.75))
+    twin = replace(spec, chat_alphas=(), partition=(0.0, 1.0))
+    nochat = allocate(twin, 16.0).predicted_distortion
+    assert [r["ratio"] for r in rows] == pytest.approx(want, abs=1e-4)
+    for row in rows:
+        assert row["nochat_fmse"] == pytest.approx(nochat, rel=1e-14)
+    # Unequal fusion costs have no closed form; the twin is allocated.
+    spec = ChatNetworkSpec.serial_max(3, 2, 0.0, (1.0, 2.0, 1.5), regime)
+    (row,) = sweep_partition(spec, 12.0, (0.5,))
+    twin = replace(spec, chat_alphas=(), partition=(0.0, 1.0))
+    assert row["nochat_fmse"] == allocate(twin, 12.0).predicted_distortion
 
 
 def test_partition_sweep_entropy_can_hurt():
     # A skewed one-bit partition on a deep chain can be far worse than not
     # chatting at all under entropy coding.
-    rows = sweep_partition(SweepSpec("p1", (0.2,), 10, 4.0, 0.0, 1.0, EC))
+    rows = sweep_partition(chain(10, regime=EC), 40.0, (0.2,))
     assert rows[0]["ratio"] == pytest.approx(9.9715, rel=1e-3)
     assert rows[0]["ratio"] > 1.0
 
@@ -154,7 +193,7 @@ def test_partition_grid_matches_per_point_loop(n, regime):
         best_p1, best = optimize_partition(spec, budget, step)
         assert best_p1 == p1s[np.argmin(want)]
         assert best == pytest.approx(want.min(), rel=1e-12, abs=0.0)
-        rows = sweep_partition(SweepSpec("p1", tuple(p1s), n, 4.0, 0.0, 1.0, regime))
+        rows = sweep_partition(spec, budget, p1s)
         got = np.array([r["predicted_fmse"] for r in rows])
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert [r["p1"] for r in rows] == [float(p1) for p1 in p1s]
@@ -276,6 +315,11 @@ def test_write_csv(tmp_path):
         write_csv(tmp_path / "empty.csv", [])
 
 
+STANDARD_FIGURES_SHA256 = (
+    "4c3d6f9c0df6ba49df13573edbef647afa373e24d9f7de1c34cf81c0f2102df3"
+)
+
+
 def test_standard_figures(tmp_path):
     paths = standard_figures(tmp_path)
     assert [p.name for p in paths] == [
@@ -287,9 +331,10 @@ def test_standard_figures(tmp_path):
     with (tmp_path / "fig5a.csv").open() as fh:
         data = [line for line in fh if not line.startswith("#")]
     reader = csv.DictReader(data)
-    assert reader.fieldnames == [
-        "N", "Rc", "feasible", "predicted_fmse", "empirical_fmse", "stderr"
-    ]
+    assert reader.fieldnames == ["N", "Rc", "feasible", "predicted_fmse"]
     rows = list(reader)
     assert len(rows) == 16  # four network sizes, four chat rates
     assert {r["N"] for r in rows} == {"2", "3", "4", "5"}
+    # Every figure is frozen: one SHA-256 over the eight files in order.
+    digest = hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+    assert digest == STANDARD_FIGURES_SHA256

@@ -127,6 +127,22 @@ def test_table_rejects_malformed_rows():
     assert copy.sizes[0, 0] == 4 and not copy.sizes.flags.writeable
 
 
+def test_table_rejects_rows_that_do_not_span_the_unit_interval():
+    # cell_entropy() reads each cell's width as its probability, which
+    # holds only when the cells cover [0, 1]: (0.2, 0.5, 0.9) would read
+    # 0.985 bits against the 1.000 a simulation measures.
+    for edges in ((0.2, 0.5, 0.9), (0.0, 0.5, 0.9), (0.2, 0.5, 1.0)):
+        with pytest.raises(ValueError, match=r"sensor 1, message 1: edges must span \[0, 1\]"):
+            one_row(edges, (0.35, 0.7))
+    table = build_banks(ChatNetworkSpec.serial_max(2, 2), [4, 4])
+    edges = np.array(table.edges)
+    edges[1, 1, 4] = 0.99
+    with pytest.raises(ValueError, match=r"sensor 2, message 2: edges must span"):
+        CodebookTable(table.sizes, edges, table.codewords, table.dont_care)
+    # Padding past a row's size is not an edge of it.
+    assert one_row((0.0, 0.5, 1.0), (0.25, 0.75)).cell_entropy()[0, 0] == 1.0
+
+
 @pytest.mark.parametrize("size", [1, 2, 7, 1 << 20])
 def test_cell_entropy_of_equal_cells_is_log2_size(size):
     edges = np.linspace(0.0, 1.0, size + 1)
