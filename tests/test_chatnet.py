@@ -572,15 +572,15 @@ def test_out_message_table_is_max_rule_on_designs(name):
     assert_max_rule(design.spec, design.banks)
 
 
-def frozen_bank_designs():
-    """(spec, codebook table) of the shipped specs, of the benchmark and
-    test chains, and of one-cell partitions on both sides of the optimum,
-    in a fixed order."""
+def frozen_budget_designs():
+    """Designs of the shipped specs, of the benchmark and test chains, and
+    of one-cell partitions on both sides of the optimum, each at its
+    budget, in a fixed order."""
     ec = "entropy-constrained"
     for name, budget in (("max4_chat.txt", 16.0), ("max2_nochat.txt", 4.0),
                          ("max5_entropy.txt", 25.0)):
         spec = parse_spec_file((SPEC_DIR / name).read_text())
-        yield spec, design_network(spec, budget=budget).banks
+        yield design_network(spec, budget=budget)
     for spec, budget in (
         (chain(16, 2), 64.0),
         (chain(8, 4, chat_alpha=0.01), 32.0),
@@ -590,7 +590,14 @@ def frozen_bank_designs():
         (chain(10, 2, regime=ec, boundaries=(0.0, 0.2, 1.0)), 50.0),
         (chain(3, 2, boundaries=(0.0, 0.93, 1.0)), 9.0),
     ):
-        yield spec, design_network(spec, budget=budget).banks
+        yield design_network(spec, budget=budget)
+
+
+def frozen_bank_designs():
+    """(spec, codebook table) of every ``frozen_budget_designs`` design
+    and of one N = 1 table, in a fixed order."""
+    for design in frozen_budget_designs():
+        yield design.spec, design.banks
     spec = parse_spec_file("N = 1\n")
     yield spec, build_banks(spec, [256])
 
@@ -608,6 +615,25 @@ def test_bank_digests_are_frozen():
             digest.update(b"[1]" if table.dont_care[n - 1, k - 1] else b"[]")
     assert digest.hexdigest() == (
         "a5e6ff66a75b0ac0a917a125cb66fddc2fee0a01aea37462a0c667a921d868a2"
+    )
+
+
+def test_prediction_digests_are_frozen():
+    # Every prediction bit for bit: one SHA-256 over float.hex of the
+    # total and of every (sensor, message, contribution) detail entry, for
+    # the budget designs above and two designs from explicit rates.
+    designs = [
+        *frozen_budget_designs(),
+        design_network(chain(3, 2, regime="entropy-constrained"), rates=[3.0, [3.0, 2.5], 2.0]),
+        design_network(chain(3, 2), rates=[3.0] * 3),
+    ]
+    digest = hashlib.sha256()
+    for design in designs:
+        digest.update(float(design.predicted.total).hex().encode())
+        for n, k, contrib in design.predicted.detail:
+            digest.update(f"{n} {k} {float(contrib).hex()}".encode())
+    assert digest.hexdigest() == (
+        "e138cbfd09f1b68aadb421693293ab4c98b650c69f9075ea16c1251c77703e8e"
     )
 
 
