@@ -193,7 +193,7 @@ def allocate(spec: "ChatNetworkSpec", budget: float) -> AllocationResult:
     coding.  Raises InfeasibleBudgetError when chatting leaves nothing.
     """
     remaining = _fusion_budget(spec, budget)
-    return _allocate_from(spec, remaining, _spec_constants(spec, spec.regime))
+    return _allocate_from(spec, remaining, _spec_constants(spec))
 
 
 def _allocate_from(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,10 +33,9 @@ from .distortion import (
     FIXED_RATE,
     DistortionReport,
     InfeasibleRateError,
-    _entropy_report,
-    _fixed_rate_report,
     _fixed_rate_terms,
     _rate_array,
+    _report,
     _spec_constants,
 )
 
@@ -91,8 +90,12 @@ class ChatNetworkSpec:
     regime: str = FIXED_RATE
 
     def __post_init__(self) -> None:
-        if self.n_sensors < 1:
+        n = self.n_sensors
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"the sensor count must be an integer, got {n!r}")
+        if n < 1:
             raise ValueError("need at least one sensor")
+        object.__setattr__(self, "n_sensors", int(n))
         if len(self.fusion_alphas) != self.n_sensors:
             raise ValueError("need one fusion cost per sensor")
         if not all(math.isfinite(a) and a > 0 for a in self.fusion_alphas):
@@ -261,46 +264,37 @@ class ChatNetworkSpec:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
-def build_banks(
-    spec: ChatNetworkSpec, sizes: Sequence[int | Mapping[int, int]]
-) -> CodebookTable:
+def build_banks(spec: ChatNetworkSpec, sizes: np.ndarray) -> CodebookTable:
     """The table of every codebook, one row per (sensor, message).
 
-    ``sizes`` holds one entry per sensor: the size of every codebook the
-    sensor holds, or a mapping from each message it can receive to that
-    codebook's size, which entropy-coded designs use.  Each codebook is
-    the compander of the regime-optimal point density of its row.  Raises
-    ValueError naming the sensor and message for a size that is not an
-    integer (True is not one) and for a mapping that misses a message or
-    sizes one the sensor cannot receive, ``InfeasibleRateError`` for a
-    size outside 1..``MAX_CODEBOOK_SIZE``, and ``InfeasibleCodebookError``
-    for one that leaves a don't-care row no granular cell.
+    ``sizes`` is the (N, K) integer table of codebook sizes: entry
+    [n - 1, k - 1] sizes the codebook that message k selects at sensor n,
+    K the chain's message count (1 without chat).  It holds 0 exactly
+    where the sensor cannot receive the message: every message but 1 of
+    a sensor that hears nothing.  Each codebook is the compander of the
+    regime-optimal point density of its row.  Raises ValueError for a
+    table of another shape and, naming the first such sensor and message,
+    for a size that is not an integer (a bool or a float is not one) and
+    a size where the sensor cannot receive the message;
+    ``InfeasibleRateError`` for a live size outside
+    1..``MAX_CODEBOOK_SIZE``, and ``InfeasibleCodebookError`` for one that
+    leaves a don't-care row no granular cell.
     """
-    if len(sizes) != spec.n_sensors:
-        raise ValueError("need one codebook size per sensor")
     live = _live_rows(spec)
-    n_cells = np.zeros(live.shape, dtype=np.int64)
-    for n, size in enumerate(sizes, start=1):
-        messages = range(1, int(live[n - 1].sum()) + 1)
-        per_message = size if isinstance(size, Mapping) else dict.fromkeys(messages, size)
-        for k, size_k in per_message.items():
-            if k not in messages:
-                raise ValueError(
-                    f"sensor {n}, message {k!r}: a size for a message "
-                    f"the sensor cannot receive (it receives 1..{len(messages)})"
-                )
-            if isinstance(size_k, bool) or not isinstance(size_k, (int, np.integer)):
-                raise ValueError(
-                    f"sensor {n}, message {k}: codebook size must be an integer, "
-                    f"got {size_k!r}"
-                )
-            if not 1 <= size_k <= MAX_CODEBOOK_SIZE:
-                raise InfeasibleRateError(
-                    f"sensor {n}, message {k}: codebook size {size_k} is not in "
-                    f"1..{MAX_CODEBOOK_SIZE}, the largest codebook"
-                )
-            n_cells[n - 1, k - 1] = size_k
-    _reject_rows(live & (n_cells == 0), n_cells, "no codebook size")
+    # As Python objects, so that a bool or a float is named, not cast.
+    given = np.asarray(sizes, dtype=object)
+    if given.shape != live.shape:
+        raise ValueError(f"codebook sizes: need a {live.shape} table, got shape {given.shape}")
+    whole = np.vectorize(
+        lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool), otypes=[bool]
+    )
+    _reject_rows(~whole(given), given, "codebook size must be an integer, got {size!r}")
+    _reject_rows(~live & (given != 0), given, "codebook size {size} for a message "
+                 "the sensor cannot receive")
+    _reject_rows(live & ((given < 1) | (given > MAX_CODEBOOK_SIZE)), given, "codebook size "
+                 f"{{size}} is not in 1..{MAX_CODEBOOK_SIZE}, the largest codebook",
+                 InfeasibleRateError)
+    n_cells = given.astype(np.int64)
     root = np.cbrt if spec.regime == FIXED_RATE else np.sqrt
     edges = np.zeros(n_cells.shape + (n_cells.max() + 1,))
     codewords = np.zeros_like(edges)
@@ -344,14 +338,13 @@ def out_message_table(spec: ChatNetworkSpec, table: CodebookTable, n: int) -> np
 class NetworkDesign:
     """Concrete codebooks realizing an allocation.
 
-    ``sizes`` holds the integer codebook sizes actually built (per sensor
-    for fixed rate, per sensor per message under entropy coding);
-    ``allocation`` holds the continuous rates a budget's allocation asked
-    for, None when the rates were given.
+    ``banks.sizes`` is the (N, K) table of the integer codebook sizes
+    actually built (at fixed rate every live entry of a sensor's row is
+    its one codebook's size); ``allocation`` holds the continuous rates a
+    budget's allocation asked for, None when the rates were given.
     """
 
     spec: ChatNetworkSpec
-    sizes: tuple
     banks: CodebookTable
     allocation: AllocationResult | None
     predicted: DistortionReport
@@ -375,7 +368,9 @@ def design_network(
     fixed rate that buys less than one granular cell beside the
     don't-care cells.  Either way, a rate whose codebook would hold more
     than ``MAX_CODEBOOK_SIZE`` cells raises ``InfeasibleRateError``
-    before any codebook is built.
+    before any codebook is built.  The rates become one (N, K) size table,
+    0 where a sensor cannot receive a message, which ``build_banks``
+    builds.
     """
     if (budget is None) == (rates is None):
         raise ValueError("give either a budget or explicit rates")
@@ -383,43 +378,35 @@ def design_network(
     remaining = None if budget is None else _fusion_budget(spec, budget)
     # Every constant is integrated once, here, and feeds the allocation,
     # the integer sizes and the prediction alike.
-    consts = _spec_constants(spec, spec.regime)
+    consts = _spec_constants(spec)
     alloc = None if budget is None else _allocate_from(spec, remaining, consts)
-    dont_care = consts[1]
-
+    probs, dont_care = consts[:2]
     if spec.regime == FIXED_RATE:
         if alloc is None:
             # As in the prediction: a rate must buy one granular cell.
-            _fixed_rate_report(*consts, given)
-            target = given[:, 0]
-        else:
-            target = alloc.rates
-        alphas = np.asarray(spec.fusion_alphas)
+            _report(FIXED_RATE, given, *consts)
+        target = given[:, :1] if alloc is None else alloc.rates[:, None]
+        # One codebook per sensor, with a granular cell beside the
+        # don't-care cells of every message.
         min_sizes = dont_care.max(axis=1) + 1
-        sizes = np.maximum(_codebook_sizes(target[:, None])[:, 0], min_sizes)
+        sizes = np.maximum(_codebook_sizes(target)[:, 0], min_sizes)
         if alloc is not None:
+            alphas = np.asarray(spec.fusion_alphas)
             sizes = _repair_budget(sizes, min_sizes, alphas, consts, remaining)
-        banks = build_banks(spec, [int(s) for s in sizes])
-        built = np.broadcast_to(np.log2(sizes)[:, None], dont_care.shape)
-        predicted = _fixed_rate_report(*consts, built)
-        return NetworkDesign(
-            spec, tuple(int(s) for s in sizes), banks, alloc, predicted
-        )
-
-    # Entropy-constrained: rates (and sizes) vary with the incoming message.
-    if alloc is None:
-        rate_table = given
+        sizes = sizes[:, None]
+        # The prediction reads the sizes built.
+        rate_table = np.broadcast_to(np.log2(sizes), probs.shape)
     else:
-        rate_table = np.ones(dont_care.shape)
-        rate_table[consts[0] > 0.0] = alloc.rates
-    table = np.maximum(_codebook_sizes(rate_table), dont_care + 1)
-    sizes = tuple(
-        tuple(row[: spec.message_probs(n).size].tolist())
-        for n, row in enumerate(table, start=1)
-    )
-    banks = build_banks(spec, [dict(enumerate(row, start=1)) for row in sizes])
-    predicted = _entropy_report(*consts, rate_table)
-    return NetworkDesign(spec, sizes, banks, alloc, predicted)
+        # Sizes vary with the incoming message, and the prediction reads
+        # the rates asked for.
+        if alloc is None:
+            rate_table = given
+        else:
+            rate_table = np.ones(probs.shape)
+            rate_table[probs > 0.0] = alloc.rates
+        sizes = np.maximum(_codebook_sizes(rate_table), dont_care + 1)
+    banks = build_banks(spec, np.where(_live_rows(spec), sizes, 0))
+    return NetworkDesign(spec, banks, alloc, _report(spec.regime, rate_table, *consts))
 
 
 def _codebook_sizes(rates: np.ndarray) -> np.ndarray:

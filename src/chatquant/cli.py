@@ -158,8 +158,9 @@ def _cmd_design(args) -> int:
     spec = _build_spec(args)
     rates = None if args.rates is None else _parse_rates(args.rates)
     design = design_network(spec, args.budget, rates)
-    for n, size in enumerate(design.sizes, start=1):
-        print(f"sensor {n}: sizes {size}")
+    for n, row in enumerate(design.banks.sizes, start=1):
+        sizes = tuple(row[row > 0].tolist())
+        print(f"sensor {n}: sizes {sizes[0] if spec.regime == FIXED_RATE else sizes}")
     print(f"predicted fMSE {design.predicted.total:.6e}")
     if args.banks_dir:
         outdir = Path(args.banks_dir)

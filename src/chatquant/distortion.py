@@ -107,12 +107,11 @@ def _rate_array(spec: "ChatNetworkSpec", rates) -> np.ndarray:
     return out
 
 
-def _chat_constants(
-    spec: "ChatNetworkSpec", regime: str, partitions=None
-) -> tuple[np.ndarray, ...]:
+def _chat_constants(spec: "ChatNetworkSpec", partitions=None) -> tuple[np.ndarray, ...]:
     """Message laws and high-resolution constants of every (sensor,
-    message) pair of a max network, for the spec's own partition or for
-    each of ``partitions``, with one integration call.
+    message) pair of a max network in the spec's regime, for the spec's
+    own partition or for each of ``partitions``, with one integration
+    call.
 
     The pairs' profiles are one formula (``sensitivity._max_gamma_sq``)
     of their parameters, so every pair is a row of one row integral over
@@ -131,8 +130,6 @@ def _chat_constants(
     probs * coefficient * 2^(-2 (R - gate) / P(A)) to the fMSE.  A pair
     of probability 0 holds 0, or 0, 1 and 0.
     """
-    if regime not in (FIXED_RATE, ENTROPY_CONSTRAINED):
-        raise ValueError(f"unknown regime {regime!r}")
     n_sensors = spec.n_sensors
     if partitions is None:
         partitions = [spec.partition]
@@ -174,7 +171,7 @@ def _chat_constants(
     def gamma_sq(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return _max_gamma_sq(x, *params[:, rows])
 
-    if regime == FIXED_RATE:
+    if spec.regime == FIXED_RATE:
         root = integrate_adaptive(
             lambda x, rows: np.cbrt(np.maximum(gamma_sq(x, rows), 0.0)), edges
         )
@@ -200,14 +197,14 @@ def _chat_constants(
     return (probs, dont_care, *out)
 
 
-def _spec_constants(spec: "ChatNetworkSpec", regime: str) -> tuple[np.ndarray, ...]:
+def _spec_constants(spec: "ChatNetworkSpec") -> tuple[np.ndarray, ...]:
     """``_chat_constants`` of the spec's own partition, each array (N, K).
 
     Under fixed rate a sensor's one codebook counts the don't-care cells
     of its live messages only, so dont_care is 0 where probs is.
     """
-    probs, dont_care, *values = (a[0] for a in _chat_constants(spec, regime))
-    if regime == FIXED_RATE:
+    probs, dont_care, *values = (a[0] for a in _chat_constants(spec))
+    if spec.regime == FIXED_RATE:
         dont_care = np.where(probs > 0.0, dont_care, 0)
     return (probs, dont_care, *values)
 
@@ -219,51 +216,41 @@ def _fixed_rate_terms(probs, norms, granular):
     return probs * norms / (12.0 * granular**2)
 
 
-def _fixed_rate_report(probs, dont_care, norms, rates) -> DistortionReport:
-    """Fixed-rate prediction from (N, K) constants and rates; see
-    ``predict``.  Entry by entry, summed in order: the array forms of 2^r
-    and g^2 and a pairwise np.sum can each move a prediction's last bit."""
+def _report(regime: str, rates, probs, dont_care, *values) -> DistortionReport:
+    """Prediction in ``regime`` from (N, K) rates and the (N, K) constants
+    of ``_spec_constants``; see ``predict``.  One live pair at a time,
+    summed in order: the array forms of 2^r and g^2 and a pairwise
+    np.sum can each move a prediction's last bit."""
     per_sensor = np.zeros(probs.shape[0])
     detail: list[tuple[int, int, float]] = []
     for n, k in zip(*np.nonzero(probs > 0.0)):
-        granular = 2.0 ** rates[n, k] - dont_care[n, k]
-        # The slack lets a rate of log2(L + 1), taken back from an
-        # integer size, keep its one granular cell.
-        if granular < 1.0 - 1e-9:
-            raise InfeasibleRateError(
-                f"sensor {n + 1}, message {k + 1}: rate {rates[n, k]:g} buys "
-                f"{2.0 ** rates[n, k]:g} cells, less than one granular "
-                f"cell beside {dont_care[n, k]} don't-care cells"
+        if regime == FIXED_RATE:
+            (norms,) = values
+            granular = 2.0 ** rates[n, k] - dont_care[n, k]
+            # The slack lets a rate of log2(L + 1), taken back from an
+            # integer size, keep its one granular cell.
+            if granular < 1.0 - 1e-9:
+                raise InfeasibleRateError(
+                    f"sensor {n + 1}, message {k + 1}: rate {rates[n, k]:g} buys "
+                    f"{2.0 ** rates[n, k]:g} cells, less than one granular "
+                    f"cell beside {dont_care[n, k]} don't-care cells"
+                )
+            contrib = float(_fixed_rate_terms(probs[n, k], norms[n, k], granular))
+        else:
+            coeffs, masses, gates = values
+            r = float(rates[n, k])
+            gate = float(gates[n, k])
+            if r <= gate:
+                raise InfeasibleRateError(
+                    f"sensor {n + 1}, message {k + 1}: rate {r:g} cannot cover the "
+                    f"{gate:g}-bit don't-care flag"
+                )
+            contrib = float(
+                probs[n, k] * coeffs[n, k] * 2.0 ** (-2.0 * (r - gate) / masses[n, k])
             )
-        contrib = float(_fixed_rate_terms(probs[n, k], norms[n, k], granular))
         per_sensor[n] += contrib
         detail.append((int(n) + 1, int(k) + 1, contrib))
-    return DistortionReport(
-        per_sensor, float(per_sensor.sum()), FIXED_RATE, tuple(detail)
-    )
-
-
-def _entropy_report(probs, dont_care, coeffs, masses, gates, rates) -> DistortionReport:
-    """Entropy-coded prediction from (N, K) constants and rates; see
-    ``predict``."""
-    per_sensor = np.zeros(probs.shape[0])
-    detail: list[tuple[int, int, float]] = []
-    for n, k in zip(*np.nonzero(probs > 0.0)):
-        r = float(rates[n, k])
-        gate = float(gates[n, k])
-        if r <= gate:
-            raise InfeasibleRateError(
-                f"sensor {n + 1}, message {k + 1}: rate {r:g} cannot cover the "
-                f"{gate:g}-bit don't-care flag"
-            )
-        contrib = float(
-            probs[n, k] * coeffs[n, k] * 2.0 ** (-2.0 * (r - gate) / masses[n, k])
-        )
-        per_sensor[n] += contrib
-        detail.append((int(n) + 1, int(k) + 1, contrib))
-    return DistortionReport(
-        per_sensor, float(per_sensor.sum()), ENTROPY_CONSTRAINED, tuple(detail)
-    )
+    return DistortionReport(per_sensor, float(per_sensor.sum()), regime, tuple(detail))
 
 
 def predict(
@@ -289,11 +276,7 @@ def predict(
     rate, and ``InfeasibleRateError`` for a fixed rate that buys less
     than one granular cell or an entropy rate that cannot cover its gate.
     """
-    rates = _rate_array(spec, rates)
-    consts = _spec_constants(spec, spec.regime)
-    if spec.regime == FIXED_RATE:
-        return _fixed_rate_report(*consts, rates)
-    return _entropy_report(*consts, rates)
+    return _report(spec.regime, _rate_array(spec, rates), *_spec_constants(spec))
 
 
 def _betas(probs: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -308,7 +291,7 @@ def fixed_rate_betas(spec: "ChatNetworkSpec") -> np.ndarray:
     conditional gamma^2 f, divided by 12; sensor n then contributes
     beta_n * 2^(-2 R_n) to the network fMSE.
     """
-    probs, _dc, norms = _spec_constants(spec, FIXED_RATE)
+    probs, _dc, norms = _spec_constants(spec.with_regime(FIXED_RATE))
     return _betas(probs, norms)
 
 

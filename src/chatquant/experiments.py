@@ -78,8 +78,9 @@ def sweep_partition(
 
     Each row is ``spec.with_partition((0, p1, 1))`` at ``budget``, and
     the baseline is the same network without chat at the same budget.
-    Ratios above 1 mean chatting hurts.  An empty grid or a boundary
-    outside (0, 1) raises ValueError before any allocation.
+    Ratios above 1 mean chatting hurts.  An empty grid, a boundary
+    outside (0, 1) or a network without chat raises ValueError before
+    any allocation.
     """
     p1s = np.array([float(p1) for p1 in p1s])
     if p1s.size == 0:
@@ -87,6 +88,7 @@ def sweep_partition(
     if not np.all((p1s > 0.0) & (p1s < 1.0)):
         raise ValueError("partition boundaries must be inside (0, 1)")
     _check_budget(budget)
+    fmse = _partition_grid(spec, budget, p1s)
     nochat = _nochat_fmse(spec, budget)
     return [
         {
@@ -95,7 +97,7 @@ def sweep_partition(
             "nochat_fmse": nochat,
             "ratio": float(d) / nochat,
         }
-        for p1, d in zip(p1s, _partition_grid(spec, budget, p1s))
+        for p1, d in zip(p1s, fmse)
     ]
 
 
@@ -119,12 +121,18 @@ def _partition_grid(
     at every p1 in ``p1s``.
 
     The constants of every grid point come from one integration pass and
-    their water levels from one water-fill of (G, L) arrays.
+    their water levels from one water-fill of (G, L) arrays.  Raises
+    ValueError for a network without chat, which has no partition to move.
     """
+    if not spec.chat_alphas:
+        raise ValueError(
+            f"a partition sweep needs chat links; this {spec.n_sensors}-sensor "
+            "network has none"
+        )
     one_bit = spec.with_partition((0.0, 0.5, 1.0))
     remaining = _fusion_budget(one_bit, budget)
     grid = np.column_stack([np.zeros_like(p1s), p1s, np.ones_like(p1s)])
-    consts = _chat_constants(one_bit, one_bit.regime, grid)
+    consts = _chat_constants(one_bit, grid)
     return _grid_distortions(one_bit, remaining, consts)
 
 
@@ -190,7 +198,7 @@ def optimize_partition(
 ) -> tuple[float, float]:
     """Brute-force the one-bit partition boundary on the grid
     step, 2 step, ... below 1; the first best point wins a tie.  Raises
-    ValueError unless 0 < step < 1."""
+    ValueError unless 0 < step < 1, and for a network without chat."""
     _require_step(step)
     p1s = np.arange(step, 1.0, step)
     fmse = _partition_grid(spec, budget, p1s)

@@ -63,7 +63,7 @@ def test_criterion_1_uniform_mse_baseline(capsys):
     """8-bit uniform quantizer on U(0,1): MSE within 1% of 2^-16/12."""
     t0 = time.time()
     spec = parse_spec_file("N = 1\n")
-    banks = build_banks(spec, [256])
+    banks = build_banks(spec, [[256]])
     res = run_simulation(spec, banks, PLUG_IN, TRIALS, 0)
     expected = 2.0**-16 / 12.0
     rel = abs(res.empirical_fmse - expected) / expected

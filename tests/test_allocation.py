@@ -346,7 +346,7 @@ def test_allocate_charges_chat_before_fusion():
 @pytest.mark.parametrize("budget", [np.nan, np.inf, -np.inf])
 def test_non_finite_budgets_are_rejected(budget, monkeypatch):
     # A bad budget fails before the constants are integrated.
-    def tables(spec, regime):
+    def tables(spec):
         raise AssertionError("constants integrated for a non-finite budget")
 
     monkeypatch.setattr("chatquant.allocation._spec_constants", tables)

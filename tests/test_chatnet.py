@@ -137,6 +137,21 @@ def test_spec_field_validation():
         ChatNetworkSpec(3, good.source, (1.0,) * 3, (0.0,), good.partition)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, "3", 1.5])
+def test_spec_rejects_a_sensor_count_that_is_not_an_integer(bad):
+    # canonical_text would write N = True or N = 2.0, which no spec file
+    # parses back.
+    alphas = (1.0,) * 3
+    with pytest.raises(ValueError, match=f"sensor count must be an integer, got {bad!r}"):
+        ChatNetworkSpec(bad, Pdf(0.0, 1.0), alphas[: int(float(bad))], (), (0.0, 1.0))
+
+
+def test_spec_stores_an_integer_sensor_count_as_int():
+    spec = ChatNetworkSpec(np.int64(2), Pdf(0.0, 1.0), (1.0, 1.0), (), (0.0, 1.0))
+    assert type(spec.n_sensors) is int
+    assert spec.spec_hash() == parse_spec_file("N = 2\n").spec_hash()
+
+
 def test_message_interval_and_probs():
     spec = chain(3, 2)
     assert spec.message_interval(1, 1) == (0.0, 1.0)
@@ -491,7 +506,7 @@ def test_parse_rejects_sources_other_than_unit_uniform(source):
 
 def test_bank_pins_dont_care_codeword():
     spec = chain(5, 2)
-    table = build_banks(spec, [4] * 5)
+    table = build_banks(spec, [[4, 0]] + [[4, 4]] * 4)
     assert table.dont_care.tolist() == [[False, False]] + [[False, True]] * 4
     assert table.codebook(2, 1).dont_care_cells == frozenset()
     assert table.codebook(2, 2).dont_care_cells == frozenset({1})
@@ -500,35 +515,47 @@ def test_bank_pins_dont_care_codeword():
 
 
 def test_build_banks_rejects_sizes_it_would_bend():
-    # A fractional or boolean size, a missing message and one the sensor
-    # cannot receive each name the sensor and the message.
+    # The (N, K) table is the only size format: a table of another shape
+    # (one size per sensor, a missing or an extra message) is refused
+    # whole, and a fractional or boolean size, or one the sensor cannot
+    # receive, names the first such sensor and message.
     fixed = chain(3, 2)
     entropy = chain(3, 2, regime="entropy-constrained")
     cases = [
-        (fixed, [3.9, 4, 4], r"sensor 1, message 1: .*integer, got 3\.9"),
-        (fixed, [4, True, 4], r"sensor 2, message 1: .*integer, got True"),
-        (entropy, [4, {1: 4}, {1: 4, 2: 4}], r"sensor 2, message 2: no codebook size"),
-        (entropy, [4, {1: 4, 2: 4, 3: 4}, 4], r"sensor 2, message 3: .*cannot receive"),
-        (entropy, [{1: 4, 2: 4}, 4, 4], r"sensor 1, message 2: .*cannot receive"),
+        (fixed, [4, 4, 4], r"need a \(3, 2\) table, got shape \(3,\)"),
+        (entropy, [[4], [4], [4]], r"\(3, 2\) table, got shape \(3, 1\)"),
+        (entropy, [[4, 0, 0], [4, 4, 4], [4, 4, 4]], r"\(3, 2\) table, got shape \(3, 3\)"),
+        (fixed, [[3.9, 0], [4, 4], [4, 4]], r"sensor 1, message 1: .*integer, got 3\.9"),
+        (fixed, [[4, 0], [True, True], [4, 4]], r"sensor 2, message 1: .*integer, got True"),
+        (fixed, np.full((3, 2), 4.0), r"sensor 1, message 1: .*integer, got 4\.0"),
+        (fixed, np.ones((3, 2), dtype=bool), r"sensor 1, message 1: .*integer, got True"),
+        (entropy, [[4, 4], [4, 4], [4, 4]],
+         r"sensor 1, message 2: codebook size 4 for a message the sensor cannot receive"),
+        (fixed, [[4, -1], [4, 4], [4, 4]], r"sensor 1, message 2: codebook size -1 for a message"),
     ]
     for spec, sizes, match in cases:
         with pytest.raises(ValueError, match=match):
             build_banks(spec, sizes)
-    # Integers of any kind, and per-message mappings, still build.
-    table = build_banks(entropy, [np.int64(4), {1: 4, 2: 6}, {2: 5, 1: 3}])
-    assert table.sizes.tolist() == [[4, 0], [4, 6], [3, 5]]
-    # Below one cell, and above the largest codebook, a size is refused
-    # before any codebook is built.
-    with pytest.raises(InfeasibleRateError, match="sensor 2, message 1: codebook size 0 is not in"):
-        build_banks(fixed, [4, 0, 4])
-    with pytest.raises(InfeasibleRateError, match=f"sensor 3, message 2: .*{MAX_CODEBOOK_SIZE}"):
-        build_banks(entropy, [4, 4, {1: 4, 2: MAX_CODEBOOK_SIZE + 1}])
+    # Integers of any kind still build, one size per (sensor, message).
+    for sizes in ([[np.int64(4), 0], [4, 6], [3, 5]], np.array([[4, 0], [4, 6], [3, 5]], np.uint16)):
+        assert build_banks(entropy, sizes).sizes.tolist() == [[4, 0], [4, 6], [3, 5]]
+    # A live size below one cell (a missing message included) or above
+    # the largest codebook is refused before any codebook is built.
+    for sizes, match in (
+        ([[4, 0], [0, 0], [4, 4]], "sensor 2, message 1: codebook size 0 is not in"),
+        ([[4, 0], [4, 0], [4, 4]], "sensor 2, message 2: codebook size 0 is not in"),
+        ([[4, 0], [4, 4], [4, -3]], "sensor 3, message 2: codebook size -3 is not in"),
+        ([[4, 0], [4, 4], [4, MAX_CODEBOOK_SIZE + 1]], f"sensor 3, message 2: .*{MAX_CODEBOOK_SIZE}"),
+        ([[4, 0], [2**70, 4], [4, 4]], f"sensor 2, message 1: codebook size {2**70} is not in"),
+    ):
+        with pytest.raises(InfeasibleRateError, match=match):
+            build_banks(entropy, sizes)
 
 
 def test_build_banks_table_rows():
     # One row per (sensor, message) of the chain: sensor 1 hears nothing,
     # so only its message-1 row holds a codebook, padded like the rest.
-    table = build_banks(chain(3, 4), [5, 6, 7])
+    table = build_banks(chain(3, 4), [[5, 0, 0, 0], [6] * 4, [7] * 4])
     assert table.sizes.tolist() == [[5, 0, 0, 0], [6] * 4, [7] * 4]
     assert table.edges.shape == table.codewords.shape == (3, 4, 8)
     assert table.rows() == [(1, 1)] + [(n, k) for n in (2, 3) for k in range(1, 5)]
@@ -554,7 +581,7 @@ def assert_max_rule(spec, table):
 
 def test_out_message_table_is_max_rule():
     spec = chain(5, 2)
-    assert_max_rule(spec, build_banks(spec, [4] * 5))
+    assert_max_rule(spec, build_banks(spec, [[4, 0]] + [[4, 4]] * 4))
 
 
 SAMPLE_BUDGETS = {"max2_nochat.txt": 8.0, "max4_chat.txt": 16.0, "max5_entropy.txt": 25.0}
@@ -599,7 +626,7 @@ def frozen_bank_designs():
     for design in frozen_budget_designs():
         yield design.spec, design.banks
     spec = parse_spec_file("N = 1\n")
-    yield spec, build_banks(spec, [256])
+    yield spec, build_banks(spec, [[256]])
 
 
 def test_bank_digests_are_frozen():
@@ -655,7 +682,7 @@ def test_out_message_table_equals_per_codebook_loop():
 
 def test_out_message_table_entries_in_range():
     spec = chain(4, 4)
-    table = build_banks(spec, [6] * 4)
+    table = build_banks(spec, [[6, 0, 0, 0]] + [[6] * 4] * 3)
     for n in range(1, 4):
         block = out_message_table(spec, table, n)
         live = block[np.arange(table.stride) < table.sizes[n - 1, :, None]]
@@ -666,7 +693,7 @@ def test_out_message_table_entries_in_range():
             out_message_table(spec, table, n)
     silent = parse_spec_file("N = 2\n")
     with pytest.raises(ValueError, match="sensor 1 sends no chat message"):
-        out_message_table(silent, build_banks(silent, [4, 4]), 1)
+        out_message_table(silent, build_banks(silent, [[4], [4]]), 1)
 
 
 # -- end-to-end design ----------------------------------------------------------
@@ -683,12 +710,13 @@ def test_design_requires_one_of_budget_and_rates():
 def test_design_fixed_rate_budget():
     spec = chain(4, 2)
     design = design_network(spec, budget=16.0)
-    assert all(isinstance(s, int) for s in design.sizes)
-    spent = sum(
-        a * np.log2(s) for a, s in zip(spec.fusion_alphas, design.sizes)
-    )
+    # One codebook size per sensor, on every message it can receive.
+    table = design.banks.sizes
+    sizes = table[:, 0]
+    assert np.array_equal(table, np.where(table > 0, sizes[:, None], 0))
+    spent = sum(a * np.log2(s) for a, s in zip(spec.fusion_alphas, sizes))
     assert spent <= 16.0 + 1e-9
-    want = predict(spec, np.log2(design.sizes))
+    want = predict(spec, np.log2(sizes))
     assert design.predicted.total == pytest.approx(want.total, rel=1e-12)
     assert design.allocation is not None
     assert design.banks.rows() == [(1, 1)] + [(n, k) for n in (2, 3, 4) for k in (1, 2)]
@@ -699,7 +727,7 @@ def test_design_refuses_codebooks_above_the_cap():
     # cast: at the cap a rate builds, and one cell more is refused with
     # the sensor, the message and the cap named, in both regimes.
     one = parse_spec_file("N = 1\n")
-    assert design_network(one, rates=[20.0]).sizes == (MAX_CODEBOOK_SIZE,)
+    assert design_network(one, rates=[20.0]).banks.sizes.tolist() == [[MAX_CODEBOOK_SIZE]]
     with pytest.raises(InfeasibleRateError, match=f"sensor 1, message 1: .*{MAX_CODEBOOK_SIZE}"):
         design_network(one, rates=[math.log2(MAX_CODEBOOK_SIZE + 1)])
     entropy = chain(2, 2, regime="entropy-constrained")
@@ -748,14 +776,14 @@ def test_design_fixed_rate_charges_chatting():
     cheap = design_network(chain(4, 2, chat_alpha=0.0), budget=16.0)
     costly = design_network(chain(4, 2, chat_alpha=1.0), budget=16.0)
     # Three edges at one bit each eat three budget units.
-    assert sum(np.log2(costly.sizes)) <= sum(np.log2(cheap.sizes)) - 2
+    assert sum(np.log2(costly.banks.sizes[:, 0])) <= sum(np.log2(cheap.banks.sizes[:, 0])) - 2
     assert costly.predicted.total > cheap.predicted.total
 
 
 def test_design_explicit_rates_skips_repair():
     spec = chain(3, 2)
     design = design_network(spec, rates=[3.0, 3.0, 3.0])
-    assert design.sizes == (8, 8, 8)
+    assert design.banks.sizes.tolist() == [[8, 0], [8, 8], [8, 8]]
     assert design.allocation is None
 
 
@@ -780,7 +808,7 @@ def test_codebook_rows_are_the_constants_rows(spec):
     # The row a codebook is built from integrates, over its active region
     # [s_l, 1], to the fixed-rate norm the prediction uses, and leaves a
     # don't-care cell exactly where the prediction counts one.
-    probs, dont_care, norms = _spec_constants(spec, FIXED_RATE)
+    probs, dont_care, norms = _spec_constants(spec.with_regime(FIXED_RATE))
     live = 0
     for n in range(1, spec.n_sensors + 1):
         for k in np.flatnonzero(probs[n - 1] > 0.0) + 1:
@@ -797,10 +825,9 @@ def test_codebook_rows_are_the_constants_rows(spec):
 def test_design_entropy_sizes_cover_gates():
     spec = chain(4, 2, regime="entropy-constrained")
     design = design_network(spec, budget=16.0)
-    for n, row in enumerate(design.sizes, start=1):
-        for k, size in enumerate(row, start=1):
-            dc = int(spec.conditional_profile(n, k).s_l > 0)
-            assert size >= dc + 1
+    for n, k in design.banks.rows():
+        dc = int(spec.conditional_profile(n, k).s_l > 0)
+        assert design.banks.sizes[n - 1, k - 1] >= dc + 1
     want = predict(
         spec,
         [
@@ -814,8 +841,7 @@ def test_design_entropy_sizes_cover_gates():
 def test_design_entropy_explicit_rates():
     spec = chain(3, 2, regime="entropy-constrained")
     design = design_network(spec, rates=[3.0, [3.0, 2.5], 2.0])
-    assert design.sizes[0] == (8,)
-    assert design.sizes[1] == (8, 6)
+    assert design.banks.sizes.tolist() == [[8, 0], [8, 6], [4, 4]]
     with pytest.raises(ValueError):
         design_network(spec, rates=[3.0, [3.0, 2.5, 2.0], 2.0])
 

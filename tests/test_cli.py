@@ -581,6 +581,15 @@ def test_zero_sensors_is_an_error(args, capsys):
     assert capsys.readouterr().err == "error: need at least one sensor\n"
 
 
+@pytest.mark.parametrize(
+    "args", [["sweep-p1", "-N", "1", "--budget", "4"], ["scenarios", "-N", "1"]]
+)
+def test_partition_commands_refuse_one_sensor(args, capsys):
+    # One sensor has no chat link, so there is no partition to sweep.
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: a partition sweep needs chat links")
+
+
 def test_scenarios_command(capsys):
     assert main(["scenarios", "-N", "3", "--budget", "9"]) == 0
     out = capsys.readouterr().out

@@ -113,7 +113,7 @@ def test_fixed_rate_one_granular_cell_is_feasible():
     for rates in ([0.0, 1.0, 1.0], list(np.log2([1, 3, 3]))):
         report = predict(spec, rates)
         assert np.all(np.isfinite(report.per_sensor_terms))
-    assert design_network(spec, rates=[0.0, 1.0, 1.0]).sizes == (1, 2, 2)
+    assert design_network(spec, rates=[0.0, 1.0, 1.0]).banks.sizes.tolist() == [[1, 0], [2, 2], [2, 2]]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -141,14 +141,14 @@ def entropy_rows(spec):
     """Each sensor's (probs, coefficients, active masses, gate bits), its
     rows of the (N, K) entropy-coding constants cut to the messages it
     can receive."""
-    probs, _dc, *values = _spec_constants(spec, ENTROPY_CONSTRAINED)
+    probs, _dc, *values = _spec_constants(spec.with_regime(ENTROPY_CONSTRAINED))
     for n in range(spec.n_sensors):
         k = spec.message_probs(n + 1).size
         yield tuple(a[n, :k] for a in (probs, *values))
 
 
 def test_entropy_tables_frozen_coefficients():
-    _probs, _dc, coeffs, masses, gates = _spec_constants(chat5(), ENTROPY_CONSTRAINED)
+    _probs, _dc, coeffs, masses, gates = _spec_constants(chat5_entropy())
     assert coeffs[1, 0] == pytest.approx(2.516449e-3, rel=1e-5)
     assert coeffs[1, 1] == pytest.approx(1.526303e-3, rel=1e-5)
     assert coeffs[4, 1] == pytest.approx(2.042407e-3, rel=1e-5)

@@ -140,6 +140,22 @@ def test_partition_sweep_consistency_with_rate_sweep():
         )
 
 
+@pytest.mark.parametrize("regime", [FR, EC])
+def test_partition_sweeps_refuse_a_network_without_chat(regime):
+    # A network without chat has no partition to move, so every partition
+    # sweep refuses it instead of reporting rows of ratio 1.0 and the
+    # first grid point as the best boundary.
+    for spec in (ChatNetworkSpec.serial_max(1, 2, regime=regime),
+                 replace(ChatNetworkSpec.serial_max(3, 2, regime=regime),
+                         chat_alphas=(), partition=(0.0, 1.0))):
+        with pytest.raises(ValueError, match="needs chat links"):
+            sweep_partition(spec, 12.0, (0.3, 0.5))
+        with pytest.raises(ValueError, match="needs chat links"):
+            optimize_partition(spec, 12.0, 0.25)
+    with pytest.raises(ValueError, match="needs chat links"):
+        run_scenarios(1, 5.0, (regime,), 0.25)
+
+
 def test_partition_sweep_columns():
     rows = sweep_partition(chain(4), 16.0, (0.3, 0.5))
     for row in rows:
@@ -205,7 +221,7 @@ def _per_point_grid(spec, budget, p1s):
     one_bit = spec.with_partition((0.0, 0.5, 1.0))
     remaining = _fusion_budget(one_bit, budget)
     grid = np.column_stack([np.zeros_like(p1s), p1s, np.ones_like(p1s)])
-    consts = _chat_constants(one_bit, one_bit.regime, grid)
+    consts = _chat_constants(one_bit, grid)
     return np.array(
         [
             _allocate_from(one_bit, remaining, [c[g] for c in consts]).predicted_distortion

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chatquant.chatnet import ChatNetworkSpec, build_banks, parse_spec_file
+from chatquant.chatnet import ChatNetworkSpec, _live_rows, build_banks, parse_spec_file
 from chatquant.distortion import InfeasibleRateError
 from chatquant.quantizer import (
     MAX_CODEBOOK_SIZE,
@@ -22,7 +22,7 @@ EC = "entropy-constrained"
 
 def row(spec, n, k, size):
     """Sensor n's codebook for message k, every codebook of ``size`` cells."""
-    return build_banks(spec, [size] * spec.n_sensors).codebook(n, k)
+    return build_banks(spec, _live_rows(spec) * size).codebook(n, k)
 
 
 def single(size):
@@ -95,7 +95,7 @@ def test_quantizer_validation():
 
 def test_table_rejects_malformed_rows():
     # Each fault is reported at its (sensor, message) row.
-    table = build_banks(ChatNetworkSpec.serial_max(2, 2), [4, 4])
+    table = build_banks(ChatNetworkSpec.serial_max(2, 2), [[4, 0], [4, 4]])
     fields = ("sizes", "edges", "codewords", "dont_care")
 
     def altered(name, index, value):
@@ -134,7 +134,7 @@ def test_table_rejects_rows_that_do_not_span_the_unit_interval():
     for edges in ((0.2, 0.5, 0.9), (0.0, 0.5, 0.9), (0.2, 0.5, 1.0)):
         with pytest.raises(ValueError, match=r"sensor 1, message 1: edges must span \[0, 1\]"):
             one_row(edges, (0.35, 0.7))
-    table = build_banks(ChatNetworkSpec.serial_max(2, 2), [4, 4])
+    table = build_banks(ChatNetworkSpec.serial_max(2, 2), [[4, 0], [4, 4]])
     edges = np.array(table.edges)
     edges[1, 1, 4] = 0.99
     with pytest.raises(ValueError, match=r"sensor 2, message 2: edges must span"):
@@ -162,7 +162,7 @@ def test_cell_entropy_counts_the_dont_care_cell():
 
 def test_cell_entropy_of_a_row_without_codebook_is_zero():
     # Sensor 1 hears nothing, so its message-2 row holds no codebook.
-    table = build_banks(ChatNetworkSpec.serial_max(2, 2), [8, 8])
+    table = build_banks(ChatNetworkSpec.serial_max(2, 2), [[8, 0], [8, 8]])
     got = table.cell_entropy()
     assert table.sizes[0, 1] == 0 and got[0, 1] == 0.0
     assert np.all(got[table.sizes > 0] > 0.0)
@@ -190,7 +190,7 @@ def test_dont_care_row_builds_past_2_to_the_15():
     # The mass grid starts at s_l.  From 0, levels below the first grid
     # interval's mass interpolated across the don't-care zone [0, s_l],
     # and this row failed to build with codewords outside their cells.
-    q = build_banks(ChatNetworkSpec.serial_max(4, 2), [1 << 16] * 4).codebook(4, 2)
+    q = build_banks(ChatNetworkSpec.serial_max(4, 2), [[1 << 16, 0]] + [[1 << 16] * 2] * 3).codebook(4, 2)
     assert q.size == 1 << 16 and q.dont_care_cells == frozenset({1})
     assert np.all(np.diff(q.boundaries) > 0)
     assert np.all(q.codewords >= q.boundaries[:-1]) and np.all(q.codewords <= q.boundaries[1:])
@@ -204,7 +204,7 @@ def test_every_row_type_builds_up_to_the_cap(regime):
     # its cell around 2^15-2^17 cells and at the largest codebook.
     spec = ChatNetworkSpec.serial_max(2, 2, regime=regime)
     for size in (1 << 15, 3 << 15, 1 << 17, MAX_CODEBOOK_SIZE):
-        table = build_banks(spec, [size, size])
+        table = build_banks(spec, [[size, 0], [size, size]])
         for n, k in ((1, 1), (2, 1), (2, 2)):
             q = table.codebook(n, k)
             assert q.size == size and q.boundaries[-1] == 1.0
@@ -212,7 +212,7 @@ def test_every_row_type_builds_up_to_the_cap(regime):
             assert np.all(q.codewords >= q.boundaries[:-1])
             assert np.all(q.codewords <= q.boundaries[1:])
     with pytest.raises(InfeasibleRateError, match=f"sensor 1, message 1: .*{MAX_CODEBOOK_SIZE}"):
-        build_banks(spec, [MAX_CODEBOOK_SIZE + 1, 4])
+        build_banks(spec, [[MAX_CODEBOOK_SIZE + 1, 0], [4, 4]])
 
 
 @settings(max_examples=30, deadline=None)

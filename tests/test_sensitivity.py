@@ -36,7 +36,7 @@ def test_conditional_pieces():
     # [0, s_l] is the row's one don't-care cell, with codeword s_l.
     edges, codewords = _row_quantizer(prof, np.cbrt, 4)
     assert edges[:2].tolist() == [0.0, 0.25] and codewords[0] == 0.25
-    assert build_banks(ChatNetworkSpec.serial_max(3, 4), [4] * 3).dont_care[1, 1]
+    assert build_banks(ChatNetworkSpec.serial_max(3, 4), [[4, 0, 0, 0]] + [[4] * 4] * 2).dont_care[1, 1]
 
 
 def test_conditional_first_message_has_no_zone():
@@ -45,7 +45,7 @@ def test_conditional_first_message_has_no_zone():
     assert ChatNetworkSpec.serial_max(4, 2).conditional_profile(3, 1) == prof
     edges, codewords = _row_quantizer(prof, np.cbrt, 4)
     assert edges.size == 5 and edges[0] == 0.0 and codewords[0] > 0.0
-    assert not build_banks(ChatNetworkSpec.serial_max(4, 2), [4] * 4).dont_care[2, 0]
+    assert not build_banks(ChatNetworkSpec.serial_max(4, 2), [[4, 0]] + [[4, 4]] * 3).dont_care[2, 0]
 
 
 def test_conditional_validation():

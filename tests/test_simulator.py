@@ -56,7 +56,7 @@ def chain(n, size, **kw):
 
 def test_seed_reproducibility():
     spec = chain(3, 2)
-    table = build_banks(spec, [8, 8, 8])
+    table = build_banks(spec, [[8, 0], [8, 8], [8, 8]])
     a = run_simulation(spec, table, PLUG_IN, trials=20_000, seed=42)
     b = run_simulation(spec, table, PLUG_IN, trials=20_000, seed=42)
     c = run_simulation(spec, table, PLUG_IN, trials=20_000, seed=43)
@@ -69,7 +69,7 @@ def test_worker_count_is_invisible():
     entropy = chain(3, 2, regime="entropy-constrained")
     trials = 2 * CHUNK + 1_000
     for spec, table in (
-        (fixed, build_banks(fixed, [8, 8])),
+        (fixed, build_banks(fixed, [[8, 0], [8, 8]])),
         (entropy, design_network(entropy, budget=12.0).banks),
     ):
         for decoder in (PLUG_IN, CE):
@@ -84,7 +84,7 @@ def test_worker_count_is_invisible():
     # the last of four chunks holds 17 trials.
     trials = 3 * CHUNK + 17
     for spec, table in (
-        (fixed, build_banks(fixed, [8, 8])),
+        (fixed, build_banks(fixed, [[8, 0], [8, 8]])),
         (entropy, design_network(entropy, budget=12.0).banks),
     ):
         for decoder in (PLUG_IN, CE):
@@ -120,7 +120,7 @@ def test_calling_thread_is_a_worker(workers, monkeypatch):
     # The caller is worker 0 and workers are capped at the chunk count,
     # so a run starts min(workers, chunks) - 1 threads.
     spec = chain(2, 2)
-    table = build_banks(spec, [8, 8])
+    table = build_banks(spec, [[8, 0], [8, 8]])
     monkeypatch.setattr(simulator.threading, "Thread", _InlineThread)
     for chunks, trials in ((1, 1_000), (2, CHUNK + 10), (3, 2 * CHUNK + 10)):
         want = run_simulation(spec, table, PLUG_IN, trials=trials, seed=2)
@@ -133,7 +133,7 @@ def test_calling_thread_is_a_worker(workers, monkeypatch):
 
 def test_caller_runs_chunk_zero(monkeypatch):
     spec = chain(2, 2)
-    table = build_banks(spec, [8, 8])
+    table = build_banks(spec, [[8, 0], [8, 8]])
     ran_on = {}
     blocks = simulator._chunk_blocks
 
@@ -152,7 +152,7 @@ def test_caller_runs_chunk_zero(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_worker_errors_reach_the_caller(workers, monkeypatch):
     spec = chain(2, 2)
-    table = build_banks(spec, [8, 8])
+    table = build_banks(spec, [[8, 0], [8, 8]])
     blocks = simulator._chunk_blocks
 
     def failing(spec, proto, trials, seed, c):
@@ -172,7 +172,7 @@ def test_workers_under_fast_thread_switching():
     # More workers than cores, switching threads as often as the
     # interpreter allows: every chunk's part still lands in its slot.
     spec = chain(2, 2)
-    table = build_banks(spec, [8, 8])
+    table = build_banks(spec, [[8, 0], [8, 8]])
     trials = 6 * CHUNK
     want = run_simulation(spec, table, CE, trials=trials, seed=3)
     interval = sys.getswitchinterval()
@@ -188,7 +188,7 @@ def test_workers_under_fast_thread_switching():
 @pytest.mark.parametrize("workers", [0, -3])
 def test_worker_count_below_one_is_rejected(workers):
     spec = chain(2, 2)
-    table = build_banks(spec, [8, 8])
+    table = build_banks(spec, [[8, 0], [8, 8]])
     with pytest.raises(ValueError, match="worker"):
         run_simulation(spec, table, PLUG_IN, trials=1_000, seed=0, workers=workers)
 
@@ -196,7 +196,7 @@ def test_worker_count_below_one_is_rejected(workers):
 def test_trial_count_extends_the_stream():
     # The first chunk is shared, so short and long runs agree on it.
     spec = chain(2, 2)
-    table = build_banks(spec, [8, 8])
+    table = build_banks(spec, [[8, 0], [8, 8]])
     short = run_simulation(spec, table, PLUG_IN, trials=CHUNK, seed=3)
     long = run_simulation(spec, table, PLUG_IN, trials=2 * CHUNK, seed=3)
     assert short.empirical_fmse != long.empirical_fmse
@@ -205,7 +205,7 @@ def test_trial_count_extends_the_stream():
 
 def test_conditional_expectation_dominates_plug_in():
     spec = chain(3, 2)
-    table = build_banks(spec, [8, 8, 8])
+    table = build_banks(spec, [[8, 0], [8, 8], [8, 8]])
     pi = run_simulation(spec, table, PLUG_IN, trials=100_000, seed=1)
     ce = run_simulation(spec, table, CE, trials=100_000, seed=1)
     assert ce.empirical_fmse < pi.empirical_fmse
@@ -711,8 +711,8 @@ def test_silent_chat_equals_no_chat():
     # bit-identical to the edgeless network under the same seed.
     chatty = chain(2, 1)
     silent = parse_spec_file("N = 2\n")
-    banks_a = build_banks(chatty, [6, 6])
-    banks_b = build_banks(silent, [6, 6])
+    banks_a = build_banks(chatty, [[6], [6]])
+    banks_b = build_banks(silent, [[6], [6]])
     a = run_simulation(chatty, banks_a, CE, trials=30_000, seed=5)
     b = run_simulation(silent, banks_b, CE, trials=30_000, seed=5)
     assert a.empirical_fmse == b.empirical_fmse
@@ -723,7 +723,7 @@ def test_chat_messages_track_codeword_cells():
     # Along the chain the incoming message must equal the running max of
     # the chat cells of the transmitted codewords, per the table rule.
     spec = chain(4, 4)
-    table = build_banks(spec, [8, 8, 8, 8])
+    table = build_banks(spec, [[8, 0, 0, 0]] + [[8] * 4] * 3)
     proto = _Encoder(spec, table)
     rng = np.random.default_rng(11)
     x = rng.random((5_000, 4))
@@ -742,7 +742,7 @@ def test_chat_messages_track_codeword_cells():
 
 def test_replay_matches_encoder():
     spec = chain(4, 2)
-    table = build_banks(spec, [8, 8, 8, 8])
+    table = build_banks(spec, [[8, 0]] + [[8, 8]] * 3)
     proto = _Encoder(spec, table)
     rng = np.random.default_rng(2)
     x = rng.random((20_000, 4))
@@ -792,7 +792,7 @@ def test_entropy_regime_reports_measured_rates():
 
 def test_fixed_rate_reports_codebook_rates():
     spec = chain(2, 2)
-    table = build_banks(spec, [8, 16])
+    table = build_banks(spec, [[8, 0], [16, 16]])
     res = run_simulation(spec, table, PLUG_IN, trials=1_000, seed=0)
     assert np.allclose(res.empirical_rates, [3.0, 4.0])
 
@@ -802,18 +802,18 @@ def test_fixed_rate_banks_of_mixed_sizes_are_rejected():
     # codebook's size would misreport its rate; entropy coding measures
     # rates and takes such table.
     spec = chain(3, 2)
-    table = build_banks(spec, [8, {1: 4, 2: 16}, {1: 16, 2: 4}])
+    table = build_banks(spec, [[8, 0], [4, 16], [16, 4]])
     for decoder in (PLUG_IN, CE):
         with pytest.raises(ValueError, match=r"sensor 2, message 2: .* one codebook size, not 16 cells"):
             run_simulation(spec, table, decoder, trials=1_000, seed=0)
     entropy = chain(3, 2, regime="entropy-constrained")
-    mixed = build_banks(entropy, [8, {1: 4, 2: 16}, {1: 16, 2: 4}])
+    mixed = build_banks(entropy, [[8, 0], [4, 16], [16, 4]])
     assert run_simulation(entropy, mixed, PLUG_IN, trials=1_000, seed=0).empirical_rates.shape == (3,)
 
 
 def test_result_csv_row():
     spec = chain(2, 2)
-    table = build_banks(spec, [8, 8])
+    table = build_banks(spec, [[8, 0], [8, 8]])
     res = run_simulation(spec, table, PLUG_IN, trials=1_000, seed=0)
     row = res.csv_row(2, 1, 8.0)
     assert row[0] == spec.spec_hash()
@@ -825,7 +825,7 @@ def test_result_csv_row():
 
 def test_simulation_input_validation():
     spec = chain(2, 2)
-    table = build_banks(spec, [8, 8])
+    table = build_banks(spec, [[8, 0], [8, 8]])
     for trials in (0, -5):
         with pytest.raises(ValueError, match="trial"):
             run_simulation(spec, table, PLUG_IN, trials=trials)
@@ -833,7 +833,7 @@ def test_simulation_input_validation():
     # message the sensor never hears or a codebook the spec needs.
     with pytest.raises(ValueError, match=r"\(2, 2\) table rows do not fit a \(3, 2\) chain"):
         run_simulation(chain(3, 2), table, PLUG_IN, trials=10)
-    silent = build_banks(chain(2, 1), [8, 8])
+    silent = build_banks(chain(2, 1), [[8], [8]])
     with pytest.raises(ValueError, match=r"\(2, 1\) table rows do not fit a \(2, 2\) chain"):
         run_simulation(spec, silent, PLUG_IN, trials=10)
     # Sensor 1 given a copy of its codebook for message 2, and sensor 2's
@@ -1016,7 +1016,7 @@ def test_simulation_never_rechecks_encoder_positions(monkeypatch):
 )
 def test_simulation_inputs_are_checked_before_any_work(kw, match, monkeypatch):
     spec = chain(2, 2)
-    table = build_banks(spec, [8, 8])
+    table = build_banks(spec, [[8, 0], [8, 8]])
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the inputs were checked")
@@ -1030,7 +1030,7 @@ def test_simulation_inputs_are_checked_before_any_work(kw, match, monkeypatch):
 
 def test_integer_likes_are_accepted():
     spec = chain(2, 2)
-    table = build_banks(spec, [8, 8])
+    table = build_banks(spec, [[8, 0], [8, 8]])
     a = run_simulation(spec, table, PLUG_IN, trials=np.int64(1_000), seed=np.uint32(4))
     b = run_simulation(spec, table, PLUG_IN, trials=1_000, seed=4)
     assert a.empirical_fmse == b.empirical_fmse
