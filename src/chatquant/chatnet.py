@@ -68,6 +68,16 @@ class _Links(NamedTuple):
     edges: tuple[_Link, ...]
 
 
+def _sensor_count(n) -> int:
+    """``n`` as an int, or ``ValueError`` unless it is an integer (not a
+    bool) of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"the sensor count must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("need at least one sensor")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class ChatNetworkSpec:
     """Immutable description of a serial max chain.
@@ -90,12 +100,7 @@ class ChatNetworkSpec:
     regime: str = FIXED_RATE
 
     def __post_init__(self) -> None:
-        n = self.n_sensors
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"the sensor count must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError("need at least one sensor")
-        object.__setattr__(self, "n_sensors", int(n))
+        object.__setattr__(self, "n_sensors", _sensor_count(self.n_sensors))
         if len(self.fusion_alphas) != self.n_sensors:
             raise ValueError("need one fusion cost per sensor")
         if not all(math.isfinite(a) and a > 0 for a in self.fusion_alphas):
@@ -145,7 +150,7 @@ class ChatNetworkSpec:
         every link chatting ``chat_size`` cells at ``chat_alpha`` per bit."""
         if chat_size < 1:
             raise ValueError("chat codebook size must be at least 1")
-        chat = (chat_alpha,) * (n_sensors - 1)
+        chat = (chat_alpha,) * (_sensor_count(n_sensors) - 1)
         if not chat:
             t = (0.0, 1.0)
         elif boundaries is None:

@@ -124,16 +124,32 @@ def _partition_grid(
     their water levels from one water-fill of (G, L) arrays.  Raises
     ValueError for a network without chat, which has no partition to move.
     """
-    if not spec.chat_alphas:
-        raise ValueError(
-            f"a partition sweep needs chat links; this {spec.n_sensors}-sensor "
-            "network has none"
-        )
+    _require_chat(spec)
     one_bit = spec.with_partition((0.0, 0.5, 1.0))
     remaining = _fusion_budget(one_bit, budget)
     grid = np.column_stack([np.zeros_like(p1s), p1s, np.ones_like(p1s)])
     consts = _chat_constants(one_bit, grid)
     return _grid_distortions(one_bit, remaining, consts)
+
+
+def _require_chat(spec: ChatNetworkSpec) -> None:
+    """Raise ValueError for a network without chat, which has no partition
+    to move."""
+    if not spec.chat_alphas:
+        raise ValueError(
+            f"a partition sweep needs chat links; this {spec.n_sensors}-sensor "
+            "network has none"
+        )
+
+
+def _require_positive(fmse: float, regime: str, label: str, budget: float) -> None:
+    """Raise ValueError naming the budget unless a scenario's predicted
+    fMSE is positive, as it is not when it underflows to 0."""
+    if not fmse > 0.0:
+        raise ValueError(
+            f"the predicted {regime} fMSE of scenario {label} is {fmse!r} "
+            f"at budget {budget!r}; the ladder needs it positive"
+        )
 
 
 def _require_step(step: float) -> None:
@@ -155,7 +171,10 @@ def run_scenarios(
     scenario 2 adds optimal rate allocation; scenario 3 also brute-force
     optimizes the partition boundary.  Improvements are the no-chat
     distortion divided by the scenario distortion at the same total cost
-    (chatting itself is free).  Raises ValueError unless 0 < p1_step < 1.
+    (chatting itself is free).  Raises ValueError unless 0 < p1_step < 1,
+    for a network without chat before any prediction, and naming the
+    budget when a scenario's predicted fMSE is not positive, as when it
+    underflows to 0.
     """
     _require_step(p1_step)
     budget = budget_per_sensor * n_sensors
@@ -163,7 +182,11 @@ def run_scenarios(
     rows = []
     for regime in regimes:
         spec = ChatNetworkSpec.serial_max(n_sensors, 2, 0.0, 1.0, regime)
+        _require_chat(spec)
         nochat = closed_form_max_nochat(n_sensors, budget, regime)
+        # The largest prediction is checked before any allocation, which
+        # a budget that makes it underflow would overflow.
+        _require_positive(nochat, regime, "no-chat", budget)
         equal = [budget / n_sensors] * n_sensors
         if regime == FIXED_RATE:
             # Keep the asymptotic form so scenario 1 differs from 2 and 3
@@ -175,12 +198,15 @@ def run_scenarios(
             d1 = predict(spec, equal).total
         d2 = allocate(spec, budget).predicted_distortion
         best_p1, d3 = optimize_partition(spec, budget, p1_step)
-        for label, value in (
+        scenarios = (
             ("no-chat", nochat),
             ("1-equal-rates", d1),
             ("2-allocation", d2),
             ("3-allocation+partition", d3),
-        ):
+        )
+        for label, value in scenarios[1:]:
+            _require_positive(value, regime, label, budget)
+        for label, value in scenarios:
             rows.append(
                 {
                     "regime": regime,

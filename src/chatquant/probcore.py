@@ -37,6 +37,11 @@ _DE_T_MAX = 4.0
 _DE_STEP = 0.125
 _DE_LEVELS = 10
 
+# Most (row, piece, node) abscissas per integrand call: 64 KiB per float64
+# array, so the integrand's temporaries stay small and in cache whatever
+# the row count.
+_EVAL_CELLS = 1 << 13
+
 
 def _de_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sign of t, distance 1 - |x| from the nearer end, and weight dx/dt
@@ -61,10 +66,10 @@ def integrate_adaptive(fn: Callable, edges: np.ndarray) -> np.ndarray:
     nondecreasing piece edges (kinks, piece seams) of integral r, and
     ``fn(x, rows)`` maps an (len(rows), P, nodes) block of abscissas, rows
     ``rows`` of ``edges``, to values of that shape (or one that broadcasts
-    to it).  Each level evaluates the integrand once, on the new nodes of
-    every piece of every unsettled row, and halves the step; a row stops
-    once two levels agree on each of its pieces to ABS_TOL / REL_TOL and
-    drops out of later levels.  The nodes crowd towards the piece ends
+    to it).  Each level evaluates the integrand on the new nodes of every
+    piece of every unsettled row, in row blocks of at most ``_EVAL_CELLS``
+    abscissas, and halves the step; a row stops once two levels agree on
+    each of its pieces to ABS_TOL / REL_TOL and drops out of later levels.  The nodes crowd towards the piece ends
     without reaching them, so integrable endpoint singularities (a cube
     root or a logarithm of a zero) need no special treatment.  A
     zero-width piece contributes exactly 0, so rows with fewer pieces are
@@ -87,12 +92,17 @@ def integrate_adaptive(fn: Callable, edges: np.ndarray) -> np.ndarray:
     out = np.empty(edges.shape[0])
     rows = np.arange(edges.shape[0])
     for level, (side, dist, weight) in enumerate(_DE_NODES):
-        ra, rb, rh = a[rows], b[rows], half[rows]
-        x = np.where(side < 0, ra + rh * dist, rb - rh * dist)
-        vals = np.broadcast_to(np.asarray(fn(x, rows), dtype=float), x.shape)
+        vals = np.empty((rows.size, half.shape[1], side.size))
+        step = max(1, _EVAL_CELLS // vals[0].size)
+        for start in range(0, rows.size, step):
+            part = rows[start : start + step]
+            ra, rb, rh = a[part], b[part], half[part]
+            vals[start : start + step] = fn(
+                np.where(side < 0, ra + rh * dist, rb - rh * dist), part
+            )
         # One (pieces, nodes) matrix times the weights, as for a single row.
-        acc[rows] += (vals.reshape(-1, side.size) @ weight).reshape(rh.shape[:2])
-        width = rh[:, :, 0]
+        acc[rows] += (vals.reshape(-1, side.size) @ weight).reshape(vals.shape[:2])
+        width = half[rows, :, 0]
         # A zero-width piece adds exactly 0, even where fn is not finite at
         # its point; a non-finite row stops as it is, whatever inf - inf
         # compares to.

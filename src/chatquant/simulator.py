@@ -5,8 +5,11 @@ substream of the master seed, so results are bit-identical regardless of
 how chunks are scheduled across workers.  The calling thread is one of
 the workers, and there are never more workers than chunks.  A chunk
 goes through sampler, encoder and estimator in consecutive row blocks of
-a fixed number of (trial, sensor) cells, so a worker holds one block of
-draws, positions and cell edges whatever the trial count.  The chat
+at most 8,192 trials and 2^17 (trial, sensor) cells, so a worker holds
+one block of draws, positions and cell edges whatever the trial count.
+The conditional-expectation decoder takes its closed forms block by
+block and integrates a chunk's trials with K >= 3 overlapping cells once
+per chunk.  The chat
 protocol runs on the codeword-driven message tables, which the fusion
 decoder replays exactly; the conditional-expectation decoder therefore
 conditions on precisely the information the decoder really has.
@@ -39,10 +42,12 @@ CHUNK = 65536
 # Most encode buckets per codebook; keeps the bucket tables to a few MB.
 _MAX_BUCKETS = 4096
 
-# (trial, sensor) cells per row block of a chunk or of a decoded index
-# block: 1 MiB per float64 array, so a block's draws, positions and cell
-# edges stay in cache.
+# (trial, sensor) cells and trials per row block of a chunk or of a
+# decoded index block: at most 1 MiB per float64 array, so a block's
+# draws, positions and cell edges stay in cache, and at most 64 KiB per
+# per-trial array, so a small N holds no larger blocks than N = 16 does.
 _BLOCK_CELLS = 1 << 17
+_BLOCK_ROWS = 8192
 
 PLUG_IN = "plug-in"
 CONDITIONAL_EXPECTATION = "conditional-expectation"
@@ -299,7 +304,18 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ce_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """E[max of independent uniform sources given their cells], vectorized.
+    """E[max of independent uniform sources given their cells], vectorized:
+    ``_ce_closed_forms`` and then ``_ce_quadrature`` on the trials it
+    leaves."""
+    out, groups = _ce_closed_forms(lo, hi)
+    rows, values = _ce_quadrature(groups)
+    out[rows] = values
+    return out
+
+
+def _ce_closed_forms(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The conditional-expectation decoder's closed forms over a block of
+    (trials, N) cell edges, and the trials they leave to quadrature.
 
     E[max] = left + integral over [left, right] of 1 - prod_n F_n(t),
     with left the largest lower cell edge, right the largest upper one
@@ -310,23 +326,20 @@ def _ce_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     When K = 1 only the cell with the largest lower edge reaches above
     ``left``, the max is uniform on it, and the answer is the midpoint
     (left + right) / 2 in closed form, taken for the whole block at once.
-    Trials with K = 2 are in closed form too (``_ce_max_pair``).  Only
-    trials with K >= 3 are integrated: the integrand is smooth between
-    the sorted upper edges of their K cells and the tail is taken per
-    segment with Gauss-Legendre nodes.  Those trials are grouped by K;
-    the integrand is a polynomial of degree K of the overlapping sensors,
-    and (K + 2) // 2 nodes, the fewest that are exact for degree K, are
-    used.  The cost per trial follows K, not N.
+    Trials with K = 2 are in closed form too (``_ce_max_pair``).  Returns
+    the block's estimates, final except at the trials with K >= 3, and
+    those trials as {K: (rows, left, a, b)}: their rows in the block,
+    their ``left``, and the lower and upper edges of their K overlapping
+    cells as (trials, K) arrays in sensor order.
     """
     left = lo.max(axis=1)
     overlap = hi > left[:, None]
     k_of = np.count_nonzero(overlap, axis=1)
     out = (left + hi.max(axis=1)) / 2.0
+    groups = {}
     multi = np.flatnonzero(k_of > 1)
-    if multi.size == 0:
-        return out
     k_multi = k_of[multi]
-    for k in np.unique(k_multi):
+    for k in np.unique(k_multi).tolist():
         rows = multi[k_multi == k]
         # nonzero keeps row order, and each row has k hits.
         r, c = np.nonzero(overlap[rows])
@@ -335,8 +348,26 @@ def _ce_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         b = hi[r, c].reshape(-1, k)
         if k == 2:
             out[rows] = _ce_max_pair(left[rows], a, b)
-            continue
-        edges = np.concatenate([left[rows, None], np.sort(b, axis=1)], axis=1)
+        else:
+            groups[k] = (rows, left[rows], a, b)
+    return out, groups
+
+
+def _ce_quadrature(groups: dict) -> tuple[np.ndarray, np.ndarray]:
+    """E[max] of the trials that ``_ce_closed_forms`` leaves, as
+    {K: (rows, left, a, b)} with K >= 3; returns their rows and estimates,
+    concatenated over K.
+
+    The integrand is smooth between the sorted upper edges of a trial's K
+    cells, and the tail is taken per segment with Gauss-Legendre nodes.
+    It is a polynomial of degree K, and (K + 2) // 2 nodes, the fewest
+    that are exact for degree K, are used, so the cost per trial follows
+    K, not N.  Each trial's arithmetic is its own, so the trials of
+    several blocks may come in one call.
+    """
+    rows_out, values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for k, (rows, left, a, b) in groups.items():
+        edges = np.concatenate([left[:, None], np.sort(b, axis=1)], axis=1)
         half = (edges[:, 1:] - edges[:, :-1]) / 2.0
         mid = (edges[:, 1:] + edges[:, :-1]) / 2.0
         nodes, weights = _gauss_legendre((k + 2) // 2)
@@ -347,8 +378,9 @@ def _ce_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             ca = a[:, n, None, None]
             prod *= np.clip((t - ca) / (b[:, n, None, None] - ca), 0.0, 1.0)
         tail = ((1.0 - prod) * weights).sum(axis=2) * half
-        out[rows] = left[rows] + tail.sum(axis=1)
-    return out
+        rows_out.append(rows)
+        values.append(left + tail.sum(axis=1))
+    return np.concatenate(rows_out), np.concatenate(values)
 
 
 def _ce_max_pair(left: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -417,8 +449,8 @@ def decode(
 
 def _row_blocks(trials: int, n_sensors: int):
     """Consecutive row slices of a (trials, N) block, each of at most
-    ``_BLOCK_CELLS`` cells and at least one row."""
-    step = max(1, _BLOCK_CELLS // n_sensors)
+    ``_BLOCK_ROWS`` rows and ``_BLOCK_CELLS`` cells and at least one row."""
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n_sensors))
     return (slice(r, min(r + step, trials)) for r in range(0, trials, step))
 
 
@@ -438,6 +470,39 @@ def _chunk_blocks(spec: ChatNetworkSpec, proto: _Encoder, trials: int, seed: int
         shape = (rows.stop - rows.start, spec.n_sensors)
         x = np.asfortranarray(spec.source.sample(rng, shape))
         yield rows, x, proto.positions(x)
+
+
+def _chunk_errors(
+    decoder: str, table: CodebookTable, blocks, err: np.ndarray, count: bool
+) -> np.ndarray | int:
+    """Write each trial's x.max - estimate into ``err`` from ``blocks`` of
+    (rows, x, positions) that cover it; return the blocks' summed
+    ``_counts`` when ``count``, else 0.
+
+    The conditional-expectation estimates are ``_ce_max``'s: the closed
+    forms block by block, and one ``_ce_quadrature`` call on every
+    block's trials with K >= 3 overlapping cells, whose ``err`` holds
+    x.max until then.
+    """
+    counts = 0
+    pending: dict[int, list] = {}
+    for rows, x, pos in blocks:
+        if decoder == PLUG_IN:
+            est = _estimate(decoder, table, pos)
+        else:
+            est, groups = _ce_closed_forms(table.lower[pos], table.upper[pos])
+            for k, (at, *cells) in groups.items():
+                est[at] = 0.0
+                pending.setdefault(k, []).append((at + rows.start, *cells))
+        np.subtract(x.max(axis=1), est, out=err[rows])
+        if count:
+            counts = counts + _counts(table, pos)
+    if decoder != PLUG_IN:
+        at, values = _ce_quadrature(
+            {k: tuple(map(np.concatenate, zip(*parts))) for k, parts in pending.items()}
+        )
+        err[at] -= values
+    return counts
 
 
 def _run_chunks(one_chunk, n_chunks: int, workers: int) -> list:
@@ -509,11 +574,8 @@ def run_simulation(
 
     def one_chunk(c: int) -> tuple[float, float, np.ndarray | int]:
         err = np.empty(min(CHUNK, trials - c * CHUNK))
-        counts = 0
-        for rows, x, pos in _chunk_blocks(spec, proto, trials, seed, c):
-            np.subtract(x.max(axis=1), _estimate(decoder, table, pos), out=err[rows])
-            if entropy:
-                counts = counts + _counts(table, pos)
+        blocks = _chunk_blocks(spec, proto, trials, seed, c)
+        counts = _chunk_errors(decoder, table, blocks, err, entropy)
         err **= 2
         return float(err.sum()), float((err**2).sum()), counts
 

@@ -146,6 +146,16 @@ def test_spec_rejects_a_sensor_count_that_is_not_an_integer(bad):
         ChatNetworkSpec(bad, Pdf(0.0, 1.0), alphas[: int(float(bad))], (), (0.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [2.0, "3", True])
+def test_serial_max_rejects_a_sensor_count_that_is_not_an_integer(bad):
+    # serial_max builds one chat cost per link from the count, which must
+    # be checked first: 2.0 and "3" raised TypeError there.
+    with pytest.raises(ValueError, match=f"sensor count must be an integer, got {bad!r}"):
+        ChatNetworkSpec.serial_max(bad, 2)
+    with pytest.raises(ValueError, match="need at least one sensor"):
+        ChatNetworkSpec.serial_max(0, 2)
+
+
 def test_spec_stores_an_integer_sensor_count_as_int():
     spec = ChatNetworkSpec(np.int64(2), Pdf(0.0, 1.0), (1.0, 1.0), (), (0.0, 1.0))
     assert type(spec.n_sensors) is int

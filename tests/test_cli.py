@@ -590,6 +590,13 @@ def test_partition_commands_refuse_one_sensor(args, capsys):
     assert capsys.readouterr().err.startswith("error: a partition sweep needs chat links")
 
 
+def test_scenarios_refuse_a_budget_whose_prediction_underflows(capsys):
+    assert main(["scenarios", "-N", "3", "--budget", "1e308"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: the predicted fixed-rate fMSE of scenario no-chat is 0.0 "
+                   "at budget 1e+308; the ladder needs it positive\n")
+
+
 def test_scenarios_command(capsys):
     assert main(["scenarios", "-N", "3", "--budget", "9"]) == 0
     out = capsys.readouterr().out

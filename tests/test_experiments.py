@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from chatquant.allocation import (
     allocate,
     chat_budget_search,
 )
+from chatquant import experiments
 from chatquant.chatnet import ChatNetworkSpec
 from chatquant.distortion import _chat_constants, closed_form_max_nochat
 from chatquant.experiments import (
@@ -154,6 +156,31 @@ def test_partition_sweeps_refuse_a_network_without_chat(regime):
             optimize_partition(spec, 12.0, 0.25)
     with pytest.raises(ValueError, match="needs chat links"):
         run_scenarios(1, 5.0, (regime,), 0.25)
+
+
+def test_scenarios_refuse_a_network_without_chat_before_any_allocation(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "allocate", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="a partition sweep needs chat links; "
+                                         "this 1-sensor network has none"):
+        run_scenarios(1, 5.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "per_sensor, label",
+    [(1e308 / 3, "no-chat"), (1_000.0, "no-chat"), (535.0, "1-equal-rates")],
+)
+def test_scenarios_refuse_a_prediction_that_underflows(per_sensor, label, monkeypatch):
+    # The predicted fMSE underflows to 0, and the improvement no-chat /
+    # fMSE would divide by it.  No-chat, the largest, is checked before
+    # any allocation; at 535 bits per sensor it is still positive.
+    if label == "no-chat":
+        monkeypatch.setattr(experiments, "allocate", None)
+    budget = per_sensor * 3
+    want = f"fixed-rate fMSE of scenario {label} is 0.0 at budget {budget!r};"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        run_scenarios(3, per_sensor, (FR,), 0.25)
 
 
 def test_partition_sweep_columns():

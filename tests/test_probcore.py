@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chatquant import probcore
 from chatquant.probcore import (
     Pdf,
     binary_entropy,
@@ -106,6 +107,34 @@ def test_rows_match_one_row_calls(batch):
         )
         assert one.shape == (1,)
         assert got[r] == pytest.approx(one[0], rel=1e-15, abs=0.0)
+
+
+def test_row_blocks_of_the_integrand_are_invisible(monkeypatch):
+    # 240 rows of three pieces need several integrand calls per level; the
+    # integrals must be those of one call per level, and of one row per
+    # call, bit for bit.
+    rng = np.random.default_rng(7)
+    kind = rng.integers(0, 3, 240)
+    coef = rng.uniform(0.5, 4.0, 240)
+    edges = np.sort(rng.uniform(0.0, 1.0, (240, 4)), axis=1)
+    edges[kind == 2, 0] = 0.0
+    calls = []
+
+    def fn(x, rows):
+        calls.append((x.size, rows.size))
+        r = rows[:, None, None]
+        return _row_values(x, kind[r], edges[r, 0], coef[r])
+
+    default = probcore._EVAL_CELLS
+    got = {}
+    for cells in (1, default, 1 << 30):
+        monkeypatch.setattr(probcore, "_EVAL_CELLS", cells)
+        calls.clear()
+        got[cells] = integrate_adaptive(fn, edges)
+        assert all(size <= cells or n == 1 for size, n in calls)
+    assert calls[0] == (240 * 3 * 65, 240) and calls[0][0] > default
+    assert np.array_equal(got[1], got[1 << 30])
+    assert np.array_equal(got[default], got[1 << 30])
 
 
 def test_rows_non_finite_row_comes_back_as_is():

@@ -31,6 +31,7 @@ from chatquant.simulator import (
     _Protocol,
     _ce_max,
     _chunk_blocks,
+    _chunk_errors,
     _estimate,
 )
 
@@ -604,11 +605,26 @@ def test_encode_matches_mask_loop_at_every_boundary(name):
     assert np.array_equal(incoming, want_inc)
 
 
-@pytest.mark.parametrize("name", sorted(set(BOUNDARY_DESIGNS) | {"entropy3"}))
+# The most cells that overlap above the largest lower edge in one trial
+# of each design's inputs below; chain16's K reaches 16.
+MOST_OVERLAPS = {
+    "chain16": 16,
+    "entropy3": 3,
+    "entropy6_rc2": 6,
+    "max2_nochat": 2,
+    "max4_chat": 4,
+    "max5_entropy": 5,
+    "tight": 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOST_OVERLAPS))
 def test_estimates_from_encoder_positions_equal_decode(name):
     # The simulator estimates straight from the encoder's positions; they
     # must be the positions that the checked path builds from the indices
-    # and messages, and give decode's answers bit for bit.
+    # and messages, and give decode's answers bit for bit, also when the
+    # simulation integrates the K >= 3 trials of all its row blocks in one
+    # pass and decode one block at a time.
     spec, table = _lookup_design(name)
     n = spec.n_sensors
     enc = _Encoder(spec, table)
@@ -621,11 +637,35 @@ def test_estimates_from_encoder_positions_equal_decode(name):
     checked = [enc.index(s, indices[:, s - 1], incoming[:, s - 1]) for s in range(1, n + 1)]
     assert np.array_equal(pos, np.stack(checked, axis=1))
     lo, hi, cw = cell_bounds_mask_loop(table, indices, incoming)
+    assert (hi > lo.max(axis=1)[:, None]).sum(axis=1).max() == MOST_OVERLAPS[name]
     want = {PLUG_IN: cw.max(axis=1), CE: _ce_max(lo, hi)}
+    blocks = [(rows, x[rows], pos[rows]) for rows in simulator._row_blocks(*x.shape)]
+    assert len(blocks) > 1
     for decoder in (PLUG_IN, CE):
         got = _estimate(decoder, table, pos)
         assert np.array_equal(got, want[decoder])
-        assert np.array_equal(got, decode(decoder, indices, table, spec))
+        decoded = decode(decoder, indices, table, spec)
+        assert np.array_equal(got, decoded)
+        err = np.empty(x.shape[0])
+        assert _chunk_errors(decoder, table, blocks, err, False) == 0
+        assert np.array_equal(err, x.max(axis=1) - decoded)
+
+
+def test_ce_quadrature_runs_once_per_chunk(monkeypatch):
+    # chain16 has 8 row blocks per chunk, each with trials of several
+    # K >= 3; their quadrature is one call per chunk.
+    calls = []
+
+    def counted(groups):
+        calls.append(sorted(groups))
+        return quadrature(groups)
+
+    quadrature = simulator._ce_quadrature
+    monkeypatch.setattr(simulator, "_ce_quadrature", counted)
+    spec, table = _lookup_design("chain16")
+    run_simulation(spec, table, CE, trials=2 * CHUNK, seed=0)
+    assert len(calls) == 2
+    assert all(len(ks) > 1 and min(ks) == 3 for ks in calls)
 
 
 @pytest.mark.parametrize("name", ["max5_entropy", "entropy3", "entropy6_rc2", "max4_chat", "tight"])
@@ -907,11 +947,13 @@ def _edge_design(n, regime):
 
 @pytest.mark.parametrize("regime", ["fixed-rate", "entropy-constrained"])
 @pytest.mark.parametrize("n", [3, 5, 6])
-def test_row_blocks_give_the_whole_chunk_answers(n, regime):
-    # Rows per block do not divide a chunk at these N, and the second
-    # chunk is shorter than one block; the answers must still be those of
-    # one whole-chunk block, bit for bit.
-    rows = simulator._BLOCK_CELLS // n
+def test_row_blocks_give_the_whole_chunk_answers(n, regime, monkeypatch):
+    # Rows per block do not divide a chunk under a row cap of 5,000, and
+    # the second chunk is shorter than one block; the answers must still
+    # be those of one whole-chunk block, bit for bit.  The cap of 8,192
+    # rows divides a chunk.
+    monkeypatch.setattr(simulator, "_BLOCK_ROWS", 5_000)
+    rows = next(simulator._row_blocks(CHUNK, n)).stop
     assert CHUNK % rows and 1_234 < rows
     spec, table = _edge_design(n, regime)
     trials, seed = CHUNK + 1_234, 5
