@@ -68,14 +68,25 @@ class _Links(NamedTuple):
     edges: tuple[_Link, ...]
 
 
-def _sensor_count(n) -> int:
-    """``n`` as an int, or ``ValueError`` unless it is an integer (not a
-    bool) of at least 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"the sensor count must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("need at least one sensor")
-    return int(n)
+def _count(v, what: str, too_few: str) -> int:
+    """``v`` as an int, or ``ValueError`` unless it is an integer (not a
+    bool) of at least 1: naming ``what``, or saying ``too_few``."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    if v < 1:
+        raise ValueError(too_few)
+    return int(v)
+
+
+def _boundaries(values) -> tuple[float, ...]:
+    """``values`` as floats, or ``ValueError`` unless they are finite,
+    strictly increasing boundaries from 0 to 1."""
+    t = tuple(float(v) for v in values)
+    if len(t) < 2 or not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+        raise ValueError(f"partition {t} must be finite, strictly increasing boundaries")
+    if abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12:
+        raise ValueError(f"partition {t} must cover [0, 1]")
+    return t
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,8 @@ class ChatNetworkSpec:
     regime: str = FIXED_RATE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_sensors", _sensor_count(self.n_sensors))
+        n = _count(self.n_sensors, "the sensor count", "need at least one sensor")
+        object.__setattr__(self, "n_sensors", n)
         if len(self.fusion_alphas) != self.n_sensors:
             raise ValueError("need one fusion cost per sensor")
         if not all(math.isfinite(a) and a > 0 for a in self.fusion_alphas):
@@ -122,11 +134,7 @@ class ChatNetworkSpec:
             # Profiles and message laws are closed forms for uniform(0, 1)
             # sources only.
             raise ValueError("the source must be uniform on [0, 1]")
-        t = tuple(float(v) for v in self.partition)
-        if len(t) < 2 or any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError(f"partition {t} must be increasing boundaries")
-        if abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12:
-            raise ValueError(f"partition {t} must cover [0, 1]")
+        t = _boundaries(self.partition)
         if not self.chat_alphas and t != (0.0, 1.0):
             raise ValueError(
                 f"a network without chat edges has partition (0, 1), got {t}"
@@ -148,9 +156,9 @@ class ChatNetworkSpec:
     ) -> "ChatNetworkSpec":
         """The serial chain computing the max of iid uniform(0,1) sources,
         every link chatting ``chat_size`` cells at ``chat_alpha`` per bit."""
-        if chat_size < 1:
-            raise ValueError("chat codebook size must be at least 1")
-        chat = (chat_alpha,) * (_sensor_count(n_sensors) - 1)
+        _count(chat_size, "the chat codebook size", "chat codebook size must be at least 1")
+        n_sensors = _count(n_sensors, "the sensor count", "need at least one sensor")
+        chat = (chat_alpha,) * (n_sensors - 1)
         if not chat:
             t = (0.0, 1.0)
         elif boundaries is None:
@@ -158,9 +166,7 @@ class ChatNetworkSpec:
         else:
             t = tuple(boundaries)
             if len(t) != chat_size + 1:
-                raise ValueError(
-                    f"{chat_size} chat cells need {chat_size + 1} boundaries, got {t}"
-                )
+                raise ValueError(f"{chat_size} chat cells need {chat_size + 1} boundaries, got {t}")
         if np.isscalar(fusion_alphas):
             alphas = (float(fusion_alphas),) * n_sensors
         else:
@@ -530,7 +536,7 @@ def parse_spec_file(text: str) -> ChatNetworkSpec:
                 pair = (int(pair[0]), int(pair[1]))
                 if pair in partitions:
                     fail(line_no, key, f"second partition for edge {pair}")
-                partitions[pair] = (line_no, tuple(float(v) for v in tail.split()))
+                partitions[pair] = (line_no, _boundaries(tail.split()))
             elif key == "schedule":
                 hops = []
                 for item in value.split():

@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .probcore import integrate_adaptive
 from .sensitivity import SensitivityProfile
 
 __all__ = [
@@ -195,33 +194,25 @@ def _row_quantizer(
     ``profile``: np.cbrt at fixed rate, np.sqrt under entropy coding.  It
     vanishes on [0, s_l], which becomes one don't-care cell when s_l > 0;
     its codeword is s_l, the only reconstruction that can never overstate
-    the maximum.  The other G cells have edges at multiples of 1/G of the
-    cumulative mass and codewords at odd multiples of 1/(2G).  The mass
-    is tabulated from s_l, so no level interpolates across [0, s_l].
+    the maximum.  The other G cells come from one inversion of the
+    cumulative mass at the 2G + 1 levels j/(2G), j = 0..2G: the even
+    levels are the edges and the odd ones the codewords.  The mass is
+    tabulated from s_l, so no level interpolates across [0, s_l].
     """
     s_l, s_u = profile.s_l, profile.s_u
     granular = size - (s_l > 0)
-
-    def density(x: np.ndarray) -> np.ndarray:
-        return root(np.maximum(profile(x), 0.0))
-
     pieces = [s_l, *([s_u] if s_l < s_u < 1.0 else []), 1.0]
-    xs = np.unique(np.concatenate(
-        [np.linspace(a, b, _MASS_GRID + 1) for a, b in zip(pieces[:-1], pieces[1:])]
-    ))
+    grid = [np.linspace(a, b, _MASS_GRID + 1) for a, b in zip(pieces[:-1], pieces[1:])]
+    xs = np.unique(np.concatenate(grid))
     # Midpoint masses: cells are half-open, so the density value at a
     # seam belongs to one side only and must not leak into the other.
-    # Dividing by the integrated mass is redundant, as the total below
-    # normalizes again, but it keeps every codebook bit for bit.
-    mass = integrate_adaptive(lambda x, _rows: density(x), np.array([pieces]))[0]
-    mids = density(0.5 * (xs[:-1] + xs[1:])) / mass
+    mids = root(np.maximum(profile(0.5 * (xs[:-1] + xs[1:])), 0.0))
     cum = np.concatenate([[0.0], np.cumsum(np.diff(xs) * mids)])
-    cum = np.maximum.accumulate(cum / cum[-1])
+    cum /= cum[-1]
     keep = np.concatenate([[True], np.diff(cum) > 0])
-    edges = np.interp(np.linspace(0.0, 1.0, granular + 1), cum[keep], xs[keep])
+    levels = np.interp(np.linspace(0.0, 1.0, 2 * granular + 1), cum[keep], xs[keep])
+    edges, codewords = levels[::2], levels[1::2]
     edges[0], edges[-1] = s_l, 1.0
-    levels = (2 * np.arange(1, granular + 1) - 1) / (2 * granular)
-    codewords = np.interp(levels, cum[keep], xs[keep])
     if s_l > 0:
         return np.r_[0.0, edges], np.r_[s_l, codewords]
     return edges, codewords

@@ -576,8 +576,10 @@ def run_simulation(
         err = np.empty(min(CHUNK, trials - c * CHUNK))
         blocks = _chunk_blocks(spec, proto, trials, seed, c)
         counts = _chunk_errors(decoder, table, blocks, err, entropy)
-        err **= 2
-        return float(err.sum()), float((err**2).sum()), counts
+        err *= err
+        total = float(err.sum())
+        err *= err
+        return total, float(err.sum()), counts
 
     parts = _run_chunks(one_chunk, n_chunks, workers)
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -196,6 +197,43 @@ def test_spec_rejects_edge_sizes_other_than_the_partition():
     with pytest.raises(ValueError, match="2 chat cells need 3 boundaries"):
         chain(3, 2, boundaries=(0.0, 0.25, 0.5, 1.0))
     assert chain(3, 3, boundaries=(0.0, 0.25, 0.5, 1.0)).partition == (0.0, 0.25, 0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(0.0, math.nan, 1.0), (math.nan, 0.5, 1.0), (0.0, 0.5, math.nan), (0.0, math.inf, 1.0),
+     (0.0, 0.5, 0.5, 1.0)],
+)
+def test_spec_rejects_partitions_that_are_not_finite_and_increasing(bad):
+    # NaN compares False with every number, so an order test alone lets
+    # it through.
+    good = chain(3, 2)
+    match = "must be finite, strictly increasing boundaries"
+    with pytest.raises(ValueError, match=match):
+        ChatNetworkSpec(3, good.source, good.fusion_alphas, good.chat_alphas, bad)
+    with pytest.raises(ValueError, match=match):
+        good.with_partition(bad)
+    with pytest.raises(ValueError, match=match):
+        chain(3, len(bad) - 1, boundaries=bad)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "cells, match", [("0 nan 1", "must be finite, strictly increasing"), ("0 0.5 0.9", "cover")]
+)
+def test_parse_names_the_line_of_a_bad_partition(n, cells, match):
+    edges = "".join(f"edge = {i} {i + 1} 2 0\n" for i in range(1, n))
+    with pytest.raises(SpecFormatError, match=match) as err:
+        parse_spec_file(f"N = {n}\n{edges}partition = 1 2 : {cells}\n")
+    assert (err.value.line, err.value.key) == (n + 1, "partition")
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2"])
+def test_serial_max_rejects_a_chat_size_that_is_not_an_integer(bad):
+    # Not a cell count: np.linspace raises TypeError for 2.5, and True
+    # would build a one-cell partition.
+    with pytest.raises(ValueError, match=f"chat codebook size must be an integer, got {bad!r}"):
+        chain(3, bad)
 
 
 def test_spec_without_chat_edges_holds_the_unit_partition():
@@ -651,7 +689,7 @@ def test_bank_digests_are_frozen():
             digest.update(table.codewords[n - 1, k - 1, :size].tobytes())
             digest.update(b"[1]" if table.dont_care[n - 1, k - 1] else b"[]")
     assert digest.hexdigest() == (
-        "a5e6ff66a75b0ac0a917a125cb66fddc2fee0a01aea37462a0c667a921d868a2"
+        "e2a2c8afdd94a3568f11bc7bdace87c05ad317a45e2934f951c54ea8c81e8f04"
     )
 
 
@@ -830,6 +868,26 @@ def test_codebook_rows_are_the_constants_rows(spec):
             assert dont_care[n - 1, k - 1] == int(prof.s_l > 0)
             live += 1
     assert live == sum(spec.message_probs(n).size for n in range(1, spec.n_sensors + 1))
+
+
+def test_banks_integrate_nothing_and_a_design_once(monkeypatch):
+    # Each codebook row normalizes its own tabulated mass, so the banks
+    # need no integral; a design's one integration is its constants.
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return integrate_adaptive(*args, **kw)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chatquant") and hasattr(module, "integrate_adaptive"):
+            monkeypatch.setattr(module, "integrate_adaptive", counted)
+    spec = parse_spec_file((SPEC_DIR / "max4_chat.txt").read_text())
+    design = design_network(spec, budget=16.0)
+    assert len(calls) == 1
+    calls.clear()
+    build_banks(spec, design.banks.sizes)
+    assert calls == []
 
 
 def test_design_entropy_sizes_cover_gates():

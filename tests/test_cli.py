@@ -346,7 +346,7 @@ def test_design_prints_sizes_and_dumps_banks(tmp_path, capsys):
     assert (banks / "sensor2_msg1.txt").read_text().endswith("\n\n")
     digest = hashlib.sha256(b"".join((banks / name).read_bytes() for name in files))
     assert digest.hexdigest() == (
-        "ae5aebe96ad0be93750fa83bbf256e67a809863dbf0d44f8c46f210db35c9daf"
+        "510fb25e58955fac11951a3732e1dc793a25edd9c495d49ccfba288a85dc0190"
     )
 
 
@@ -510,6 +510,18 @@ def test_non_finite_link_cost_in_spec_is_spec_error(line, tmp_path, capsys):
     assert main(["validate", "--spec", str(spec)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("spec error:") and "must be finite" in err
+
+
+def test_non_finite_partition_boundary_is_an_error(tmp_path, capsys):
+    assert main(["validate", "-N", "3", "--p1", "nan"]) == 1
+    assert capsys.readouterr().err == (
+        "error: partition (0.0, nan, 1.0) must be finite, strictly increasing boundaries\n"
+    )
+    spec = tmp_path / "spec.txt"
+    spec.write_text("N = 2\nedge = 1 2 2 0\npartition = 1 2 : 0 nan 1\n")
+    for command in (["validate"], ["predict", "--rates", "4,4"], ["design", "--budget", "8"]):
+        assert main([*command, "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err.startswith("spec error: line 3, key 'partition'")
 
 
 def test_sweep_rc_stdout_and_csv(tmp_path, capsys):
